@@ -73,10 +73,11 @@ verify:
 # Allocation-regression gate for the compiled hot path: the zero-alloc
 # contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA
 # pose pass), and the G'/P solvers (warm and cold/coarse-seed paths) are
-# pinned by AllocsPerRun tests; run them without -race (the race
-# detector inserts allocations).
+# pinned by AllocsPerRun tests, as is the slot engine's per-trace
+# allocation count (flat in trace length); run them without -race (the
+# race detector inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/
+	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/ ./internal/sim/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics

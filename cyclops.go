@@ -171,14 +171,6 @@ func TraceSource(seed int64) trace.Source {
 	}
 }
 
-// TraceDataset synthesizes the 500-trace corpus used by Fig 16.
-//
-// Deprecated: use TraceSource with RunCorpus (streaming, memory-bounded)
-// or sim.Materialize when a slice is genuinely needed.
-func TraceDataset(seed int64) []Trace {
-	return sim.Materialize(TraceSource(seed), 0)
-}
-
 // SpeedThreshold analyzes run samples for the highest speed bucket that
 // sustained the link (the Fig 13 threshold readout).
 func SpeedThreshold(samples []Sample, speedOf func(Sample) float64, bucket float64, minSamples int) float64 {
@@ -195,21 +187,8 @@ func AngSpeedOf(s Sample) float64 { return s.AngSpeed }
 // simulation.
 type TraceResult = sim.TraceResult
 
-// TraceAvailability is the per-trace outcome of the §5.4 availability
-// simulation.
-//
-// Deprecated: use TraceResult, which matches the internal/sim name. No
-// in-repo caller remains; the alias stays for API compatibility only.
-type TraceAvailability = sim.TraceResult
-
 // CorpusResult aggregates a full §5.4 dataset run (Fig 16's data).
 type CorpusResult = sim.CorpusResult
-
-// AvailabilityCorpus aggregates a full §5.4 dataset run (Fig 16's data).
-//
-// Deprecated: use CorpusResult, which matches the internal/sim name. No
-// in-repo caller remains; the alias stays for API compatibility only.
-type AvailabilityCorpus = sim.CorpusResult
 
 // CorpusSource is a streaming corpus: traces are produced on demand
 // (TraceSource, sim.TraceSlice) so corpus size never bounds memory.
@@ -314,9 +293,6 @@ func DefaultHazeFaultConfig() FaultConfig { return fault.DefaultHazeConfig() }
 // ChaosParams extend the §5.4 slot model with occlusion blocking and
 // re-lock constants.
 type ChaosParams = sim.ChaosParams
-
-// ChaosCorpusResult aggregates a chaos corpus run (fig16-faults' data).
-type ChaosCorpusResult = sim.ChaosCorpusResult
 
 // MetricsRegistry is a deterministic, dependency-free metrics registry
 // (counters, gauges, fixed-bucket histograms) with Prometheus text

@@ -654,7 +654,11 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 			Seed:    opts.Seed + 7919*int64(i),
 			Windows: OcclusionWindows(tx, tr, occs),
 		}
+		// One verdict per slot: preallocated to the trace's slot count.
 		run := userRun{}
+		if p.Slot > 0 {
+			run.off = make([]bool, 0, (tr.Duration()+p.Slot-1)/p.Slot)
+		}
 		run.res = sim.SimulateTraceChaosSlots(tr, p, &sched, reg, func(slot int, off bool) {
 			run.off = append(run.off, off)
 		})

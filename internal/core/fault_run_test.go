@@ -170,6 +170,25 @@ func TestRunTrackerAndGalvoFaults(t *testing.T) {
 }
 
 // Malformed fault windows are rejected by options validation.
+// TestRunOptionsValidateUnsortedFaults: windows out of Start order are
+// rejected — a schedule lookup stops at the first window that starts
+// after the instant, so the earlier-starting second window would never
+// be seen.
+func TestRunOptionsValidateUnsortedFaults(t *testing.T) {
+	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
+	reversed := fault.Schedule{Windows: []fault.Window{
+		{Kind: fault.GalvoStuck, Start: 600 * time.Millisecond, End: 800 * time.Millisecond},
+		{Kind: fault.Occlusion, Start: 100 * time.Millisecond, End: 700 * time.Millisecond, DepthDB: 30},
+	}}
+	if err := (RunOptions{Program: prog, Faults: &reversed}).Validate(); err == nil {
+		t.Fatal("unsorted fault schedule accepted")
+	}
+	sorted := fault.Schedule{Windows: []fault.Window{reversed.Windows[1], reversed.Windows[0]}}
+	if err := (RunOptions{Program: prog, Faults: &sorted}).Validate(); err != nil {
+		t.Fatalf("sorted fault schedule rejected: %v", err)
+	}
+}
+
 func TestRunOptionsValidateFaults(t *testing.T) {
 	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
 	bad := []fault.Schedule{

@@ -185,6 +185,12 @@ func (o RunOptions) Validate() error {
 				return fmt.Errorf("core: invalid RunOptions: fault window %d malformed (%v-%v)",
 					i, w.Start, w.End)
 			}
+			// Schedule lookups stop at the first window that starts
+			// later, so an unsorted schedule would silently drop windows.
+			if i > 0 && w.Start < o.Faults.Windows[i-1].Start {
+				return fmt.Errorf("core: invalid RunOptions: fault window %d starts at %v, before window %d (%v): windows must be sorted by Start",
+					i, w.Start, i-1, o.Faults.Windows[i-1].Start)
+			}
 		}
 	}
 	if g := o.SolveGate; g != nil {

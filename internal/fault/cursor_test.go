@@ -1,0 +1,136 @@
+package fault
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+)
+
+// fuzzSchedule builds a Start-sorted schedule from seed: n random windows
+// of every kind, plus two overlapping occlusions, three stacked haze fades
+// and two overlapping saturations at random offsets, so every reduction
+// (deepest occlusion, index-order haze sum, tightest limit) is exercised.
+func fuzzSchedule(seed int64, n int) (Schedule, time.Duration) {
+	rng := rand.New(rand.NewSource(seed))
+	span := time.Duration(1+rng.Intn(2000)) * time.Millisecond
+	dur := func(max time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(max) + 1)) }
+	window := func(k Kind, start time.Duration) Window {
+		w := Window{Kind: k, Start: start, End: start + dur(span/2)}
+		switch k {
+		case Occlusion, HazeFade:
+			w.DepthDB = 50 * rng.Float64()
+			w.Ramp = dur(w.End - w.Start)
+			if rng.Intn(2) == 0 {
+				w.RampDown = dur(w.End - w.Start)
+			}
+		case GalvoSaturation:
+			w.Limit = 2 * rng.Float64()
+		}
+		return w
+	}
+	s := Schedule{Seed: seed}
+	for i := 0; i < n; i++ {
+		s.Windows = append(s.Windows, window(Kind(rng.Intn(int(numKinds))), dur(span)))
+	}
+	for _, group := range []struct {
+		kind Kind
+		n    int
+	}{{Occlusion, 2}, {HazeFade, 3}, {GalvoSaturation, 2}} {
+		at := dur(span)
+		for i := 0; i < group.n; i++ {
+			s.Windows = append(s.Windows, window(group.kind, at+dur(span/20)))
+		}
+	}
+	sort.SliceStable(s.Windows, func(i, j int) bool {
+		if s.Windows[i].Start != s.Windows[j].Start {
+			return s.Windows[i].Start < s.Windows[j].Start
+		}
+		return s.Windows[i].Kind < s.Windows[j].Kind
+	})
+	return s, span + span/2
+}
+
+// stateRef is the window reduction as a full scan in index order with no
+// early exit — the oracle both At and the cursor must reproduce.
+func stateRef(s *Schedule, t time.Duration) State {
+	var st State
+	for _, w := range s.Windows {
+		if t < w.Start || t >= w.End {
+			continue
+		}
+		switch w.Kind {
+		case Occlusion:
+			st.AttenDB = math.Max(st.AttenDB, w.attenAt(t))
+		case HazeFade:
+			st.HazeDB += w.attenAt(t)
+		case GalvoSaturation:
+			if st.GalvoSatLimit == 0 || w.Limit < st.GalvoSatLimit {
+				st.GalvoSatLimit = w.Limit
+			}
+		case TrackerBlackout:
+			st.TrackerBlackout = true
+		case TrackerFreeze:
+			st.TrackerFreeze = true
+		case GalvoStuck:
+			st.GalvoStuck = true
+		case SolverDiverge:
+			st.SolverDiverge = true
+		}
+	}
+	st.AttenDB += st.HazeDB
+	return st
+}
+
+func sameState(a, b State) bool {
+	return math.Float64bits(a.AttenDB) == math.Float64bits(b.AttenDB) &&
+		math.Float64bits(a.HazeDB) == math.Float64bits(b.HazeDB) &&
+		math.Float64bits(a.GalvoSatLimit) == math.Float64bits(b.GalvoSatLimit) &&
+		a.TrackerBlackout == b.TrackerBlackout && a.TrackerFreeze == b.TrackerFreeze &&
+		a.GalvoStuck == b.GalvoStuck && a.SolverDiverge == b.SolverDiverge
+}
+
+// FuzzCursorMatchesAt: a cursor walked over non-decreasing probe times —
+// every window edge and its neighbouring nanoseconds, plus random instants
+// with repeats — returns At's state bit for bit at every probe, and a step
+// backwards still reads the right state.
+func FuzzCursorMatchesAt(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, extra uint16) {
+		s, end := fuzzSchedule(seed, int(n%48))
+		rng := rand.New(rand.NewSource(seed ^ int64(extra)))
+		var probes []time.Duration
+		for _, w := range s.Windows {
+			for _, e := range []time.Duration{w.Start, w.End} {
+				probes = append(probes, e-1, e, e, e+1)
+			}
+		}
+		for i := 0; i < int(extra%512); i++ {
+			probes = append(probes, time.Duration(rng.Int63n(int64(end)+1)))
+		}
+		sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+		c := s.Cursor()
+		for _, at := range probes {
+			got, want := c.At(at), s.At(at)
+			if !sameState(got, want) {
+				t.Fatalf("Cursor.At(%v) = %+v, At = %+v\n%s", at, got, want, s.String())
+			}
+			if ref := stateRef(&s, at); !sameState(want, ref) {
+				t.Fatalf("At(%v) = %+v, full-scan reduction %+v\n%s", at, want, ref, s.String())
+			}
+		}
+		back := time.Duration(rng.Int63n(int64(end) + 1))
+		if got, want := c.At(back), s.At(back); !sameState(got, want) {
+			t.Fatalf("Cursor.At(%v) after stepping back = %+v, At = %+v", back, got, want)
+		}
+	})
+}
+
+// A nil schedule's cursor reads the zero state, like At on nil.
+func TestCursorNilSchedule(t *testing.T) {
+	var s *Schedule
+	c := s.Cursor()
+	if st := c.At(time.Second); st != (State{}) {
+		t.Fatalf("nil schedule cursor state %+v", st)
+	}
+}

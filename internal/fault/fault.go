@@ -178,22 +178,60 @@ type Schedule struct {
 // bit-identical output to a fault-free run.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Windows) == 0 }
 
-// At reduces the schedule to the instantaneous fault state at time t.
-// Overlapping occlusions take the deepest attenuation, overlapping haze
-// fades sum (independent scattering media stack), and the haze total adds
-// to the occlusion maximum; overlapping saturations take the tightest
-// limit. Every reduction is commutative, so the injected dB sequence is
-// invariant under any permutation of the window list.
+// At reduces the schedule to the instantaneous fault state at time t: a
+// fresh Cursor's first lookup. Overlapping occlusions take the deepest
+// attenuation, overlapping haze fades sum (independent scattering media
+// stack), and the haze total adds to the occlusion maximum; overlapping
+// saturations take the tightest limit. The windows must be sorted by
+// Start (Plan's order) — the scan stops at the first window that starts
+// after t — and the haze total is a float sum taken in window-index
+// order, so reordering three or more stacked fades can move its last bit.
 func (s *Schedule) At(t time.Duration) State {
-	var st State
+	c := s.Cursor()
+	return c.At(t)
+}
+
+// Cursor is a monotone reader of a Start-sorted schedule: successive At
+// calls at non-decreasing times resume the window scan where the last one
+// left off instead of rescanning from index 0, so a slot loop pays for
+// the windows near the current instant only. It is a value type and never
+// allocates.
+type Cursor struct {
+	windows []Window
+	// lo is the first window that may still be active: every window before
+	// it ended at or before the last lookup. hi is the first window that
+	// had not started by the last lookup.
+	lo, hi int
+	last   time.Duration
+}
+
+// Cursor returns a cursor at the start of the schedule (nil-safe: a nil
+// schedule's cursor reads the zero State everywhere).
+func (s *Schedule) Cursor() Cursor {
 	if s == nil {
-		return st
+		return Cursor{}
 	}
-	for i := range s.Windows {
-		w := &s.Windows[i]
-		if t < w.Start {
-			break // sorted by Start: nothing later can be active
-		}
+	return Cursor{windows: s.Windows}
+}
+
+// At returns the fault state at t, bit for bit equal to Schedule.At(t).
+// Times should be non-decreasing across calls; a step backwards restarts
+// the scan from the first window, which stays correct at At's full cost.
+func (c *Cursor) At(t time.Duration) State {
+	if t < c.last {
+		c.lo, c.hi = 0, 0
+	}
+	c.last = t
+	ws := c.windows
+	for c.hi < len(ws) && ws[c.hi].Start <= t {
+		c.hi++
+	}
+	for c.lo < c.hi && ws[c.lo].End <= t {
+		c.lo++
+	}
+	var st State
+	for i := c.lo; i < c.hi; i++ {
+		w := &ws[i]
 		if t >= w.End {
 			continue
 		}

@@ -15,6 +15,7 @@ import (
 	"math"
 	"time"
 
+	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
 	"cyclops/internal/trace"
@@ -77,14 +78,41 @@ func (r TraceResult) ScatteredOffFraction(threshold int) float64 {
 	return float64(scattered) / float64(r.OffSlots)
 }
 
-// simBlock is the number of reports whose drift steps SimulateTrace
+// simBlock is the number of reports whose drift steps the slot engine
 // precomputes per batch (4 KB of stack). See the block comment at the
 // fill site for why batching pays.
 const simBlock = 256
 
 // SimulateTrace runs the §5.4 slot model over one trace.
 func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
-	res := TraceResult{ID: tr.ID}
+	return simulate(tr, ChaosParams{AvailabilityParams: p}, slotArms{}).TraceResult
+}
+
+// slotArms are the slot engine's optional arms. The zero value is the
+// clean §5.4 model; a fault schedule, a secondary medium or a sink moves
+// every segment onto the per-slot path.
+type slotArms struct {
+	// sched injects faults (nil or empty: none). Occlusions block the link
+	// (with standby rescue when ChaosParams.TXCount > 1), tracker
+	// blackouts and solver divergences swallow reports, a stuck galvo
+	// voids realignments.
+	sched *fault.Schedule
+	// om and hm receive the outage and handover instruments (nil: off).
+	om *fault.OutageMetrics
+	hm *fault.HandoverMetrics
+	// hybrid is the mmWave secondary behind the link policy (nil: FSO
+	// only). When set, the result's availability fields and the sink see
+	// the delivered verdict.
+	hybrid *hybridArm
+	// sink receives every slot's final verdict, in slot order.
+	sink func(slot int, off bool)
+}
+
+// simulate is the slot engine: the one FSO slot loop behind SimulateTrace,
+// SimulateTraceChaosSlots and SimulateTraceHybrid. Every per-slot path
+// reads the fault state once per slot through a monotone cursor.
+func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
+	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
 		return res
 	}
@@ -107,9 +135,7 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 	var realignAt time.Duration = -1
 
 	end := tr.Duration()
-	frameOff := 0
-	slotInFrame := 0
-	slots, offSlots := 0, 0
+	var fold frameFold
 	tolLat, tolAng := p.LateralTolerance, p.AngularTolerance
 
 	// The per-report drift steps are pure functions of the sample pairs,
@@ -137,7 +163,10 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 	lastGap := time.Duration(math.MinInt64)
 	var lastDt float64
 	// Steps persist across dt ≤ 0 reports (a malformed pair keeps the
-	// previous rates), so the fill carries the last computed values.
+	// previous rates), so the fill carries the last computed values. That
+	// is also the last *applied* step when a fault swallows reports: a
+	// dt ≤ 0 report arrives in the same slot as its predecessor, so both
+	// share one swallow verdict.
 	var carryLat, carryAng float64
 	fillSteps := func(lo int) {
 		hi := lo + simBlock
@@ -168,25 +197,49 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 		stepLo, stepHi = lo, hi
 	}
 
+	// The fault arms. fs is the fault state of the slot at hand, read once
+	// per slot; without a schedule it stays zero and every fault branch
+	// below is dead.
+	faults := !arms.sched.Empty()
+	perSlot := faults || arms.hybrid != nil || arms.sink != nil
+	cur := arms.sched.Cursor()
+	var fs fault.State
+	blk := newBlockState(p, arms, faults)
+
 	// The loop is event-driven: all state changes (rate updates,
 	// realignments) happen at report arrivals or realignment
 	// completions, so between events the 1 ms slots run in a tight inner
 	// loop with nothing but the connectivity check and the drift adds.
 	// Slot-for-slot this visits the same states in the same order as the
-	// straightforward check-every-slot loop.
+	// straightforward check-every-slot loop. Event handling reads the
+	// fault state of the segment's head slot: the first slot at or after
+	// the report or realignment time.
 	for at := time.Duration(0); at < end; {
+		if faults {
+			fs = cur.At(at)
+		}
+
 		// Report arrival: schedule a realignment and update drift
 		// rates from the new report pair. Realignments pipeline: one
 		// that was due to complete before a newer report arrives takes
 		// effect first rather than being silently superseded (a
 		// tracker faster than the realign latency must not starve the
-		// mirrors).
+		// mirrors). A stuck galvo voids the realignment — the mirrors
+		// never moved, so the offsets stand — and a tracker blackout or
+		// solver divergence swallows the report: no realignment, and the
+		// drift rates keep their last value.
 		for nextReportIdx < len(samples) && samples[nextReportIdx].At <= at {
 			b := &samples[nextReportIdx]
 			if realignAt >= 0 && b.At >= realignAt {
-				lat = p.TPLateralError
-				ang = p.TPAngularError
+				if !fs.GalvoStuck {
+					lat = p.TPLateralError
+					ang = p.TPAngularError
+				}
 				realignAt = -1
+			}
+			if fs.TrackerBlackout || fs.SolverDiverge {
+				nextReportIdx++
+				continue
 			}
 			if nextReportIdx >= stepHi {
 				fillSteps(nextReportIdx)
@@ -199,8 +252,10 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 
 		// Realignment completes: residual TP error only.
 		if realignAt >= 0 && at >= realignAt {
-			lat = p.TPLateralError
-			ang = p.TPAngularError
+			if !fs.GalvoStuck {
+				lat = p.TPLateralError
+				ang = p.TPAngularError
+			}
 			realignAt = -1
 		}
 
@@ -215,6 +270,37 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 		if realignAt >= 0 && realignAt < limit {
 			limit = realignAt
 		}
+
+		if perSlot {
+			// Armed: every slot runs the blocked-episode bookkeeping,
+			// the policy step and the sink with its own fault state.
+			for {
+				blocked := blk.step(at, fs.AttenDB, &res)
+				off := blocked || lat > tolLat || ang > tolAng
+				if blocked {
+					res.BlockedSlots++
+				}
+				if h := arms.hybrid; h != nil {
+					off = h.step(at, p.Slot, fs, off)
+				}
+				if arms.sink != nil {
+					arms.sink(fold.slots, off)
+				}
+				fold.add(off)
+
+				// Drift across the slot.
+				lat += latStep
+				ang += angStep
+				if at += p.Slot; at >= limit {
+					break
+				}
+				if faults {
+					fs = cur.At(at)
+				}
+			}
+			continue
+		}
+
 		// delta and at are non-negative, so delta − k·Slot is exactly
 		// delta mod Slot: the multiply-compare spells the remainder
 		// check without a second hardware divide on the segment path.
@@ -242,18 +328,7 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 			if lat <= tolLat && ang <= tolAng {
 				lat += latStep
 				ang += angStep
-				slots += k
-				if total := slotInFrame + k; total >= 30 {
-					// The first completed frame carries the off count
-					// accumulated before this segment; the rest are
-					// all-on frames.
-					res.FrameHistogram[frameOff]++
-					res.FrameHistogram[0] += total/30 - 1
-					slotInFrame = total % 30
-					frameOff = 0
-				} else {
-					slotInFrame = total
-				}
+				fold.addOn(k)
 				at += time.Duration(k) * p.Slot
 			} else {
 				// At least one slot trips a tolerance: replay the
@@ -261,17 +336,7 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 				// revisits the exact same values).
 				lat, ang = lat0, ang0
 				for ; at < limit; at += p.Slot {
-					// Connectivity check for this slot.
-					slots++
-					if lat > tolLat || ang > tolAng {
-						offSlots++
-						frameOff++
-					}
-					slotInFrame++
-					if slotInFrame == 30 {
-						res.FrameHistogram[frameOff]++
-						slotInFrame, frameOff = 0, 0
-					}
+					fold.add(lat > tolLat || ang > tolAng)
 
 					// Drift across the slot.
 					lat += latStep
@@ -280,15 +345,58 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 			}
 		}
 	}
-	if slotInFrame > 0 {
-		res.FrameHistogram[frameOff]++
-	}
-	res.Slots = slots
-	res.OffSlots = offSlots
-	if res.Slots > 0 {
-		res.OnFraction = 1 - float64(res.OffSlots)/float64(res.Slots)
-	}
+	fold.finish(&res.TraceResult)
 	return res
+}
+
+// frameFold is the slot count and 30-slot frame histogram every slot loop
+// folds its verdicts into: FrameHistogram[k] counts frames with exactly k
+// off slots, the trailing partial frame included.
+type frameFold struct {
+	slots, offSlots   int
+	inFrame, frameOff int
+	hist              [31]int
+}
+
+// add folds one slot's verdict.
+func (f *frameFold) add(off bool) {
+	f.slots++
+	if off {
+		f.offSlots++
+		f.frameOff++
+	}
+	f.inFrame++
+	if f.inFrame == 30 {
+		f.hist[f.frameOff]++
+		f.inFrame, f.frameOff = 0, 0
+	}
+}
+
+// addOn folds k consecutive on slots in O(1).
+func (f *frameFold) addOn(k int) {
+	f.slots += k
+	if total := f.inFrame + k; total >= 30 {
+		// The first completed frame carries the off count accumulated
+		// before this run; the rest are all-on frames.
+		f.hist[f.frameOff]++
+		f.hist[0] += total/30 - 1
+		f.inFrame = total % 30
+		f.frameOff = 0
+	} else {
+		f.inFrame = total
+	}
+}
+
+// finish closes the trailing partial frame and writes the availability
+// fields.
+func (f *frameFold) finish(r *TraceResult) {
+	if f.inFrame > 0 {
+		f.hist[f.frameOff]++
+	}
+	r.Slots, r.OffSlots, r.FrameHistogram = f.slots, f.offSlots, f.hist
+	if r.Slots > 0 {
+		r.OnFraction = 1 - float64(r.OffSlots)/float64(r.Slots)
+	}
 }
 
 // SimulateTraceObs is SimulateTrace with observability: the per-trace
@@ -302,8 +410,8 @@ func SimulateTraceObs(tr trace.Trace, p AvailabilityParams, reg *obs.Registry) T
 }
 
 // recordTrace is the single registering call site for the per-trace sim
-// metrics — both the clean (SimulateTraceObs) and chaos
-// (SimulateTraceChaos) paths feed the same series, so a corpus mixing the
+// metrics — the clean (SimulateTraceObs) and chaos
+// (SimulateTraceChaosSlots) paths feed the same series, so a corpus mixing the
 // two still merges into one exposition.
 func recordTrace(reg *obs.Registry, slots, offSlots int, onFraction float64) {
 	if reg == nil {
@@ -340,49 +448,6 @@ type CorpusResult struct {
 func (c CorpusResult) String() string {
 	return fmt.Sprintf("corpus: mean on %.2f%%, range %.2f%%-%.2f%% over %d traces",
 		c.MeanOnFraction*100, c.MinOnFraction*100, c.MaxOnFraction*100, len(c.PerTrace))
-}
-
-// SimulateCorpus runs the slot model over every trace on the default
-// worker pool. The result is bit-identical to a serial run.
-//
-// Deprecated: use RunCorpus, the streaming engine behind this wrapper.
-func SimulateCorpus(traces []trace.Trace, p AvailabilityParams) CorpusResult {
-	return SimulateCorpusWorkers(traces, p, 0)
-}
-
-// SimulateCorpusWorkers is SimulateCorpus with an explicit worker count
-// (≤ 0 means the parallel package default, 1 forces the serial path).
-// Every worker count produces the same CorpusResult bit for bit.
-//
-// Deprecated: use RunCorpus with CorpusOptions.Workers. This wrapper pins
-// the historical behavior bit for bit: single-trace shards reproduce the
-// old per-trace metrics fold exactly (see
-// TestSimulateCorpusWrapperBitIdentical).
-func SimulateCorpusWorkers(traces []trace.Trace, p AvailabilityParams, workers int) CorpusResult {
-	run, err := runCorpus(TraceSlice(traces), corpusConfig{
-		params:       p,
-		workers:      workers,
-		shardSize:    1,
-		keepPerTrace: true,
-		registry:     obs.Default(),
-	})
-	if err != nil {
-		// Unreachable: no context, no fallible jobs — kept as a guard so
-		// an engine regression cannot silently return a zero corpus.
-		//cyclops:panic-ok unreachable: a context-free clean corpus run has no error source
-		panic(err)
-	}
-	c := CorpusResult{
-		PerTrace:       make([]TraceResult, len(run.PerTrace)),
-		MeanOnFraction: run.MeanOnFraction,
-		MinOnFraction:  run.MinOnFraction,
-		MaxOnFraction:  run.MaxOnFraction,
-		Metrics:        run.Metrics,
-	}
-	for i, r := range run.PerTrace {
-		c.PerTrace[i] = r.TraceResult
-	}
-	return c
 }
 
 // DisconnectionCDF returns the cumulative distribution of per-trace

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/obs"
 	"cyclops/internal/trace"
 )
 
@@ -131,8 +132,8 @@ func TestFig16CorpusRegime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus simulation in -short mode")
 	}
-	traces := trace.Dataset(16, geom.V(0.35, 0.25, 1.0))
-	c := SimulateCorpus(traces, Paper25G())
+	src := trace.Source{Seed: 16, N: trace.DatasetTraces, Length: time.Minute, Origin: geom.V(0.35, 0.25, 1.0)}
+	c := corpusResult(t, src, CorpusOptions{KeepPerTrace: true, Registry: obs.NewRegistry()})
 	t.Logf("%v", c)
 
 	// Fig 16: operational ≈98.6 % of slots on average, per-trace range
@@ -177,29 +178,53 @@ func TestFig16CorpusRegime(t *testing.T) {
 	}
 }
 
+// corpusResult runs a clean corpus through RunCorpus and returns it in
+// the per-trace CorpusResult form Fig 16 renders from.
+func corpusResult(t *testing.T, src CorpusSource, opts CorpusOptions) CorpusResult {
+	t.Helper()
+	run, err := RunCorpus(src, opts)
+	if err != nil {
+		t.Fatalf("RunCorpus: %v", err)
+	}
+	c := CorpusResult{
+		MeanOnFraction: run.MeanOnFraction,
+		MinOnFraction:  run.MinOnFraction,
+		MaxOnFraction:  run.MaxOnFraction,
+		Metrics:        run.Metrics,
+	}
+	for _, r := range run.PerTrace {
+		c.PerTrace = append(c.PerTrace, r.TraceResult)
+	}
+	return c
+}
+
+// TestSimulateCorpusWorkerDeterminism: simulating a clean corpus with any
+// worker count — including the default pool — produces a result
+// bit-identical to the serial loop, on one-trace shards (each trace's
+// metrics folded on its own) as on the default partition.
 func TestSimulateCorpusWorkerDeterminism(t *testing.T) {
-	// The §5.4 engine's contract: any worker count — including the
-	// default pool — produces a CorpusResult bit-identical to the serial
-	// loop. 40 shorter traces keep this fast enough to run everywhere.
 	origin := geom.V(0.35, 0.25, 1.0)
 	traces := make([]trace.Trace, 40)
 	for i := range traces {
 		traces[i] = trace.Generate(5, i, 10*time.Second, origin)
 	}
-	serial := SimulateCorpusWorkers(traces, Paper25G(), 1)
-	for _, workers := range []int{4, 8} {
-		got := SimulateCorpusWorkers(traces, Paper25G(), workers)
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d: CorpusResult differs from serial", workers)
+	for _, shard := range []int{1, 0} {
+		run := func(workers int) CorpusResult {
+			return corpusResult(t, TraceSlice(traces), CorpusOptions{
+				Workers: workers, ShardSize: shard, KeepPerTrace: true, Registry: obs.NewRegistry(),
+			})
 		}
-	}
-	if got := SimulateCorpus(traces, Paper25G()); !reflect.DeepEqual(got, serial) {
-		t.Error("default-worker SimulateCorpus differs from serial")
+		serial := run(1)
+		for _, workers := range []int{4, 8, 0} {
+			if got := run(workers); !reflect.DeepEqual(got, serial) {
+				t.Errorf("shard=%d workers=%d: CorpusResult differs from serial", shard, workers)
+			}
+		}
 	}
 }
 
 func TestCorpusEmpty(t *testing.T) {
-	c := SimulateCorpus(nil, Paper25G())
+	c := corpusResult(t, TraceSlice(nil), CorpusOptions{KeepPerTrace: true, Registry: obs.NewRegistry()})
 	if c.MeanOnFraction != 0 || len(c.PerTrace) != 0 {
 		t.Error("empty corpus nonzero")
 	}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -104,8 +102,8 @@ type ChaosTraceResult struct {
 	MeanGoodputGbps float64
 }
 
-// SimulateTraceChaos runs the slot model over one trace with the given
-// fault schedule injected. The base drift/realign machinery matches
+// SimulateTraceChaosSlots runs the slot model over one trace with the
+// given fault schedule injected. The base drift/realign machinery matches
 // SimulateTrace slot for slot; on top of it:
 //
 //   - an occlusion window at or above BlockAttenDB severs the link for its
@@ -117,248 +115,125 @@ type ChaosTraceResult struct {
 //   - a stuck galvo at a realignment's completion turns it into a no-op —
 //     the mirrors never moved, so the accumulated offsets stand.
 //
-// A nil or empty schedule reproduces SimulateTrace's Slots/OffSlots
-// exactly. Outage metrics are recorded into reg under the same names the
-// hardware supervisor uses (cyclops_outage_total,
+// sink(slot, off), when non-nil, fires once per simulated slot, in slot
+// order, with the slot's final connectivity verdict (off covers both
+// misalignment and blocking); the arena engine replays per-user
+// connectivity through its shared-backhaul contention pass this way.
+//
+// A nil or empty schedule with a nil sink reproduces SimulateTrace's
+// Slots/OffSlots exactly. Outage metrics are recorded into reg under the
+// same names the hardware supervisor uses (cyclops_outage_total,
 // cyclops_reacquire_seconds), so both fault paths expose identically.
-func SimulateTraceChaos(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	return SimulateTraceChaosSlots(tr, p, sched, reg, nil)
+func SimulateTraceChaosSlots(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry, sink func(slot int, off bool)) ChaosTraceResult {
+	return simulateChaos(tr, p, sched, reg, slotArms{sink: sink})
 }
 
-// SimulateTraceChaosSlots is SimulateTraceChaos with a per-slot sink:
-// sink(slot, off) fires once per simulated slot, in slot order, with the
-// slot's final connectivity verdict (off covers both misalignment and
-// blocking). The arena engine uses it to replay per-user connectivity
-// through the shared-backhaul contention pass without materializing a
-// second slot loop. A nil sink is the plain SimulateTraceChaos, cost
-// included — the nil check is one predictable branch per slot.
-func SimulateTraceChaosSlots(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry, sink func(slot int, off bool)) ChaosTraceResult {
-	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
+// simulateChaos runs the slot engine with a fault schedule and the outage
+// (and, with standby TXs, handover) instruments registered in reg, then
+// records the FSO side's per-trace metrics.
+func simulateChaos(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry, arms slotArms) ChaosTraceResult {
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
-		return res
+		return ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	}
-	om := fault.NewOutageMetrics(reg)
-
-	lat := p.TPLateralError
-	ang := p.TPAngularError
-	var latStep, angStep float64
-	slotSec := p.Slot.Seconds()
-
-	samples := tr.Samples
-	nextReportIdx := 1
-	var realignAt time.Duration = -1
-
-	end := tr.Duration()
-	frameOff := 0
-	slotInFrame := 0
-	slots, offSlots := 0, 0
-	tolLat, tolAng := p.LateralTolerance, p.AngularTolerance
-
-	// Blocked-episode state.
-	var relockUntil time.Duration = -1
-	wasBlocked := false
-	var blockedSince time.Duration
-
-	// Multi-TX handover state. The rescue stream is a per-trace rng
-	// derived from the schedule's seed, with a fixed per-episode
-	// consumption pattern (one draw per standby, every episode), so any
-	// worker count replays it bit for bit. TXCount ≤ 1 creates neither
-	// the rng nor the handover instruments — the historical single-TX
-	// path, byte-identical exposition included.
-	multiTX := p.TXCount > 1
-	handoverDark := p.HandoverDark
-	if handoverDark <= 0 {
-		handoverDark = 2 * time.Millisecond
+	arms.sched = sched
+	arms.om = fault.NewOutageMetrics(reg)
+	if p.TXCount > 1 {
+		arms.hm = fault.NewHandoverMetrics(reg)
 	}
-	var hm *fault.HandoverMetrics
-	var rng *rand.Rand
-	if multiTX {
-		hm = fault.NewHandoverMetrics(reg)
-		rng = rand.New(rand.NewSource(sched.Seed*9176 + 13))
+	res := simulate(tr, p, arms)
+	fsoOff, fsoOn := res.OffSlots, res.OnFraction
+	if h := arms.hybrid; h != nil && res.Slots > 0 {
+		fsoOff = h.fsoOff
+		fsoOn = 1 - float64(fsoOff)/float64(res.Slots)
 	}
-	inOcc := false
-	rescued := false
-	blockedRescued := false
-	var hoUntil time.Duration
-
-	for at := time.Duration(0); at < end; at += p.Slot {
-		var fs fault.State
-		if !sched.Empty() {
-			fs = sched.At(at)
-		}
-
-		// Report arrivals. A blackout or divergence window swallows the
-		// report entirely; otherwise drift rates update and a
-		// realignment is scheduled, exactly like the base model.
-		for nextReportIdx < len(samples) && samples[nextReportIdx].At <= at {
-			a, b := &samples[nextReportIdx-1], &samples[nextReportIdx]
-			if realignAt >= 0 && b.At >= realignAt {
-				if !fs.GalvoStuck {
-					lat = p.TPLateralError
-					ang = p.TPAngularError
-				}
-				realignAt = -1
-			}
-			if fs.TrackerBlackout || fs.SolverDiverge {
-				nextReportIdx++
-				continue
-			}
-			if dt := (b.At - a.At).Seconds(); dt > 0 {
-				dLin, dAng := a.Pose.Delta(b.Pose)
-				latStep = dLin / dt * slotSec
-				angStep = dAng / dt * slotSec
-			}
-			realignAt = b.At + p.RealignLatency
-			nextReportIdx++
-		}
-
-		// Realignment completes — unless the mirrors are stuck, in which
-		// case the command lands on a dead actuator and the offsets stand.
-		if realignAt >= 0 && at >= realignAt {
-			if !fs.GalvoStuck {
-				lat = p.TPLateralError
-				ang = p.TPAngularError
-			}
-			realignAt = -1
-		}
-
-		// Occlusion and its re-lock tail. With standby TXs, each
-		// occlusion episode draws whether any standby path escaped the
-		// same event: a rescued episode costs HandoverDark of blocked
-		// slots (the make-before-break slew) and no re-lock tail; an
-		// unrescued one pays the full single-TX cost.
-		occluded := fs.AttenDB >= p.BlockAttenDB && p.BlockAttenDB > 0
-		if occluded && !inOcc {
-			inOcc = true
-			rescued = false
-			if multiTX {
-				// One draw per standby on every episode, rescued or
-				// not, so the stream's consumption pattern is fixed.
-				for k := 1; k < p.TXCount; k++ {
-					if rng.Float64() >= p.StandbyBlockProb {
-						rescued = true
-					}
-				}
-				if rescued {
-					hoUntil = at + handoverDark
-					res.Handovers++
-					hm.Handovers.Inc()
-					hm.Dark.Observe(handoverDark.Seconds())
-				}
-			}
-		} else if !occluded {
-			inOcc = false
-		}
-		sever := occluded && !(rescued && at >= hoUntil)
-		if sever && !rescued {
-			relockUntil = at + p.Relock
-		}
-		blocked := sever || (relockUntil >= 0 && at < relockUntil)
-		if blocked && !wasBlocked {
-			blockedSince = at
-			blockedRescued = rescued
-			if !rescued {
-				// A rescued episode is a handover, not an outage: the
-				// transceiver's holdover rides the switch, so neither
-				// cyclops_outage_total nor the re-lock histogram sees it.
-				res.Outages++
-				if om != nil {
-					om.Outages.Inc()
-				}
-			}
-		}
-		if !blocked && wasBlocked && !blockedRescued && om != nil {
-			om.Reacquire.Observe((at - blockedSince).Seconds())
-		}
-		wasBlocked = blocked
-
-		// Connectivity check for this slot.
-		slots++
-		off := blocked || lat > tolLat || ang > tolAng
-		if off {
-			offSlots++
-			frameOff++
-			if blocked {
-				res.BlockedSlots++
-			}
-		}
-		if sink != nil {
-			sink(slots-1, off)
-		}
-		slotInFrame++
-		if slotInFrame == 30 {
-			res.FrameHistogram[frameOff]++
-			slotInFrame, frameOff = 0, 0
-		}
-
-		lat += latStep
-		ang += angStep
-	}
-	if slotInFrame > 0 {
-		res.FrameHistogram[frameOff]++
-	}
-	res.Slots = slots
-	res.OffSlots = offSlots
-	if res.Slots > 0 {
-		res.OnFraction = 1 - float64(res.OffSlots)/float64(res.Slots)
-	}
-	recordTrace(reg, res.Slots, res.OffSlots, res.OnFraction)
+	recordTrace(reg, res.Slots, fsoOff, fsoOn)
 	return res
 }
 
-// ChaosCorpusResult aggregates a chaos corpus run — the data behind the
-// fig16-faults sweep.
-type ChaosCorpusResult struct {
-	PerTrace []ChaosTraceResult
-	// MeanOnFraction / MinOnFraction / MaxOnFraction mirror CorpusResult.
-	MeanOnFraction               float64
-	MinOnFraction, MaxOnFraction float64
-	// Outages, BlockedSlots, and Handovers total the per-trace episode
-	// bookkeeping.
-	Outages      int
-	BlockedSlots int
-	Handovers    int
-	// Metrics merges the per-trace registries in trace order —
-	// byte-identical for any worker count.
-	Metrics obs.Snapshot
+// blockState is the slot engine's blocked-episode bookkeeping: an
+// occlusion at or above BlockAttenDB severs the link, and the link stays
+// down for the Relock tail after it clears. With standby TXs, each
+// occlusion episode draws whether any standby path escaped the same
+// event: a rescued episode costs HandoverDark of blocked slots (the
+// make-before-break slew) and no re-lock tail; an unrescued one pays the
+// full single-TX cost.
+type blockState struct {
+	// p carries the blocking threshold, re-lock, standby count and
+	// rescue probability; HandoverDark is defaulted to 2 ms.
+	p  ChaosParams
+	om *fault.OutageMetrics
+	hm *fault.HandoverMetrics
+	// rng is the rescue stream: per trace, derived from the schedule's
+	// seed, with a fixed per-episode consumption pattern (one draw per
+	// standby, every episode), so any worker count replays it bit for bit.
+	// nil without standbys or faults.
+	rng *rand.Rand
+
+	relockUntil                time.Duration
+	wasBlocked, inOcc, rescued bool
+	blockedRescued             bool
+	blockedSince, hoUntil      time.Duration
 }
 
-func (c ChaosCorpusResult) String() string {
-	return fmt.Sprintf("chaos corpus: mean on %.2f%%, range %.2f%%-%.2f%%, %d outages over %d traces",
-		c.MeanOnFraction*100, c.MinOnFraction*100, c.MaxOnFraction*100, c.Outages, len(c.PerTrace))
-}
-
-// SimulateChaosCorpus runs the chaos slot model over every trace with a
-// per-trace fault schedule planned from cfg: trace i gets the seed
-// seed + 7919·i, so each trace's faults are independent but the whole
-// corpus is a pure function of (cfg, seed). Ctx cancellation stops
-// claiming new traces, and every worker count produces the same result
-// bit for bit.
-//
-// Deprecated: use RunCorpus with CorpusOptions.Chaos — the streaming
-// engine behind both. This wrapper pins the historical behavior bit for
-// bit (single-trace shards reproduce the old per-trace metrics fold
-// exactly; see TestSimulateChaosCorpusWrapperBitIdentical).
-func SimulateChaosCorpus(ctx context.Context, traces []trace.Trace, p ChaosParams, cfg fault.Config, seed int64, workers int) (ChaosCorpusResult, error) {
-	run, err := runCorpus(TraceSlice(traces), corpusConfig{
-		ctx:          ctx,
-		chaos:        &chaosRun{cfg: cfg, seed: seed, params: p},
-		workers:      workers,
-		shardSize:    1,
-		keepPerTrace: true,
-		registry:     obs.Default(),
-	})
-	if err != nil {
-		return ChaosCorpusResult{}, err
+func newBlockState(p ChaosParams, arms slotArms, faults bool) blockState {
+	if p.HandoverDark <= 0 {
+		p.HandoverDark = 2 * time.Millisecond
 	}
-	return ChaosCorpusResult{
-		PerTrace:       run.PerTrace,
-		MeanOnFraction: run.MeanOnFraction,
-		MinOnFraction:  run.MinOnFraction,
-		MaxOnFraction:  run.MaxOnFraction,
-		Outages:        run.Outages,
-		BlockedSlots:   run.BlockedSlots,
-		Handovers:      run.Handovers,
-		Metrics:        run.Metrics,
-	}, nil
+	b := blockState{p: p, om: arms.om, hm: arms.hm, relockUntil: -1}
+	if p.TXCount > 1 && faults {
+		b.rng = rand.New(rand.NewSource(arms.sched.Seed*9176 + 13))
+	}
+	return b
+}
+
+// step advances one slot at occlusion depth attenDB and reports whether
+// the slot is blocked, counting handovers and outages into res.
+func (b *blockState) step(at time.Duration, attenDB float64, res *ChaosTraceResult) bool {
+	occluded := attenDB >= b.p.BlockAttenDB && b.p.BlockAttenDB > 0
+	if occluded && !b.inOcc {
+		b.inOcc = true
+		b.rescued = false
+		if b.rng != nil {
+			// One draw per standby on every episode, rescued or not, so
+			// the stream's consumption pattern is fixed.
+			for k := 1; k < b.p.TXCount; k++ {
+				if b.rng.Float64() >= b.p.StandbyBlockProb {
+					b.rescued = true
+				}
+			}
+			if b.rescued {
+				b.hoUntil = at + b.p.HandoverDark
+				res.Handovers++
+				if b.hm != nil {
+					b.hm.Handovers.Inc()
+					b.hm.Dark.Observe(b.p.HandoverDark.Seconds())
+				}
+			}
+		}
+	} else if !occluded {
+		b.inOcc = false
+	}
+	sever := occluded && !(b.rescued && at >= b.hoUntil)
+	if sever && !b.rescued {
+		b.relockUntil = at + b.p.Relock
+	}
+	blocked := sever || (b.relockUntil >= 0 && at < b.relockUntil)
+	if blocked && !b.wasBlocked {
+		b.blockedSince = at
+		b.blockedRescued = b.rescued
+		if !b.rescued {
+			// A rescued episode is a handover, not an outage: the
+			// transceiver's holdover rides the switch, so neither
+			// cyclops_outage_total nor the re-lock histogram sees it.
+			res.Outages++
+			if b.om != nil {
+				b.om.Outages.Inc()
+			}
+		}
+	}
+	if !blocked && b.wasBlocked && !b.blockedRescued && b.om != nil {
+		b.om.Reacquire.Observe((at - b.blockedSince).Seconds())
+	}
+	b.wasBlocked = blocked
+	return blocked
 }

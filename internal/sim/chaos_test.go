@@ -20,7 +20,7 @@ func TestChaosEmptyScheduleMatchesBase(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr := trace.Generate(5, i, 10*time.Second, origin)
 		base := SimulateTrace(tr, Paper25G())
-		got := SimulateTraceChaos(tr, PaperChaos25G(), nil, nil)
+		got := SimulateTraceChaosSlots(tr, PaperChaos25G(), nil, nil, nil)
 		if !reflect.DeepEqual(got.TraceResult, base) {
 			t.Fatalf("trace %d: empty-schedule chaos result differs from SimulateTrace", i)
 		}
@@ -28,7 +28,7 @@ func TestChaosEmptyScheduleMatchesBase(t *testing.T) {
 			t.Fatalf("trace %d: empty schedule produced outages", i)
 		}
 		empty := &fault.Schedule{Seed: 1}
-		got2 := SimulateTraceChaos(tr, PaperChaos25G(), empty, nil)
+		got2 := SimulateTraceChaosSlots(tr, PaperChaos25G(), empty, nil, nil)
 		if !reflect.DeepEqual(got2, got) {
 			t.Fatalf("trace %d: windowless schedule differs from nil schedule", i)
 		}
@@ -46,7 +46,7 @@ func TestChaosOcclusionEpisode(t *testing.T) {
 		DepthDB: 30, Ramp: 10 * time.Millisecond,
 	}}}
 	reg := obs.NewRegistry()
-	got := SimulateTraceChaos(tr, p, sched, reg)
+	got := SimulateTraceChaosSlots(tr, p, sched, reg, nil)
 	base := SimulateTrace(tr, p.AvailabilityParams)
 
 	if got.Outages != 1 {
@@ -83,7 +83,7 @@ func TestChaosStuckGalvoDegrades(t *testing.T) {
 	sched := &fault.Schedule{Windows: []fault.Window{{
 		Kind: fault.GalvoStuck, Start: 1 * time.Second, End: 4 * time.Second,
 	}}}
-	got := SimulateTraceChaos(tr, p, sched, nil)
+	got := SimulateTraceChaosSlots(tr, p, sched, nil, nil)
 	base := SimulateTrace(tr, p.AvailabilityParams)
 	if got.BlockedSlots != 0 {
 		t.Errorf("stuck galvo is not an occlusion: BlockedSlots = %d", got.BlockedSlots)
@@ -110,7 +110,7 @@ func TestChaosSingleTXBitIdentical(t *testing.T) {
 		reg := obs.NewRegistry()
 		q := p
 		q.TXCount = txCount
-		return SimulateTraceChaos(tr, q, sched, reg), reg.Exposition()
+		return SimulateTraceChaosSlots(tr, q, sched, reg, nil), reg.Exposition()
 	}
 	r0, e0 := run(0)
 	r1, e1 := run(1)
@@ -142,7 +142,7 @@ func TestChaosMultiTXRescue(t *testing.T) {
 
 	p.StandbyBlockProb = 0 // standby always clear
 	reg := obs.NewRegistry()
-	rescued := SimulateTraceChaos(tr, p, sched, reg)
+	rescued := SimulateTraceChaosSlots(tr, p, sched, reg, nil)
 	if rescued.Handovers != 1 {
 		t.Errorf("Handovers = %d, want 1", rescued.Handovers)
 	}
@@ -160,17 +160,17 @@ func TestChaosMultiTXRescue(t *testing.T) {
 	}
 
 	p.StandbyBlockProb = 1 // standby always shadowed too
-	doomed := SimulateTraceChaos(tr, p, sched, obs.NewRegistry())
+	doomed := SimulateTraceChaosSlots(tr, p, sched, obs.NewRegistry(), nil)
 	single := p
 	single.TXCount = 1
-	base := SimulateTraceChaos(tr, single, sched, obs.NewRegistry())
+	base := SimulateTraceChaosSlots(tr, single, sched, obs.NewRegistry(), nil)
 	if doomed.Handovers != 0 || doomed.Outages != base.Outages || doomed.BlockedSlots != base.BlockedSlots {
 		t.Errorf("fully-shadowed multi-TX run differs from single-TX: %+v vs %+v",
 			doomed, base)
 	}
 
 	// Same parameters, same seed: bit-identical replay.
-	again := SimulateTraceChaos(tr, p, sched, obs.NewRegistry())
+	again := SimulateTraceChaosSlots(tr, p, sched, obs.NewRegistry(), nil)
 	if !reflect.DeepEqual(again, doomed) {
 		t.Error("multi-TX chaos run not reproducible")
 	}
@@ -196,29 +196,36 @@ func TestStandbyBlockProbForSpacing(t *testing.T) {
 	}
 }
 
+// TestSimulateChaosCorpusWorkerDeterminism: a chaos corpus under every
+// DefaultConfig fault class (blackouts, stuck galvos, divergences next to
+// the occlusions) is bit-identical at any worker count on one-trace
+// shards, and every per-trace result stays inside its bounds.
 func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 	origin := geom.V(0.35, 0.25, 1.0)
 	traces := make([]trace.Trace, 24)
 	for i := range traces {
 		traces[i] = trace.Generate(5, i, 5*time.Second, origin)
 	}
-	cfg := fault.DefaultConfig()
 	p := PaperChaos25G()
 	p.Relock = 200 * time.Millisecond
-	serial, err := SimulateChaosCorpus(context.Background(), traces, p, cfg, 99, 1)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
+	run := func(workers int) CorpusRunResult {
+		res, err := RunCorpus(TraceSlice(traces), CorpusOptions{
+			Chaos:   &CorpusChaos{Config: fault.DefaultConfig(), Seed: 99, Params: p},
+			Workers: workers, ShardSize: 1, KeepPerTrace: true, Registry: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
 	}
+	serial := run(1)
 	if serial.Outages == 0 {
 		t.Fatal("default fault config injected no outages — test is vacuous")
 	}
 	for _, workers := range []int{4, 8} {
-		got, err := SimulateChaosCorpus(context.Background(), traces, p, cfg, 99, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := run(workers)
 		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d: ChaosCorpusResult differs from serial", workers)
+			t.Errorf("workers=%d: chaos corpus result differs from serial", workers)
 		}
 		if got.Metrics.Exposition() != serial.Metrics.Exposition() {
 			t.Errorf("workers=%d: metrics exposition differs from serial", workers)
@@ -234,13 +241,57 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestSimulateChaosCorpusCancellation: a chaos corpus run under a
+// canceled context returns the context's error.
 func TestSimulateChaosCorpusCancellation(t *testing.T) {
 	traces := []trace.Trace{trace.Generate(5, 1, 2*time.Second, geom.V(0.35, 0.25, 1.0))}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateChaosCorpus(ctx, traces, PaperChaos25G(), fault.DefaultConfig(), 1, 2)
+	_, err := RunCorpus(TraceSlice(traces), CorpusOptions{
+		Context: ctx, Chaos: &CorpusChaos{Config: fault.DefaultConfig(), Seed: 1},
+		Workers: 2, Registry: obs.NewRegistry(),
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestEngineAllocsFlatInTraceLength: the slot engine's allocations are a
+// per-trace constant — nothing grows with the slot count. A 60 s trace
+// must allocate exactly as often as a 10 s one on the chaos (with standby
+// rescue and a sink) and hybrid paths. Run without -race by make
+// alloc-check.
+func TestEngineAllocsFlatInTraceLength(t *testing.T) {
+	p := PaperChaos25G()
+	p.TXCount = 3
+	p.StandbyBlockProb = 0.3
+	allocs := func(d time.Duration) (chaos, hybrid float64) {
+		tr := trace.Generate(5, 1, d, geom.V(0.35, 0.25, 1.0))
+		sched := fault.Plan(goldenConfig(), 3, d)
+		if len(sched.Windows) == 0 {
+			t.Fatalf("%v schedule is empty — test is vacuous", d)
+		}
+		offs := 0
+		chaos = testing.AllocsPerRun(3, func() {
+			SimulateTraceChaosSlots(tr, p, &sched, nil, func(_ int, off bool) {
+				if off {
+					offs++
+				}
+			})
+		})
+		hybrid = testing.AllocsPerRun(3, func() {
+			SimulateTraceHybrid(tr, p, HybridSlotParams{}, &sched, nil)
+		})
+		return chaos, hybrid
+	}
+	c10, h10 := allocs(10 * time.Second)
+	c60, h60 := allocs(60 * time.Second)
+	t.Logf("allocs per trace: chaos %v, hybrid %v", c10, h10)
+	if c60 != c10 {
+		t.Errorf("SimulateTraceChaosSlots allocates %v on 60 s, %v on 10 s", c60, c10)
+	}
+	if h60 != h10 {
+		t.Errorf("SimulateTraceHybrid allocates %v on 60 s, %v on 10 s", h60, h10)
 	}
 }
 

@@ -1,6 +1,5 @@
-// The streaming corpus engine: the one entry point behind which the
-// historical SimulateCorpus / SimulateCorpusWorkers / SimulateChaosCorpus
-// triplet now sits. A corpus is an indexed CorpusSource — traces are
+// The streaming corpus engine: the one corpus entry point, clean or under
+// fault injection. A corpus is an indexed CorpusSource — traces are
 // produced on demand, never materialized as a whole — cut into fixed-size
 // shards that fan out through parallel.MapCtx and reduce serially, in
 // shard order, into a running aggregate. The engine's contract:
@@ -82,7 +81,8 @@ type CorpusChaos struct {
 	Seed int64
 	// Params are the chaos slot-model constants (blocking threshold,
 	// re-lock, TX count, handover). Validate defaults a zero value to
-	// PaperChaos25G and a zero embedded AvailabilityParams to the run's
+	// PaperChaos25G's chaos constants, and a zero embedded
+	// AvailabilityParams (including that of a zero value) to the run's
 	// Params.
 	Params ChaosParams
 	// Hybrid, when non-nil, runs the hybrid FSO + mmWave policy arm
@@ -136,7 +136,9 @@ type CorpusOptions struct {
 	MaxShards int
 }
 
-// Validate fills defaults in place and rejects malformed options.
+// Validate fills defaults in place — through o.Chaos too — and rejects
+// malformed options. RunCorpus validates a private copy of the chaos spec,
+// so a run never writes the caller's CorpusChaos.
 func (o *CorpusOptions) Validate() error {
 	if o.Workers < 0 {
 		o.Workers = 0
@@ -163,14 +165,15 @@ func (o *CorpusOptions) Validate() error {
 		o.Registry = obs.Default()
 	}
 	if o.Chaos != nil {
-		if o.Chaos.Params == (ChaosParams{}) {
-			o.Chaos.Params = PaperChaos25G()
-		}
-		if o.Chaos.Params.AvailabilityParams == (AvailabilityParams{}) {
-			o.Chaos.Params.AvailabilityParams = o.Params
-		}
-		if o.Chaos.Hybrid != nil && o.Chaos.MmWaveOnly != nil {
+		c := o.Chaos
+		if c.Hybrid != nil && c.MmWaveOnly != nil {
 			return fmt.Errorf("sim: CorpusChaos.Hybrid and MmWaveOnly are mutually exclusive")
+		}
+		if c.Params == (ChaosParams{}) {
+			c.Params = PaperChaos25G()
+			c.Params.AvailabilityParams = o.Params
+		} else if c.Params.AvailabilityParams == (AvailabilityParams{}) {
+			c.Params.AvailabilityParams = o.Params
 		}
 	}
 	return nil
@@ -213,32 +216,24 @@ type CorpusAggregate struct {
 }
 
 // addTrace folds one trace's result and metrics snapshot into the
-// aggregate. Serial use only.
+// aggregate, as a one-trace aggregate. Serial use only.
 func (a *CorpusAggregate) addTrace(r ChaosTraceResult, snap obs.Snapshot) {
-	if a.Traces == 0 {
-		a.MinOnFraction, a.MaxOnFraction = r.OnFraction, r.OnFraction
-	} else {
-		if r.OnFraction < a.MinOnFraction {
-			a.MinOnFraction = r.OnFraction
-		}
-		if r.OnFraction > a.MaxOnFraction {
-			a.MaxOnFraction = r.OnFraction
-		}
-	}
-	a.Traces++
-	a.Slots += r.Slots
-	a.OffSlots += r.OffSlots
-	a.Outages += r.Outages
-	a.BlockedSlots += r.BlockedSlots
-	a.Handovers += r.Handovers
-	a.Failovers += r.Failovers
-	a.Readmits += r.Readmits
-	a.SecondarySlots += r.SecondarySlots
-	if r.MinSecondaryDwell > 0 && (a.MinSecondaryDwell == 0 || r.MinSecondaryDwell < a.MinSecondaryDwell) {
-		a.MinSecondaryDwell = r.MinSecondaryDwell
-	}
-	a.GoodputSlotSum += r.MeanGoodputGbps * float64(r.Slots)
-	a.Metrics = a.Metrics.Merge(snap)
+	a.merge(CorpusAggregate{
+		Traces:            1,
+		Slots:             r.Slots,
+		OffSlots:          r.OffSlots,
+		MinOnFraction:     r.OnFraction,
+		MaxOnFraction:     r.OnFraction,
+		Outages:           r.Outages,
+		BlockedSlots:      r.BlockedSlots,
+		Handovers:         r.Handovers,
+		Failovers:         r.Failovers,
+		Readmits:          r.Readmits,
+		SecondarySlots:    r.SecondarySlots,
+		MinSecondaryDwell: r.MinSecondaryDwell,
+		GoodputSlotSum:    r.MeanGoodputGbps * float64(r.Slots),
+		Metrics:           snap,
+	})
 }
 
 // merge folds a completed shard's aggregate in. Serial use only, shards in
@@ -304,98 +299,41 @@ type CorpusRunResult struct {
 	PerTrace []ChaosTraceResult
 }
 
-// RunCorpus streams a corpus through the sharded slot-model engine. It is
-// the single replacement for SimulateCorpus, SimulateCorpusWorkers, and
-// SimulateChaosCorpus: clean or chaos (Options.Chaos), any worker count
-// with bit-identical results, memory-bounded unless KeepPerTrace, and
-// resumable via the returned Checkpoint. On cancellation the partial
-// result and its Checkpoint are returned alongside the context's error.
+// RunCorpus streams a corpus through the sharded slot-model engine: clean
+// or chaos (Options.Chaos), any worker count with bit-identical results,
+// memory-bounded unless KeepPerTrace, and resumable via the returned
+// Checkpoint. On cancellation the partial result and its Checkpoint are
+// returned alongside the context's error.
 func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
+	if opts.Chaos != nil {
+		c := *opts.Chaos
+		opts.Chaos = &c
+	}
 	if err := opts.Validate(); err != nil {
 		return CorpusRunResult{}, err
 	}
-	cfg := corpusConfig{
-		ctx:          opts.Context,
-		params:       opts.Params,
-		workers:      opts.Workers,
-		shardSize:    opts.ShardSize,
-		keepPerTrace: opts.KeepPerTrace,
-		registry:     opts.Registry,
-		resume:       opts.Resume,
-		maxShards:    opts.MaxShards,
-	}
-	if opts.Chaos != nil {
-		cfg.chaos = &chaosRun{
-			cfg:    opts.Chaos.Config,
-			seed:   opts.Chaos.Seed,
-			params: opts.Chaos.Params,
-			hybrid: opts.Chaos.Hybrid,
-			mmOnly: opts.Chaos.MmWaveOnly,
-		}
-	}
-	return runCorpus(src, cfg)
-}
-
-// corpusConfig is the fully resolved form of CorpusOptions. The deprecated
-// wrappers construct it directly, bypassing Validate's defaulting, so
-// their behavior is pinned to the historical one for every input.
-type corpusConfig struct {
-	ctx          context.Context
-	params       AvailabilityParams
-	chaos        *chaosRun
-	workers      int
-	shardSize    int
-	keepPerTrace bool
-	registry     *obs.Registry
-	resume       Checkpoint
-	maxShards    int
-}
-
-type chaosRun struct {
-	cfg    fault.Config
-	seed   int64
-	params ChaosParams
-	hybrid *HybridSlotParams
-	mmOnly *MmWaveSlotParams
-}
-
-// shardOut is one shard's contribution, reduced serially by the caller.
-type shardOut struct {
-	agg      CorpusAggregate
-	perTrace []ChaosTraceResult
-}
-
-func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
-	ctx := cfg.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := src.Len()
-	shardSize := cfg.shardSize
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-	}
-	nShards := (n + shardSize - 1) / shardSize
+	nShards := (n + opts.ShardSize - 1) / opts.ShardSize
 
-	agg := cfg.resume.Agg
-	start := cfg.resume.NextShard
+	agg := opts.Resume.Agg
+	start := opts.Resume.NextShard
 	if start > nShards {
 		start = nShards
 	}
 	end := nShards
-	if cfg.maxShards > 0 && start+cfg.maxShards < end {
-		end = start + cfg.maxShards
+	if opts.MaxShards > 0 && start+opts.MaxShards < end {
+		end = start + opts.MaxShards
 	}
 
 	res := CorpusRunResult{}
-	if cfg.keepPerTrace {
-		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*shardSize)
+	if opts.KeepPerTrace {
+		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*opts.ShardSize)
 	}
 
 	// Batches bound the in-flight shard results; the batch width affects
 	// only concurrency, never the reduction order, so it may derive from
 	// the worker count without breaking the determinism contract.
-	workers := cfg.workers
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
@@ -408,8 +346,8 @@ func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
 		agg.finalize()
 		res.CorpusAggregate = agg
 		res.Checkpoint = Checkpoint{NextShard: next, Done: next == nShards, Agg: agg}
-		if err == nil && res.Checkpoint.Done && cfg.registry != nil {
-			cfg.registry.Merge(agg.Metrics)
+		if err == nil && res.Checkpoint.Done {
+			opts.Registry.Merge(agg.Metrics)
 		}
 		return res, err
 	}
@@ -419,21 +357,20 @@ func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
 		if hi > end {
 			hi = end
 		}
-		outs, err := parallel.MapCtx(ctx, hi-lo, cfg.workers, func(_ context.Context, k int) (shardOut, error) {
-			shard := lo + k
-			tLo := shard * shardSize
-			tHi := tLo + shardSize
+		outs, err := parallel.MapCtx(opts.Context, hi-lo, opts.Workers, func(_ context.Context, k int) (shardOut, error) {
+			tLo := (lo + k) * opts.ShardSize
+			tHi := tLo + opts.ShardSize
 			if tHi > n {
 				tHi = n
 			}
-			return runShard(src, cfg, tLo, tHi), nil
+			return runShard(src, &opts, tLo, tHi), nil
 		})
 		if err != nil {
 			return finish(lo, err)
 		}
 		for _, so := range outs {
 			agg.merge(so.agg)
-			if cfg.keepPerTrace {
+			if opts.KeepPerTrace {
 				res.PerTrace = append(res.PerTrace, so.perTrace...)
 			}
 		}
@@ -441,11 +378,17 @@ func runCorpus(src CorpusSource, cfg corpusConfig) (CorpusRunResult, error) {
 	return finish(end, nil)
 }
 
+// shardOut is one shard's contribution, reduced serially by the caller.
+type shardOut struct {
+	agg      CorpusAggregate
+	perTrace []ChaosTraceResult
+}
+
 // runShard simulates traces [lo, hi) serially and folds them — results and
 // per-trace metric snapshots alike — in trace order.
-func runShard(src CorpusSource, cfg corpusConfig, lo, hi int) shardOut {
+func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int) shardOut {
 	var out shardOut
-	if cfg.keepPerTrace {
+	if opts.KeepPerTrace {
 		out.perTrace = make([]ChaosTraceResult, 0, hi-lo)
 	}
 	// One sample buffer per shard: each trace is fully consumed by its
@@ -461,23 +404,23 @@ func runShard(src CorpusSource, cfg corpusConfig, lo, hi int) shardOut {
 		}
 		reg := obs.NewRegistry()
 		var r ChaosTraceResult
-		if cfg.chaos != nil {
-			sched := fault.Plan(cfg.chaos.cfg, cfg.chaos.seed+7919*int64(i), tr.Duration())
+		if c := opts.Chaos; c != nil {
+			sched := fault.Plan(c.Config, c.Seed+7919*int64(i), tr.Duration())
 			switch {
-			case cfg.chaos.hybrid != nil:
-				r = SimulateTraceHybrid(tr, cfg.chaos.params, *cfg.chaos.hybrid, &sched, reg)
-			case cfg.chaos.mmOnly != nil:
-				r = SimulateTraceMmWave(tr, cfg.chaos.params, *cfg.chaos.mmOnly, &sched, reg)
+			case c.Hybrid != nil:
+				r = SimulateTraceHybrid(tr, c.Params, *c.Hybrid, &sched, reg)
+			case c.MmWaveOnly != nil:
+				r = SimulateTraceMmWave(tr, c.Params, *c.MmWaveOnly, &sched, reg)
 			default:
-				r = SimulateTraceChaos(tr, cfg.chaos.params, &sched, reg)
+				r = SimulateTraceChaosSlots(tr, c.Params, &sched, reg, nil)
 			}
 		} else {
-			// The clean path keeps the event-driven fast loop — the chaos
-			// per-slot loop is never paid without a schedule.
-			r = ChaosTraceResult{TraceResult: SimulateTraceObs(tr, cfg.params, reg)}
+			// Without a schedule every segment takes the engine's
+			// all-on fast path.
+			r = ChaosTraceResult{TraceResult: SimulateTraceObs(tr, opts.Params, reg)}
 		}
 		out.agg.addTrace(r, reg.Snapshot())
-		if cfg.keepPerTrace {
+		if opts.KeepPerTrace {
 			out.perTrace = append(out.perTrace, r)
 		}
 		if reuse != nil {

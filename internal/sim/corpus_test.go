@@ -11,7 +11,6 @@ import (
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
-	"cyclops/internal/parallel"
 	"cyclops/internal/trace"
 )
 
@@ -180,112 +179,40 @@ func TestCorpusOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestSimulateCorpusWrapperBitIdentical pins the deprecated wrapper to the
-// pre-engine algorithm, re-implemented inline: MapObs fan-out, MergeAll
-// per-trace metrics fold, serial min/max/mean reduction. Every field —
-// including the float histogram sums in the metrics snapshot — must match
-// bit for bit, because single-trace shards reproduce the old fold's
-// association exactly.
-func TestSimulateCorpusWrapperBitIdentical(t *testing.T) {
-	src := testSource(40)
-	traces := Materialize(src, 0)
-	p := Paper25G()
-
-	var old CorpusResult
-	old.PerTrace, old.Metrics = parallel.MapObs(len(traces), 2, func(i int, reg *obs.Registry) TraceResult {
-		return SimulateTraceObs(traces[i], p, reg)
-	})
-	var slots, off int
-	for i, r := range old.PerTrace {
-		slots += r.Slots
-		off += r.OffSlots
-		if i == 0 {
-			old.MinOnFraction, old.MaxOnFraction = r.OnFraction, r.OnFraction
-		} else {
-			if r.OnFraction < old.MinOnFraction {
-				old.MinOnFraction = r.OnFraction
-			}
-			if r.OnFraction > old.MaxOnFraction {
-				old.MaxOnFraction = r.OnFraction
-			}
+// TestCorpusChaosDefaultsTakeRunParams: a zero CorpusChaos.Params takes
+// the chaos constants from PaperChaos25G but the slot-model constants
+// from CorpusOptions.Params, so a custom-tolerance run equals one that
+// spells those tolerances out — and Validate defaults into a copy,
+// leaving the caller's CorpusChaos untouched.
+func TestCorpusChaosDefaultsTakeRunParams(t *testing.T) {
+	src := testSource(8)
+	custom := Paper25G()
+	custom.LateralTolerance = 5e-3
+	custom.AngularTolerance = 7e-3
+	run := func(chaos *CorpusChaos) CorpusRunResult {
+		res, err := RunCorpus(src, CorpusOptions{
+			Params: custom, Chaos: chaos, Workers: 1, KeepPerTrace: true, Registry: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatalf("RunCorpus: %v", err)
 		}
+		return res
 	}
-	if slots > 0 {
-		old.MeanOnFraction = 1 - float64(off)/float64(slots)
+	zero := &CorpusChaos{Config: testChaos().Config, Seed: 21}
+	caller := *zero
+	got := run(zero)
+	if *zero != caller {
+		t.Errorf("RunCorpus wrote the caller's CorpusChaos: %+v", *zero)
 	}
-
-	got := SimulateCorpusWorkers(traces, p, 2)
-	if !reflect.DeepEqual(got, old) {
-		t.Error("SimulateCorpusWorkers differs from the historical algorithm")
+	spelled := PaperChaos25G()
+	spelled.AvailabilityParams = custom
+	want := run(&CorpusChaos{Config: zero.Config, Seed: zero.Seed, Params: spelled})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("zero Chaos.Params run differs from one spelling out the run's Params")
 	}
-	if got.Metrics.Exposition() != old.Metrics.Exposition() {
-		t.Error("wrapper metrics exposition differs from the historical fold")
-	}
-}
-
-// TestSimulateChaosCorpusWrapperBitIdentical is the chaos twin: the
-// wrapper must reproduce the historical MapCtx + MergeAll pipeline bit for
-// bit, per-episode rescue draws included.
-func TestSimulateChaosCorpusWrapperBitIdentical(t *testing.T) {
-	src := testSource(40)
-	traces := Materialize(src, 0)
-	spec := testChaos()
-
-	type job struct {
-		res  ChaosTraceResult
-		snap obs.Snapshot
-	}
-	var old ChaosCorpusResult
-	outs, err := parallel.MapCtx(context.Background(), len(traces), 2, func(_ context.Context, i int) (job, error) {
-		reg := obs.NewRegistry()
-		sched := fault.Plan(spec.Config, spec.Seed+7919*int64(i), traces[i].Duration())
-		return job{res: SimulateTraceChaos(traces[i], spec.Params, &sched, reg), snap: reg.Snapshot()}, nil
-	})
-	if err != nil {
-		t.Fatalf("historical pipeline: %v", err)
-	}
-	old.PerTrace = make([]ChaosTraceResult, len(outs))
-	snaps := make([]obs.Snapshot, len(outs))
-	for i, o := range outs {
-		old.PerTrace[i] = o.res
-		snaps[i] = o.snap
-	}
-	old.Metrics = obs.MergeAll(snaps)
-	var slots, off int
-	for i, r := range old.PerTrace {
-		slots += r.Slots
-		off += r.OffSlots
-		old.Outages += r.Outages
-		old.BlockedSlots += r.BlockedSlots
-		old.Handovers += r.Handovers
-		if i == 0 {
-			old.MinOnFraction, old.MaxOnFraction = r.OnFraction, r.OnFraction
-		} else {
-			if r.OnFraction < old.MinOnFraction {
-				old.MinOnFraction = r.OnFraction
-			}
-			if r.OnFraction > old.MaxOnFraction {
-				old.MaxOnFraction = r.OnFraction
-			}
-		}
-	}
-	if slots > 0 {
-		old.MeanOnFraction = 1 - float64(off)/float64(slots)
-	}
-	if old.Outages == 0 || old.Handovers == 0 {
-		t.Fatalf("historical pipeline fired %d outages / %d handovers — test is vacuous",
-			old.Outages, old.Handovers)
-	}
-
-	got, err := SimulateChaosCorpus(context.Background(), traces, spec.Params, spec.Config, spec.Seed, 2)
-	if err != nil {
-		t.Fatalf("wrapper: %v", err)
-	}
-	if !reflect.DeepEqual(got, old) {
-		t.Error("SimulateChaosCorpus differs from the historical algorithm")
-	}
-	if got.Metrics.Exposition() != old.Metrics.Exposition() {
-		t.Error("wrapper metrics exposition differs from the historical fold")
+	spelled.AvailabilityParams = Paper25G()
+	if paper := run(&CorpusChaos{Config: zero.Config, Seed: zero.Seed, Params: spelled}); paper.OffSlots == want.OffSlots {
+		t.Fatal("custom tolerances moved no slot — test is vacuous")
 	}
 }
 
@@ -313,7 +240,7 @@ func TestSimulateTraceChaosSlotsSink(t *testing.T) {
 	if offs != res.OffSlots {
 		t.Errorf("sink saw %d off slots, result has %d", offs, res.OffSlots)
 	}
-	plain := SimulateTraceChaos(tr, spec.Params, &sched, nil)
+	plain := SimulateTraceChaosSlots(tr, spec.Params, &sched, nil, nil)
 	if !reflect.DeepEqual(plain, res) {
 		t.Error("sink changed the simulation result")
 	}

@@ -80,6 +80,40 @@ func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
 	return at >= m.recoverUntil
 }
 
+// hybridArm is the slot engine's secondary medium: the mmWave slot link
+// steps beside the FSO model and the policy controller turns each slot's
+// FSO verdict into the delivered one.
+type hybridArm struct {
+	hp  HybridSlotParams
+	ctl *policy.Controller
+	mm  mmSlotState
+	// fsoOff counts the FSO side's off slots; secondarySlots and goodput
+	// total the delivered stream.
+	fsoOff, secondarySlots int
+	goodput                float64
+}
+
+// step advances one slot: fsoOff is the FSO verdict, the return value the
+// delivered one (whichever medium the policy has carrying).
+func (h *hybridArm) step(at, slot time.Duration, fs fault.State, fsoOff bool) bool {
+	if fsoOff {
+		h.fsoOff++
+	}
+	mmUp := h.mm.step(at, fs.AttenDB-fs.HazeDB)
+	st := h.ctl.Observe(at, slot, !fsoOff)
+	if st.OnSecondary() {
+		h.secondarySlots++
+		if mmUp {
+			h.goodput += h.hp.Secondary.PeakGoodputGbps
+		}
+		return !mmUp
+	}
+	if !fsoOff {
+		h.goodput += h.hp.PrimaryGoodputGbps
+	}
+	return fsoOff
+}
+
 // SimulateTraceHybrid runs the hybrid link policy over one trace: the FSO
 // chaos slot model and the mmWave slot link advance together, the policy
 // controller watches the FSO verdict slot by slot, and the returned
@@ -91,57 +125,16 @@ func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
 // delivered story is in the result and the cyclops_policy_* instruments.
 func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	hp.defaults()
-	ctl := policy.New(hp.Policy, policy.NewMetrics(reg))
-	mm := mmSlotState{p: hp.Secondary}
-
-	var hist [31]int
-	offSlots, slotInFrame, frameOff := 0, 0, 0
-	secondarySlots := 0
-	var goodputSum float64
-
-	res := SimulateTraceChaosSlots(tr, p, sched, reg, func(slot int, off bool) {
-		at := time.Duration(slot) * p.Slot
-		var fs fault.State
-		if !sched.Empty() {
-			fs = sched.At(at)
-		}
-		mmUp := mm.step(at, fs.AttenDB-fs.HazeDB)
-		st := ctl.Observe(at, p.Slot, !off)
-
-		deliveredOff := off
-		if st.OnSecondary() {
-			secondarySlots++
-			deliveredOff = !mmUp
-			if mmUp {
-				goodputSum += hp.Secondary.PeakGoodputGbps
-			}
-		} else if !off {
-			goodputSum += hp.PrimaryGoodputGbps
-		}
-		if deliveredOff {
-			offSlots++
-			frameOff++
-		}
-		slotInFrame++
-		if slotInFrame == 30 {
-			hist[frameOff]++
-			slotInFrame, frameOff = 0, 0
-		}
-	})
-	if slotInFrame > 0 {
-		hist[frameOff]++
-	}
+	h := &hybridArm{hp: hp, ctl: policy.New(hp.Policy, policy.NewMetrics(reg)), mm: mmSlotState{p: hp.Secondary}}
+	res := simulateChaos(tr, p, sched, reg, slotArms{hybrid: h})
 	if res.Slots == 0 {
 		return res
 	}
-	res.OffSlots = offSlots
-	res.FrameHistogram = hist
-	res.OnFraction = 1 - float64(offSlots)/float64(res.Slots)
-	res.MeanGoodputGbps = goodputSum / float64(res.Slots)
-	res.Failovers = ctl.Failovers()
-	res.Readmits = ctl.Readmits()
-	res.SecondarySlots = secondarySlots
-	res.MinSecondaryDwell = ctl.MinSecondaryDwell()
+	res.MeanGoodputGbps = h.goodput / float64(res.Slots)
+	res.Failovers = h.ctl.Failovers()
+	res.Readmits = h.ctl.Readmits()
+	res.SecondarySlots = h.secondarySlots
+	res.MinSecondaryDwell = h.ctl.MinSecondaryDwell()
 	return res
 }
 
@@ -151,6 +144,12 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 // MAC recovery tail is running. Misalignment never costs a slot (a 3°
 // beam tolerates the whole corpus), so every off slot is a BlockedSlot
 // and every blockage episode an Outage. Records cyclops_sim_* into reg.
+//
+// It keeps its own short loop rather than running the slot engine with
+// the FSO primary forced down: the policy's breach window would cost the
+// first slots of every trace, and its Outages count mmWave blockage
+// edges, not FSO episodes. It shares the engine's fault cursor, the
+// mmWave slot link and the frame fold.
 func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	if mp == (MmWaveSlotParams{}) {
 		mp = PaperMmWave()
@@ -160,15 +159,13 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		return res
 	}
 	mm := mmSlotState{p: mp}
+	cur := sched.Cursor()
 	end := tr.Duration()
-	frameOff, slotInFrame := 0, 0
+	var fold frameFold
 	wasBlocked := false
 	var goodputSum float64
 	for at := time.Duration(0); at < end; at += p.Slot {
-		var fs fault.State
-		if !sched.Empty() {
-			fs = sched.At(at)
-		}
+		fs := cur.At(at)
 		occl := fs.AttenDB - fs.HazeDB
 		up := mm.step(at, occl)
 		if blocked := mp.BlockAttenDB > 0 && occl >= mp.BlockAttenDB; blocked {
@@ -179,26 +176,15 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		} else {
 			wasBlocked = false
 		}
-
-		res.Slots++
 		if up {
 			goodputSum += mp.PeakGoodputGbps
 		} else {
-			res.OffSlots++
 			res.BlockedSlots++
-			frameOff++
 		}
-		slotInFrame++
-		if slotInFrame == 30 {
-			res.FrameHistogram[frameOff]++
-			slotInFrame, frameOff = 0, 0
-		}
+		fold.add(!up)
 	}
-	if slotInFrame > 0 {
-		res.FrameHistogram[frameOff]++
-	}
+	fold.finish(&res.TraceResult)
 	if res.Slots > 0 {
-		res.OnFraction = 1 - float64(res.OffSlots)/float64(res.Slots)
 		res.MeanGoodputGbps = goodputSum / float64(res.Slots)
 	}
 	recordTrace(reg, res.Slots, res.OffSlots, res.OnFraction)

@@ -28,7 +28,7 @@ func TestHybridEmptyScheduleStaysPrimary(t *testing.T) {
 	origin := geom.V(0.35, 0.25, 1.0)
 	for i := 0; i < 4; i++ {
 		tr := trace.Generate(5, i, 10*time.Second, origin)
-		base := SimulateTraceChaos(tr, PaperChaos25G(), nil, nil)
+		base := SimulateTraceChaosSlots(tr, PaperChaos25G(), nil, nil, nil)
 		got := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{}, nil, nil)
 		if got.Failovers != 0 || got.Readmits != 0 || got.SecondarySlots != 0 {
 			t.Fatalf("trace %d: clean hybrid run switched media: %+v", i, got)
@@ -52,7 +52,7 @@ func TestHybridHazeBeatsFSO(t *testing.T) {
 	sched := hazeSched(4*time.Second, 12*time.Second)
 	hp := HybridSlotParams{Policy: policy.Options{ClearAfter: 500 * time.Millisecond}}
 
-	fso := SimulateTraceChaos(tr, PaperChaos25G(), sched, nil)
+	fso := SimulateTraceChaosSlots(tr, PaperChaos25G(), sched, nil, nil)
 	hy := SimulateTraceHybrid(tr, PaperChaos25G(), hp, sched, nil)
 
 	if fso.OnFraction >= 0.95 {

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"cyclops/internal/geom"
-	"cyclops/internal/parallel"
 	"cyclops/internal/xrand"
 )
 
@@ -488,24 +487,4 @@ func (s Source) AtInto(i int, buf []Sample) Trace {
 		origin = s.OriginAt(i)
 	}
 	return GenerateInto(s.Seed, i, s.Length, origin, buf)
-}
-
-// Dataset generates the full 500-trace corpus the §5.4 evaluation uses.
-// Each trace derives its RNG from (seed, index) alone, so any worker
-// count yields the identical corpus.
-//
-// Deprecated: construct a Source (N: DatasetTraces, Length: time.Minute)
-// and stream it through sim.RunCorpus — or sim.Materialize it when a
-// materialized slice is genuinely needed.
-func Dataset(seed int64, origin geom.Vec3) []Trace {
-	return DatasetWorkers(seed, origin, 0)
-}
-
-// DatasetWorkers is Dataset with an explicit worker count (≤ 0 means the
-// parallel package default, 1 forces the serial path).
-//
-// Deprecated: see Dataset.
-func DatasetWorkers(seed int64, origin geom.Vec3, workers int) []Trace {
-	src := Source{Seed: seed, N: DatasetTraces, Length: time.Minute, Origin: origin}
-	return parallel.Map(src.Len(), workers, src.At)
 }

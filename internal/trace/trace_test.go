@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/parallel"
 )
 
 func degPerSec(rad float64) float64 { return rad * 180 / math.Pi }
@@ -156,7 +157,8 @@ func TestDatasetSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("500-trace corpus in -short mode")
 	}
-	ds := Dataset(11, geom.V(0.35, 0.25, 1.0))
+	src := Source{Seed: 11, N: DatasetTraces, Length: time.Minute, Origin: geom.V(0.35, 0.25, 1.0)}
+	ds := parallel.Map(src.Len(), 0, src.At)
 	if len(ds) != 500 {
 		t.Fatalf("dataset has %d traces, want 500", len(ds))
 	}
@@ -170,14 +172,16 @@ func TestDatasetSize(t *testing.T) {
 	}
 }
 
+// TestDatasetWorkerDeterminism: generating the §5.4 corpus from a Source
+// across any worker count yields the identical traces.
 func TestDatasetWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("500-trace corpus ×3 in -short mode")
 	}
-	origin := geom.V(0.35, 0.25, 1.0)
-	serial := DatasetWorkers(11, origin, 1)
+	src := Source{Seed: 11, N: DatasetTraces, Length: time.Minute, Origin: geom.V(0.35, 0.25, 1.0)}
+	serial := parallel.Map(src.Len(), 1, src.At)
 	for _, workers := range []int{4, 8} {
-		got := DatasetWorkers(11, origin, workers)
+		got := parallel.Map(src.Len(), workers, src.At)
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d: corpus differs from serial generation", workers)
 		}

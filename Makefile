@@ -72,12 +72,13 @@ verify:
 
 # Allocation-regression gate for the compiled hot path: the zero-alloc
 # contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA
-# pose pass), and the G'/P solvers (warm and cold/coarse-seed paths) are
-# pinned by AllocsPerRun tests, as is the slot engine's per-trace
+# pose pass), the G'/P solvers (warm and cold/coarse-seed paths) and the
+# radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm)
+# are pinned by AllocsPerRun tests, as is the slot engine's per-trace
 # allocation count (flat in trace length); run them without -race (the
 # race detector inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/ ./internal/sim/
+	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/sim/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics
@@ -190,43 +191,58 @@ bench:
 	rm -f .bench_parallel.txt
 	cat BENCH_parallel.json
 
-# Hot-path benchmark suite: micro-benchmarks for the compiled GMA model
-# and the warm G'/P solves, plus the serial Fig 16 corpus, recorded into
-# BENCH_hotpath.json. HOTPATH_BASELINE_NS is the serial corpus median
-# measured at the last pre-hotpath commit on the reference host (git
-# stash A/B); re-measure it via `git stash` when comparing on different
-# hardware. The corpus runs are median-of-3 at -benchtime 5x: co-tenant
-# noise on the shared reference host is strictly additive, so short
-# exposures track the code's true cost more faithfully than long ones
-# (same methodology as BENCH_parallel's instrumentation note).
+# Hot-path benchmark suite: micro-benchmarks for the compiled GMA model,
+# the warm G'/P solves and the radiometry kernel (CaptureFraction and one
+# LinkConfig.ReceivedPowerDBm read), plus the serial Fig 16 corpus,
+# recorded into BENCH_hotpath.json. The micro-benchmarks run with
+# -benchmem, and allocs_per_op is parsed from that output (the field
+# before "allocs/op"; the batch kernel reports its worst batch size).
+# Benchmark names are matched with the -GOMAXPROCS suffix stripped.
+# HOTPATH_BASELINE_NS is the serial corpus median measured at the last
+# pre-hotpath commit on the reference host (git stash A/B); re-measure it
+# via `git stash` when comparing on different hardware. The corpus runs
+# are median-of-3 at -benchtime 5x: co-tenant noise on the shared
+# reference host is strictly additive, so short exposures track the
+# code's true cost more faithfully than long ones (same methodology as
+# BENCH_parallel's instrumentation note).
 HOTPATH_BASELINE_NS ?= 889917158
 
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig16TraceAvailabilitySerial$$' -benchtime 5x -count 3 . | tee .bench_hotpath.txt
-	$(GO) test -run '^$$' -bench . -benchtime 1s ./internal/gma/ ./internal/pointing/ | tee -a .bench_hotpath.txt
+	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
 	awk -v base=$(HOTPATH_BASELINE_NS) \
 	    -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	    -v commit="$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" ' \
-	/^BenchmarkFig16TraceAvailabilitySerial/ { \
+	function allocs(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "allocs/op") return $$i; return "" } \
+	{ name = ($$1 ~ /^Benchmark/ ? $$1 : ""); sub(/-[0-9]+$$/, "", name) } \
+	name == "BenchmarkFig16TraceAvailabilitySerial" { \
 		cn++; csum += $$3; \
 		if (cmin == 0 || $$3 < cmin) cmin = $$3; \
 		if ($$3 > cmax) cmax = $$3; \
 	} \
-	/^BenchmarkParamsBeam/        { pbeam = $$3 } \
-	/^BenchmarkCompiledBeam/      { cbeam = $$3 } \
-	/^BenchmarkCompile /          { comp = $$3 } \
-	/^BenchmarkBeamBatch1 /       { bb1 = $$3 } \
-	/^BenchmarkBeamBatch8 /       { bb8 = $$3 } \
-	/^BenchmarkBeamBatch64 /      { bb64 = $$3 } \
-	/^BenchmarkGPrimeWarm /       { gw = $$3 } \
-	/^BenchmarkGPrimeWarmUncompiled/ { gwu = $$3 } \
-	/^BenchmarkPointWarm/         { pw = $$3 } \
-	/^BenchmarkPointColdStart/    { pc = $$3 } \
+	name == "BenchmarkParamsBeam"           { pbeam = $$3 } \
+	name == "BenchmarkCompiledBeam"         { cbeam = $$3; a["gma_compiled_beam"] = allocs() } \
+	name == "BenchmarkCompile"              { comp = $$3 } \
+	name == "BenchmarkBeamBatch1"           { bb1 = $$3 } \
+	name == "BenchmarkBeamBatch8"           { bb8 = $$3 } \
+	name == "BenchmarkBeamBatch64"          { bb64 = $$3 } \
+	name ~ /^BenchmarkBeamBatch[0-9]+$$/    { v = allocs(); if (!("gma_beam_batch" in a) || v + 0 > a["gma_beam_batch"] + 0) a["gma_beam_batch"] = v } \
+	name == "BenchmarkGPrimeWarm"           { gw = $$3; a["pointing_gprime_compiled"] = allocs() } \
+	name == "BenchmarkGPrimeWarmUncompiled" { gwu = $$3 } \
+	name == "BenchmarkPointWarm"            { pw = $$3; a["pointing_point_compiled"] = allocs() } \
+	name == "BenchmarkPointColdStart"       { pc = $$3 } \
+	name == "BenchmarkCaptureFraction"      { cf = $$3; a["optics_capture_fraction"] = allocs() } \
+	name == "BenchmarkLinkReceivedPowerDBm" { rp = $$3; a["optics_link_received_power"] = allocs() } \
 	END { \
 		if (cn == 0) { print "bench-hotpath: missing corpus benchmark output" > "/dev/stderr"; exit 1 } \
+		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power", keys, " "); \
+		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
+		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "") { \
+			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
 		corpus = (cn == 3 ? csum - cmin - cmax : csum / cn); \
-		printf "{\n  \"benchmark\": \"Fig16TraceAvailabilitySerial\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"compiled GMA hot path; baseline is the pre-hotpath serial corpus median (see Makefile HOTPATH_BASELINE_NS)\",\n  \"corpus\": {\n    \"before_median_ns_per_op\": %.0f,\n    \"after_median_ns_per_op\": %.0f,\n    \"speedup\": %.2f,\n    \"target_speedup\": 2.0\n  },\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": 0,\n    \"gma_beam_batch\": 0,\n    \"pointing_gprime_compiled\": 0,\n    \"pointing_point_compiled\": 0\n  }\n}\n", \
-			ts, commit, base, corpus, base / corpus, pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc; \
+		printf "{\n  \"benchmark\": \"Fig16TraceAvailabilitySerial\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"compiled GMA hot path; baseline is the pre-hotpath serial corpus median (see Makefile HOTPATH_BASELINE_NS)\",\n  \"corpus\": {\n    \"before_median_ns_per_op\": %.0f,\n    \"after_median_ns_per_op\": %.0f,\n    \"speedup\": %.2f,\n    \"target_speedup\": 2.0\n  },\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s\n  }\n}\n", \
+			ts, commit, base, corpus, base / corpus, pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, \
+			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"]; \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt
 	cat BENCH_hotpath.json

@@ -18,9 +18,11 @@ import (
 type hoState struct {
 	opts   HandoverOptions
 	plants []*link.Plant
-	// scheds[k] is TX k's path fault schedule; scheds[0] aliases
-	// RunOptions.Faults so candidate checks read every path uniformly.
-	scheds []*fault.Schedule
+	// faults[k] reads TX k's path fault schedule (a nil schedule reads
+	// the clear path); faults[0] reads RunOptions.Faults so candidate
+	// checks read every path uniformly. Every read is at the current
+	// tick, so each cursor only moves forward.
+	faults []fault.Cursor
 	active int
 
 	// Pre-point cache: the freshest oracle mirror solution per inactive
@@ -47,10 +49,10 @@ func newHoState(s *System, o *HandoverOptions, primary *fault.Schedule) *hoState
 	ho.plants = make([]*link.Plant, 0, len(o.Standbys)+1)
 	ho.plants = append(ho.plants, s.Plant)
 	ho.plants = append(ho.plants, o.Standbys...)
-	ho.scheds = make([]*fault.Schedule, len(ho.plants))
-	ho.scheds[0] = primary
+	ho.faults = make([]fault.Cursor, len(ho.plants))
+	ho.faults[0] = primary.Cursor()
 	for i, f := range o.StandbyFaults {
-		ho.scheds[i+1] = f
+		ho.faults[i+1] = f.Cursor()
 	}
 	n := len(ho.plants)
 	ho.preV = make([]pointing.Voltages, n)
@@ -77,7 +79,7 @@ func (ho *hoState) setOtherHeadsets(active *link.Plant, p geom.Pose) {
 func (ho *hoState) applyAtten(at time.Duration) float64 {
 	var activeAtten float64
 	for k, p := range ho.plants {
-		a := ho.scheds[k].At(at).AttenDB
+		a := ho.faults[k].At(at).AttenDB
 		p.SetAttenuationDB(a)
 		if k == ho.active {
 			activeAtten = a
@@ -88,7 +90,7 @@ func (ho *hoState) applyAtten(at time.Duration) float64 {
 
 // pathAtten reads TX k's scheduled attenuation without touching any plant.
 func (ho *hoState) pathAtten(at time.Duration, k int) float64 {
-	return ho.scheds[k].At(at).AttenDB
+	return ho.faults[k].At(at).AttenDB
 }
 
 // candidate returns the best switch target at time at: the clear-path,

@@ -438,7 +438,8 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 		mon:         mon,
 		stream:      stream,
 		popts:       popts,
-		inj:         inj,
+		injOn:       inj != nil,
+		inj:         inj.Cursor(),
 		sup:         sup,
 		ho:          ho,
 		hy:          hy,
@@ -515,11 +516,16 @@ type runLoop struct {
 	mon    *link.Monitor
 	stream *netem.Stream
 	popts  pointing.PointOptions
-	inj    *fault.Schedule
-	sup    *Supervisor
-	ho     *hoState
-	hy     *hyState
-	gt     gma.Compiled
+	// inj reads the fault schedule once per tick; ticks only move
+	// forward, so the cursor never rescans the windows behind it.
+	// injOn is false for a nil or empty schedule, which leaves the
+	// historical fault-free code path untouched.
+	inj   fault.Cursor
+	injOn bool
+	sup   *Supervisor
+	ho    *hoState
+	hy    *hyState
+	gt    gma.Compiled
 
 	res RunResult
 
@@ -578,7 +584,7 @@ func (l *runLoop) step(at time.Duration) {
 	// Injected fault state for this tick, applied through the
 	// device surfaces (which stay fault-agnostic).
 	var fs fault.State
-	if l.inj != nil {
+	if l.injOn {
 		fs = l.inj.At(at)
 		if l.ho != nil {
 			// Every TX path carries its own occlusion schedule; the

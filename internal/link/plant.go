@@ -252,6 +252,8 @@ func (p *Plant) AttenuationDB() float64 { return p.attenDB }
 // ReceivedPowerDBm returns the instantaneous optical power at the RX SFP.
 // Geometric failure (a beam steered outside its own assembly) reads as no
 // light.
+//
+//cyclops:hotpath read once per core.Run tick and per alignment-search probe; zero-alloc contract (nil Metrics) pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
 func (p *Plant) ReceivedPowerDBm() float64 {
 	m, err := p.Misalignment()
 	if err != nil {

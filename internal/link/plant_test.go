@@ -451,3 +451,35 @@ func TestMonitorGradualFadeBoundaries(t *testing.T) {
 		})
 	}
 }
+
+// TestReceivedPowerDBmZeroAllocs pins the radiometry read behind every
+// tick of core.Run and every probe of the alignment search at zero
+// allocations: the design-level LinkConfig.ReceivedPowerDBm, and the
+// plant read (beam geometry, misalignment, CaptureFraction) with nil
+// Metrics: aligned, with the headset moved off the beam, and with the
+// mirrors parked at 0 V (no light at the receiver).
+func TestReceivedPowerDBmZeroAllocs(t *testing.T) {
+	for _, cfg := range []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G} {
+		m := optics.Misalignment{Range: 1.8, LateralOffset: optics.MM(4), IncidenceMismatch: optics.Mrad(2)}
+		if n := testing.AllocsPerRun(100, func() { cfg.ReceivedPowerDBm(m) }); n != 0 {
+			t.Errorf("%s: LinkConfig.ReceivedPowerDBm allocates %v per call, want 0", cfg.Name, n)
+		}
+
+		p := alignedPlant(t, cfg, 3)
+		if p.Metrics != nil {
+			t.Fatal("plant metrics attached")
+		}
+		if n := testing.AllocsPerRun(100, func() { p.ReceivedPowerDBm() }); n != 0 {
+			t.Errorf("%s: aligned Plant.ReceivedPowerDBm allocates %v per call, want 0", cfg.Name, n)
+		}
+		h := p.Headset()
+		p.SetHeadset(geom.NewPose(h.Rot, h.Trans.Add(geom.V(0.01, -0.02, 0))))
+		if n := testing.AllocsPerRun(100, func() { p.ReceivedPowerDBm() }); n != 0 {
+			t.Errorf("%s: offset Plant.ReceivedPowerDBm allocates %v per call, want 0", cfg.Name, n)
+		}
+		p.ApplyVoltages(pointing.Voltages{})
+		if n := testing.AllocsPerRun(100, func() { p.ReceivedPowerDBm() }); n != 0 {
+			t.Errorf("%s: parked Plant.ReceivedPowerDBm allocates %v per call, want 0", cfg.Name, n)
+		}
+	}
+}

@@ -133,6 +133,8 @@ type Misalignment struct {
 // ReceivedPowerDBm returns the power arriving at the receiver's SFP for a
 // given misalignment. Perfect alignment (zero offsets) yields the peak
 // received power of Table 1.
+//
+//cyclops:hotpath the radiometry behind every received-power read of core.Run and the alignment search; zero-alloc contract pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
 func (c LinkConfig) ReceivedPowerDBm(m Misalignment) float64 {
 	r := m.Range
 	if r <= 0 {

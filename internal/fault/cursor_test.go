@@ -134,3 +134,79 @@ func TestCursorNilSchedule(t *testing.T) {
 		t.Fatalf("nil schedule cursor state %+v", st)
 	}
 }
+
+// breakpoints lists every instant at which a window can change the fault
+// state: window starts and ends and the ramp edges of attenuation windows.
+func breakpoints(s *Schedule) []time.Duration {
+	var bs []time.Duration
+	for _, w := range s.Windows {
+		up, down := w.ramps()
+		bs = append(bs, w.Start, w.End, w.Start+up, w.End-down, w.End-down+1)
+	}
+	return bs
+}
+
+// FuzzCursorUntilIsConstant: after a cursor reads At(t), Until() lies
+// after t and the state is constant, field for field, on [t, Until()) —
+// sampled at 1 ms spacing plus 1 ns either side of every breakpoint
+// inside the interval, and at its last instant.
+func FuzzCursorUntilIsConstant(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, extra uint16) {
+		s, end := fuzzSchedule(seed, int(n%48))
+		rng := rand.New(rand.NewSource(seed ^ int64(extra)))
+		bs := breakpoints(&s)
+		probes := []time.Duration{0}
+		for _, b := range bs {
+			probes = append(probes, b-1, b, b+1)
+		}
+		for i := 0; i < int(extra%256); i++ {
+			probes = append(probes, time.Duration(rng.Int63n(int64(end)+1)))
+		}
+		sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+		c := s.Cursor()
+		for _, at := range probes {
+			if at < 0 {
+				continue
+			}
+			st := c.At(at)
+			u := c.Until()
+			if u <= at {
+				t.Fatalf("Until() = %v after At(%v)\n%s", u, at, s.String())
+			}
+			stop := min(u, end+time.Millisecond)
+			samples := []time.Duration{u - 1}
+			for x := at; x < stop; x += time.Millisecond {
+				samples = append(samples, x)
+			}
+			for _, b := range bs {
+				samples = append(samples, b-1, b+1)
+			}
+			for _, x := range samples {
+				if x < at || x >= stop {
+					continue
+				}
+				if got := s.At(x); !sameState(got, st) {
+					t.Fatalf("At(%v) = %+v differs from At(%v) = %+v before Until() = %v\n%s", x, got, at, st, u, s.String())
+				}
+			}
+		}
+	})
+}
+
+// TestCursorZeroAllocs pins the //cyclops:hotpath contract on At and
+// Until.
+func TestCursorZeroAllocs(t *testing.T) {
+	s, end := fuzzSchedule(7, 40)
+	c := s.Cursor()
+	var at time.Duration
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.At(at)
+		at = min(c.Until(), at+time.Millisecond)
+		if at > end {
+			at = 0
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Cursor.At+Until allocate %v per call, want 0", allocs)
+	}
+}

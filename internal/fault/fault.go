@@ -39,6 +39,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -117,10 +118,7 @@ type Window struct {
 // a trapezoid with independent leading (Ramp) and trailing (RampDown,
 // defaulting to Ramp) edge times.
 func (w Window) attenAt(t time.Duration) float64 {
-	up, down := w.Ramp, w.RampDown
-	if down <= 0 {
-		down = up
-	}
+	up, down := w.ramps()
 	if up <= 0 && down <= 0 {
 		return w.DepthDB
 	}
@@ -134,6 +132,33 @@ func (w Window) attenAt(t time.Duration) float64 {
 		}
 	}
 	return w.DepthDB * frac
+}
+
+// ramps returns the leading and trailing edge times (RampDown defaults to
+// Ramp).
+func (w Window) ramps() (up, down time.Duration) {
+	up, down = w.Ramp, w.RampDown
+	if down <= 0 {
+		down = up
+	}
+	return up, down
+}
+
+// attenUntil returns the first instant after t (t in [Start, End)) at
+// which attenAt may differ from attenAt(t): t+1 inside either ramp, the
+// first instant of the trailing ramp on the plateau, End without one.
+func (w Window) attenUntil(t time.Duration) time.Duration {
+	up, down := w.ramps()
+	if up > 0 && t-w.Start < up {
+		return t + 1
+	}
+	if down <= 0 {
+		return w.End
+	}
+	if w.End-t < down {
+		return t + 1
+	}
+	return w.End - down + 1
 }
 
 // State is the instantaneous fault condition a consumer applies at one
@@ -217,6 +242,8 @@ func (s *Schedule) Cursor() Cursor {
 // At returns the fault state at t, bit for bit equal to Schedule.At(t).
 // Times should be non-decreasing across calls; a step backwards restarts
 // the scan from the first window, which stays correct at At's full cost.
+//
+//cyclops:hotpath read at the head of every slot-engine run and every core.Run tick; zero-alloc contract pinned by TestCursorZeroAllocs and make alloc-check
 func (c *Cursor) At(t time.Duration) State {
 	if t < c.last {
 		c.lo, c.hi = 0, 0
@@ -258,6 +285,38 @@ func (c *Cursor) At(t time.Duration) State {
 	}
 	st.AttenDB += st.HazeDB
 	return st
+}
+
+// Until returns the first instant after t, the time of the last At call,
+// at which the fault state may differ from At(t): the next window start,
+// the end of an active window, or an attenuation ramp edge. At reads the
+// same state, field for field, at every instant of [t, Until()). Inside a
+// ramp the attenuation moves every nanosecond, so Until is t+1; with no
+// window ahead it is math.MaxInt64.
+//
+//cyclops:hotpath bounds every slot-engine run that the fault state allows; zero-alloc contract pinned by TestCursorZeroAllocs and make alloc-check
+func (c *Cursor) Until() time.Duration {
+	t := c.last
+	ws := c.windows
+	u := time.Duration(math.MaxInt64)
+	if c.hi < len(ws) {
+		u = ws[c.hi].Start
+	}
+	for i := c.lo; i < c.hi; i++ {
+		w := &ws[i]
+		if t >= w.End {
+			continue
+		}
+		if w.End < u {
+			u = w.End
+		}
+		if w.Kind == Occlusion || w.Kind == HazeFade {
+			if b := w.attenUntil(t); b < u {
+				u = b
+			}
+		}
+	}
+	return u
 }
 
 // String renders the schedule one window per line — the canonical form the

@@ -176,3 +176,33 @@ func TestConcurrentUse(t *testing.T) {
 		t.Errorf("concurrent merges: counter = %v, want %v", got, want)
 	}
 }
+
+// TestCounterAddNMatchesAdd: AddN(v, n) leaves the counter bit for bit
+// where n Add(v) calls leave it — including non-integer increments, whose
+// float sum depends on the order of the adds — and, like Add, ignores
+// non-positive increments (and non-positive n).
+func TestCounterAddNMatchesAdd(t *testing.T) {
+	for _, tc := range []struct {
+		start, v float64
+		n        int
+	}{
+		{0, 0.001, 1}, {0, 0.001, 7}, {0.3, 0.001, 1000}, {1e9, 0.1, 33},
+		{0, 1, 5}, {2.5, -1, 4}, {2.5, 0, 4}, {2.5, 0.001, 0}, {2.5, 0.001, -3},
+	} {
+		var add, addN Counter
+		add.Add(tc.start)
+		addN.Add(tc.start)
+		for i := 0; i < tc.n; i++ {
+			add.Add(tc.v)
+		}
+		addN.AddN(tc.v, tc.n)
+		if got, want := addN.Value(), add.Value(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("start %v: AddN(%v, %d) = %v, %d Add calls = %v", tc.start, tc.v, tc.n, got, tc.n, want)
+		}
+	}
+	var nilC *Counter
+	nilC.AddN(1, 3)
+	if nilC.Value() != 0 {
+		t.Error("nil counter must read as zero after AddN")
+	}
+}

@@ -34,6 +34,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"cyclops/internal/obs"
@@ -156,7 +157,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // Controller is the per-run policy state machine. Feed it one health
-// sample per tick through Observe; it is not safe for concurrent use.
+// sample per tick through Observe, or a run of ticks with one verdict
+// through ObserveRun; it is not safe for concurrent use.
 type Controller struct {
 	opts Options
 	m    *Metrics
@@ -218,6 +220,60 @@ func (c *Controller) Observe(at, tick time.Duration, primaryHealthy bool) State 
 		}
 	}
 	return c.state
+}
+
+// ObserveRun feeds n samples of one verdict, taken at from, from+tick, …,
+// from+(n−1)·tick: exactly n Observe calls, returning the state after the
+// last. Samples that agree with the state and come before its Deadline
+// only accrue secondary time, so those stretches are applied in bulk.
+func (c *Controller) ObserveRun(from, tick time.Duration, n int, primaryHealthy bool) State {
+	for n > 0 {
+		k := c.holding(from, tick, n, primaryHealthy)
+		if k == 0 {
+			c.Observe(from, tick, primaryHealthy)
+			k = 1
+		} else if c.state.OnSecondary() {
+			c.secondaryTime += time.Duration(k) * tick
+			if c.m != nil {
+				c.m.SecondarySeconds.AddN(tick.Seconds(), k)
+			}
+		}
+		from += time.Duration(k) * tick
+		n -= k
+	}
+	return c.state
+}
+
+// holding counts the leading samples of a run that cannot move the state:
+// those that agree with it and come before its Deadline.
+func (c *Controller) holding(from, tick time.Duration, n int, primaryHealthy bool) int {
+	if primaryHealthy != (c.state == Primary || c.state == ReadmitPending) {
+		return 0
+	}
+	d := c.Deadline()
+	if from+time.Duration(n-1)*tick < d {
+		return n
+	}
+	if from >= d {
+		return 0
+	}
+	return int((d-from-1)/tick) + 1
+}
+
+// Deadline is the earliest sample time at which a sample agreeing with the
+// state — healthy in Primary and ReadmitPending, unhealthy in
+// BreachPending and Secondary — can move it: the maturity of the running
+// breach or clear window. The settled states have none (math.MaxInt64);
+// only a disagreeing sample moves them.
+func (c *Controller) Deadline() time.Duration {
+	switch c.state {
+	case BreachPending:
+		return c.breachSince + c.opts.BreachAfter
+	case ReadmitPending:
+		return c.clearSince + c.opts.ClearAfter
+	case Primary, Secondary:
+	}
+	return math.MaxInt64
 }
 
 func (c *Controller) maybeFailover(at time.Duration) {

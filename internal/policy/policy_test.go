@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -222,5 +224,74 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("divergence at sample %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// FuzzObserveRunMatchesObserve: a controller fed random runs of equal
+// verdicts through ObserveRun ends every run exactly where a twin fed the
+// same samples one Observe call at a time does — state, counters,
+// secondary time, shortest dwell and the exposition of a registry attached
+// to each — and Deadline marks the first sample time at which an agreeing
+// sample moves a pending state.
+func FuzzObserveRunMatchesObserve(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, breachUS, clearUS uint16, tickUS uint16, runs uint8) {
+		opts := Options{BreachAfter: time.Duration(breachUS) * time.Microsecond, ClearAfter: time.Duration(clearUS) * time.Microsecond}
+		tick := time.Duration(tickUS%2000) * time.Microsecond
+		rng := rand.New(rand.NewSource(seed))
+		regRun, regObs := obs.NewRegistry(), obs.NewRegistry()
+		run, one := New(opts, NewMetrics(regRun)), New(opts, NewMetrics(regObs))
+		at := time.Duration(rng.Int63n(int64(time.Second)))
+		for i := 0; i < int(runs); i++ {
+			n, healthy := rng.Intn(64), rng.Intn(2) == 0
+			if rng.Intn(4) == 0 {
+				n = rng.Intn(3) // single samples and empty runs
+			}
+			want := one.State()
+			for j := 0; j < n; j++ {
+				want = one.Observe(at+time.Duration(j)*tick, tick, healthy)
+			}
+			if got := run.ObserveRun(at, tick, n, healthy); got != want || run.State() != want {
+				t.Fatalf("run %d (n=%d healthy=%v at %v): ObserveRun = %v, Observe = %v", i, n, healthy, at, got, want)
+			}
+			at += time.Duration(n) * tick
+			checkDeadline(t, run, at)
+		}
+		if run.Failovers() != one.Failovers() || run.Readmits() != one.Readmits() ||
+			run.SecondaryTime() != one.SecondaryTime() || run.MinSecondaryDwell() != one.MinSecondaryDwell() {
+			t.Fatalf("ObserveRun counters %d/%d/%v/%v, Observe %d/%d/%v/%v",
+				run.Failovers(), run.Readmits(), run.SecondaryTime(), run.MinSecondaryDwell(),
+				one.Failovers(), one.Readmits(), one.SecondaryTime(), one.MinSecondaryDwell())
+		}
+		if got, want := regRun.Exposition(), regObs.Exposition(); got != want {
+			t.Fatalf("ObserveRun exposition:\n%s\nObserve exposition:\n%s", got, want)
+		}
+	})
+}
+
+// checkDeadline probes copies of c (metrics detached) with one sample that
+// agrees with its state: a pending state holds just before Deadline (when
+// that is no earlier than from) and moves at it; a settled one has none.
+func checkDeadline(t *testing.T, c *Controller, from time.Duration) {
+	t.Helper()
+	healthy := c.State() == Primary || c.State() == ReadmitPending
+	d := c.Deadline()
+	if c.State() == Primary || c.State() == Secondary {
+		if d != math.MaxInt64 {
+			t.Fatalf("%v: Deadline = %v, want none", c.State(), d)
+		}
+		return
+	}
+	probe := func(at time.Duration) State {
+		cp := *c
+		cp.m = nil
+		return cp.Observe(at, ms, healthy)
+	}
+	if d-1 >= from {
+		if st := probe(d - 1); st != c.State() {
+			t.Fatalf("%v moved to %v at Deadline−1ns (%v)", c.State(), st, d-1)
+		}
+	}
+	if st := probe(max(d, from)); st == c.State() {
+		t.Fatalf("%v held at Deadline %v", c.State(), d)
 	}
 }

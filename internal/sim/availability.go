@@ -90,7 +90,7 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 
 // slotArms are the slot engine's optional arms. The zero value is the
 // clean §5.4 model; a fault schedule, a secondary medium or a sink moves
-// every segment onto the per-slot path.
+// every segment onto the armed path.
 type slotArms struct {
 	// sched injects faults (nil or empty: none). Occlusions block the link
 	// (with standby rescue when ChaosParams.TXCount > 1), tracker
@@ -108,9 +108,36 @@ type slotArms struct {
 	sink func(slot int, off bool)
 }
 
+// deliver applies one verdict to the n slots from at: the blocked-slot
+// count, the hybrid arm (whose delivered verdict replaces fsoOff), the
+// sink, once per slot, and the frame fold.
+func (a *slotArms) deliver(res *ChaosTraceResult, fold *frameFold, at, slot time.Duration, n int, fs fault.State, blocked, fsoOff bool) {
+	if blocked {
+		res.BlockedSlots += n
+	}
+	off := fsoOff
+	if a.hybrid != nil {
+		off = a.hybrid.run(at, slot, n, fs, fsoOff)
+	}
+	if a.sink != nil {
+		for i := 0; i < n; i++ {
+			a.sink(fold.slots+i, off)
+		}
+	}
+	fold.addRun(n, off)
+}
+
+// bound lowers horizon to t when t lies after at.
+func bound(horizon, t, at time.Duration) time.Duration {
+	if t > at && t < horizon {
+		return t
+	}
+	return horizon
+}
+
 // simulate is the slot engine: the one FSO slot loop behind SimulateTrace,
-// SimulateTraceChaosSlots and SimulateTraceHybrid. Every per-slot path
-// reads the fault state once per slot through a monotone cursor.
+// SimulateTraceChaosSlots and SimulateTraceHybrid. The armed path reads
+// the fault state through a monotone cursor once per run of slots.
 func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
@@ -197,13 +224,18 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 		stepLo, stepHi = lo, hi
 	}
 
-	// The fault arms. fs is the fault state of the slot at hand, read once
-	// per slot; without a schedule it stays zero and every fault branch
-	// below is dead.
+	// The fault arms. fs is the fault state of the slot at hand: the
+	// cursor holds it constant until fsUntil, so it is read again only at
+	// the first run head at or past that instant. Without a schedule fs
+	// stays zero, fsUntil never comes and every fault branch below is dead.
 	faults := !arms.sched.Empty()
-	perSlot := faults || arms.hybrid != nil || arms.sink != nil
+	armed := faults || arms.hybrid != nil || arms.sink != nil
 	cur := arms.sched.Cursor()
 	var fs fault.State
+	fsUntil := time.Duration(math.MaxInt64)
+	if faults {
+		fsUntil = 0
+	}
 	blk := newBlockState(p, arms, faults)
 
 	// The loop is event-driven: all state changes (rate updates,
@@ -215,8 +247,8 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	// fault state of the segment's head slot: the first slot at or after
 	// the report or realignment time.
 	for at := time.Duration(0); at < end; {
-		if faults {
-			fs = cur.At(at)
+		if at >= fsUntil {
+			fs, fsUntil = cur.At(at), cur.Until()
 		}
 
 		// Report arrival: schedule a realignment and update drift
@@ -271,31 +303,54 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 			limit = realignAt
 		}
 
-		if perSlot {
-			// Armed: every slot runs the blocked-episode bookkeeping,
-			// the policy step and the sink with its own fault state.
+		if armed {
+			// Armed: the segment advances in runs over which the fault
+			// state, every arm's discrete state and the FSO verdict hold
+			// still. The head slot of a run steps every arm, so episode
+			// edges, rescue draws, policy transitions and metric edges all
+			// happen there. The slots after it, up to the earliest horizon
+			// (segment limit, fault change, dark-time or re-lock end, mmWave
+			// recovery, policy deadline, misalignment crossing), repeat its
+			// verdicts in bulk; the float accumulators still add once per
+			// slot, in slot order, so every sum stays bit-identical.
 			for {
 				blocked := blk.step(at, fs.AttenDB, &res)
-				off := blocked || lat > tolLat || ang > tolAng
-				if blocked {
-					res.BlockedSlots++
-				}
-				if h := arms.hybrid; h != nil {
-					off = h.step(at, p.Slot, fs, off)
-				}
-				if arms.sink != nil {
-					arms.sink(fold.slots, off)
-				}
-				fold.add(off)
-
-				// Drift across the slot.
+				misaligned := lat > tolLat || ang > tolAng
+				fsoOff := blocked || misaligned
+				arms.deliver(&res, &fold, at, p.Slot, 1, fs, blocked, fsoOff)
 				lat += latStep
 				ang += angStep
+				head := at
 				if at += p.Slot; at >= limit {
 					break
 				}
-				if faults {
-					fs = cur.At(at)
+
+				horizon := blk.until(head, min(limit, fsUntil))
+				if h := arms.hybrid; h != nil {
+					horizon = h.until(head, horizon)
+				}
+				// The offsets never decrease within a segment, so the
+				// misalignment verdict flips at most once: the scan runs
+				// the drift adds the per-slot loop would and stops at the
+				// first slot that disagrees with the head.
+				n := 0
+				for t := at; t < horizon && (lat > tolLat || ang > tolAng) == misaligned; t += p.Slot {
+					lat += latStep
+					ang += angStep
+					n++
+				}
+				if n > 0 {
+					// No edge falls inside a run: stepping its last slot
+					// leaves the re-lock deadline where n steps would.
+					last := at + time.Duration(n-1)*p.Slot
+					blk.step(last, fs.AttenDB, &res)
+					arms.deliver(&res, &fold, at, p.Slot, n, fs, blocked, fsoOff)
+					if at = last + p.Slot; at >= limit {
+						break
+					}
+				}
+				if at >= fsUntil {
+					fs, fsUntil = cur.At(at), cur.Until()
 				}
 			}
 			continue
@@ -384,6 +439,17 @@ func (f *frameFold) addOn(k int) {
 		f.frameOff = 0
 	} else {
 		f.inFrame = total
+	}
+}
+
+// addRun folds n consecutive slots with one verdict.
+func (f *frameFold) addRun(n int, off bool) {
+	if !off {
+		f.addOn(n)
+		return
+	}
+	for ; n > 0; n-- {
+		f.add(true)
 	}
 }
 

@@ -186,6 +186,13 @@ func newBlockState(p ChaosParams, arms slotArms, faults bool) blockState {
 	return b
 }
 
+// until lowers horizon to the first instant after at, the slot just
+// stepped, from which a slot at the same occlusion depth may block
+// differently: the end of a handover's dark time or of the re-lock tail.
+func (b *blockState) until(at, horizon time.Duration) time.Duration {
+	return bound(bound(horizon, b.hoUntil, at), b.relockUntil, at)
+}
+
 // step advances one slot at occlusion depth attenDB and reports whether
 // the slot is blocked, counting handovers and outages into res.
 func (b *blockState) step(at time.Duration, attenDB float64, res *ChaosTraceResult) bool {

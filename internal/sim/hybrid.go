@@ -4,7 +4,8 @@
 // baseline.MmWaveLink (a 3° beam shrugs off every head speed in the
 // corpus, so only body blockage and its short MAC-level recovery matter);
 // the policy.Controller between them is the same state machine the
-// hardware path drives, fed one verdict per slot.
+// hardware path drives, fed one verdict per slot (a run of equal slots at
+// a time).
 package sim
 
 import (
@@ -93,25 +94,34 @@ type hybridArm struct {
 	goodput                float64
 }
 
-// step advances one slot: fsoOff is the FSO verdict, the return value the
-// delivered one (whichever medium the policy has carrying).
-func (h *hybridArm) step(at, slot time.Duration, fs fault.State, fsoOff bool) bool {
+// run advances the n slots from at, all with fault state fs and FSO
+// verdict fsoOff, and returns the delivered verdict (whichever medium the
+// policy has carrying). For n > 1 the caller bounds the run by until, so
+// neither the mmWave link nor the policy moves after the first slot: the
+// last slot's mmWave step and one ObserveRun stand in for n single steps.
+func (h *hybridArm) run(at, slot time.Duration, n int, fs fault.State, fsoOff bool) bool {
 	if fsoOff {
-		h.fsoOff++
+		h.fsoOff += n
 	}
-	mmUp := h.mm.step(at, fs.AttenDB-fs.HazeDB)
-	st := h.ctl.Observe(at, slot, !fsoOff)
-	if st.OnSecondary() {
-		h.secondarySlots++
-		if mmUp {
-			h.goodput += h.hp.Secondary.PeakGoodputGbps
+	mmUp := h.mm.step(at+time.Duration(n-1)*slot, fs.AttenDB-fs.HazeDB)
+	rate, off := h.hp.PrimaryGoodputGbps, fsoOff
+	if h.ctl.ObserveRun(at, slot, n, !fsoOff).OnSecondary() {
+		h.secondarySlots += n
+		rate, off = h.hp.Secondary.PeakGoodputGbps, !mmUp
+	}
+	if !off {
+		for ; n > 0; n-- {
+			h.goodput += rate
 		}
-		return !mmUp
 	}
-	if !fsoOff {
-		h.goodput += h.hp.PrimaryGoodputGbps
-	}
-	return fsoOff
+	return off
+}
+
+// until lowers horizon to the first instant after at, the slot just run,
+// from which the mmWave link or the policy may move under the same
+// inputs: the end of the MAC recovery tail or the policy's deadline.
+func (h *hybridArm) until(at, horizon time.Duration) time.Duration {
+	return bound(bound(horizon, h.mm.recoverUntil, at), h.ctl.Deadline(), at)
 }
 
 // SimulateTraceHybrid runs the hybrid link policy over one trace: the FSO
@@ -149,7 +159,9 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 // the FSO primary forced down: the policy's breach window would cost the
 // first slots of every trace, and its Outages count mmWave blockage
 // edges, not FSO episodes. It shares the engine's fault cursor, the
-// mmWave slot link and the frame fold.
+// mmWave slot link and the frame fold, and steps the same runs: the head
+// slot reads the cursor, the rest up to its Until and the recovery tail's
+// end follow in bulk.
 func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	if mp == (MmWaveSlotParams{}) {
 		mp = PaperMmWave()
@@ -164,7 +176,7 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 	var fold frameFold
 	wasBlocked := false
 	var goodputSum float64
-	for at := time.Duration(0); at < end; at += p.Slot {
+	for at := time.Duration(0); at < end; {
 		fs := cur.At(at)
 		occl := fs.AttenDB - fs.HazeDB
 		up := mm.step(at, occl)
@@ -176,12 +188,23 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		} else {
 			wasBlocked = false
 		}
-		if up {
-			goodputSum += mp.PeakGoodputGbps
-		} else {
-			res.BlockedSlots++
+		// The slots before the next fault change and the end of the
+		// recovery tail repeat this one; stepping the last of them leaves
+		// the recovery deadline where n steps would.
+		horizon := bound(min(end, cur.Until()), mm.recoverUntil, at)
+		n := int((horizon-at-1)/p.Slot) + 1
+		if n > 1 {
+			mm.step(at+time.Duration(n-1)*p.Slot, occl)
 		}
-		fold.add(!up)
+		if up {
+			for i := 0; i < n; i++ {
+				goodputSum += mp.PeakGoodputGbps
+			}
+		} else {
+			res.BlockedSlots += n
+		}
+		fold.addRun(n, !up)
+		at += time.Duration(n) * p.Slot
 	}
 	fold.finish(&res.TraceResult)
 	if res.Slots > 0 {

@@ -163,12 +163,15 @@ hybrid-smoke:
 	rm -f .hybrid_smoke_fso.prom .hybrid_smoke.prom .hybrid_smoke.out
 	@echo "hybrid-smoke: ok"
 
-# Memory-boundedness gate for the streaming corpus engine: a 10× larger
-# corpus must finish within a fixed live-heap envelope of the small one
-# (the engine holds O(workers·shard) traces, never the corpus). Run
-# without -race so HeapAlloc measures the engine, not the detector.
+# Memory-boundedness gate for the streamed engines: a 10× larger corpus
+# must finish within a fixed live-heap envelope of the small one (the
+# engine holds O(workers·shard) traces, never the corpus), and
+# parallel.Fold — under both sim.RunCorpus and arena.Run — never holds
+# more than one batch of shard outputs. Run without -race so HeapAlloc
+# measures the engine, not the detector.
 mem-check:
 	$(GO) test -run 'TestRunCorpusMemoryBounded' -count 1 ./internal/sim/
+	$(GO) test -run '^TestFold$$' -count 1 ./internal/parallel/
 	@echo "mem-check: ok"
 
 # Serial vs parallel wall time for the Fig 16 500-trace corpus, recorded

@@ -118,6 +118,16 @@ func (o *Options) Validate() error {
 	if o.Users <= 0 {
 		return errors.New("arena: Users must be positive")
 	}
+	// NaN compares false against every bound below, so non-finite values
+	// are rejected before any default can be skipped.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Density", o.Density}, {"Pitch", o.Pitch}, {"BackhaulGbps", o.BackhaulGbps}, {"LinkGoodputGbps", o.LinkGoodputGbps}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("arena: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if o.Density <= 0 {
 		return errors.New("arena: Density must be positive")
 	}
@@ -529,56 +539,23 @@ type Result struct {
 
 // Run executes (or continues) an arena simulation. Identical Options —
 // any Workers value included — return the identical Result bit for bit:
-// cells are folded in cell order regardless of completion order.
+// parallel.Fold merges cells in cell order regardless of completion order.
+// A Resume past the venue's last cell is an error.
 func Run(opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	l := NewLayout(opts.Seed, opts.Users, opts.Density, opts.Pitch)
-	nCells := l.Cells()
-	start := opts.Resume.NextCell
 	agg := opts.Resume.Agg
-	if start > nCells {
-		start = nCells
+	next, err := parallel.Fold(opts.Context, l.Cells(), opts.Resume.NextCell, opts.MaxCells, opts.Workers,
+		func(c int) Aggregate { return runCell(l, opts, c) },
+		agg.merge)
+	res := Result{Aggregate: agg, Layout: l}
+	res.Checkpoint = Checkpoint{NextCell: next, Done: next == l.Cells(), Agg: agg}
+	if err == nil && res.Checkpoint.Done {
+		opts.Registry.Merge(agg.Metrics)
 	}
-	end := nCells
-	if opts.MaxCells > 0 && start+opts.MaxCells < end {
-		end = start + opts.MaxCells
-	}
-
-	finish := func(next int, err error) (Result, error) {
-		res := Result{Aggregate: agg, Layout: l}
-		res.Checkpoint = Checkpoint{NextCell: next, Done: next == nCells, Agg: agg}
-		if err == nil && res.Checkpoint.Done && opts.Registry != nil {
-			opts.Registry.Merge(agg.Metrics)
-		}
-		return res, err
-	}
-
-	batch := parallel.DefaultWorkers() * 2
-	if opts.Workers > 0 {
-		batch = opts.Workers * 2
-	}
-	if batch < 8 {
-		batch = 8
-	}
-	for lo := start; lo < end; lo += batch {
-		hi := lo + batch
-		if hi > end {
-			hi = end
-		}
-		outs, err := parallel.MapCtx(opts.Context, hi-lo, opts.Workers,
-			func(_ context.Context, k int) (Aggregate, error) {
-				return runCell(l, opts, lo+k), nil
-			})
-		if err != nil {
-			return finish(lo, err)
-		}
-		for _, o := range outs {
-			agg.merge(o)
-		}
-	}
-	return finish(end, nil)
+	return res, err
 }
 
 // runCell simulates one ceiling cell: schedule its users against the TX,

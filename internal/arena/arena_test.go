@@ -3,6 +3,7 @@ package arena
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -209,6 +210,23 @@ func TestRunCancel(t *testing.T) {
 	}
 }
 
+// TestRunResumeOutOfRange: a checkpoint from the 16-cell test venue
+// resumed on a 4-cell venue is an error, never a Done run.
+func TestRunResumeOutOfRange(t *testing.T) {
+	full, err := Run(testOpts(2))
+	if err != nil || full.Checkpoint.NextCell != 16 {
+		t.Fatalf("full: next cell %d, err %v; want 16 cells done", full.Checkpoint.NextCell, err)
+	}
+	small := testOpts(2)
+	small.Users = 8
+	small.Resume = full.Checkpoint
+	res, err := Run(small)
+	if err == nil || res.Checkpoint.Done {
+		t.Fatalf("resume past the venue's %d cells: err %v, Done %v; want an error",
+			res.Layout.Cells(), err, res.Checkpoint.Done)
+	}
+}
+
 func TestUsersPerTXCap(t *testing.T) {
 	opts := testOpts(2)
 	opts.UsersPerTX = 1
@@ -248,6 +266,14 @@ func TestOptionsValidate(t *testing.T) {
 		{Users: 10, Density: 0.5, UsersPerTX: -1},
 		{Users: 10, Density: 0.5, MaxCells: -1},
 		{Users: 10, Density: 0.5, Resume: Checkpoint{NextCell: -1}},
+		{Users: 10, Density: math.NaN()},
+		{Users: 10, Density: math.Inf(1)},
+		{Users: 10, Density: 0.5, Pitch: math.NaN()},
+		{Users: 10, Density: 0.5, Pitch: math.Inf(1)},
+		{Users: 10, Density: 0.5, BackhaulGbps: math.NaN()},
+		{Users: 10, Density: 0.5, BackhaulGbps: math.Inf(1)},
+		{Users: 10, Density: 0.5, LinkGoodputGbps: math.NaN()},
+		{Users: 10, Density: 0.5, LinkGoodputGbps: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)

@@ -18,7 +18,6 @@ import (
 	"math"
 	"time"
 
-	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/link"
 	"cyclops/internal/motion"
@@ -55,14 +54,6 @@ func CrossingOccluder(radius float64, start, end geom.Vec3, period time.Duration
 type Array struct {
 	Plants    []*link.Plant
 	Occluders []Occluder
-
-	// PathFaults, when set, gives each TX path its own deterministic
-	// fault schedule (occlusion attenuation applied through the plant's
-	// SetAttenuationDB surface). nil entries — and a nil slice — mean a
-	// clear path. This is the injection surface core.Run's multi-TX
-	// recovery consumes; the geometric Occluders above remain the
-	// standalone experiment's occlusion model.
-	PathFaults []*fault.Schedule
 
 	active int
 }
@@ -117,16 +108,6 @@ func (a *Array) SetHeadset(p geom.Pose) {
 	for _, pl := range a.Plants {
 		pl.SetHeadset(p)
 	}
-}
-
-// PathAttenDB returns the injected attenuation on TX i's path at time t
-// (0 when the path has no schedule). It reads the schedule only — the
-// plant's own attenuation surface is driven by whoever runs the clock.
-func (a *Array) PathAttenDB(i int, t time.Duration) float64 {
-	if a.PathFaults == nil || i >= len(a.PathFaults) {
-		return 0
-	}
-	return a.PathFaults[i].At(t).AttenDB
 }
 
 // Active returns the index of the transmitting TX.

@@ -13,10 +13,11 @@
 // The parallel experiment engine (internal/parallel) promises bit-identical
 // results at any worker count, and metrics must not break that. The rules:
 //
-//   - every parallel job records into its own Registry (parallel.MapObs
-//     hands one out per job) — instruments are never shared across jobs;
-//   - per-job Snapshots are merged serially, in job-index order, after the
-//     fan-out returns. Counter increments are integer-valued in practice
+//   - every parallel shard records into its own Registry (sim.RunCorpus
+//     and arena.Run create one per trace or cell) — instruments are never
+//     shared across shards;
+//   - per-shard Snapshots are merged serially, in shard-index order, by
+//     parallel.Fold's merge step, never inside the fan-out. Counter increments are integer-valued in practice
 //     (exact in float64 far beyond any realistic count), and histogram
 //     sums merge in a fixed order, so the merged Snapshot — and its text
 //     exposition — is byte-identical for workers 1, 4, 8, or the default
@@ -469,16 +470,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 			}
 			out.Help[name] = help
 		}
-	}
-	return out
-}
-
-// MergeAll reduces snapshots serially, in slice order — the reduction step
-// for parallel.MapObs' per-job registries.
-func MergeAll(snaps []Snapshot) Snapshot {
-	var out Snapshot
-	for _, s := range snaps {
-		out = out.Merge(s)
 	}
 	return out
 }

@@ -13,7 +13,8 @@
 //   - results are written into a preallocated slice at their own index —
 //     collection order never depends on scheduling;
 //   - reductions (min/max/mean and friends) are the caller's job and must
-//     happen after Map returns, over the ordered slice, never inside fn;
+//     happen after Map returns, over the ordered slice, never inside fn —
+//     or, for a streamed run, in Fold's serial merge, shard by shard;
 //   - MapErr reports the error of the lowest failing index, not the
 //     temporally first failure. Indices are claimed in increasing order,
 //     so every index below a failing one is guaranteed to have run, making
@@ -34,8 +35,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"cyclops/internal/obs"
 )
 
 // defaultWorkers is the process-wide fan-out width used when a call site
@@ -92,31 +91,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 		panic(err)
 	}
 	return out
-}
-
-// MapObs is Map for instrumented jobs: every job records metrics into its
-// own private obs.Registry, and after the fan-out completes the per-job
-// snapshots are reduced serially, in job-index order, into one merged
-// Snapshot. That keeps the determinism contract intact for observability
-// too — the merged snapshot (and its text exposition) is byte-identical
-// for any worker count, because no instrument is ever shared between jobs
-// and the reduction order never depends on scheduling.
-func MapObs[T any](n, workers int, fn func(i int, reg *obs.Registry) T) ([]T, obs.Snapshot) {
-	type job struct {
-		v    T
-		snap obs.Snapshot
-	}
-	outs := Map(n, workers, func(i int) job {
-		reg := obs.NewRegistry()
-		return job{v: fn(i, reg), snap: reg.Snapshot()}
-	})
-	vals := make([]T, n)
-	snaps := make([]obs.Snapshot, n)
-	for i, o := range outs {
-		vals[i] = o.v
-		snaps[i] = o.snap
-	}
-	return vals, obs.MergeAll(snaps)
 }
 
 // MapErr is Map for fallible jobs: it applies fn to every index in [0, n)
@@ -241,4 +215,64 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 		return nil, err
 	}
 	return out, nil
+}
+
+// Fold is the sharded-fold engine behind every streamed run (the sim
+// corpus, the arena venue): it runs shards [start, end) of an n-shard job,
+// where end is n, or start+limit when limit > 0, and merges their outputs
+// serially in shard order. Shards fan out through MapCtx one batch of
+// batchWidth(workers) at a time, so at most that many outputs are ever in
+// flight — the memory bound of a streamed run — and the merge order never
+// depends on scheduling, so the fold is bit-identical for every worker
+// count. shard must be pure in k; merge runs on the calling goroutine.
+//
+// next is the first shard not merged: end on success; on cancellation the
+// failed batch's start, alongside ctx's error, with exactly the shards
+// [start, next) merged — a resumable position. A start outside [0, n] (a
+// checkpoint from a different job) or a negative limit is an error, and
+// nothing runs.
+func Fold[T any](ctx context.Context, n, start, limit, workers int, shard func(k int) T, merge func(T)) (next int, err error) {
+	end, err := Window(n, start, limit)
+	if err != nil {
+		return start, err
+	}
+	batch := batchWidth(workers)
+	for lo := start; lo < end; lo += batch {
+		outs, err := MapCtx(ctx, min(batch, end-lo), workers, func(_ context.Context, k int) (T, error) {
+			return shard(lo + k), nil
+		})
+		if err != nil {
+			return lo, err
+		}
+		for _, o := range outs {
+			merge(o)
+		}
+	}
+	return end, nil
+}
+
+// Window returns the end of Fold's window: n, or start+limit when limit >
+// 0 caps it sooner. It rejects a start outside [0, n] and a negative limit.
+func Window(n, start, limit int) (end int, err error) {
+	if start < 0 || start > n {
+		return 0, fmt.Errorf("parallel: fold resumes at shard %d, outside [0, %d]", start, n)
+	}
+	if limit < 0 {
+		return 0, fmt.Errorf("parallel: negative fold limit %d", limit)
+	}
+	if limit > 0 && start+limit < n {
+		return start + limit, nil
+	}
+	return n, nil
+}
+
+// batchWidth is Fold's one batch rule: four shards per worker, at least
+// 16. The width bounds in-flight outputs and sets how often the pool
+// drains; it never touches the merge order, so deriving it from the
+// worker count keeps the determinism contract.
+func batchWidth(workers int) int {
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	return max(16, 4*workers)
 }

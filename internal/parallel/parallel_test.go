@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -273,5 +274,91 @@ func TestMapCtxJobErrorBeatsCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "parallel: job 3") {
 		t.Errorf("err = %v, want lowest-failing-index wrapping", err)
+	}
+}
+
+// TestFold pins the sharded-fold engine both streamed runs (sim.RunCorpus,
+// arena.Run) stand on: the merged output is identical at every worker
+// count, the window clamps to [start, min(start+limit, n)), a bad window
+// runs nothing, a cancel returns its batch's start with exactly the
+// shards before it merged, and no more than one batch of outputs is ever
+// in flight — the memory bound of a streamed run.
+func TestFold(t *testing.T) {
+	const n = 100
+	type run struct {
+		merged []int
+		next   int
+		err    error
+	}
+	fold := func(ctx context.Context, start, limit, workers int, onShard func(k int)) run {
+		var (
+			r                     run
+			mu                    sync.Mutex
+			started, merged, peak int
+		)
+		r.next, r.err = Fold(ctx, n, start, limit, workers, func(k int) int {
+			mu.Lock()
+			started++
+			peak = max(peak, started-merged)
+			mu.Unlock()
+			if onShard != nil {
+				onShard(k)
+			}
+			return k
+		}, func(k int) {
+			mu.Lock()
+			merged++
+			mu.Unlock()
+			r.merged = append(r.merged, k)
+		})
+		if bw := batchWidth(workers); peak > bw {
+			t.Errorf("workers=%d: %d shard outputs in flight, batch width is %d", workers, peak, bw)
+		}
+		return r
+	}
+	span := func(lo, hi int) []int {
+		var s []int
+		for k := lo; k < hi; k++ {
+			s = append(s, k)
+		}
+		return s
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		for _, w := range []struct{ start, limit, next int }{
+			{0, 0, n},
+			{90, 0, n},
+			{10, 25, 35},
+			{75, 24, n - 1},
+			{95, 25, n},
+			{n, 0, n},
+		} {
+			r := fold(context.Background(), w.start, w.limit, workers, nil)
+			if r.err != nil || r.next != w.next || !reflect.DeepEqual(r.merged, span(w.start, w.next)) {
+				t.Errorf("workers=%d start=%d limit=%d: next=%d err=%v merged %v, want next=%d and shards [%d, %d) in order",
+					workers, w.start, w.limit, r.next, r.err, r.merged, w.next, w.start, w.next)
+			}
+		}
+		for _, bad := range []struct{ start, limit int }{{n + 1, 0}, {-1, 0}, {0, -1}} {
+			if r := fold(context.Background(), bad.start, bad.limit, workers, nil); r.err == nil || r.merged != nil {
+				t.Errorf("workers=%d start=%d limit=%d: err=%v merged %v, want an error and nothing run",
+					workers, bad.start, bad.limit, r.err, r.merged)
+			}
+		}
+
+		const cancelAt = 40
+		ctx, cancel := context.WithCancel(context.Background())
+		r := fold(ctx, 0, 0, workers, func(k int) {
+			if k == cancelAt {
+				cancel()
+			}
+		})
+		cancel()
+		bw := batchWidth(workers)
+		want := cancelAt / bw * bw
+		if !errors.Is(r.err, context.Canceled) || r.next != want || !reflect.DeepEqual(r.merged, span(0, want)) {
+			t.Errorf("workers=%d canceled in shard %d: next=%d err=%v merged %v, want next=%d (batch start) and shards [0, %d)",
+				workers, cancelAt, r.next, r.err, r.merged, want, want)
+		}
 	}
 }

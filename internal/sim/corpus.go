@@ -1,8 +1,8 @@
 // The streaming corpus engine: the one corpus entry point, clean or under
 // fault injection. A corpus is an indexed CorpusSource — traces are
 // produced on demand, never materialized as a whole — cut into fixed-size
-// shards that fan out through parallel.MapCtx and reduce serially, in
-// shard order, into a running aggregate. The engine's contract:
+// shards that parallel.Fold fans out and reduces serially, in shard order,
+// into a running aggregate. The engine's contract:
 //
 //   - bit-identical results for any worker count (the shard partition is a
 //     function of the options alone, never of the worker count, and every
@@ -11,7 +11,8 @@
 //     corpus length, unless KeepPerTrace asks for the full per-trace slice;
 //   - resumable: the returned Checkpoint restarts the run mid-corpus
 //     (Resume + MaxShards) and the stitched result is bit-identical to the
-//     uninterrupted one.
+//     uninterrupted one; a checkpoint past the source's shard count is
+//     rejected, never clamped.
 package sim
 
 import (
@@ -303,7 +304,8 @@ type CorpusRunResult struct {
 // or chaos (Options.Chaos), any worker count with bit-identical results,
 // memory-bounded unless KeepPerTrace, and resumable via the returned
 // Checkpoint. On cancellation the partial result and its Checkpoint are
-// returned alongside the context's error.
+// returned alongside the context's error; a Resume past the source's last
+// shard is an error.
 func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 	if opts.Chaos != nil {
 		c := *opts.Chaos
@@ -314,68 +316,28 @@ func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 	}
 	n := src.Len()
 	nShards := (n + opts.ShardSize - 1) / opts.ShardSize
-
-	agg := opts.Resume.Agg
 	start := opts.Resume.NextShard
-	if start > nShards {
-		start = nShards
-	}
-	end := nShards
-	if opts.MaxShards > 0 && start+opts.MaxShards < end {
-		end = start + opts.MaxShards
-	}
-
+	agg := opts.Resume.Agg
 	res := CorpusRunResult{}
-	if opts.KeepPerTrace {
+	// Fold rejects a bad window itself; Window here only sizes PerTrace.
+	if end, err := parallel.Window(nShards, start, opts.MaxShards); err == nil && opts.KeepPerTrace {
 		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*opts.ShardSize)
 	}
-
-	// Batches bound the in-flight shard results; the batch width affects
-	// only concurrency, never the reduction order, so it may derive from
-	// the worker count without breaking the determinism contract.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	batch := workers * 4
-	if batch < 16 {
-		batch = 16
-	}
-
-	finish := func(next int, err error) (CorpusRunResult, error) {
-		agg.finalize()
-		res.CorpusAggregate = agg
-		res.Checkpoint = Checkpoint{NextShard: next, Done: next == nShards, Agg: agg}
-		if err == nil && res.Checkpoint.Done {
-			opts.Registry.Merge(agg.Metrics)
-		}
-		return res, err
-	}
-
-	for lo := start; lo < end; lo += batch {
-		hi := lo + batch
-		if hi > end {
-			hi = end
-		}
-		outs, err := parallel.MapCtx(opts.Context, hi-lo, opts.Workers, func(_ context.Context, k int) (shardOut, error) {
-			tLo := (lo + k) * opts.ShardSize
-			tHi := tLo + opts.ShardSize
-			if tHi > n {
-				tHi = n
-			}
-			return runShard(src, &opts, tLo, tHi), nil
-		})
-		if err != nil {
-			return finish(lo, err)
-		}
-		for _, so := range outs {
+	next, err := parallel.Fold(opts.Context, nShards, start, opts.MaxShards, opts.Workers,
+		func(k int) shardOut {
+			return runShard(src, &opts, k*opts.ShardSize, min((k+1)*opts.ShardSize, n))
+		},
+		func(so shardOut) {
 			agg.merge(so.agg)
-			if opts.KeepPerTrace {
-				res.PerTrace = append(res.PerTrace, so.perTrace...)
-			}
-		}
+			res.PerTrace = append(res.PerTrace, so.perTrace...)
+		})
+	agg.finalize()
+	res.CorpusAggregate = agg
+	res.Checkpoint = Checkpoint{NextShard: next, Done: next == nShards, Agg: agg}
+	if err == nil && res.Checkpoint.Done {
+		opts.Registry.Merge(agg.Metrics)
 	}
-	return finish(end, nil)
+	return res, err
 }
 
 // shardOut is one shard's contribution, reduced serially by the caller.

@@ -146,6 +146,25 @@ func TestRunCorpusCancel(t *testing.T) {
 	}
 }
 
+// TestRunCorpusResumeOutOfRange: a checkpoint from a 4-shard run resumed
+// on a 2-shard source is an error, never a Done run whose aggregate was
+// stitched from a different corpus.
+func TestRunCorpusResumeOutOfRange(t *testing.T) {
+	full, err := RunCorpus(testSource(30), runOpts(2, nil))
+	if err != nil || full.Checkpoint.NextShard != 4 {
+		t.Fatalf("full: next shard %d, err %v; want 4 shards done", full.Checkpoint.NextShard, err)
+	}
+	opts := runOpts(2, nil)
+	opts.Resume = full.Checkpoint
+	res, err := RunCorpus(testSource(16), opts)
+	if err == nil || res.Checkpoint.Done {
+		t.Fatalf("resume past the source's 2 shards: err %v, Done %v; want an error", err, res.Checkpoint.Done)
+	}
+	if got := opts.Registry.Snapshot(); len(got.Counters)+len(got.Histograms) != 0 {
+		t.Error("rejected resume merged metrics into the registry")
+	}
+}
+
 func TestCorpusOptionsValidate(t *testing.T) {
 	var o CorpusOptions
 	if err := o.Validate(); err != nil {

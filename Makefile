@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -timeout 4m ./...
 
 # Static gate: gofmt-clean, go vet-clean, and zero fresh cyclops-vet
 # findings against the committed baseline (the repo's own interprocedural
@@ -61,7 +61,7 @@ verify:
 	$(MAKE) lint
 	$(MAKE) lint-smoke
 	$(MAKE) lint-graph-smoke
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -timeout 4m ./...
 	$(MAKE) alloc-check
 	$(MAKE) metrics-smoke
 	$(MAKE) chaos-smoke
@@ -182,7 +182,7 @@ mem-check:
 bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig16TraceAvailability(Serial|Parallel)$$' -benchtime 3x . | tee .bench_parallel.txt
 	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	    -v commit="$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" ' \
+	    -v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)" ' \
 	/^BenchmarkFig16TraceAvailabilitySerial/ { \
 		serial = $$3; \
 		n = split($$1, a, "-"); cores = (n > 1 ? a[n] : 1); \
@@ -218,7 +218,7 @@ bench-hotpath:
 	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
 	awk -v base=$(HOTPATH_BASELINE_NS) \
 	    -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	    -v commit="$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" ' \
+	    -v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)" ' \
 	function allocs(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "allocs/op") return $$i; return "" } \
 	{ name = ($$1 ~ /^Benchmark/ ? $$1 : ""); sub(/-[0-9]+$$/, "", name) } \
 	name == "BenchmarkFig16TraceAvailabilitySerial" { \

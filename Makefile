@@ -118,14 +118,18 @@ chaos-smoke:
 # fault seed that chaos-smoke pins to at least one outage produces zero
 # here, with every blocking episode rescued by a make-before-break switch
 # (≥1 handover recorded, dark-time histogram populated, HANDOVER
-# supervisor state exposed).
+# supervisor state exposed). Then the §3 extension render: the two-TX
+# line must keep the link up the whole session through a nonzero number
+# of handovers.
 handover-smoke:
 	$(GO) run ./cmd/cyclops-sim -oracle -motion handheld -duration 12s -chaos -chaos-seed 5 -tx 2 -metrics .handover_smoke.prom
 	grep -q '^cyclops_handover_total [1-9]' .handover_smoke.prom
 	grep -q '^cyclops_outage_total 0$$' .handover_smoke.prom
 	grep -q '^cyclops_handover_seconds_count [1-9]' .handover_smoke.prom
 	grep -q '^cyclops_supervisor_handover_seconds ' .handover_smoke.prom
-	rm -f .handover_smoke.prom
+	$(GO) run ./cmd/cyclops-bench -experiment extensions > .handover_smoke.out
+	grep -Eq '^  two TXs: .*link up 100\.0%, [1-9][0-9]* handovers$$' .handover_smoke.out
+	rm -f .handover_smoke.prom .handover_smoke.out
 	@echo "handover-smoke: ok"
 
 # End-to-end arena check: a packed 4×4 m venue (32 users at 2/m², four
@@ -254,5 +258,5 @@ bench-hotpath:
 	cat BENCH_hotpath.json
 
 clean:
-	rm -f BENCH_parallel.json BENCH_hotpath.json .bench_parallel.txt .bench_hotpath.txt .metrics_smoke.prom .chaos_smoke.prom .handover_smoke.prom .arena_smoke.prom .arena_smoke.out .hybrid_smoke_fso.prom .hybrid_smoke.prom .hybrid_smoke.out
+	rm -f BENCH_parallel.json BENCH_hotpath.json .bench_parallel.txt .bench_hotpath.txt .metrics_smoke.prom .chaos_smoke.prom .handover_smoke.prom .handover_smoke.out .arena_smoke.prom .arena_smoke.out .hybrid_smoke_fso.prom .hybrid_smoke.prom .hybrid_smoke.out
 	$(GO) clean ./...

@@ -1,7 +1,7 @@
 // Handover demonstrates the §3 multi-transmitter extension: an occluder
 // (someone walking through the room) periodically blocks the primary
-// TX→headset path; a second ceiling transmitter plus a handover controller
-// keeps the light flowing.
+// TX→headset path; a second ceiling transmitter plus make-before-break
+// handover keeps the light flowing.
 package main
 
 import (
@@ -25,5 +25,5 @@ func main() {
 	fmt.Println()
 	fmt.Printf("handover recovered %.0f%% of the occluded time.\n",
 		(r.TwoTX.LightFraction-r.SingleTX.LightFraction)/(1-r.SingleTX.LightFraction)*100)
-	fmt.Println("(the §3 sketch, quantified — see internal/handover for the controller)")
+	fmt.Println("(the §3 sketch, quantified — core.Run's RunOptions.Handover is the controller)")
 }

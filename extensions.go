@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cyclops/internal/baseline"
+	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/handover"
 	"cyclops/internal/link"
@@ -20,48 +21,66 @@ import (
 
 // ------------------------------------------------------ §3 handover —
 
+// HandoverRun is one deployment's outcome in the §3 occlusion study.
+type HandoverRun struct {
+	// LightFraction is the share of samples with usable optical power
+	// at the receiver (Sample.PowerOK).
+	LightFraction float64
+	// UpFraction includes the SFP re-lock after each dark spell.
+	UpFraction float64
+	Handovers  int
+}
+
 // HandoverResult compares single-TX and two-TX deployments under
 // identical occlusion traffic.
 type HandoverResult struct {
-	SingleTX handover.Result
-	TwoTX    handover.Result
+	SingleTX HandoverRun
+	TwoTX    HandoverRun
 }
 
-// ExtensionHandover runs the §3 occlusion study: an occluder parks on the
-// primary path half of each 20 s cycle; the two-TX array hands the link
-// over, the single-TX baseline waits it out.
+// ExtensionHandover runs the §3 occlusion study: an occluder blocks the
+// primary path over [10, 20), [30, 40) and [50, 60) s of a static 60 s
+// session. Both deployments run core.Run on oracle models under the same
+// fault schedule; the two-TX one arms make-before-break handover to a
+// second ceiling TX, the single-TX baseline waits each occlusion out.
 func ExtensionHandover(seed int64) (HandoverResult, error) {
-	positions := []geom.Vec3{
-		{X: 0, Y: 0, Z: link.CeilingHeight},
-		{X: 1.2, Y: 0.8, Z: link.CeilingHeight},
+	sched := &FaultSchedule{Seed: seed}
+	for start := 10 * time.Second; start < 60*time.Second; start += 20 * time.Second {
+		sched.Windows = append(sched.Windows, FaultWindow{
+			Kind: fault.Occlusion, Start: start, End: start + 10*time.Second, DepthDB: 40,
+		})
 	}
-	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: 60 * time.Second}
-
-	run := func(enable bool) (handover.Result, error) {
-		a, err := handover.NewArray(Link10G, seed, positions)
+	run := func(ho *HandoverOptions) (HandoverRun, error) {
+		sys := NewSystem(Link10G, seed)
+		sys.UseOracleModels()
+		res, err := sys.Run(RunOptions{
+			Program:  motion.Static{P: link.DefaultHeadsetPose(), Len: 60 * time.Second},
+			Faults:   sched,
+			Handover: ho,
+		})
 		if err != nil {
-			return handover.Result{}, err
+			return HandoverRun{}, err
 		}
-		mid := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
-		away := mid.Add(geom.V(-2, -2, 0))
-		a.Occluders = []handover.Occluder{{
-			Radius: 0.15,
-			Path: func(t time.Duration) geom.Vec3 {
-				if (t/time.Second)%20 >= 10 {
-					return mid
-				}
-				return away
-			},
-		}}
-		return a.Run(handover.RunOptions{Program: prog, Enable: enable})
+		light := 0
+		for _, smp := range res.Samples {
+			if smp.PowerOK {
+				light++
+			}
+		}
+		return HandoverRun{
+			LightFraction: float64(light) / float64(len(res.Samples)),
+			UpFraction:    res.UpFraction,
+			Handovers:     res.Handovers,
+		}, nil
 	}
 
 	var r HandoverResult
 	var err error
-	if r.SingleTX, err = run(false); err != nil {
+	if r.SingleTX, err = run(nil); err != nil {
 		return r, err
 	}
-	if r.TwoTX, err = run(true); err != nil {
+	standbys := handover.StandbysFor(Link10G, seed, []geom.Vec3{{X: 1.2, Y: 0.8, Z: link.CeilingHeight}})
+	if r.TwoTX, err = run(&HandoverOptions{Standbys: standbys}); err != nil {
 		return r, err
 	}
 	return r, nil

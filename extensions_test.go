@@ -21,8 +21,14 @@ func TestExtensionHandover(t *testing.T) {
 		t.Errorf("handover light %.2f vs single-TX %.2f — no improvement",
 			r.TwoTX.LightFraction, r.SingleTX.LightFraction)
 	}
-	if r.TwoTX.Handovers == 0 {
-		t.Error("no handovers executed")
+	// The LOS holdover carries every ≈1.8 ms switch, so the SFP never
+	// re-locks; three switches out plus two failbacks (the last
+	// occlusion runs to the end of the session).
+	if r.TwoTX.UpFraction != 1 {
+		t.Errorf("two-TX link up %.4f, want 1 (a switch paid the re-lock)", r.TwoTX.UpFraction)
+	}
+	if r.TwoTX.Handovers != 5 {
+		t.Errorf("handovers = %d, want 5", r.TwoTX.Handovers)
 	}
 	if !strings.Contains(r.Render(), "handovers") {
 		t.Error("render missing content")

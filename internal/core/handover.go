@@ -35,7 +35,8 @@ type hoState struct {
 	nextFresh time.Duration
 	// darkSince clocks sustained loss of optical signal on the active
 	// path (−1 while lit); settleUntil carves the post-switch slew window
-	// out of that clock, the same debounce lesson handover.Run learned.
+	// out of that clock (TestRunHandoverNoFlapDuringSlew) and holds off
+	// tracking re-points until the switch lands.
 	darkSince   time.Duration
 	settleUntil time.Duration
 	// clearSince0 clocks how long the primary path has been clear while
@@ -152,8 +153,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 	// Dark clock, with the post-switch slew window carved out: the forced
 	// darkness while the mirrors slew to the new TX must not re-arm the
 	// debounce, or any SwitchAfter at or below the realignment latency
-	// would flap straight off the TX we just switched to (the same bug
-	// handover.Run had).
+	// would flap straight off the TX we just switched to.
 	if powerOK {
 		ho.darkSince = -1
 	} else if ho.darkSince < 0 && at >= ho.settleUntil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cyclops/internal/fault"
+	"cyclops/internal/geom"
 	"cyclops/internal/handover"
 	"cyclops/internal/link"
 	"cyclops/internal/motion"
@@ -137,6 +138,82 @@ func TestRunHandoverAllPathsBlocked(t *testing.T) {
 	}
 }
 
+// A tracking report that lands while a switch's pre-pointed command is
+// still in flight must not re-issue it: re-pointing restarts the slew past
+// the settle window and costs an extra dark tick. Fixture: a hard primary
+// occlusion starting at every offset across three 12–13 ms report
+// periods, so some reports fall inside the ≈1.8 ms slew. Every offset must
+// cost the same 3 dark ticks: two while SwitchAfter debounces, one of slew.
+func TestRunHandoverSlewReportKeepsSwitch(t *testing.T) {
+	const seed = 12
+	for off := time.Duration(0); off < 40; off++ {
+		start := 100*time.Millisecond + off*time.Millisecond
+		s := oracleSystem(optics.Diverging10G16mm, seed)
+		res, err := s.Run(RunOptions{
+			Program: motion.Static{P: link.DefaultHeadsetPose(), Len: 200 * time.Millisecond},
+			Faults: &fault.Schedule{Seed: 1, Windows: []fault.Window{
+				{Kind: fault.Occlusion, Start: start, End: time.Second, DepthDB: 40},
+			}},
+			Handover: &HandoverOptions{
+				Standbys: handover.StandbysFor(optics.Diverging10G16mm, seed, handover.RingPositions(1, 1.4)),
+			},
+		})
+		if err != nil {
+			t.Fatalf("offset %v: %v", off, err)
+		}
+		dark := 0
+		for _, smp := range res.Samples {
+			if !smp.PowerOK {
+				dark++
+			}
+		}
+		if dark != 3 || res.Handovers != 1 {
+			t.Errorf("occlusion at %v: %d dark samples, %d handovers; want 3 and 1 (a report re-issued the switch)",
+				start, dark, res.Handovers)
+		}
+	}
+}
+
+// TestRunHandoverNoFlapDuringSlew pins the slew-window debounce: the forced
+// darkness while the mirrors slew to a new TX must not start the dark
+// clock, or a SwitchAfter below the ≈1.8 ms realignment latency flaps the
+// controller off the TX it just switched to. Fixture: the primary is
+// occluded over [5, 30) ms; the chosen standby catches a one-tick blip at
+// [8, 9) ms, just after its slew. A dark clock armed during the slew
+// matures on that blip and flaps the controller on to the second standby
+// (three handovers and an outage with the carve-out removed).
+func TestRunHandoverNoFlapDuringSlew(t *testing.T) {
+	const seed = 10
+	s := oracleSystem(optics.Diverging10G16mm, seed)
+	standbys := handover.StandbysFor(optics.Diverging10G16mm, seed, []geom.Vec3{
+		{X: 1.2, Y: 0.8, Z: link.CeilingHeight},
+		{X: -1.2, Y: 0.8, Z: link.CeilingHeight},
+	})
+	hard := func(start, end time.Duration) *fault.Schedule {
+		return &fault.Schedule{Seed: 1, Windows: []fault.Window{
+			{Kind: fault.Occlusion, Start: start, End: end, DepthDB: 40},
+		}}
+	}
+	res, err := s.Run(RunOptions{
+		Program: motion.Static{P: link.DefaultHeadsetPose(), Len: 30 * time.Millisecond},
+		Faults:  hard(5*time.Millisecond, 30*time.Millisecond),
+		Handover: &HandoverOptions{
+			Standbys:      standbys,
+			StandbyFaults: []*fault.Schedule{hard(8*time.Millisecond, 9*time.Millisecond), nil},
+			SwitchAfter:   time.Millisecond, // below the realignment latency
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Handovers != 1 {
+		t.Errorf("Handovers = %d, want 1 (slew darkness flapped the controller)", res.Handovers)
+	}
+	if res.Outages != 0 {
+		t.Errorf("Outages = %d, want 0", res.Outages)
+	}
+}
+
 // Handover option validation: standbys are required, a fault schedule must
 // be armed, and StandbyFaults must match the standby count.
 func TestRunOptionsValidateHandover(t *testing.T) {
@@ -169,9 +246,9 @@ func TestRunOptionsValidateHandover(t *testing.T) {
 
 // The closed-interval fencepost of core.Run is deliberate and load-bearing:
 // a run of duration D at tick T produces D/T + 1 samples, landing on both
-// endpoints. internal/sim and internal/handover use the half-open D/T
-// convention instead — do not unify them; every published RunResult was
-// produced by this loop shape.
+// endpoints. internal/sim uses the half-open D/T convention instead — do
+// not unify them; every published RunResult was produced by this loop
+// shape.
 func TestRunClosedLoopConvention(t *testing.T) {
 	s := oracleSystem(optics.Diverging10G16mm, 3)
 	res, err := s.Run(RunOptions{

@@ -456,11 +456,11 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	l.res.Samples = make([]Sample, 0, dur/sampleEvery+1)
 
 	// Closed interval [0, dur] — deliberately one slot more than the
-	// half-open `at < end` convention internal/sim and internal/handover
-	// use: a run's samples must land on both endpoints (the last sample
-	// sits exactly AT dur), and every published RunResult was produced by
-	// this fencepost. Pinned by TestRunClosedLoopConvention — do not
-	// "unify" this to at < dur, it would shift every result by a slot.
+	// half-open `at < end` convention internal/sim uses: a run's samples
+	// must land on both endpoints (the last sample sits exactly AT dur),
+	// and every published RunResult was produced by this fencepost.
+	// Pinned by TestRunClosedLoopConvention — do not "unify" this to
+	// at < dur, it would shift every result by a slot.
 	for at := time.Duration(0); at <= dur; at += tick {
 		l.step(at)
 	}
@@ -656,13 +656,17 @@ func (l *runLoop) step(at time.Duration) {
 			// Backoff: skip this report's solve; the cadence and
 			// the speed window still advance.
 			l.rm.reports.Inc()
+		case l.ho != nil && at < l.ho.settleUntil:
+			// A handover's pre-pointed command is still in flight:
+			// re-issuing it would restart the slew past the settle
+			// window and cost the switch an extra dark tick.
+			l.rm.reports.Inc()
 		case l.ho != nil && l.ho.active != 0:
 			// On a standby TX the report re-points by oracle rather
 			// than through the learned model, which was calibrated
-			// against the primary's TX geometry (the same isolation
-			// handover.Run documents: the switching mechanism is
-			// studied apart from learning error). The primary's model
-			// and mapping stay untouched for failback.
+			// against the primary's TX geometry: the switching
+			// mechanism is studied apart from learning error. The
+			// primary's model and mapping stay untouched for failback.
 			l.rm.reports.Inc()
 			l.res.Points++
 			v, verr := l.s.Plant.OracleAlignedVoltages()

@@ -1,293 +1,82 @@
 package handover
 
 import (
+	"math"
 	"testing"
-	"time"
 
 	"cyclops/internal/geom"
 	"cyclops/internal/link"
-	"cyclops/internal/motion"
 	"cyclops/internal/optics"
 )
 
-func twoTXPositions() []geom.Vec3 {
-	return []geom.Vec3{
-		{X: 0, Y: 0, Z: link.CeilingHeight},
-		{X: 1.2, Y: 0.8, Z: link.CeilingHeight},
-	}
+// standbyPositions is one standby TX away from the primary's mount.
+func standbyPositions() []geom.Vec3 {
+	return []geom.Vec3{{X: 1.2, Y: 0.8, Z: link.CeilingHeight}}
 }
 
-func staticProgram(d time.Duration) motion.Program {
-	return motion.Static{P: link.DefaultHeadsetPose(), Len: d}
-}
-
-func TestNewArrayValidation(t *testing.T) {
-	if _, err := NewArray(optics.Diverging10G16mm, 1, nil); err == nil {
-		t.Error("empty TX list accepted")
-	}
-}
-
+// A standby built for a primary installation shares its receiver and
+// nothing else: same RX hardware and mount, distinct TX hardware and TX
+// position.
 func TestArraySharesReceiver(t *testing.T) {
-	a, err := NewArray(optics.Diverging10G16mm, 2, twoTXPositions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same RX hardware identity across plants.
-	if a.Plants[0].RXDev.Truth() != a.Plants[1].RXDev.Truth() {
+	const seed = 2
+	primary := link.NewPlant(optics.Diverging10G16mm, seed)
+	standby := StandbysFor(optics.Diverging10G16mm, seed, standbyPositions())[0]
+	if primary.RXDev.Truth() != standby.RXDev.Truth() {
 		t.Error("plants do not share the RX device")
 	}
-	// Distinct TX hardware and mounts.
-	if a.Plants[0].TXDev.Truth() == a.Plants[1].TXDev.Truth() {
+	if primary.RXWorldPose() != standby.RXWorldPose() {
+		t.Error("plants do not share the RX mount")
+	}
+	if primary.TXDev.Truth() == standby.TXDev.Truth() {
 		t.Error("plants share TX hardware")
 	}
-	if a.Plants[0].TXMountTruth().Trans == a.Plants[1].TXMountTruth().Trans {
+	if primary.TXMountTruth().Trans == standby.TXMountTruth().Trans {
 		t.Error("plants share TX position")
 	}
 }
 
+// Every TX of the deployments the §3 study and the core handover tests use
+// — the primary and each standby — can be oracle-pointed at the default
+// headset pose above receiver sensitivity, so a handover has somewhere to
+// land.
 func TestEachTXCanServeTheHeadset(t *testing.T) {
-	a, err := NewArray(optics.Diverging10G16mm, 3, twoTXPositions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Plants {
-		if _, err := a.PointAt(i); err != nil {
+	const seed = 3
+	plants := append([]*link.Plant{link.NewPlant(optics.Diverging10G16mm, seed)},
+		StandbysFor(optics.Diverging10G16mm, seed, append(standbyPositions(), RingPositions(1, 1.4)...))...)
+	for i, pl := range plants {
+		v, err := pl.OracleAlignedVoltages()
+		if err != nil {
 			t.Fatalf("TX %d cannot point: %v", i, err)
 		}
-		if p := a.PowerDBm(i, 0); p < a.Plants[i].Config.Transceiver.SensitivityDBm {
+		pl.ApplyVoltages(v)
+		if p := pl.ReceivedPowerDBm(); p < pl.Config.Transceiver.SensitivityDBm {
 			t.Errorf("TX %d aligned power %.1f dBm below sensitivity", i, p)
 		}
 	}
 }
 
-func TestInactiveTXContributesNoLight(t *testing.T) {
-	a, _ := NewArray(optics.Diverging10G16mm, 4, twoTXPositions())
-	if _, err := a.PointAt(0); err != nil {
-		t.Fatal(err)
+// RingPositions spaces count mounts evenly on a ceiling circle around the
+// primary, starting on +X.
+func TestRingPositions(t *testing.T) {
+	pos := RingPositions(4, 1.4)
+	want := []geom.Vec3{
+		geom.V(1.4, 0, link.CeilingHeight),
+		geom.V(0, 1.4, link.CeilingHeight),
+		geom.V(-1.4, 0, link.CeilingHeight),
+		geom.V(0, -1.4, link.CeilingHeight),
 	}
-	if p := a.PowerDBm(1, 0); p > -1e6 {
-		t.Errorf("inactive TX delivered %.1f dBm", p)
+	if len(pos) != len(want) {
+		t.Fatalf("len = %d, want %d", len(pos), len(want))
 	}
-}
-
-func TestBlockedDetectsOccluder(t *testing.T) {
-	a, _ := NewArray(optics.Diverging10G16mm, 5, twoTXPositions())
-	// A sphere parked on TX 0's path midpoint.
-	mid := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
-	a.Occluders = []Occluder{{Radius: 0.15, Path: func(time.Duration) geom.Vec3 { return mid }}}
-	if !a.Blocked(0, 0) {
-		t.Error("occluder on path not detected")
-	}
-	if a.Blocked(1, 0) {
-		t.Error("clear path reported blocked")
-	}
-	if p := a.PowerDBm(0, 0); p > -1e6 {
-		t.Errorf("blocked path delivered %.1f dBm", p)
-	}
-}
-
-func TestCrossingOccluderMoves(t *testing.T) {
-	oc := CrossingOccluder(0.1, geom.V(0, 0, 0), geom.V(1, 0, 0), time.Second)
-	if got := oc.Path(0); !got.NearlyEqual(geom.V(0, 0, 0), 1e-9) {
-		t.Errorf("start = %v", got)
-	}
-	if got := oc.Path(500 * time.Millisecond); !got.NearlyEqual(geom.V(0.5, 0, 0), 1e-9) {
-		t.Errorf("midpoint = %v", got)
-	}
-	// Wraps.
-	if got := oc.Path(1500 * time.Millisecond); !got.NearlyEqual(geom.V(0.5, 0, 0), 1e-9) {
-		t.Errorf("wrap = %v", got)
-	}
-	// Zero period is static.
-	oc0 := CrossingOccluder(0.1, geom.V(2, 0, 0), geom.V(3, 0, 0), 0)
-	if got := oc0.Path(time.Hour); got != geom.V(2, 0, 0) {
-		t.Errorf("zero-period occluder moved: %v", got)
-	}
-}
-
-func TestBestCandidateSkipsBlocked(t *testing.T) {
-	a, _ := NewArray(optics.Diverging10G16mm, 6, twoTXPositions())
-	mid := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
-	a.Occluders = []Occluder{{Radius: 0.15, Path: func(time.Duration) geom.Vec3 { return mid }}}
-	if got := a.BestCandidate(0); got != 1 {
-		t.Errorf("best candidate = %d, want 1 (TX 0 blocked)", got)
-	}
-	// Block both: no candidate.
-	mid1 := a.Plants[1].TXMountTruth().Trans.Lerp(a.Plants[1].RXWorldPose().Trans, 0.5)
-	a.Occluders = append(a.Occluders, Occluder{Radius: 0.15, Path: func(time.Duration) geom.Vec3 { return mid1 }})
-	if got := a.BestCandidate(0); got != -1 {
-		t.Errorf("best candidate = %d, want -1 (all blocked)", got)
-	}
-}
-
-func TestRunWithoutOccluders(t *testing.T) {
-	a, _ := NewArray(optics.Diverging10G16mm, 7, twoTXPositions())
-	res, err := a.Run(RunOptions{Program: staticProgram(2 * time.Second)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LightFraction < 0.999 || res.UpFraction < 0.999 {
-		t.Errorf("clear-sky run degraded: %+v", res)
-	}
-	if res.Handovers != 0 {
-		t.Errorf("spurious handovers: %d", res.Handovers)
-	}
-}
-
-// TestHandoverImprovesAvailability is the §3 claim: under periodic
-// occlusion of the primary path, handover to a second TX recovers most of
-// the lost time.
-func TestHandoverImprovesAvailability(t *testing.T) {
-	mkArray := func() *Array {
-		a, err := NewArray(optics.Diverging10G16mm, 8, twoTXPositions())
-		if err != nil {
-			t.Fatal(err)
+	for i := range want {
+		if !pos[i].NearlyEqual(want[i], 1e-12) {
+			t.Errorf("position %d = %v, want %v", i, pos[i], want[i])
 		}
-		// An occluder that parks on TX 0's path for the second half of
-		// each 20 s cycle, far from TX 1's path.
-		mid := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
-		away := mid.Add(geom.V(-2, -2, 0))
-		a.Occluders = []Occluder{{
-			Radius: 0.15,
-			Path: func(tt time.Duration) geom.Vec3 {
-				if (tt/time.Second)%20 >= 10 {
-					return mid
-				}
-				return away
-			},
-		}}
-		return a
+		if r := math.Hypot(pos[i].X, pos[i].Y); math.Abs(r-1.4) > 1e-12 {
+			t.Errorf("position %d at radius %v, want 1.4", i, r)
+		}
 	}
-
-	base, err := mkArray().Run(RunOptions{Program: staticProgram(40 * time.Second), Enable: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand, err := mkArray().Run(RunOptions{Program: staticProgram(40 * time.Second), Enable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Baseline: blocked ~half the time.
-	if base.LightFraction > 0.65 {
-		t.Errorf("baseline light fraction %.2f — occluder ineffective", base.LightFraction)
-	}
-	// Handover: recovers nearly everything (switch + relock costs a few
-	// seconds per cycle).
-	if hand.LightFraction < base.LightFraction+0.25 {
-		t.Errorf("handover light %.2f vs baseline %.2f — no real improvement",
-			hand.LightFraction, base.LightFraction)
-	}
-	if hand.Handovers == 0 {
-		t.Error("no handovers executed")
-	}
-	if hand.BlockedAllFraction > 0.01 {
-		t.Errorf("both paths blocked %.2f of the time — bad fixture", hand.BlockedAllFraction)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	a, _ := NewArray(optics.Diverging10G16mm, 9, twoTXPositions())
-	if _, err := a.Run(RunOptions{}); err == nil {
-		t.Error("nil program accepted")
-	}
-}
-
-// windowOccluder parks on pos during [from, to) and sits at away otherwise.
-func windowOccluder(pos, away geom.Vec3, from, to time.Duration) Occluder {
-	return Occluder{
-		Radius: 0.15,
-		Path: func(tt time.Duration) geom.Vec3 {
-			if tt >= from && tt < to {
-				return pos
-			}
-			return away
-		},
-	}
-}
-
-// TestNoFlapDuringSlew is the regression test for the slew-window debounce
-// bug: the forced darkness while the mirrors slew to the new TX used to
-// re-arm darkSince, so any SwitchAfter at or below the 1.8 ms realignment
-// latency ping-ponged the controller between TXs.
-//
-// Fixture: TX 0's path is occluded during [5ms, 8ms); TX 1's path catches a
-// one-tick blip at [8ms, 9ms) — exactly when the old code's slew-armed dark
-// clock matured. Old code: a second handover back to TX 0 at t=8ms
-// (Handovers=2, ends on TX 0). Fixed code: the dark clock starts only after
-// the slew settles, the t=8ms blip is a single dark tick below SwitchAfter,
-// and the run ends on TX 1 with exactly one handover.
-func TestNoFlapDuringSlew(t *testing.T) {
-	a, err := NewArray(optics.Diverging10G16mm, 10, twoTXPositions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid0 := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
-	mid1 := a.Plants[1].TXMountTruth().Trans.Lerp(a.Plants[1].RXWorldPose().Trans, 0.5)
-	away := mid0.Add(geom.V(-2, -2, 0))
-	a.Occluders = []Occluder{
-		windowOccluder(mid0, away, 5*time.Millisecond, 8*time.Millisecond),
-		windowOccluder(mid1, away, 8*time.Millisecond, 9*time.Millisecond),
-	}
-	res, err := a.Run(RunOptions{
-		Program:     staticProgram(30 * time.Millisecond),
-		Enable:      true,
-		SwitchAfter: time.Millisecond, // below the 1.8 ms realignment latency
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Handovers != 1 {
-		t.Errorf("handovers = %d, want 1 (slew darkness flapped the controller)", res.Handovers)
-	}
-	if a.Active() != 1 {
-		t.Errorf("active TX = %d, want 1 (controller flapped back)", a.Active())
-	}
-}
-
-// TestRunTickFencepost pins the half-open slot convention: a run of
-// duration D covers exactly D/tick slots, matching internal/sim's
-// availability and chaos loops (the old closed loop counted one extra).
-func TestRunTickFencepost(t *testing.T) {
-	a, _ := NewArray(optics.Diverging10G16mm, 11, twoTXPositions())
-	res, err := a.Run(RunOptions{Program: staticProgram(100 * time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ticks != 100 {
-		t.Errorf("ticks = %d, want 100 (half-open [0, dur) at 1 ms)", res.Ticks)
-	}
-}
-
-// TestHandoverReschedulesRepointCadence is the regression test for the
-// stale-cadence bug: a successful handover realigns everything, but the old
-// code left nextPoint where it was, so the first post-slew cadence tick
-// issued a redundant PointAt and phase-shifted the tracking cadence.
-//
-// Fixture: TX 0 occluded during [5ms, 8ms), SwitchAfter=1ms, 14 ms run.
-// Repoints: initial alignment, the t=0 cadence point, the t=6ms handover —
-// and nothing else, because the switch pushes the cadence out to
-// t=19.8ms > dur. Old code added a fourth at the stale t=12ms slot.
-func TestHandoverReschedulesRepointCadence(t *testing.T) {
-	a, err := NewArray(optics.Diverging10G16mm, 12, twoTXPositions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid0 := a.Plants[0].TXMountTruth().Trans.Lerp(a.Plants[0].RXWorldPose().Trans, 0.5)
-	away := mid0.Add(geom.V(-2, -2, 0))
-	a.Occluders = []Occluder{windowOccluder(mid0, away, 5*time.Millisecond, 8*time.Millisecond)}
-	res, err := a.Run(RunOptions{
-		Program:     staticProgram(14 * time.Millisecond),
-		Enable:      true,
-		SwitchAfter: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Handovers != 1 {
-		t.Fatalf("handovers = %d, want 1", res.Handovers)
-	}
-	if res.Repoints != 3 {
-		t.Errorf("repoints = %d, want 3 (initial, t=0 cadence, handover); stale cadence fired", res.Repoints)
+	if got := RingPositions(0, 1.4); len(got) != 0 {
+		t.Errorf("RingPositions(0) = %v, want none", got)
 	}
 }

@@ -74,7 +74,7 @@ verify:
 # contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA
 # pose pass), the G'/P solvers (warm and cold/coarse-seed paths), the
 # radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm)
-# and the fault cursor (Cursor.At/Until) are pinned by AllocsPerRun
+# and the fault cursor (Cursor.At/Until/UntilVerdict) are pinned by AllocsPerRun
 # tests, as is the slot engine's per-trace allocation count (flat in
 # trace length); run them without -race (the race detector inserts
 # allocations).
@@ -203,14 +203,16 @@ bench:
 
 # Hot-path benchmark suite: micro-benchmarks for the compiled GMA model,
 # the warm G'/P solves and the radiometry kernel (CaptureFraction and one
-# LinkConfig.ReceivedPowerDBm read), plus the serial Fig 16 corpus,
-# recorded into BENCH_hotpath.json. The micro-benchmarks run with
+# LinkConfig.ReceivedPowerDBm read), plus the serial Fig 16 corpus on the
+# clean slot model and on the armed engine (every fault kind, haze fades
+# and the hybrid policy: chaos_corpus_ns_per_op), recorded into
+# BENCH_hotpath.json. The micro-benchmarks run with
 # -benchmem, and allocs_per_op is parsed from that output (the field
 # before "allocs/op"; the batch kernel reports its worst batch size).
 # Benchmark names are matched with the -GOMAXPROCS suffix stripped.
 # HOTPATH_BASELINE_NS is the serial corpus median measured at the last
 # pre-hotpath commit on the reference host (git stash A/B); re-measure it
-# via `git stash` when comparing on different hardware. The corpus runs
+# via `git stash` when comparing on different hardware. Both corpus runs
 # are median-of-3 at -benchtime 5x: co-tenant noise on the shared
 # reference host is strictly additive, so short exposures track the
 # code's true cost more faithfully than long ones (same methodology as
@@ -218,7 +220,7 @@ bench:
 HOTPATH_BASELINE_NS ?= 889917158
 
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkFig16TraceAvailabilitySerial$$' -benchtime 5x -count 3 . | tee .bench_hotpath.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkFig16(TraceAvailability|ChaosCorpus)Serial$$' -benchtime 5x -count 3 . | tee .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
 	awk -v base=$(HOTPATH_BASELINE_NS) \
 	    -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
@@ -229,6 +231,11 @@ bench-hotpath:
 		cn++; csum += $$3; \
 		if (cmin == 0 || $$3 < cmin) cmin = $$3; \
 		if ($$3 > cmax) cmax = $$3; \
+	} \
+	name == "BenchmarkFig16ChaosCorpusSerial" { \
+		xn++; xsum += $$3; \
+		if (xmin == 0 || $$3 < xmin) xmin = $$3; \
+		if ($$3 > xmax) xmax = $$3; \
 	} \
 	name == "BenchmarkParamsBeam"           { pbeam = $$3 } \
 	name == "BenchmarkCompiledBeam"         { cbeam = $$3; a["gma_compiled_beam"] = allocs() } \
@@ -244,14 +251,15 @@ bench-hotpath:
 	name == "BenchmarkCaptureFraction"      { cf = $$3; a["optics_capture_fraction"] = allocs() } \
 	name == "BenchmarkLinkReceivedPowerDBm" { rp = $$3; a["optics_link_received_power"] = allocs() } \
 	END { \
-		if (cn == 0) { print "bench-hotpath: missing corpus benchmark output" > "/dev/stderr"; exit 1 } \
+		if (cn == 0 || xn == 0) { print "bench-hotpath: missing corpus benchmark output" > "/dev/stderr"; exit 1 } \
 		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power", keys, " "); \
 		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
 		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "") { \
 			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
 		corpus = (cn == 3 ? csum - cmin - cmax : csum / cn); \
-		printf "{\n  \"benchmark\": \"Fig16TraceAvailabilitySerial\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"compiled GMA hot path; baseline is the pre-hotpath serial corpus median (see Makefile HOTPATH_BASELINE_NS)\",\n  \"corpus\": {\n    \"before_median_ns_per_op\": %.0f,\n    \"after_median_ns_per_op\": %.0f,\n    \"speedup\": %.2f,\n    \"target_speedup\": 2.0\n  },\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s\n  }\n}\n", \
-			ts, commit, base, corpus, base / corpus, pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, \
+		chaos = (xn == 3 ? xsum - xmin - xmax : xsum / xn); \
+		printf "{\n  \"benchmark\": \"Fig16TraceAvailabilitySerial\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"compiled GMA hot path; baseline is the pre-hotpath serial corpus median (see Makefile HOTPATH_BASELINE_NS)\",\n  \"corpus\": {\n    \"before_median_ns_per_op\": %.0f,\n    \"after_median_ns_per_op\": %.0f,\n    \"speedup\": %.2f,\n    \"target_speedup\": 2.0\n  },\n  \"chaos_corpus_ns_per_op\": %.0f,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s\n  }\n}\n", \
+			ts, commit, base, corpus, base / corpus, chaos, pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, \
 			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"]; \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt

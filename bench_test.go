@@ -13,6 +13,9 @@ package cyclops
 import (
 	"testing"
 	"time"
+
+	"cyclops/internal/obs"
+	"cyclops/internal/sim"
 )
 
 // BenchmarkFig3SpeedCDFs regenerates the §2.2 headset speed CDFs.
@@ -154,6 +157,33 @@ func BenchmarkFig16TraceAvailabilityParallel(b *testing.B) {
 		r = Fig16Workers(int64(700+i), 0)
 	}
 	b.Log("\n" + r.Render())
+}
+
+// BenchmarkFig16ChaosCorpusSerial runs the Fig 16 corpus through the armed
+// slot engine at workers=1: every fault kind of DefaultFaultConfig plus the
+// haze fades of DefaultHazeFaultConfig, with the hybrid FSO + mmWave policy
+// arm — the composition `cyclops-sim -chaos -haze -hybrid` builds and the
+// perfbench corpus-chaos workload runs. `make bench-hotpath` records it as
+// chaos_corpus_ns_per_op.
+func BenchmarkFig16ChaosCorpusSerial(b *testing.B) {
+	cfg := DefaultFaultConfig()
+	hz := DefaultHazeFaultConfig()
+	cfg.Haze, cfg.HazeDepthDB = hz.Haze, hz.HazeDepthDB
+	cfg.HazeRampUp, cfg.HazeRampDown = hz.HazeRampUp, hz.HazeRampDown
+	var res CorpusRunResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = RunCorpus(TraceSource(int64(700+i)), CorpusOptions{
+			Params:   sim.Paper25G(),
+			Workers:  1,
+			Registry: obs.NewRegistry(),
+			Chaos:    &sim.CorpusChaos{Config: cfg, Seed: int64(701 + i), Hybrid: &sim.HybridSlotParams{}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Logf("%d traces, %d slots, delivered %.2f%% up", res.Traces, res.Slots, res.MeanOnFraction*100)
 }
 
 // BenchmarkPointingConvergence measures the §4.3 iteration counts.

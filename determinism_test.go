@@ -9,9 +9,11 @@ package cyclops
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"cyclops/internal/obs"
 	"cyclops/internal/parallel"
 )
 
@@ -104,4 +106,45 @@ func TestFig16MetricsDeterminism(t *testing.T) {
 	if got := Fig16(3).Corpus.Metrics.Exposition(); got != serial {
 		t.Error("metrics exposition under SetDefaultWorkers(6) differs from serial run")
 	}
+}
+
+// TestTable3MetricsDeterminism: Table 3's six calibrate-and-run rigs run
+// in parallel, and each publishes its calibration and run metrics only
+// once all are done, in rig order. The float sums in the target registry
+// (cyclops_run_repoint_latency_seconds_sum among them) therefore fold in
+// one order, so the exposition is byte-identical to a serial run on every
+// repeated parallel run, not only when the rigs happen to finish in order.
+func TestTable3MetricsDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six calibrations ×3 in -short mode")
+	}
+	defer parallel.SetDefaultWorkers(0)
+	run := func(workers int) string {
+		parallel.SetDefaultWorkers(workers)
+		reg := obs.NewRegistry()
+		if _, err := table3(1, reg); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Exposition()
+	}
+	serial := run(1)
+	if !strings.Contains(serial, "cyclops_run_repoint_latency_seconds_sum ") {
+		t.Fatalf("serial Table 3 exposition lacks the repoint latency histogram:\n%s", serial)
+	}
+	for i := 0; i < 2; i++ {
+		if got := run(2); got != serial {
+			t.Fatalf("parallel run %d: exposition differs from serial run:\n%s", i, firstLineDiff(got, serial))
+		}
+	}
+}
+
+// firstLineDiff renders the first differing line of two expositions.
+func firstLineDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return "parallel: " + gl[i] + "\nserial:   " + wl[i]
+		}
+	}
+	return "line counts differ"
 }

@@ -10,6 +10,7 @@ import (
 	"cyclops/internal/core"
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
+	"cyclops/internal/obs"
 	"cyclops/internal/optics"
 	"cyclops/internal/parallel"
 	"cyclops/internal/pointing"
@@ -416,31 +417,50 @@ type motionJob struct {
 }
 
 // runMotionJobs calibrates and runs every job on its own system, in
-// parallel, returning results in job order.
-func runMotionJobs(jobs []motionJob) ([]MotionResult, error) {
-	return parallel.MapErr(len(jobs), 0, func(i int) (MotionResult, error) {
+// parallel, returning results in job order. Each job records into two
+// registries of its own, one for the calibration and one for the run, and
+// publishes them to reg (obs.Default() for the exported experiments) only
+// after every job is done: calibration then run, in job order. That is
+// the sequence of merges a serial run makes, so the float sums in reg do
+// not depend on which job finishes first.
+func runMotionJobs(jobs []motionJob, reg *obs.Registry) ([]MotionResult, error) {
+	type jobOut struct {
+		m          MotionResult
+		calib, run obs.Snapshot
+	}
+	outs, err := parallel.MapErr(len(jobs), 0, func(i int) (jobOut, error) {
 		j := jobs[i]
 		sys := NewSystem(j.cfg, j.seed)
+		calib := obs.NewRegistry()
+		sys.Obs = calib
 		if _, err := sys.Calibrate(); err != nil {
-			return MotionResult{}, err
+			return jobOut{}, err
 		}
 		res, err := sys.Run(RunOptions{
 			Program:     j.program,
 			SampleEvery: 5 * time.Millisecond,
+			Metrics:     obs.NewRegistry(),
 		})
 		if err != nil {
-			return MotionResult{}, err
+			return jobOut{}, err
 		}
-		return summarizeRun(j.label, res, j.wantLinear, j.wantAngular), nil
+		return jobOut{summarizeRun(j.label, res, j.wantLinear, j.wantAngular), calib.Snapshot(), res.Metrics}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]MotionResult, len(outs))
+	for i, o := range outs {
+		reg.Merge(o.calib)
+		reg.Merge(o.run)
+		ms[i] = o.m
+	}
+	return ms, nil
 }
 
-// Fig13 runs the 10G pure-motion experiments (linear rail, rotation
-// stage), fanning the two independent rigs out in parallel. Paper:
-// optimal ≤33 cm/s linear (up to 39.15), ≤16-18 deg/s angular (up to
-// 18.95).
-func Fig13(seed int64) (linear, angular MotionResult, err error) {
-	out, err := runMotionJobs([]motionJob{
+// fig13Jobs are the 10G pure-motion rigs: linear rail, rotation stage.
+func fig13Jobs(seed int64) []motionJob {
+	return []motionJob{
 		{
 			label: "Fig 13 (10G, pure linear)", cfg: Link10G, seed: seed,
 			program: LinearRail(0.20, 0.10, 0.05, 10), wantLinear: true,
@@ -449,35 +469,20 @@ func Fig13(seed int64) (linear, angular MotionResult, err error) {
 			label: "Fig 13 (10G, pure angular)", cfg: Link10G, seed: seed + 1000,
 			program: RotationStage(0.30, 0.10, 0.05, 10), wantAngular: true,
 		},
-	})
-	if err != nil {
-		return
 	}
-	return out[0], out[1], nil
 }
 
-// Fig14 runs the 10G arbitrary-motion user study. Paper: optimal at
-// simultaneous ≤30 cm/s and ≤16-18 deg/s.
-func Fig14(seed int64) (MotionResult, error) {
-	sys := NewSystem(Link10G, seed)
-	if _, err := sys.Calibrate(); err != nil {
-		return MotionResult{}, err
-	}
-	res, err := sys.Run(RunOptions{
-		Program:     HandHeld(0.6, 0.7, 60*time.Second, seed),
-		SampleEvery: 5 * time.Millisecond,
-	})
-	if err != nil {
-		return MotionResult{}, err
-	}
-	return summarizeRun("Fig 14 (10G, arbitrary motion)", res, true, true), nil
+// fig14Jobs is the 10G arbitrary-motion user study.
+func fig14Jobs(seed int64) []motionJob {
+	return []motionJob{{
+		label: "Fig 14 (10G, arbitrary motion)", cfg: Link10G, seed: seed,
+		program: HandHeld(0.6, 0.7, 60*time.Second, seed), wantLinear: true, wantAngular: true,
+	}}
 }
 
-// Fig15 runs the 25G experiments — pure linear, pure angular, and mixed —
-// as three independent rigs in parallel. Paper: optimal ≤25 cm/s or
-// ≤25 deg/s pure; mixed ≤15 cm/s & 15-20 deg/s.
-func Fig15(seed int64) (linear, angular, mixed MotionResult, err error) {
-	out, err := runMotionJobs([]motionJob{
+// fig15Jobs are the 25G rigs: pure linear, pure angular, mixed.
+func fig15Jobs(seed int64) []motionJob {
+	return []motionJob{
 		{
 			label: "Fig 15 (25G, pure linear)", cfg: Link25G, seed: seed,
 			program: LinearRail(0.20, 0.10, 0.05, 10), wantLinear: true,
@@ -490,7 +495,36 @@ func Fig15(seed int64) (linear, angular, mixed MotionResult, err error) {
 			label: "Fig 15 (25G, arbitrary motion)", cfg: Link25G, seed: seed + 2000,
 			program: HandHeld(0.45, 0.6, 60*time.Second, seed), wantLinear: true, wantAngular: true,
 		},
-	})
+	}
+}
+
+// Fig13 runs the 10G pure-motion experiments (linear rail, rotation
+// stage), fanning the two independent rigs out in parallel. Paper:
+// optimal ≤33 cm/s linear (up to 39.15), ≤16-18 deg/s angular (up to
+// 18.95).
+func Fig13(seed int64) (linear, angular MotionResult, err error) {
+	out, err := runMotionJobs(fig13Jobs(seed), obs.Default())
+	if err != nil {
+		return
+	}
+	return out[0], out[1], nil
+}
+
+// Fig14 runs the 10G arbitrary-motion user study. Paper: optimal at
+// simultaneous ≤30 cm/s and ≤16-18 deg/s.
+func Fig14(seed int64) (MotionResult, error) {
+	out, err := runMotionJobs(fig14Jobs(seed), obs.Default())
+	if err != nil {
+		return MotionResult{}, err
+	}
+	return out[0], nil
+}
+
+// Fig15 runs the 25G experiments — pure linear, pure angular, and mixed —
+// as three independent rigs in parallel. Paper: optimal ≤25 cm/s or
+// ≤25 deg/s pure; mixed ≤15 cm/s & 15-20 deg/s.
+func Fig15(seed int64) (linear, angular, mixed MotionResult, err error) {
+	out, err := runMotionJobs(fig15Jobs(seed), obs.Default())
 	if err != nil {
 		return
 	}
@@ -507,32 +541,26 @@ type Table3Result struct {
 	Mixed25G [2]float64
 }
 
-// Table3 assembles the summary from the Fig 13–15 runs. The three figure
-// groups are independent (disjoint seeds, own systems), so they run in
-// parallel — and Fig 13/15 fan out their own rigs beneath that.
+// Table3 assembles the summary from the Fig 13–15 runs. The six rigs of
+// the three figure groups are independent (disjoint seeds, own systems),
+// so they run in parallel; their metrics reach obs.Default() per rig, in
+// group order.
 func Table3(seed int64) (Table3Result, error) {
+	return table3(seed, obs.Default())
+}
+
+// table3 is Table3 publishing its metrics to reg.
+func table3(seed int64, reg *obs.Registry) (Table3Result, error) {
 	var t Table3Result
-	type group struct{ a, b, c MotionResult }
-	groups, err := parallel.MapErr(3, 0, func(i int) (group, error) {
-		switch i {
-		case 0:
-			lin, ang, err := Fig13(seed)
-			return group{a: lin, b: ang}, err
-		case 1:
-			mix, err := Fig14(seed + 10)
-			return group{a: mix}, err
-		default:
-			lin, ang, mix, err := Fig15(seed + 20)
-			return group{a: lin, b: ang, c: mix}, err
-		}
-	})
+	jobs := append(append(fig13Jobs(seed), fig14Jobs(seed+10)...), fig15Jobs(seed+20)...)
+	m, err := runMotionJobs(jobs, reg)
 	if err != nil {
 		return t, err
 	}
-	t.Pure10G = [2]float64{groups[0].a.LinearThreshold, groups[0].b.AngularThreshold}
-	t.Mixed10G = [2]float64{groups[1].a.LinearThreshold, groups[1].a.AngularThreshold}
-	t.Pure25G = [2]float64{groups[2].a.LinearThreshold, groups[2].b.AngularThreshold}
-	t.Mixed25G = [2]float64{groups[2].c.LinearThreshold, groups[2].c.AngularThreshold}
+	t.Pure10G = [2]float64{m[0].LinearThreshold, m[1].AngularThreshold}
+	t.Mixed10G = [2]float64{m[2].LinearThreshold, m[2].AngularThreshold}
+	t.Pure25G = [2]float64{m[3].LinearThreshold, m[4].AngularThreshold}
+	t.Mixed25G = [2]float64{m[5].LinearThreshold, m[5].AngularThreshold}
 	return t, nil
 }
 

@@ -193,20 +193,119 @@ func FuzzCursorUntilIsConstant(f *testing.F) {
 	})
 }
 
-// TestCursorZeroAllocs pins the //cyclops:hotpath contract on At and
-// Until.
+// verdictThresholds draws the two UntilVerdict thresholds for a fuzz case:
+// a random depth; a window's exact plateau depth, which a ramp touches only
+// at its top; a window's attenuation at the last instant of a ramp, so that
+// a verdict flips on a phase's final nanosecond; or +Inf, a verdict the
+// caller does not read.
+func verdictThresholds(rng *rand.Rand, s *Schedule) (blockDB, physDB float64) {
+	draw := func() float64 {
+		k := rng.Intn(5)
+		if k == 0 || len(s.Windows) == 0 {
+			return math.Inf(1)
+		}
+		w := s.Windows[rng.Intn(len(s.Windows))]
+		up, down := w.ramps()
+		switch k {
+		case 1:
+			return w.DepthDB
+		case 2:
+			return w.attenAt(w.Start + up - 1)
+		case 3:
+			return w.attenAt(w.End - 1 - time.Duration(rng.Int63n(int64(max(down, 0))+1)))
+		}
+		return 60 * rng.Float64()
+	}
+	return draw(), draw()
+}
+
+// sameVerdicts reports whether a and b agree on every field UntilVerdict
+// holds still: the non-attenuation fields and both threshold verdicts.
+func sameVerdicts(a, b State, blockDB, physDB float64) bool {
+	return a.TrackerBlackout == b.TrackerBlackout && a.TrackerFreeze == b.TrackerFreeze &&
+		a.GalvoStuck == b.GalvoStuck && a.SolverDiverge == b.SolverDiverge &&
+		math.Float64bits(a.GalvoSatLimit) == math.Float64bits(b.GalvoSatLimit) &&
+		(a.AttenDB >= blockDB) == (b.AttenDB >= blockDB) &&
+		(a.AttenDB-a.HazeDB >= physDB) == (b.AttenDB-b.HazeDB >= physDB)
+}
+
+// FuzzCursorUntilVerdictIsConstant: after a cursor reads At(t),
+// UntilVerdict lies after t, no earlier than Until(), and At keeps every
+// non-attenuation field and both threshold verdicts on [t, UntilVerdict())
+// — sampled at 1 ms spacing plus 1 ns either side of every breakpoint
+// inside the interval, and at its last instant. The probes are the
+// breakpoints and random instants, as in FuzzCursorUntilIsConstant, plus
+// the chain of horizons a slot engine walks (each one read at the last,
+// at least 1 ms apart).
+func FuzzCursorUntilVerdictIsConstant(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, extra uint16) {
+		s, end := fuzzSchedule(seed, int(n%48))
+		rng := rand.New(rand.NewSource(seed ^ int64(extra)))
+		blockDB, physDB := verdictThresholds(rng, &s)
+		bs := breakpoints(&s)
+		check := func(c *Cursor, at time.Duration) time.Duration {
+			st := c.At(at)
+			u := c.UntilVerdict(blockDB, physDB)
+			if u <= at || u < c.Until() {
+				t.Fatalf("UntilVerdict(%v, %v) = %v after At(%v), Until() = %v\n%s", blockDB, physDB, u, at, c.Until(), s.String())
+			}
+			stop := min(u, end+time.Millisecond)
+			samples := []time.Duration{u - 1}
+			for x := at; x < stop; x += time.Millisecond {
+				samples = append(samples, x)
+			}
+			for _, b := range bs {
+				samples = append(samples, b-1, b+1)
+			}
+			for _, x := range samples {
+				if x < at || x >= stop {
+					continue
+				}
+				if got := s.At(x); !sameVerdicts(got, st, blockDB, physDB) {
+					t.Fatalf("thresholds %v/%v: At(%v) = %+v differs from At(%v) = %+v before UntilVerdict() = %v\n%s",
+						blockDB, physDB, x, got, at, st, u, s.String())
+				}
+			}
+			return u
+		}
+		probes := []time.Duration{0}
+		for _, b := range bs {
+			probes = append(probes, b-1, b, b+1)
+		}
+		for i := 0; i < int(extra%256); i++ {
+			probes = append(probes, time.Duration(rng.Int63n(int64(end)+1)))
+		}
+		sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+		c := s.Cursor()
+		for _, at := range probes {
+			if at >= 0 {
+				check(&c, at)
+			}
+		}
+		// Inside a mixed ramp the horizon is t+1; the walk steps on by
+		// one 1 ms slot there, as the slot engine does.
+		walk := s.Cursor()
+		for at := time.Duration(0); at <= end; {
+			at = max(check(&walk, at), at+time.Millisecond)
+		}
+	})
+}
+
+// TestCursorZeroAllocs pins the //cyclops:hotpath contract on At, Until
+// and UntilVerdict.
 func TestCursorZeroAllocs(t *testing.T) {
 	s, end := fuzzSchedule(7, 40)
 	c := s.Cursor()
 	var at time.Duration
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.At(at)
-		at = min(c.Until(), at+time.Millisecond)
+		c.Until()
+		at = min(c.UntilVerdict(10, 8), at+time.Millisecond)
 		if at > end {
 			at = 0
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Cursor.At+Until allocate %v per call, want 0", allocs)
+		t.Fatalf("Cursor.At+Until+UntilVerdict allocate %v per call, want 0", allocs)
 	}
 }

@@ -144,21 +144,30 @@ func (w Window) ramps() (up, down time.Duration) {
 	return up, down
 }
 
-// attenUntil returns the first instant after t (t in [Start, End)) at
-// which attenAt may differ from attenAt(t): t+1 inside either ramp, the
-// first instant of the trailing ramp on the plateau, End without one.
-func (w Window) attenUntil(t time.Duration) time.Duration {
+// attenPhase returns the first instant after t (t in [Start, End)) at
+// which the envelope leaves its current phase, and whether t lies in a
+// ramp. Within a ramp phase attenAt is monotone in t: the leading ramp
+// rises until the plateau or the trailing ramp begins, the trailing ramp
+// falls until End. Where the two ramps overlap attenAt is their minimum,
+// which is not monotone, so that phase is one nanosecond long. On the
+// plateau the phase ends at the first instant of the trailing ramp, at
+// End without one.
+func (w Window) attenPhase(t time.Duration) (time.Duration, bool) {
 	up, down := w.ramps()
-	if up > 0 && t-w.Start < up {
-		return t + 1
+	tail := w.End
+	if down > 0 {
+		tail = w.End - down + 1
 	}
-	if down <= 0 {
-		return w.End
+	lead := up > 0 && t-w.Start < up
+	switch trail := t >= tail; {
+	case lead && trail:
+		return t + 1, true
+	case trail:
+		return w.End, true
+	case lead:
+		return min(w.Start+up, tail), true
 	}
-	if w.End-t < down {
-		return t + 1
-	}
-	return w.End - down + 1
+	return tail, false
 }
 
 // State is the instantaneous fault condition a consumer applies at one
@@ -256,9 +265,16 @@ func (c *Cursor) At(t time.Duration) State {
 	for c.lo < c.hi && ws[c.lo].End <= t {
 		c.lo++
 	}
+	return c.reduce(t)
+}
+
+// reduce folds the windows of [lo, hi) that are active at t into the
+// fault state: At's reduction, which UntilVerdict re-evaluates at later
+// instants over the same window set.
+func (c *Cursor) reduce(t time.Duration) State {
 	var st State
 	for i := c.lo; i < c.hi; i++ {
-		w := &ws[i]
+		w := &c.windows[i]
 		if t >= w.End {
 			continue
 		}
@@ -294,29 +310,117 @@ func (c *Cursor) At(t time.Duration) State {
 // ramp the attenuation moves every nanosecond, so Until is t+1; with no
 // window ahead it is math.MaxInt64.
 //
-//cyclops:hotpath bounds every slot-engine run that the fault state allows; zero-alloc contract pinned by TestCursorZeroAllocs and make alloc-check
+//cyclops:hotpath the horizon UntilVerdict refines; zero-alloc contract pinned by TestCursorZeroAllocs and make alloc-check
 func (c *Cursor) Until() time.Duration {
+	u, ramp := c.horizon()
+	if ramp != noRamp {
+		return c.last + 1
+	}
+	return u
+}
+
+// The ramp classes horizon reports besides the index of a lone ramping
+// window.
+const (
+	// noRamp: no attenuation window is in a ramp at t.
+	noRamp = -1
+	// mixedRamp: two windows ramp at t, or a haze fade ramps while an
+	// occlusion is active. The verdicts may then flip more than once.
+	mixedRamp = -2
+)
+
+// horizon scans the active windows at t, the time of the last At call. It
+// returns the first instant after t at which a window starts or ends or
+// an attenuation envelope leaves its phase, and how the attenuation moves
+// before then: noRamp, mixedRamp, or the index of the one window that
+// ramps, in a single monotone phase (or a one-nanosecond phase where its
+// two ramps overlap).
+func (c *Cursor) horizon() (time.Duration, int) {
 	t := c.last
 	ws := c.windows
 	u := time.Duration(math.MaxInt64)
 	if c.hi < len(ws) {
 		u = ws[c.hi].Start
 	}
+	ramp, occluded := noRamp, false
 	for i := c.lo; i < c.hi; i++ {
 		w := &ws[i]
 		if t >= w.End {
 			continue
 		}
-		if w.End < u {
-			u = w.End
+		u = min(u, w.End)
+		if w.Kind != Occlusion && w.Kind != HazeFade {
+			continue
 		}
-		if w.Kind == Occlusion || w.Kind == HazeFade {
-			if b := w.attenUntil(t); b < u {
-				u = b
+		occluded = occluded || w.Kind == Occlusion
+		b, ramping := w.attenPhase(t)
+		u = min(u, b)
+		if ramping {
+			if ramp != noRamp {
+				ramp = mixedRamp
+			} else {
+				ramp = i
 			}
 		}
 	}
-	return u
+	if ramp >= 0 && ws[ramp].Kind == HazeFade && occluded {
+		ramp = mixedRamp
+	}
+	return u, ramp
+}
+
+// UntilVerdict returns an instant after t, the time of the last At call,
+// such that At keeps every non-attenuation field and both threshold
+// verdicts, AttenDB >= blockDB and AttenDB-HazeDB >= physDB, on
+// [t, UntilVerdict()); pass +Inf for a verdict the caller does not read.
+// Outside the ramps it is Until(). Inside a ramp, where Until() is t+1,
+// it bisects for the first instant whose verdicts differ from t's,
+// evaluating At's own reduction.
+//
+// The bisection is exact because the verdicts flip at most once on the
+// phase it searches: one attenuation window ramps there, monotonically,
+// and every other term of the reduction holds still. Float max, add and
+// multiply are monotone in each operand, so AttenDB = fl(occlusion max +
+// haze sum) moves monotonically with the ramping term, and so does
+// fl(AttenDB−HazeDB) when that term is an occlusion (HazeDB is fixed) or a
+// haze fade with no occlusion active (it is then exactly 0). It falls back
+// to Until() when two windows ramp at once, when a window's leading and
+// trailing ramps overlap, and when a haze fade ramps while an occlusion is
+// active: fl(fl(occ+H)−H) is not monotone in H.
+//
+//cyclops:hotpath bounds every slot-engine run that the fault state allows; zero-alloc contract pinned by TestCursorZeroAllocs and make alloc-check
+func (c *Cursor) UntilVerdict(blockDB, physDB float64) time.Duration {
+	u, ramp := c.horizon()
+	switch t := c.last; ramp {
+	case noRamp:
+		return u
+	case mixedRamp:
+		return t + 1
+	default:
+		st := c.reduce(t)
+		block, phys := st.AttenDB >= blockDB, st.AttenDB-st.HazeDB >= physDB
+		if !c.flips(u-1, blockDB, physDB, block, phys) {
+			return u
+		}
+		// The verdicts hold at lo and have flipped by hi.
+		lo, hi := t, u-1
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if c.flips(mid, blockDB, physDB, block, phys) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		return hi
+	}
+}
+
+// flips reports whether either threshold verdict at x differs from block
+// and phys.
+func (c *Cursor) flips(x time.Duration, blockDB, physDB float64, block, phys bool) bool {
+	st := c.reduce(x)
+	return (st.AttenDB >= blockDB) != block || (st.AttenDB-st.HazeDB >= physDB) != phys
 }
 
 // String renders the schedule one window per line — the canonical form the

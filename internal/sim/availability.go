@@ -127,6 +127,15 @@ func (a *slotArms) deliver(res *ChaosTraceResult, fold *frameFold, at, slot time
 	fold.addRun(n, off)
 }
 
+// thresholdDB is the UntilVerdict threshold of an arm that blocks at or
+// above db when db is positive and never otherwise.
+func thresholdDB(db float64) float64 {
+	if db > 0 {
+		return db
+	}
+	return math.Inf(1)
+}
+
 // bound lowers horizon to t when t lies after at.
 func bound(horizon, t, at time.Duration) time.Duration {
 	if t > at && t < horizon {
@@ -225,9 +234,11 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	}
 
 	// The fault arms. fs is the fault state of the slot at hand: the
-	// cursor holds it constant until fsUntil, so it is read again only at
-	// the first run head at or past that instant. Without a schedule fs
-	// stays zero, fsUntil never comes and every fault branch below is dead.
+	// cursor holds it, up to the attenuation within the two blocking
+	// verdicts the arms read, constant until fsUntil, so it is read again
+	// only at the first run head at or past that instant. Without a
+	// schedule fs stays zero, fsUntil never comes and every fault branch
+	// below is dead.
 	faults := !arms.sched.Empty()
 	armed := faults || arms.hybrid != nil || arms.sink != nil
 	cur := arms.sched.Cursor()
@@ -236,7 +247,21 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	if faults {
 		fsUntil = 0
 	}
+	blockDB, physDB := thresholdDB(p.BlockAttenDB), math.Inf(1)
+	if h := arms.hybrid; h != nil {
+		physDB = thresholdDB(h.mm.p.BlockAttenDB)
+	}
 	blk := newBlockState(p, arms, faults)
+
+	// The open armed run: its head slot is stepped, n slots from runAt
+	// follow it in bulk with the head's verdicts (blocked, fsoOff), and
+	// none of them may reach horizon.
+	var (
+		open            bool
+		runAt, horizon  time.Duration
+		n               int
+		blocked, fsoOff bool
+	)
 
 	// The loop is event-driven: all state changes (rate updates,
 	// realignments) happen at report arrivals or realignment
@@ -248,7 +273,7 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	// the report or realignment time.
 	for at := time.Duration(0); at < end; {
 		if at >= fsUntil {
-			fs, fsUntil = cur.At(at), cur.Until()
+			fs, fsUntil = cur.At(at), cur.UntilVerdict(blockDB, physDB)
 		}
 
 		// Report arrival: schedule a realignment and update drift
@@ -304,53 +329,55 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 		}
 
 		if armed {
-			// Armed: the segment advances in runs over which the fault
-			// state, every arm's discrete state and the FSO verdict hold
-			// still. The head slot of a run steps every arm, so episode
-			// edges, rescue draws, policy transitions and metric edges all
-			// happen there. The slots after it, up to the earliest horizon
-			// (segment limit, fault change, dark-time or re-lock end, mmWave
-			// recovery, policy deadline, misalignment crossing), repeat its
-			// verdicts in bulk; the float accumulators still add once per
-			// slot, in slot order, so every sum stays bit-identical.
-			for {
-				blocked := blk.step(at, fs.AttenDB, &res)
-				misaligned := lat > tolLat || ang > tolAng
-				fsoOff := blocked || misaligned
-				arms.deliver(&res, &fold, at, p.Slot, 1, fs, blocked, fsoOff)
-				lat += latStep
-				ang += angStep
-				head := at
-				if at += p.Slot; at >= limit {
-					break
-				}
-
-				horizon := blk.until(head, min(limit, fsUntil))
-				if h := arms.hybrid; h != nil {
-					horizon = h.until(head, horizon)
+			// Armed: slots advance in runs over which the fault verdicts,
+			// every arm's discrete state and the FSO verdict hold still.
+			// The head slot of a run steps every arm, so episode edges,
+			// rescue draws, policy transitions and metric edges all happen
+			// there. The slots after it repeat its verdicts in bulk up to
+			// the earliest horizon (fault verdict change, dark-time or
+			// re-lock end, mmWave recovery, policy deadline, trace end) or
+			// the first slot whose FSO verdict differs. Report and realign
+			// edges do not end a run: their handling reads only fault
+			// booleans, constant before the horizon, and moves only the
+			// drift offsets, which the verdict check follows. The float
+			// accumulators still add once per slot, in slot order, so every
+			// sum stays bit-identical.
+			for at < limit {
+				if !open {
+					blocked = blk.step(at, fs.AttenDB, &res)
+					fsoOff = blocked || lat > tolLat || ang > tolAng
+					arms.deliver(&res, &fold, at, p.Slot, 1, fs, blocked, fsoOff)
+					lat += latStep
+					ang += angStep
+					head := at
+					at += p.Slot
+					horizon = blk.until(head, min(end, fsUntil))
+					if h := arms.hybrid; h != nil {
+						horizon = h.until(head, horizon)
+					}
+					open, runAt, n = true, at, 0
 				}
 				// The offsets never decrease within a segment, so the
-				// misalignment verdict flips at most once: the scan runs
-				// the drift adds the per-slot loop would and stops at the
-				// first slot that disagrees with the head.
-				n := 0
-				for t := at; t < horizon && (lat > tolLat || ang > tolAng) == misaligned; t += p.Slot {
+				// verdict flips at most once per segment: the scan runs the
+				// drift adds the per-slot loop would and stops at the first
+				// slot that disagrees with the run.
+				for stop := min(limit, horizon); at < stop && (blocked || lat > tolLat || ang > tolAng) == fsoOff; at += p.Slot {
 					lat += latStep
 					ang += angStep
 					n++
 				}
-				if n > 0 {
-					// No edge falls inside a run: stepping its last slot
-					// leaves the re-lock deadline where n steps would.
-					last := at + time.Duration(n-1)*p.Slot
-					blk.step(last, fs.AttenDB, &res)
-					arms.deliver(&res, &fold, at, p.Slot, n, fs, blocked, fsoOff)
-					if at = last + p.Slot; at >= limit {
-						break
-					}
+				if at >= limit && at < horizon {
+					break // the run stays open across the event
 				}
+				// No edge falls inside a run: stepping its last slot leaves
+				// the re-lock deadline where n steps would.
+				if n > 0 {
+					blk.step(at-p.Slot, fs.AttenDB, &res)
+					arms.deliver(&res, &fold, runAt, p.Slot, n, fs, blocked, fsoOff)
+				}
+				open = false
 				if at >= fsUntil {
-					fs, fsUntil = cur.At(at), cur.Until()
+					fs, fsUntil = cur.At(at), cur.UntilVerdict(blockDB, physDB)
 				}
 			}
 			continue

@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"math"
 	"time"
 
 	"cyclops/internal/fault"
@@ -160,8 +161,8 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 // first slots of every trace, and its Outages count mmWave blockage
 // edges, not FSO episodes. It shares the engine's fault cursor, the
 // mmWave slot link and the frame fold, and steps the same runs: the head
-// slot reads the cursor, the rest up to its Until and the recovery tail's
-// end follow in bulk.
+// slot reads the cursor, the rest up to its UntilVerdict and the recovery
+// tail's end follow in bulk.
 func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	if mp == (MmWaveSlotParams{}) {
 		mp = PaperMmWave()
@@ -172,6 +173,7 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 	}
 	mm := mmSlotState{p: mp}
 	cur := sched.Cursor()
+	physDB := thresholdDB(mp.BlockAttenDB)
 	end := tr.Duration()
 	var fold frameFold
 	wasBlocked := false
@@ -188,10 +190,11 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		} else {
 			wasBlocked = false
 		}
-		// The slots before the next fault change and the end of the
-		// recovery tail repeat this one; stepping the last of them leaves
-		// the recovery deadline where n steps would.
-		horizon := bound(min(end, cur.Until()), mm.recoverUntil, at)
+		// The slots before the blocking verdict or another fault field
+		// changes and before the recovery tail ends repeat this one;
+		// stepping the last of them leaves the recovery deadline where n
+		// steps would.
+		horizon := bound(min(end, cur.UntilVerdict(math.Inf(1), physDB)), mm.recoverUntil, at)
 		n := int((horizon-at-1)/p.Slot) + 1
 		if n > 1 {
 			mm.step(at+time.Duration(n-1)*p.Slot, occl)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -489,29 +490,91 @@ func armedCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedu
 	return tr, p, hp, sched
 }
 
-// TestArmedEngineMatchesPerSlotReference pins the run-length armed path to
-// the per-slot loop it replaced: on 400 randomized cases (armedCase) the
-// engine and simulatePerSlotReference agree on every result field, the
-// hybrid arm's bookkeeping, the full sink verdict stream and the
-// exposition bytes; SimulateTraceMmWave agrees with its per-slot loop the
-// same way.
-func TestArmedEngineMatchesPerSlotReference(t *testing.T) {
-	const cases = 400
-	for i := 0; i < cases; i++ {
-		tr, p, hp, sched := armedCase(i)
-		withSink := i%3 != 0
-		got := armedRun(simulate, tr, p, hp, &sched, withSink)
-		want := armedRun(simulatePerSlotReference, tr, p, hp, &sched, withSink)
-		if got != want {
-			t.Fatalf("case %d (%v, TX %d, hybrid %v):\n%s", i, tr.Duration(), p.TXCount, hp != nil, firstDiff(got, want))
+// rampCase is armedCase(i) with one ramp-dense episode family added to
+// its schedule, on the 1 ms grid so that verdict flips land on slots
+// (a 20 dB fade ramping over 2 s reads exactly 10 dB halfway up):
+//
+//   - family 0: a hard-edged plateau occlusion whose depth equals the
+//     10 dB FSO or the 8 dB mmWave threshold exactly, under a ramping haze
+//     fade, where fl(fl(occ+H)−H) wobbles around the threshold;
+//   - family 1: three stacked haze fades ramping together;
+//   - family 2: triangular occlusion and haze windows whose leading and
+//     trailing ramps overlap;
+//   - family 3: an occlusion ramping inside a haze ramp.
+//
+// Even cases carry the hybrid arm, whose mmWave side reads the physical
+// verdict.
+func rampCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedule) {
+	tr, p, hp, sched := armedCase(i)
+	rng := rand.New(rand.NewSource(int64(i)*104729 + 3))
+	ms := func(lo, hi int) time.Duration { return time.Duration(lo+rng.Intn(hi-lo+1)) * time.Millisecond }
+	s0 := ms(0, int(tr.Duration()/time.Millisecond)/2)
+	win := func(k fault.Kind, start, end time.Duration, depth float64, up, down time.Duration) fault.Window {
+		return fault.Window{Kind: k, Start: start, End: end, DepthDB: depth, Ramp: up, RampDown: down}
+	}
+	var add []fault.Window
+	switch i % 4 {
+	case 0:
+		depth := []float64{10, 8}[rng.Intn(2)]
+		add = append(add,
+			win(fault.HazeFade, s0, s0+ms(4000, 8000), 20, 2*time.Second, 3*time.Second),
+			win(fault.Occlusion, s0+ms(200, 1500), s0+ms(2000, 3500), depth, 0, 0))
+	case 1:
+		for k := 0; k < 3; k++ {
+			add = append(add, win(fault.HazeFade, s0+ms(0, 700), s0+ms(4000, 7000),
+				float64(6+rng.Intn(7)), ms(1000, 3000), ms(1000, 3000)))
 		}
-		if i%4 == 0 {
-			mp := MmWaveSlotParams{PeakGoodputGbps: 4.6, BlockAttenDB: 8, Recovery: p.Relock / 10}
-			regGot, regWant := obs.NewRegistry(), obs.NewRegistry()
-			g := fmt.Sprintf("%+v\n%s", SimulateTraceMmWave(tr, p, mp, &sched, regGot), regGot.Exposition())
-			w := fmt.Sprintf("%+v\n%s", mmWaveReference(tr, p, mp, &sched, regWant), regWant.Exposition())
-			if g != w {
-				t.Fatalf("case %d mmWave-only:\n%s", i, firstDiff(g, w))
+	case 2:
+		add = append(add,
+			win(fault.Occlusion, s0, s0+ms(150, 400), 20, ms(100, 300), 0),
+			win(fault.HazeFade, s0+ms(500, 1000), s0+ms(2500, 3500), 25, ms(1500, 2000), ms(1200, 2000)))
+	case 3:
+		add = append(add,
+			win(fault.HazeFade, s0, s0+ms(6000, 9000), 16, 3*time.Second, 2*time.Second),
+			win(fault.Occlusion, s0+ms(500, 2000), s0+ms(2300, 2600), 12, ms(50, 200), 0))
+	}
+	sched.Windows = append(sched.Windows, add...)
+	sort.SliceStable(sched.Windows, func(a, b int) bool {
+		wa, wb := &sched.Windows[a], &sched.Windows[b]
+		if wa.Start != wb.Start {
+			return wa.Start < wb.Start
+		}
+		return wa.Kind < wb.Kind
+	})
+	if hp == nil && i%2 == 0 {
+		hp = &HybridSlotParams{Secondary: MmWaveSlotParams{PeakGoodputGbps: 4.6, BlockAttenDB: 8, Recovery: ms(0, 50)}}
+	}
+	return tr, p, hp, sched
+}
+
+// TestArmedEngineMatchesPerSlotReference pins the run-length armed path to
+// the per-slot loop it replaced: on 400 randomized cases (armedCase) and
+// 80 ramp-dense ones (rampCase) the engine and simulatePerSlotReference
+// agree on every result field, the hybrid arm's bookkeeping, the full sink
+// verdict stream and the exposition bytes; SimulateTraceMmWave agrees with
+// its per-slot loop the same way.
+func TestArmedEngineMatchesPerSlotReference(t *testing.T) {
+	for _, gen := range []struct {
+		name  string
+		cases int
+		draw  func(int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedule)
+	}{{"armed", 400, armedCase}, {"ramp", 80, rampCase}} {
+		for i := 0; i < gen.cases; i++ {
+			tr, p, hp, sched := gen.draw(i)
+			withSink := i%3 != 0
+			got := armedRun(simulate, tr, p, hp, &sched, withSink)
+			want := armedRun(simulatePerSlotReference, tr, p, hp, &sched, withSink)
+			if got != want {
+				t.Fatalf("%s case %d (%v, TX %d, hybrid %v):\n%s", gen.name, i, tr.Duration(), p.TXCount, hp != nil, firstDiff(got, want))
+			}
+			if i%4 == 0 || gen.name == "ramp" {
+				mp := MmWaveSlotParams{PeakGoodputGbps: 4.6, BlockAttenDB: 8, Recovery: p.Relock / 10}
+				regGot, regWant := obs.NewRegistry(), obs.NewRegistry()
+				g := fmt.Sprintf("%+v\n%s", SimulateTraceMmWave(tr, p, mp, &sched, regGot), regGot.Exposition())
+				w := fmt.Sprintf("%+v\n%s", mmWaveReference(tr, p, mp, &sched, regWant), regWant.Exposition())
+				if g != w {
+					t.Fatalf("%s case %d mmWave-only:\n%s", gen.name, i, firstDiff(g, w))
+				}
 			}
 		}
 	}

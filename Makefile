@@ -73,13 +73,13 @@ verify:
 # Allocation-regression gate for the compiled hot path: the zero-alloc
 # contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA
 # pose pass), the G'/P solvers (warm and cold/coarse-seed paths), the
-# radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm)
-# and the fault cursor (Cursor.At/Until/UntilVerdict) are pinned by AllocsPerRun
-# tests, as is the slot engine's per-trace allocation count (flat in
-# trace length); run them without -race (the race detector inserts
-# allocations).
+# radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm),
+# the fault cursor (Cursor.At/UntilVerdict) and the slot engine's bulk
+# kernels (xmath.AddN, xrand.Seed) are pinned by AllocsPerRun tests, as
+# is the slot engine's per-trace allocation count (flat in trace length);
+# run them without -race (the race detector inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/
+	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/xmath/ ./internal/xrand/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics
@@ -202,41 +202,35 @@ bench:
 	cat BENCH_parallel.json
 
 # Hot-path benchmark suite: micro-benchmarks for the compiled GMA model,
-# the warm G'/P solves and the radiometry kernel (CaptureFraction and one
-# LinkConfig.ReceivedPowerDBm read), plus the serial Fig 16 corpus on the
-# clean slot model and on the armed engine (every fault kind, haze fades
-# and the hybrid policy: chaos_corpus_ns_per_op), recorded into
-# BENCH_hotpath.json. The micro-benchmarks run with
-# -benchmem, and allocs_per_op is parsed from that output (the field
-# before "allocs/op"; the batch kernel reports its worst batch size).
-# Benchmark names are matched with the -GOMAXPROCS suffix stripped.
-# HOTPATH_BASELINE_NS is the serial corpus median measured at the last
-# pre-hotpath commit on the reference host (git stash A/B); re-measure it
-# via `git stash` when comparing on different hardware. Both corpus runs
-# are median-of-3 at -benchtime 5x: co-tenant noise on the shared
-# reference host is strictly additive, so short exposures track the
-# code's true cost more faithfully than long ones (same methodology as
-# BENCH_parallel's instrumentation note).
-HOTPATH_BASELINE_NS ?= 889917158
-
+# the warm G'/P solves, the radiometry kernel (CaptureFraction and one
+# LinkConfig.ReceivedPowerDBm read) and the slot engine's bulk kernels
+# (xmath.AddN over one 60 s trace of 1 ms adds, one xrand.Seed), plus the
+# serial Fig 16 corpus on the clean slot model (corpus_ns_per_op) and on
+# the armed engine (every fault kind, haze fades and the hybrid policy:
+# chaos_corpus_ns_per_op), recorded into BENCH_hotpath.json. The
+# micro-benchmarks run with -benchmem, and allocs_per_op is parsed from
+# that output (the field before "allocs/op"; the batch kernel reports its
+# worst batch size). Benchmark names are matched with the -GOMAXPROCS
+# suffix stripped. Both corpus rows are the median of 3 runs at
+# -benchtime 5x with their min and max: co-tenant noise on a shared host
+# is strictly additive, so short exposures track the code's true cost
+# more faithfully than long ones, and the spread says how far to trust
+# the median. There is no typed-in baseline: compare two recordings made
+# on one host (`git stash` or a second checkout for the other side).
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig16(TraceAvailability|ChaosCorpus)Serial$$' -benchtime 5x -count 3 . | tee .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
-	awk -v base=$(HOTPATH_BASELINE_NS) \
-	    -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+	$(GO) test -run '^$$' -bench '^Benchmark(AddN|Seed)$$' -benchtime 1s -benchmem ./internal/xmath/ ./internal/xrand/ | tee -a .bench_hotpath.txt
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	    -v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)" ' \
 	function allocs(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "allocs/op") return $$i; return "" } \
+	function spread(v, n,   i, j, t) { \
+		for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j-1] > v[j]; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t } \
+		return sprintf("{ \"median\": %.0f, \"min\": %.0f, \"max\": %.0f }", (n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2), v[1], v[n]) \
+	} \
 	{ name = ($$1 ~ /^Benchmark/ ? $$1 : ""); sub(/-[0-9]+$$/, "", name) } \
-	name == "BenchmarkFig16TraceAvailabilitySerial" { \
-		cn++; csum += $$3; \
-		if (cmin == 0 || $$3 < cmin) cmin = $$3; \
-		if ($$3 > cmax) cmax = $$3; \
-	} \
-	name == "BenchmarkFig16ChaosCorpusSerial" { \
-		xn++; xsum += $$3; \
-		if (xmin == 0 || $$3 < xmin) xmin = $$3; \
-		if ($$3 > xmax) xmax = $$3; \
-	} \
+	name == "BenchmarkFig16TraceAvailabilitySerial" { cv[++cn] = $$3 } \
+	name == "BenchmarkFig16ChaosCorpusSerial"       { xv[++xn] = $$3 } \
 	name == "BenchmarkParamsBeam"           { pbeam = $$3 } \
 	name == "BenchmarkCompiledBeam"         { cbeam = $$3; a["gma_compiled_beam"] = allocs() } \
 	name == "BenchmarkCompile"              { comp = $$3 } \
@@ -250,17 +244,17 @@ bench-hotpath:
 	name == "BenchmarkPointColdStart"       { pc = $$3 } \
 	name == "BenchmarkCaptureFraction"      { cf = $$3; a["optics_capture_fraction"] = allocs() } \
 	name == "BenchmarkLinkReceivedPowerDBm" { rp = $$3; a["optics_link_received_power"] = allocs() } \
+	name == "BenchmarkAddN"                 { addn = $$3; a["xmath_add_n"] = allocs() } \
+	name == "BenchmarkSeed"                 { seed = $$3; a["xrand_seed"] = allocs() } \
 	END { \
 		if (cn == 0 || xn == 0) { print "bench-hotpath: missing corpus benchmark output" > "/dev/stderr"; exit 1 } \
-		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power", keys, " "); \
+		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power xmath_add_n xrand_seed", keys, " "); \
 		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
-		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "") { \
+		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "" || addn == "" || seed == "") { \
 			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
-		corpus = (cn == 3 ? csum - cmin - cmax : csum / cn); \
-		chaos = (xn == 3 ? xsum - xmin - xmax : xsum / xn); \
-		printf "{\n  \"benchmark\": \"Fig16TraceAvailabilitySerial\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"compiled GMA hot path; baseline is the pre-hotpath serial corpus median (see Makefile HOTPATH_BASELINE_NS)\",\n  \"corpus\": {\n    \"before_median_ns_per_op\": %.0f,\n    \"after_median_ns_per_op\": %.0f,\n    \"speedup\": %.2f,\n    \"target_speedup\": 2.0\n  },\n  \"chaos_corpus_ns_per_op\": %.0f,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s\n  }\n}\n", \
-			ts, commit, base, corpus, base / corpus, chaos, pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, \
-			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"]; \
+		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s\n  }\n}\n", \
+			ts, commit, cn, spread(cv, cn), spread(xv, xn), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, \
+			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"]; \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt
 	cat BENCH_hotpath.json

@@ -15,7 +15,7 @@
 // multi-rig experiments (0, the default, uses every core). Results are
 // bit-identical for any worker count, and every worker runs the solvers
 // on precompiled GMA models (gma.Compiled — see DESIGN.md §8 and
-// BENCH_hotpath.json for the measured speedup).
+// BENCH_hotpath.json for the measured timings).
 //
 // -metrics writes the process-wide registry as Prometheus text exposition
 // to the given file when the run completes. -pprof serves

@@ -146,8 +146,23 @@ func breakpoints(s *Schedule) []time.Duration {
 	return bs
 }
 
-// FuzzCursorUntilIsConstant: after a cursor reads At(t), Until() lies
-// after t and the state is constant, field for field, on [t, Until()) —
+// until is the state horizon UntilVerdict refines, kept as the oracle the
+// fuzz targets compare against: the first instant after t, the time of the
+// last At call, at which the fault state may differ from At(t) — the next
+// window start, the end of an active window, or an attenuation ramp edge.
+// At reads the same state, field for field, at every instant of
+// [t, until(c)). Inside a ramp the attenuation moves every nanosecond, so
+// it is t+1; with no window ahead it is math.MaxInt64.
+func until(c *Cursor) time.Duration {
+	u, ramp := c.horizon()
+	if ramp != noRamp {
+		return c.last + 1
+	}
+	return u
+}
+
+// FuzzCursorUntilIsConstant: after a cursor reads At(t), until lies
+// after t and the state is constant, field for field, on [t, until) —
 // sampled at 1 ms spacing plus 1 ns either side of every breakpoint
 // inside the interval, and at its last instant.
 func FuzzCursorUntilIsConstant(f *testing.F) {
@@ -169,9 +184,9 @@ func FuzzCursorUntilIsConstant(f *testing.F) {
 				continue
 			}
 			st := c.At(at)
-			u := c.Until()
+			u := until(&c)
 			if u <= at {
-				t.Fatalf("Until() = %v after At(%v)\n%s", u, at, s.String())
+				t.Fatalf("until = %v after At(%v)\n%s", u, at, s.String())
 			}
 			stop := min(u, end+time.Millisecond)
 			samples := []time.Duration{u - 1}
@@ -186,7 +201,7 @@ func FuzzCursorUntilIsConstant(f *testing.F) {
 					continue
 				}
 				if got := s.At(x); !sameState(got, st) {
-					t.Fatalf("At(%v) = %+v differs from At(%v) = %+v before Until() = %v\n%s", x, got, at, st, u, s.String())
+					t.Fatalf("At(%v) = %+v differs from At(%v) = %+v before until = %v\n%s", x, got, at, st, u, s.String())
 				}
 			}
 		}
@@ -230,7 +245,7 @@ func sameVerdicts(a, b State, blockDB, physDB float64) bool {
 }
 
 // FuzzCursorUntilVerdictIsConstant: after a cursor reads At(t),
-// UntilVerdict lies after t, no earlier than Until(), and At keeps every
+// UntilVerdict lies after t, no earlier than until, and At keeps every
 // non-attenuation field and both threshold verdicts on [t, UntilVerdict())
 // — sampled at 1 ms spacing plus 1 ns either side of every breakpoint
 // inside the interval, and at its last instant. The probes are the
@@ -246,8 +261,8 @@ func FuzzCursorUntilVerdictIsConstant(f *testing.F) {
 		check := func(c *Cursor, at time.Duration) time.Duration {
 			st := c.At(at)
 			u := c.UntilVerdict(blockDB, physDB)
-			if u <= at || u < c.Until() {
-				t.Fatalf("UntilVerdict(%v, %v) = %v after At(%v), Until() = %v\n%s", blockDB, physDB, u, at, c.Until(), s.String())
+			if u <= at || u < until(c) {
+				t.Fatalf("UntilVerdict(%v, %v) = %v after At(%v), until = %v\n%s", blockDB, physDB, u, at, until(c), s.String())
 			}
 			stop := min(u, end+time.Millisecond)
 			samples := []time.Duration{u - 1}
@@ -291,21 +306,20 @@ func FuzzCursorUntilVerdictIsConstant(f *testing.F) {
 	})
 }
 
-// TestCursorZeroAllocs pins the //cyclops:hotpath contract on At, Until
-// and UntilVerdict.
+// TestCursorZeroAllocs pins the //cyclops:hotpath contract on At and
+// UntilVerdict.
 func TestCursorZeroAllocs(t *testing.T) {
 	s, end := fuzzSchedule(7, 40)
 	c := s.Cursor()
 	var at time.Duration
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.At(at)
-		c.Until()
 		at = min(c.UntilVerdict(10, 8), at+time.Millisecond)
 		if at > end {
 			at = 0
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Cursor.At+Until+UntilVerdict allocate %v per call, want 0", allocs)
+		t.Fatalf("Cursor.At+UntilVerdict allocate %v per call, want 0", allocs)
 	}
 }

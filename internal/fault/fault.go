@@ -40,12 +40,12 @@ package fault
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
 	"cyclops/internal/obs"
+	"cyclops/internal/xrand"
 )
 
 // Kind enumerates the fault classes.
@@ -303,22 +303,6 @@ func (c *Cursor) reduce(t time.Duration) State {
 	return st
 }
 
-// Until returns the first instant after t, the time of the last At call,
-// at which the fault state may differ from At(t): the next window start,
-// the end of an active window, or an attenuation ramp edge. At reads the
-// same state, field for field, at every instant of [t, Until()). Inside a
-// ramp the attenuation moves every nanosecond, so Until is t+1; with no
-// window ahead it is math.MaxInt64.
-//
-//cyclops:hotpath the horizon UntilVerdict refines; zero-alloc contract pinned by TestCursorZeroAllocs and make alloc-check
-func (c *Cursor) Until() time.Duration {
-	u, ramp := c.horizon()
-	if ramp != noRamp {
-		return c.last + 1
-	}
-	return u
-}
-
 // The ramp classes horizon reports besides the index of a lone ramping
 // window.
 const (
@@ -373,9 +357,11 @@ func (c *Cursor) horizon() (time.Duration, int) {
 // such that At keeps every non-attenuation field and both threshold
 // verdicts, AttenDB >= blockDB and AttenDB-HazeDB >= physDB, on
 // [t, UntilVerdict()); pass +Inf for a verdict the caller does not read.
-// Outside the ramps it is Until(). Inside a ramp, where Until() is t+1,
-// it bisects for the first instant whose verdicts differ from t's,
-// evaluating At's own reduction.
+// Outside the ramps it is the next instant at which the state itself may
+// change: the next window start, the end of an active window, or an
+// attenuation ramp edge. Inside a ramp the attenuation moves every
+// nanosecond, so it bisects for the first instant whose verdicts differ
+// from t's, evaluating At's own reduction.
 //
 // The bisection is exact because the verdicts flip at most once on the
 // phase it searches: one attenuation window ramps there, monotonically,
@@ -384,7 +370,7 @@ func (c *Cursor) horizon() (time.Duration, int) {
 // haze sum) moves monotonically with the ramping term, and so does
 // fl(AttenDB−HazeDB) when that term is an occlusion (HazeDB is fixed) or a
 // haze fade with no occlusion active (it is then exactly 0). It falls back
-// to Until() when two windows ramp at once, when a window's leading and
+// to t+1 when two windows ramp at once, when a window's leading and
 // trailing ramps overlap, and when a haze fade ramps while an occlusion is
 // active: fl(fl(occ+H)−H) is not monotone in H.
 //
@@ -522,14 +508,30 @@ func DefaultHazeConfig() Config {
 // duration. Each class draws from its own rand stream (derived from seed
 // and the class kind), so enabling or re-tuning one class never perturbs
 // another's episodes — the property that makes a rate×duration sweep a
-// controlled experiment rather than a reshuffle.
+// controlled experiment rather than a reshuffle. The streams are
+// xrand replicas of rand.New(rand.NewSource(…)).
 func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
 	s := Schedule{Seed: seed}
-	plan := func(kind Kind, cc ClassConfig, shape func(rng *rand.Rand, w *Window)) {
+	// One generator, re-seeded per class, stays on Plan's stack; an
+	// xrand.New per class would allocate 9.7 KB each.
+	var rng xrand.Rand
+	for _, class := range [...]struct {
+		kind Kind
+		cc   ClassConfig
+	}{
+		{Occlusion, cfg.Occlusion},
+		{TrackerBlackout, cfg.Blackout},
+		{TrackerFreeze, cfg.Freeze},
+		{GalvoStuck, cfg.Stuck},
+		{GalvoSaturation, cfg.Saturation},
+		{SolverDiverge, cfg.Diverge},
+		{HazeFade, cfg.Haze},
+	} {
+		cc := class.cc
 		if cc.PerMin <= 0 || cc.MaxDur <= 0 || dur <= 0 {
-			return
+			continue
 		}
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(kind)*7919 + 1))
+		rng.Seed(seed*1_000_003 + int64(class.kind)*7919 + 1)
 		meanGap := time.Duration(60 / cc.PerMin * float64(time.Second))
 		at := time.Duration(rng.ExpFloat64() * float64(meanGap))
 		for at < dur {
@@ -541,32 +543,12 @@ func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
 			if end > dur {
 				end = dur
 			}
-			w := Window{Kind: kind, Start: at, End: end}
-			if shape != nil {
-				shape(rng, &w)
-			}
+			w := Window{Kind: class.kind, Start: at, End: end}
+			cfg.shape(&rng, &w)
 			s.Windows = append(s.Windows, w)
 			at = end + time.Duration(rng.ExpFloat64()*float64(meanGap))
 		}
 	}
-	plan(Occlusion, cfg.Occlusion, func(rng *rand.Rand, w *Window) {
-		lo, hi := cfg.OcclusionDepthDB[0], cfg.OcclusionDepthDB[1]
-		w.DepthDB = lo + rng.Float64()*(hi-lo)
-		w.Ramp = cfg.OcclusionRamp
-	})
-	plan(TrackerBlackout, cfg.Blackout, nil)
-	plan(TrackerFreeze, cfg.Freeze, nil)
-	plan(GalvoStuck, cfg.Stuck, nil)
-	plan(GalvoSaturation, cfg.Saturation, func(_ *rand.Rand, w *Window) {
-		w.Limit = cfg.SaturationLimit
-	})
-	plan(SolverDiverge, cfg.Diverge, nil)
-	plan(HazeFade, cfg.Haze, func(rng *rand.Rand, w *Window) {
-		lo, hi := cfg.HazeDepthDB[0], cfg.HazeDepthDB[1]
-		w.DepthDB = lo + rng.Float64()*(hi-lo)
-		w.Ramp = durBetween(rng, cfg.HazeRampUp)
-		w.RampDown = durBetween(rng, cfg.HazeRampDown)
-	})
 
 	sort.SliceStable(s.Windows, func(i, j int) bool {
 		if s.Windows[i].Start != s.Windows[j].Start {
@@ -577,9 +559,29 @@ func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
 	return s
 }
 
+// shape draws the class-specific fields of a planned window from its
+// class's stream.
+func (cfg *Config) shape(rng *xrand.Rand, w *Window) {
+	switch w.Kind {
+	case Occlusion:
+		lo, hi := cfg.OcclusionDepthDB[0], cfg.OcclusionDepthDB[1]
+		w.DepthDB = lo + rng.Float64()*(hi-lo)
+		w.Ramp = cfg.OcclusionRamp
+	case GalvoSaturation:
+		w.Limit = cfg.SaturationLimit
+	case HazeFade:
+		lo, hi := cfg.HazeDepthDB[0], cfg.HazeDepthDB[1]
+		w.DepthDB = lo + rng.Float64()*(hi-lo)
+		w.Ramp = durBetween(rng, cfg.HazeRampUp)
+		w.RampDown = durBetween(rng, cfg.HazeRampDown)
+	case TrackerBlackout, TrackerFreeze, GalvoStuck, SolverDiverge:
+		// No class-specific fields and no draws.
+	}
+}
+
 // durBetween draws a uniform duration from the inclusive-exclusive range
 // r; a degenerate range pins the value to r[0].
-func durBetween(rng *rand.Rand, r [2]time.Duration) time.Duration {
+func durBetween(rng *xrand.Rand, r [2]time.Duration) time.Duration {
 	if r[1] <= r[0] {
 		return r[0]
 	}

@@ -37,6 +37,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"cyclops/internal/xmath"
 )
 
 // Counter is a monotonically increasing metric. In this codebase counters
@@ -60,16 +62,15 @@ func (c *Counter) Add(v float64) {
 	c.mu.Unlock()
 }
 
-// AddN is n successive Add(v) calls under one lock: the n float adds run
-// in order, so the total is bit-identical to the calls it replaces.
+// AddN is n successive Add(v) calls under one lock: xmath.AddN returns
+// the n in-order float adds' total bit for bit, so it is identical to the
+// calls it replaces.
 func (c *Counter) AddN(v float64, n int) {
 	if c == nil || v <= 0 || n <= 0 {
 		return
 	}
 	c.mu.Lock()
-	for ; n > 0; n-- {
-		c.v += v
-	}
+	c.v = xmath.AddN(c.v, v, n)
 	c.mu.Unlock()
 }
 

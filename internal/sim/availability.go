@@ -339,9 +339,10 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 			// the first slot whose FSO verdict differs. Report and realign
 			// edges do not end a run: their handling reads only fault
 			// booleans, constant before the horizon, and moves only the
-			// drift offsets, which the verdict check follows. The float
-			// accumulators still add once per slot, in slot order, so every
-			// sum stays bit-identical.
+			// drift offsets, which the verdict check follows. The drift
+			// offsets still add once per slot in the verdict scan; the
+			// goodput sums take a run's adds at once through xmath.AddN,
+			// which returns the per-slot sum bit for bit.
 			for at < limit {
 				if !open {
 					blocked = blk.step(at, fs.AttenDB, &res)
@@ -410,7 +411,7 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 			if lat <= tolLat && ang <= tolAng {
 				lat += latStep
 				ang += angStep
-				fold.addOn(k)
+				fold.addRun(k, false)
 				at += time.Duration(k) * p.Slot
 			} else {
 				// At least one slot trips a tolerance: replay the
@@ -454,30 +455,27 @@ func (f *frameFold) add(off bool) {
 	}
 }
 
-// addOn folds k consecutive on slots in O(1).
-func (f *frameFold) addOn(k int) {
-	f.slots += k
-	if total := f.inFrame + k; total >= 30 {
-		// The first completed frame carries the off count accumulated
-		// before this run; the rest are all-on frames.
-		f.hist[f.frameOff]++
-		f.hist[0] += total/30 - 1
-		f.inFrame = total % 30
-		f.frameOff = 0
-	} else {
-		f.inFrame = total
-	}
-}
-
-// addRun folds n consecutive slots with one verdict.
+// addRun folds n consecutive slots with one verdict in O(1): the run
+// fills the open frame, completes total/30 − 1 whole frames of its own
+// verdict (all off: hist[30]; all on: hist[0]) and leaves the remainder
+// open, exactly as n add calls would.
 func (f *frameFold) addRun(n int, off bool) {
-	if !off {
-		f.addOn(n)
+	per := 0 // off slots per slot of the run
+	if off {
+		per = 1
+	}
+	f.slots += n
+	f.offSlots += per * n
+	total := f.inFrame + n
+	if total < 30 {
+		f.inFrame = total
+		f.frameOff += per * n
 		return
 	}
-	for ; n > 0; n-- {
-		f.add(true)
-	}
+	f.hist[f.frameOff+per*(30-f.inFrame)]++
+	f.hist[30*per] += total/30 - 1
+	f.inFrame = total % 30
+	f.frameOff = per * f.inFrame
 }
 
 // finish closes the trailing partial frame and writes the availability

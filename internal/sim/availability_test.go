@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -109,6 +110,38 @@ func TestFrameHistogram(t *testing.T) {
 	}
 	if off != r.OffSlots {
 		t.Errorf("histogram off slots = %d, want %d", off, r.OffSlots)
+	}
+}
+
+// TestFrameFoldAddRunMatchesAdd: addRun's closed form leaves the fold,
+// and the result finish writes, exactly where n add calls leave them —
+// over random run sequences whose lengths straddle the 30-slot frame
+// (runs that stay inside the open frame, fill it to the edge, and span
+// several whole frames).
+func TestFrameFoldAddRunMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 2000; seq++ {
+		var got, want frameFold
+		for r := rng.Intn(40); r > 0; r-- {
+			n := rng.Intn(31)
+			if rng.Intn(4) == 0 {
+				n = 30*rng.Intn(5) + rng.Intn(31)
+			}
+			off := rng.Intn(2) == 0
+			got.addRun(n, off)
+			for i := 0; i < n; i++ {
+				want.add(off)
+			}
+			if got != want {
+				t.Fatalf("sequence %d: addRun(%d, %v) left %+v, %d add calls %+v", seq, n, off, got, n, want)
+			}
+		}
+		var g, w TraceResult
+		got.finish(&g)
+		want.finish(&w)
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("sequence %d: finish %+v, want %+v", seq, g, w)
+		}
 	}
 }
 

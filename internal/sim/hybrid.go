@@ -16,6 +16,7 @@ import (
 	"cyclops/internal/obs"
 	"cyclops/internal/policy"
 	"cyclops/internal/trace"
+	"cyclops/internal/xmath"
 )
 
 // MmWaveSlotParams parameterize the slot-model mmWave link.
@@ -111,9 +112,7 @@ func (h *hybridArm) run(at, slot time.Duration, n int, fs fault.State, fsoOff bo
 		rate, off = h.hp.Secondary.PeakGoodputGbps, !mmUp
 	}
 	if !off {
-		for ; n > 0; n-- {
-			h.goodput += rate
-		}
+		h.goodput = xmath.AddN(h.goodput, rate, n)
 	}
 	return off
 }
@@ -200,9 +199,7 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 			mm.step(at+time.Duration(n-1)*p.Slot, occl)
 		}
 		if up {
-			for i := 0; i < n; i++ {
-				goodputSum += mp.PeakGoodputGbps
-			}
+			goodputSum = xmath.AddN(goodputSum, mp.PeakGoodputGbps, n)
 		} else {
 			res.BlockedSlots += n
 		}

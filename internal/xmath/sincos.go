@@ -1,9 +1,9 @@
-// Package xmath holds bit-exact fast paths for the stdlib math calls on
+// Package xmath holds bit-exact fast paths for the float computations on
 // the corpus hot path. Like internal/xrand, nothing here is a new
 // approximation: every function computes the identical IEEE-754 result
-// to its math counterpart (pinned by exhaustive randomized equality
-// tests), it just gets there with less work for the argument ranges the
-// trace synthesizer actually produces.
+// to its counterpart — a math call, or for AddN a loop of float adds
+// (pinned by exhaustive randomized equality tests) — it just gets there
+// with less work for the arguments the corpus actually produces.
 //
 // The big win is Sincos3: head-pose synthesis evaluates three
 // independent sin/cos pairs per sample (yaw/pitch/roll half-angles).

@@ -1,21 +1,39 @@
 // Package xrand is a devirtualized, bit-exact replica of the subset of
-// math/rand that the trace synthesizer draws from: the Mitchell/Reeds
+// math/rand that the deterministic packages draw from: the Mitchell/Reeds
 // additive lagged-Fibonacci source behind rand.NewSource, plus Float64,
-// Intn, and the ziggurat NormFloat64 on top of it.
+// Intn, the ziggurat NormFloat64 and ExpFloat64 on top of it. The trace
+// synthesizer (trace.Generate) and the fault planner (fault.Plan) use it.
 //
-// Why it exists: trace.Generate sits on the corpus hot path and spends a
-// measurable fraction of its time crossing the rand.Source interface
-// (every Float64/NormFloat64 is a virtual Int63 call the compiler cannot
-// inline). Replicating the generator with concrete types removes the
-// interface dispatch and lets the draws inline into the synthesis loop,
-// while producing the exact same stream bit for bit — the sequence
-// contract is pinned by TestSequenceMatchesMathRand against math/rand
-// itself across seeds (including zero and negative).
+// Why it exists: both sit on the corpus hot path. Every math/rand draw
+// is a virtual Int63 call through the rand.Source interface that the
+// compiler cannot inline, and every rand.NewSource seeds its 607-word
+// register through a serial chain of 1841 Lehmer steps. Replicating the
+// generator with concrete types removes the interface dispatch and lets
+// the draws inline into the synthesis loop; seeding by jump-ahead (Seed)
+// turns the chain into independent multiplications. The output is the
+// exact same stream bit for bit — the sequence contract is pinned by
+// TestSequenceMatchesMathRand, TestSeedMatchesMathRand and
+// TestExpFloat64MatchesMathRand against math/rand itself across seeds
+// (including zero, negative and multiples of 2³¹−1).
 //
-// The algorithm bodies below are transcribed from Go's math/rand
-// (rng.go, rand.go, normal.go) and must not be "improved": any change
-// to evaluation order or constants breaks stream equality and with it
-// the repo-wide determinism contract (DESIGN.md §2).
+// The draw algorithms below are transcribed from Go's math/rand (rng.go,
+// rand.go, normal.go, exp.go) and must not be "improved": any change to
+// evaluation order or constants breaks stream equality and with it the
+// repo-wide determinism contract (DESIGN.md §2).
+//
+// # Jump-ahead seeding
+//
+// rngSource.Seed walks the Lehmer generator x ← 48271·x mod (2³¹−1) from
+// x₀ = seed mod (2³¹−1): 20 warm-up steps, then three steps per register
+// word, so word i is built from x₂₁₊₃ᵢ, x₂₂₊₃ᵢ and x₂₃₊₃ᵢ. Since
+// xⱼ = 48271ʲ·x₀ mod (2³¹−1), Seed reads each of them as one modular
+// product of x₀ and a precomputed power (seedPow). Both are residues in
+// [1, 2³¹−2], so the product is exact in 64 bits, and 2³¹−1 is a Mersenne
+// number: p mod (2³¹−1) is (p & (2³¹−1)) + (p >> 31), which lies below
+// 2·(2³¹−1), less 2³¹−1 if it reaches it (mulMod). Schrage's method in the
+// stdlib computes the same residue with no overflow either, so each word
+// is the stdlib's word exactly, and the 1821 products are independent
+// instead of one dependent chain.
 package xrand
 
 import "math"
@@ -27,7 +45,8 @@ const (
 	rngMask  = rngMax - 1
 	int32max = (1 << 31) - 1
 
-	rn = 3.442619855899 // ziggurat base-strip bound
+	rn = 3.442619855899      // normal ziggurat base-strip bound
+	re = 7.69711747013104972 // exponential ziggurat base-strip bound
 )
 
 // Rand is a concrete (non-interface) replica of
@@ -48,21 +67,30 @@ type Rand struct {
 	vec [rngLen]int64
 }
 
-// seedrand advances the Lehmer seeding LCG:
-// x[n+1] = 48271 * x[n] mod (2**31 - 1).
-func seedrand(x int32) int32 {
-	const (
-		a = 48271
-		q = 44488
-		r = 3399
-	)
-	hi := x / q
-	lo := x % q
-	x = a*lo - r*hi
-	if x < 0 {
-		x += int32max
+// seedPowLen covers the Lehmer powers rngSource.Seed walks through: 20
+// warm-up steps and three per register word, x₁ … x₁₈₄₁.
+const seedPowLen = 21 + 3*rngLen
+
+// seedPow[j] is 48271ʲ mod (2³¹−1), the multiplier that jumps the Lehmer
+// seeding generator j steps ahead.
+var seedPow = func() (t [seedPowLen]uint32) {
+	t[0] = 1
+	for j := 1; j < seedPowLen; j++ {
+		t[j] = mulMod(t[j-1], 48271)
 	}
-	return x
+	return
+}()
+
+// mulMod returns a·b mod (2³¹−1) for a, b < 2³¹−1 by one Mersenne fold:
+// p = a·b < (2³¹−2)², so p>>31 ≤ 2³¹−4 and p&(2³¹−1) ≤ 2³¹−1, their sum
+// is below 2·(2³¹−1), and one conditional subtract finishes the residue.
+func mulMod(a, b uint32) uint32 {
+	p := uint64(a) * uint64(b)
+	p = p&int32max + p>>31
+	if p >= int32max {
+		p -= int32max
+	}
+	return uint32(p)
 }
 
 // New returns a generator whose output stream is bit-identical to
@@ -73,10 +101,13 @@ func New(seed int64) *Rand {
 	return r
 }
 
-// Seed re-initializes the feedback register exactly as
-// rngSource.Seed does: reduce the seed mod 2³¹−1, warm the LCG for 20
-// rounds, then fill each word from three 20-bit LCG chunks XORed with
-// the precomputed rngCooked state.
+// Seed re-initializes the feedback register exactly as rngSource.Seed
+// does: reduce the seed mod 2³¹−1, then fill each word from three 20-bit
+// chunks of the Lehmer seeding sequence XORed with the precomputed
+// rngCooked state. The sequence values are read by jump-ahead (see the
+// package doc), not by stepping the generator.
+//
+//cyclops:hotpath re-seeded once per fault class by every fault.Plan call; zero-alloc contract pinned by TestSeedZeroAllocs and make alloc-check
 func (r *Rand) Seed(seed int64) {
 	r.pos = rngLen // buffer empty; first draw refills
 
@@ -88,19 +119,13 @@ func (r *Rand) Seed(seed int64) {
 		seed = 89482311
 	}
 
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			var u int64
-			u = int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			u ^= rngCooked[i]
-			r.vec[i] = u
-		}
+	x := uint32(seed)
+	for i := range r.vec {
+		j := 21 + 3*i
+		u := int64(mulMod(seedPow[j], x)) << 40
+		u ^= int64(mulMod(seedPow[j+1], x)) << 20
+		u ^= int64(mulMod(seedPow[j+2], x))
+		r.vec[i] = u ^ rngCooked[i]
 	}
 }
 
@@ -295,6 +320,26 @@ func (r *Rand) normSlow(j, i int32, x float64) float64 {
 		i = j & 0x7F
 		x = float64(j) * wn64[i]
 		if absInt32(j) < kn[i] {
+			return x
+		}
+	}
+}
+
+// ExpFloat64 returns an exponentially distributed float64 with rate 1 via
+// the Marsaglia/Tsang ziggurat, identical draw-for-draw to math/rand's
+// (same tables, same wedge test, same base-strip tail).
+func (r *Rand) ExpFloat64() float64 {
+	for {
+		j := r.Uint32()
+		i := j & 0xFF
+		x := float64(j) * float64(we[i])
+		if j < ke[i] {
+			return x
+		}
+		if i == 0 {
+			return re - math.Log(r.Float64())
+		}
+		if fe[i]+float32(r.Float64())*(fe[i-1]-fe[i]) < float32(math.Exp(-x)) {
 			return x
 		}
 	}

@@ -3,6 +3,7 @@ package xrand
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -73,6 +74,74 @@ func TestSeedReducesLikeMathRand(t *testing.T) {
 	}
 }
 
+// stdVec reads the seeded 607-word register of a math/rand source (an
+// unexported field of rngSource, readable through reflect).
+func stdVec(src rand.Source) reflect.Value {
+	return reflect.ValueOf(src).Elem().FieldByName("vec")
+}
+
+// TestSeedMatchesMathRand pins the jump-ahead Seed to rngSource.Seed: the
+// register words themselves, and the first 2000 draws, for the reduction
+// edge cases (0 and multiples of 2³¹−1 remap to 89482311, negatives wrap,
+// the int64 extremes) and for 10 000 consecutive seeds.
+func TestSeedMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, int32max, 2 * int32max, -int32max, -3 * int32max, 1 << 32 * int32max,
+		math.MinInt64, math.MaxInt64}
+	for s := int64(1); s <= 10000; s++ {
+		seeds = append(seeds, s)
+	}
+	var got Rand
+	for _, seed := range seeds {
+		src := rand.NewSource(seed)
+		got.Seed(seed)
+		vec := stdVec(src)
+		for i := range got.vec {
+			if w := vec.Index(i).Int(); got.vec[i] != w {
+				t.Fatalf("seed %d: vec[%d] = %d, math/rand has %d", seed, i, got.vec[i], w)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			if w, g := src.Int63(), got.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: %d != %d", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// TestExpFloat64MatchesMathRand pins ExpFloat64 draw for draw, interleaved
+// with Float64 so a desynchronized tail path shows in either stream; 200 000
+// draws per seed reach the base strip and the wedge rejections many times.
+func TestExpFloat64MatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 7, 89482311, math.MinInt64} {
+		ref := rand.New(rand.NewSource(seed))
+		got := New(seed)
+		for i := 0; i < 200000; i++ {
+			r, g := ref.ExpFloat64(), got.ExpFloat64()
+			if math.Float64bits(r) != math.Float64bits(g) {
+				t.Fatalf("seed %d draw %d: ExpFloat64 %v != %v", seed, i, g, r)
+			}
+			if i%5 == 0 {
+				if r, g := ref.Float64(), got.Float64(); math.Float64bits(r) != math.Float64bits(g) {
+					t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, g, r)
+				}
+			}
+		}
+	}
+}
+
+// TestSeedZeroAllocs pins the //cyclops:hotpath contract on Seed.
+func TestSeedZeroAllocs(t *testing.T) {
+	r := New(1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seed++
+		r.Seed(seed)
+	})
+	if allocs != 0 {
+		t.Fatalf("Seed allocates %v per call, want 0", allocs)
+	}
+}
+
 // TestNorm6MatchesScalar pins Norm6 to six scalar NormFloat64 draws —
 // including across refill boundaries and slow-path rejections, which the
 // long run below crosses many times.
@@ -126,4 +195,19 @@ func BenchmarkStdNormFloat64(b *testing.B) {
 		s += r.NormFloat64()
 	}
 	_ = s
+}
+
+// BenchmarkSeed is one fault-class re-seed of fault.Plan.
+func BenchmarkSeed(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.Seed(int64(i))
+	}
+}
+
+func BenchmarkStdSeed(b *testing.B) {
+	src := rand.NewSource(1)
+	for i := 0; i < b.N; i++ {
+		src.Seed(int64(i))
+	}
 }

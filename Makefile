@@ -55,9 +55,15 @@ lint-graph-smoke:
 
 # Tier-1 gate: everything must build, lint clean, and pass the full test
 # suite under the race detector (the parallel experiment engine fans out
-# goroutines, so -race is part of the contract, not an extra).
+# goroutines, so -race is part of the contract, not an extra). The nested
+# perfbench module is built and vetted too, offline as perfbench/run.sh
+# builds it: go build ./... skips it, so an export only the benchmark
+# imports could otherwise be deleted without failing the gate (-o
+# /dev/null keeps the binary out of perfbench/).
 verify:
 	$(GO) build ./...
+	GOWORK=off GOPROXY=off $(GO) -C perfbench build -o /dev/null ./...
+	GOWORK=off GOPROXY=off $(GO) -C perfbench vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-smoke
 	$(MAKE) lint-graph-smoke
@@ -71,15 +77,15 @@ verify:
 	$(MAKE) mem-check
 
 # Allocation-regression gate for the compiled hot path: the zero-alloc
-# contracts on Compiled.Beam, the batched kernels (BeamBatch, the SoA
-# pose pass), the G'/P solvers (warm and cold/coarse-seed paths), the
+# contracts on Compiled.Beam, the batched kernel (BeamBatch), the G'/P
+# solvers (warm and cold/coarse-seed paths), the
 # radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm),
 # the fault cursor (Cursor.At/UntilVerdict) and the slot engine's bulk
 # kernels (xmath.AddN, xrand.Seed) are pinned by AllocsPerRun tests, as
 # is the slot engine's per-trace allocation count (flat in trace length);
 # run them without -race (the race detector inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/geom/ ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/xmath/ ./internal/xrand/
+	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/xmath/ ./internal/xrand/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics

@@ -94,12 +94,15 @@ func Fig16Hybrid(seed int64) (Fig16HybridResult, error) {
 // Fig16HybridWorkers is Fig16Hybrid with an explicit worker count. The
 // sweep is a pure function of the seed: corpus, per-trace fault plans,
 // and all three slot models are seeded, so every worker count returns the
-// identical result bit for bit.
+// identical result bit for bit. Every cell's metrics merge into
+// obs.Default(), cell by cell in sweep order.
 func Fig16HybridWorkers(seed int64, workers int) (Fig16HybridResult, error) {
-	return fig16HybridRun(seed, workers, fig16HybridSweep)
+	return fig16HybridRun(seed, workers, fig16HybridSweep, obs.Default())
 }
 
-func fig16HybridRun(seed int64, workers int, grid fig16HybridGrid) (Fig16HybridResult, error) {
+// fig16HybridRun runs the sweep over grid and merges each cell's corpus
+// metrics into reg.
+func fig16HybridRun(seed int64, workers int, grid fig16HybridGrid, reg *obs.Registry) (Fig16HybridResult, error) {
 	src := trace.Source{Seed: seed, N: grid.n, Length: grid.length, Origin: TraceSource(seed).Origin}
 	traces := sim.Materialize(src, workers)
 	res := Fig16HybridResult{Traces: grid.n, TraceLen: grid.length}
@@ -116,7 +119,7 @@ func fig16HybridRun(seed int64, workers int, grid fig16HybridGrid) (Fig16HybridR
 				Chaos:        chaos,
 				Workers:      workers,
 				KeepPerTrace: true,
-				Registry:     obs.NewRegistry(),
+				Registry:     reg,
 			})
 			if err != nil {
 				return res, err

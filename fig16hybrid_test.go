@@ -2,8 +2,11 @@ package cyclops
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"cyclops/internal/obs"
 )
 
 // fig16HybridTrim is the CI-sized sweep: the identical pipeline on a
@@ -21,20 +24,29 @@ func fig16HybridCell(t *testing.T, r Fig16HybridResult, sched, medium string) Fi
 	return Fig16HybridCell{}
 }
 
-// The sweep is bit-identical at any worker count — the acceptance
-// criterion the corpus engine's shard-order fold guarantees.
+// The sweep, and the metrics it publishes, are bit-identical at any
+// worker count — the acceptance criterion the corpus engine's shard-order
+// fold guarantees. Each worker count runs into its own fresh registry.
 func TestFig16HybridWorkerDeterminism(t *testing.T) {
-	run := func(workers int) Fig16HybridResult {
-		r, err := fig16HybridRun(5, workers, fig16HybridTrim)
+	run := func(workers int) (Fig16HybridResult, string) {
+		reg := obs.NewRegistry()
+		r, err := fig16HybridRun(5, workers, fig16HybridTrim, reg)
 		if err != nil {
 			t.Fatalf("fig16HybridRun(workers=%d): %v", workers, err)
 		}
-		return r
+		return r, reg.Exposition()
 	}
-	base := run(1)
+	base, baseExp := run(1)
+	if !strings.Contains(baseExp, "\ncyclops_policy_failover_total ") {
+		t.Fatalf("exposition lacks cyclops_policy_failover_total:\n%s", baseExp)
+	}
 	for _, w := range []int{2, 4} {
-		if got := run(w); !reflect.DeepEqual(got, base) {
+		got, exp := run(w)
+		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d result differs from serial", w)
+		}
+		if exp != baseExp {
+			t.Fatalf("workers=%d exposition differs from serial:\n%s\nvs\n%s", w, exp, baseExp)
 		}
 	}
 	if base.Render() == "" {
@@ -47,7 +59,7 @@ func TestFig16HybridWorkerDeterminism(t *testing.T) {
 // criteria — while the occlusion storm (physical, blocks both media)
 // keeps the three arms honest.
 func TestFig16HybridHazeSeparation(t *testing.T) {
-	r, err := fig16HybridRun(5, 0, fig16HybridTrim)
+	r, err := fig16HybridRun(5, 0, fig16HybridTrim, obs.NewRegistry())
 	if err != nil {
 		t.Fatalf("fig16HybridRun: %v", err)
 	}

@@ -149,6 +149,7 @@ func Rules() []Rule {
 		ruleMetrics(),
 		ruleErrDiscipline(),
 		ruleOptInContract(),
+		ruleUnused(),
 	}
 }
 

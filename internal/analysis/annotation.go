@@ -29,6 +29,9 @@ import (
 //     RunOptions field that is deliberately not a pointer-armed feature,
 //     or a switch whose default is a documented catch-all). Reason
 //     required.
+//   - keep <reason> — on (or directly above) an exported declaration
+//     under internal/: exempts it from the unused rule and marks what it
+//     uses as reached. Reason required.
 //
 // A suppressing annotation covers findings on its own line (trailing
 // comment) and on the line directly below it (standalone comment above
@@ -47,13 +50,14 @@ const (
 	dirDiscardOK  = "discard-ok"
 	dirPanicOK    = "panic-ok"
 	dirContractOK = "contract-ok"
+	dirKeep       = "keep"
 )
 
 // needsReason reports whether a directive is a suppressor requiring a
 // justification.
 func needsReason(dir string) bool {
 	switch dir {
-	case dirDetOK, dirAllocOK, dirMetricOK, dirDiscardOK, dirPanicOK, dirContractOK:
+	case dirDetOK, dirAllocOK, dirMetricOK, dirDiscardOK, dirPanicOK, dirContractOK, dirKeep:
 		return true
 	}
 	return false

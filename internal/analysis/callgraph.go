@@ -118,17 +118,6 @@ type CallGraph struct {
 	Order []*CGNode
 }
 
-// NodeByName finds a node by its qualified Name; nil when absent (test
-// helper and chain-construction convenience).
-func (g *CallGraph) NodeByName(name string) *CGNode {
-	for _, n := range g.Order {
-		if n.Name() == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // CallGraph builds (once) and returns the module's call graph.
 func (m *Module) CallGraph() *CallGraph {
 	if m.graph != nil {

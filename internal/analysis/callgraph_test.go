@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// nodeByName finds a node by its qualified Name; nil when absent.
+func nodeByName(g *CallGraph, name string) *CGNode {
+	for _, n := range g.Order {
+		if n.Name() == name {
+			return n
+		}
+	}
+	return nil
+}
+
 // TestCallGraph pins the resolution semantics the interprocedural rules
 // are founded on: method calls resolve through the type checker, a
 // mention outside call position becomes a ref edge, unresolvable calls
@@ -20,7 +30,7 @@ func TestCallGraph(t *testing.T) {
 
 	node := func(name string) *CGNode {
 		t.Helper()
-		n := g.NodeByName(name)
+		n := nodeByName(g, name)
 		if n == nil {
 			var names []string
 			for _, n := range g.Order {

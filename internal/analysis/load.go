@@ -149,6 +149,12 @@ func LoadTree(dir, modPath string) (*Module, error) {
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
+		// A nested go.mod starts another module (perfbench/), which go
+		// build ./... skips too: its uses of this module's exports are
+		// not this module's own.
+		if _, serr := os.Stat(filepath.Join(path, "go.mod")); path != abs && serr == nil {
+			return filepath.SkipDir
+		}
 		files, perr := parseDir(mod.Fset, path)
 		if perr != nil {
 			return perr

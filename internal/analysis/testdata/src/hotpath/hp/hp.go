@@ -40,8 +40,8 @@ func NotHot(n int) []int {
 
 var errPrebuilt = fmt.Errorf("prebuilt")
 
-// BatchFill is the SoA batch-kernel shape (gma.BeamBatch,
-// geom.PosesFromEulerBatch): caller-owned parallel slices written in
+// BatchFill is the SoA batch-kernel shape (gma.BeamBatch, the pointing
+// solver's probe buffers): caller-owned parallel slices written in
 // place, including prebuilt error values stored into an error slice.
 // Writes through slice parameters are not allocations and must stay
 // clean — only the creation of the buffers is hot-path-hostile, and that

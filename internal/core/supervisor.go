@@ -396,11 +396,3 @@ func (s *Supervisor) Finish() {
 		s.hoGauge.Set(s.timeIn[SupHandover].Seconds())
 	}
 }
-
-// TimeIn returns the accumulated time in the given state.
-func (s *Supervisor) TimeIn(st SupState) time.Duration {
-	if st >= numSupStates {
-		return 0
-	}
-	return s.timeIn[st]
-}

@@ -130,7 +130,7 @@ func TestSupervisorHandoverMetrics(t *testing.T) {
 			t.Errorf("armed exposition missing %q", want)
 		}
 	}
-	if s.TimeIn(SupHandover) == 0 {
+	if s.timeIn[SupHandover] == 0 {
 		t.Error("no HANDOVER time accumulated")
 	}
 
@@ -170,10 +170,10 @@ func TestSupervisorOutageAccounting(t *testing.T) {
 	if s.Down() {
 		t.Error("supervisor still down after recovery")
 	}
-	if got := s.TimeIn(SupDegraded); got == 0 {
+	if got := s.timeIn[SupDegraded]; got == 0 {
 		t.Error("no degraded time accumulated")
 	}
-	total := s.TimeIn(SupTracking) + s.TimeIn(SupReacquiring) + s.TimeIn(SupDegraded)
+	total := s.timeIn[SupTracking] + s.timeIn[SupReacquiring] + s.timeIn[SupDegraded]
 	if want := 830 * tickMs; total != want {
 		t.Errorf("time-in-state total = %v, want %v", total, want)
 	}

@@ -145,6 +145,8 @@ func (s *System) UseOracleModels() {
 }
 
 // Calibrated reports whether models are in place.
+//
+//cyclops:keep public API through cyclops.System
 func (s *System) Calibrated() bool { return s.calibrated }
 
 // PointNow takes a fresh tracking report at simulation time at, solves the

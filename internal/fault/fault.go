@@ -192,12 +192,6 @@ type State struct {
 	SolverDiverge bool
 }
 
-// Any reports whether any fault is active.
-func (s State) Any() bool {
-	return s.AttenDB != 0 || s.TrackerBlackout || s.TrackerFreeze ||
-		s.GalvoStuck || s.GalvoSatLimit != 0 || s.SolverDiverge
-}
-
 // Schedule is a planned set of fault windows, sorted by (Start, Kind).
 type Schedule struct {
 	// Seed is the seed the schedule was planned from; consumers derive
@@ -220,6 +214,8 @@ func (s *Schedule) Empty() bool { return s == nil || len(s.Windows) == 0 }
 // Start (Plan's order) — the scan stops at the first window that starts
 // after t — and the haze total is a float sum taken in window-index
 // order, so reordering three or more stacked fades can move its last bit.
+//
+//cyclops:keep perfbench; public API through cyclops.FaultSchedule
 func (s *Schedule) At(t time.Duration) State {
 	c := s.Cursor()
 	return c.At(t)

@@ -84,11 +84,11 @@ func TestEmptySchedule(t *testing.T) {
 	if !nilSched.Empty() {
 		t.Error("nil schedule must be Empty")
 	}
-	if nilSched.At(time.Second).Any() {
+	if nilSched.At(time.Second) != (State{}) {
 		t.Error("nil schedule must inject nothing")
 	}
 	empty := &Schedule{Seed: 5}
-	if !empty.Empty() || empty.At(0).Any() {
+	if !empty.Empty() || empty.At(0) != (State{}) {
 		t.Error("windowless schedule must be Empty and inject nothing")
 	}
 	if got := Plan(Config{}, 1, time.Minute); !got.Empty() {

@@ -54,17 +54,9 @@ type Device struct {
 	slewRate float64
 }
 
-// Option configures a Device.
-type Option func(*Device)
-
-// WithSlewRate overrides the mechanical slew rate (rad/s).
-func WithSlewRate(r float64) Option {
-	return func(d *Device) { d.slewRate = r }
-}
-
 // New builds a device around the given true geometry. The seed fixes the
 // servo-noise stream so experiments are reproducible.
-func New(truth gma.Params, spec optics.GalvoSpec, daq optics.DAQSpec, seed int64, opts ...Option) *Device {
+func New(truth gma.Params, spec optics.GalvoSpec, daq optics.DAQSpec, seed int64) *Device {
 	d := &Device{
 		truth:    truth,
 		truthC:   truth.Compile(),
@@ -72,9 +64,6 @@ func New(truth gma.Params, spec optics.GalvoSpec, daq optics.DAQSpec, seed int64
 		daq:      daq,
 		rng:      rand.New(rand.NewSource(seed)),
 		slewRate: 300,
-	}
-	for _, o := range opts {
-		o(d)
 	}
 	return d
 }
@@ -150,14 +139,6 @@ func (d *Device) Voltages() (v1, v2 float64) {
 	defer d.mu.Unlock()
 	return d.v1, d.v2
 }
-
-// VoltageStep returns the smallest commandable voltage increment — the
-// paper's "minimum GM voltage step", used as the pointing-iteration stop
-// threshold.
-func (d *Device) VoltageStep() float64 { return d.daq.VoltageStep() }
-
-// VoltageRange returns the symmetric command limit.
-func (d *Device) VoltageRange() float64 { return d.daq.OutputRange }
 
 // Beam returns the beam the assembly is emitting right now, in the
 // device's K-space frame, including servo pointing noise (the GVS102's

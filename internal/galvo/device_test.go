@@ -24,7 +24,7 @@ func TestSetVoltagesClampAndQuantize(t *testing.T) {
 
 	d.SetVoltages(1.23456789, 0)
 	v1, _ = d.Voltages()
-	step := d.VoltageStep()
+	step := d.daq.VoltageStep()
 	if r := math.Mod(v1, step); math.Abs(r) > 1e-12 && math.Abs(r-step) > 1e-12 {
 		t.Errorf("voltage %v not on DAC grid (step %v)", v1, step)
 	}
@@ -127,9 +127,12 @@ func TestNewUnitDeterministic(t *testing.T) {
 	}
 }
 
+// TestWithSlewRate: a slower mechanical slew lengthens a large step.
 func TestWithSlewRate(t *testing.T) {
-	slow := New(gma.Nominal(), optics.GVS102, optics.USB1608G, 1, WithSlewRate(1))
-	fast := New(gma.Nominal(), optics.GVS102, optics.USB1608G, 1, WithSlewRate(1e6))
+	slow := New(gma.Nominal(), optics.GVS102, optics.USB1608G, 1)
+	slow.slewRate = 1
+	fast := New(gma.Nominal(), optics.GVS102, optics.USB1608G, 1)
+	fast.slewRate = 1e6
 	ls := slow.SetVoltages(10, 10)
 	lf := fast.SetVoltages(10, 10)
 	if ls <= lf {
@@ -190,7 +193,7 @@ func TestSetVoltagesHold(t *testing.T) {
 // zero or negative limit restores the full range.
 func TestSetVoltagesRangeLimit(t *testing.T) {
 	d := newTestDevice()
-	step := d.VoltageStep()
+	step := d.daq.VoltageStep()
 	d.SetRangeLimit(0.5)
 	d.SetVoltages(3, -3)
 	v1, v2 := d.Voltages()

@@ -65,17 +65,6 @@ func (pl Plane) IntersectLine(r Ray) (Vec3, float64, error) {
 	return r.At(t), t, nil
 }
 
-// DistanceTo returns the signed distance from point q to the plane, positive
-// on the side the normal points toward.
-func (pl Plane) DistanceTo(q Vec3) float64 {
-	return q.Sub(pl.Point).Dot(pl.Normal)
-}
-
-// Project returns the orthogonal projection of q onto the plane.
-func (pl Plane) Project(q Vec3) Vec3 {
-	return q.Sub(pl.Normal.Scale(pl.DistanceTo(q)))
-}
-
 // Reflect implements the mirror reflection operator R of §4.1: given an
 // incoming beam (as a Ray) and a mirror (an infinite plane), it returns the
 // outgoing beam. The outgoing origin is the point where the beam strikes
@@ -109,45 +98,10 @@ func (r Ray) DistanceTo(q Vec3) float64 {
 	return p.Dist(q)
 }
 
-// Disk is a finite circular aperture: the set of plane points within Radius
-// of Center. It models collimator lenses and mirror faces.
-type Disk struct {
-	Center Vec3
-	Normal Vec3 // unit length by construction via NewDisk
-	Radius float64
-}
-
-// NewDisk builds a disk, normalizing the normal.
-func NewDisk(center, normal Vec3, radius float64) Disk {
-	return Disk{Center: center, Normal: normal.Unit(), Radius: radius}
-}
-
-// Plane returns the infinite plane containing the disk.
-func (d Disk) Plane() Plane { return Plane{Point: d.Center, Normal: d.Normal} }
-
-// Intersect returns where the ray crosses the disk. Rays that hit the
-// plane outside the radius return ErrNoIntersection.
-func (d Disk) Intersect(r Ray) (Vec3, float64, error) {
-	hit, t, err := d.Plane().Intersect(r)
-	if err != nil {
-		return Vec3{}, 0, err
-	}
-	if hit.Dist(d.Center) > d.Radius {
-		return Vec3{}, 0, ErrNoIntersection
-	}
-	return hit, t, nil
-}
-
 // Segment is the line segment from A to B.
 type Segment struct {
 	A, B Vec3
 }
-
-// Length returns |B-A|.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns (A+B)/2.
-func (s Segment) Midpoint() Vec3 { return s.A.Add(s.B).Scale(0.5) }
 
 // DistanceTo returns the distance from point q to the nearest point on the
 // segment. Used for line-of-sight checks against spherical occluders.
@@ -164,35 +118,4 @@ func (s Segment) DistanceTo(q Vec3) float64 {
 		t = 1
 	}
 	return s.A.Add(d.Scale(t)).Dist(q)
-}
-
-// ClosestApproach returns the points on rays r1 and r2 that are closest to
-// each other, and the distance between them. For parallel rays it returns
-// the perpendicular foot from r1.Origin. This is used to quantify how close
-// the TX beam passes to the RX capture point.
-func ClosestApproach(r1, r2 Ray) (Vec3, Vec3, float64) {
-	d1, d2 := r1.Dir, r2.Dir
-	w := r1.Origin.Sub(r2.Origin)
-	a := d1.Dot(d1)
-	b := d1.Dot(d2)
-	c := d2.Dot(d2)
-	d := d1.Dot(w)
-	e := d2.Dot(w)
-	denom := a*c - b*b
-	var t1, t2 float64
-	if denom < 1e-15 {
-		t1 = 0
-		t2 = e / c
-	} else {
-		t1 = (b*e - c*d) / denom
-		t2 = (a*e - b*d) / denom
-	}
-	if t1 < 0 {
-		t1 = 0
-	}
-	if t2 < 0 {
-		t2 = 0
-	}
-	p1, p2 := r1.At(t1), r2.At(t2)
-	return p1, p2, p1.Dist(p2)
 }

@@ -110,16 +110,6 @@ func TestReflectInvolution(t *testing.T) {
 	}
 }
 
-func TestDiskIntersect(t *testing.T) {
-	d := NewDisk(V(0, 0, 2), V(0, 0, 1), 0.5)
-	if _, _, err := d.Intersect(NewRay(V(0.3, 0, 0), V(0, 0, 1))); err != nil {
-		t.Errorf("inside-aperture ray missed: %v", err)
-	}
-	if _, _, err := d.Intersect(NewRay(V(0.6, 0, 0), V(0, 0, 1))); err != ErrNoIntersection {
-		t.Errorf("outside-aperture ray hit: %v", err)
-	}
-}
-
 func TestRayClosestPoint(t *testing.T) {
 	r := NewRay(V(0, 0, 0), V(1, 0, 0))
 	p, tt := r.ClosestPointTo(V(3, 4, 0))
@@ -133,34 +123,6 @@ func TestRayClosestPoint(t *testing.T) {
 	almost(t, tt, 0, eps, "clamped t")
 	if !p.NearlyEqual(V(0, 0, 0), eps) {
 		t.Errorf("clamped closest = %v", p)
-	}
-}
-
-func TestClosestApproach(t *testing.T) {
-	r1 := NewRay(V(0, 0, 0), V(1, 0, 0))
-	r2 := NewRay(V(0, 1, 5), V(0, 0, -1))
-	p1, p2, d := ClosestApproach(r1, r2)
-	almost(t, d, 1, eps, "skew distance")
-	if !p1.NearlyEqual(V(0, 0, 0), eps) {
-		t.Errorf("p1 = %v", p1)
-	}
-	if !p2.NearlyEqual(V(0, 1, 0), eps) {
-		t.Errorf("p2 = %v", p2)
-	}
-}
-
-func TestClosestApproachParallel(t *testing.T) {
-	r1 := NewRay(V(0, 0, 0), V(1, 0, 0))
-	r2 := NewRay(V(0, 2, 0), V(1, 0, 0))
-	_, _, d := ClosestApproach(r1, r2)
-	almost(t, d, 2, eps, "parallel distance")
-}
-
-func TestSegment(t *testing.T) {
-	s := Segment{A: V(0, 0, 0), B: V(2, 0, 0)}
-	almost(t, s.Length(), 2, eps, "Length")
-	if got := s.Midpoint(); !got.NearlyEqual(V(1, 0, 0), eps) {
-		t.Errorf("Midpoint = %v", got)
 	}
 }
 
@@ -202,4 +164,19 @@ func TestRayAt(t *testing.T) {
 	if got := r.At(3); !got.NearlyEqual(V(1, 1, 4), eps) {
 		t.Errorf("At = %v", got)
 	}
+}
+
+// Plane.DistanceTo and Plane.Project are test helpers: the signed plane
+// distance and orthogonal projection, the oracles the reflection tests
+// measure against.
+
+// DistanceTo returns the signed distance from point q to the plane, positive
+// on the side the normal points toward.
+func (pl Plane) DistanceTo(q Vec3) float64 {
+	return q.Sub(pl.Point).Dot(pl.Normal)
+}
+
+// Project returns the orthogonal projection of q onto the plane.
+func (pl Plane) Project(q Vec3) Vec3 {
+	return q.Sub(pl.Normal.Scale(pl.DistanceTo(q)))
 }

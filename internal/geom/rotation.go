@@ -14,11 +14,6 @@ type Mat3 struct {
 	M [3][3]float64
 }
 
-// Identity3 returns the identity matrix.
-func Identity3() Mat3 {
-	return Mat3{M: [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}}
-}
-
 // AxisAngle returns the rotation matrix R(axis, θ) that rotates a vector by
 // angle theta (radians) about the given axis (which need not be unit
 // length), following the right-hand rule. This is Rodrigues' rotation
@@ -42,61 +37,6 @@ func (m Mat3) Apply(v Vec3) Vec3 {
 		m.M[1][0]*v.X + m.M[1][1]*v.Y + m.M[1][2]*v.Z,
 		m.M[2][0]*v.X + m.M[2][1]*v.Y + m.M[2][2]*v.Z,
 	}
-}
-
-// Mul returns the matrix product m·n.
-func (m Mat3) Mul(n Mat3) Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			var s float64
-			for k := 0; k < 3; k++ {
-				s += m.M[i][k] * n.M[k][j]
-			}
-			r.M[i][j] = s
-		}
-	}
-	return r
-}
-
-// Transpose returns mᵀ. For a rotation matrix this is the inverse.
-func (m Mat3) Transpose() Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			r.M[i][j] = m.M[j][i]
-		}
-	}
-	return r
-}
-
-// Det returns the determinant.
-func (m Mat3) Det() float64 {
-	a := m.M
-	return a[0][0]*(a[1][1]*a[2][2]-a[1][2]*a[2][1]) -
-		a[0][1]*(a[1][0]*a[2][2]-a[1][2]*a[2][0]) +
-		a[0][2]*(a[1][0]*a[2][1]-a[1][1]*a[2][0])
-}
-
-// Col returns column j as a vector.
-func (m Mat3) Col(j int) Vec3 { return Vec3{m.M[0][j], m.M[1][j], m.M[2][j]} }
-
-// Row returns row i as a vector.
-func (m Mat3) Row(i int) Vec3 { return Vec3{m.M[i][0], m.M[i][1], m.M[i][2]} }
-
-// IsRotation reports whether m is orthonormal with determinant +1, to
-// within tol.
-func (m Mat3) IsRotation(tol float64) bool {
-	id := m.Mul(m.Transpose())
-	want := Identity3()
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(id.M[i][j]-want.M[i][j]) > tol {
-				return false
-			}
-		}
-	}
-	return math.Abs(m.Det()-1) <= tol
 }
 
 // Quat is a unit quaternion representing an orientation. W is the scalar

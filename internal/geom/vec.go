@@ -21,9 +21,6 @@ type Vec3 struct {
 // V is shorthand for constructing a Vec3.
 func V(x, y, z float64) Vec3 { return Vec3{x, y, z} }
 
-// Zero is the zero vector.
-var Zero = Vec3{}
-
 // Add returns v + w.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 
@@ -89,6 +86,8 @@ func (v Vec3) AngleTo(w Vec3) float64 {
 
 // NearlyEqual reports whether v and w agree to within tol in every
 // component-wise difference (Euclidean distance).
+//
+//cyclops:keep test oracle for seven packages' tests, and public API through cyclops.Vec3
 func (v Vec3) NearlyEqual(w Vec3, tol float64) bool {
 	return v.Dist(w) <= tol
 }

@@ -52,11 +52,12 @@ func TestCrossHandedness(t *testing.T) {
 }
 
 func TestUnitZeroSafe(t *testing.T) {
-	if got := Zero.Unit(); got != Zero {
+	var zero Vec3
+	if got := zero.Unit(); got != zero {
 		t.Errorf("Unit(0) = %v", got)
 	}
-	if !Zero.IsZero() {
-		t.Error("Zero.IsZero() = false")
+	if !zero.IsZero() {
+		t.Error("zero.IsZero() = false")
 	}
 	if V(1e-300, 0, 0).IsZero() {
 		t.Error("tiny vector reported zero")

@@ -26,18 +26,6 @@ type BeamBatchBuf struct {
 	Err []error
 }
 
-// NewBeamBatchBuf returns a buffer sized for n pairs. Hot loops with a
-// fixed batch size should prefer stack arrays sliced into the struct.
-func NewBeamBatchBuf(n int) *BeamBatchBuf {
-	return &BeamBatchBuf{
-		V1:     make([]float64, n),
-		V2:     make([]float64, n),
-		Origin: make([]geom.Vec3, n),
-		Dir:    make([]geom.Vec3, n),
-		Err:    make([]error, n),
-	}
-}
-
 // Ray reassembles the output beam for pair i. Only meaningful when
 // Err[i] == nil.
 func (b *BeamBatchBuf) Ray(i int) geom.Ray {

@@ -8,6 +8,17 @@ import (
 	"cyclops/internal/geom"
 )
 
+// newBeamBatchBuf returns a heap buffer sized for n pairs.
+func newBeamBatchBuf(n int) *BeamBatchBuf {
+	return &BeamBatchBuf{
+		V1:     make([]float64, n),
+		V2:     make([]float64, n),
+		Origin: make([]geom.Vec3, n),
+		Dir:    make([]geom.Vec3, n),
+		Err:    make([]error, n),
+	}
+}
+
 // TestBeamBatchBitIdentical is the batched kernel's contract: for every
 // model and every pair in a batch, BeamBatch writes exactly the floats —
 // and exactly the error value — that Compiled.Beam returns for that pair.
@@ -23,7 +34,7 @@ func TestBeamBatchBitIdentical(t *testing.T) {
 		p := randParams(rng)
 		c := p.Compile()
 		for _, n := range sizes {
-			buf := NewBeamBatchBuf(n)
+			buf := newBeamBatchBuf(n)
 			for i := 0; i < n; i++ {
 				buf.V1[i] = (rng.Float64()*2 - 1) * 40
 				buf.V2[i] = (rng.Float64()*2 - 1) * 40
@@ -70,7 +81,7 @@ func TestBeamBatchBitIdentical(t *testing.T) {
 func TestBeamBatchZeroAllocs(t *testing.T) {
 	c := Nominal().Compile()
 	missV1 := findMissVoltage(t, &c)
-	buf := NewBeamBatchBuf(8)
+	buf := newBeamBatchBuf(8)
 	for i := range buf.V1 {
 		buf.V1[i] = 1.3 - 0.1*float64(i)
 		buf.V2[i] = -0.7 + 0.1*float64(i)
@@ -104,7 +115,7 @@ func findMissVoltage(t *testing.T, c *Compiled) float64 {
 // BenchmarkCompiledBeam.
 func benchBatch(b *testing.B, n int) {
 	c := Nominal().Compile()
-	buf := NewBeamBatchBuf(n)
+	buf := newBeamBatchBuf(n)
 	for i := 0; i < n; i++ {
 		buf.V1[i] = 1.3 - 0.01*float64(i)
 		buf.V2[i] = -0.7 + 0.01*float64(i)

@@ -141,17 +141,3 @@ func (c *Compiled) Beam(v1, v2 float64) (geom.Ray, error) {
 	dir2 := dir1.Sub(pn2.Scale(2 * denom2)).Unit()
 	return geom.Ray{Origin: hit2, Dir: dir2}, nil
 }
-
-// BoardHit evaluates f(G(v1,v2)) against a target board, like
-// Params.BoardHit but on the compiled model.
-func (c *Compiled) BoardHit(v1, v2 float64, board geom.Plane) (geom.Vec3, error) {
-	beam, err := c.Beam(v1, v2)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	hit, _, err := board.Intersect(beam)
-	if err != nil {
-		return geom.Vec3{}, fmt.Errorf("board: %w", err)
-	}
-	return hit, nil
-}

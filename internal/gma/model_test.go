@@ -160,7 +160,7 @@ func TestValid(t *testing.T) {
 		t.Error("zero Theta1 accepted")
 	}
 	bad = Nominal()
-	bad.N1 = geom.Zero
+	bad.N1 = geom.Vec3{}
 	if bad.Valid() == nil {
 		t.Error("zero normal accepted")
 	}
@@ -177,8 +177,8 @@ func TestValid(t *testing.T) {
 // first (the bug cyclops-vet's map-order rule caught).
 func TestValidDeterministicMessage(t *testing.T) {
 	bad := Nominal()
-	bad.N1 = geom.Zero
-	bad.R2 = geom.Zero
+	bad.N1 = geom.Vec3{}
+	bad.R2 = geom.Vec3{}
 	for i := 0; i < 100; i++ {
 		err := bad.Valid()
 		if err == nil {

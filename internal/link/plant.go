@@ -247,6 +247,8 @@ func (m *PlantMetrics) observe(powerDBm float64) {
 func (p *Plant) SetAttenuationDB(db float64) { p.attenDB = db }
 
 // AttenuationDB returns the current extra path attenuation, dB.
+//
+//cyclops:keep public API through cyclops.TXPlant
 func (p *Plant) AttenuationDB() float64 { return p.attenDB }
 
 // ReceivedPowerDBm returns the instantaneous optical power at the RX SFP.
@@ -268,6 +270,8 @@ func (p *Plant) ReceivedPowerDBm() float64 {
 // Connected reports whether instantaneous power clears the SFP
 // sensitivity. (For time-aware link state including re-lock delays, use
 // Monitor.)
+//
+//cyclops:keep public API through cyclops.TXPlant
 func (p *Plant) Connected() bool {
 	return p.ReceivedPowerDBm() >= p.Config.Transceiver.SensitivityDBm
 }

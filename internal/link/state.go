@@ -115,15 +115,3 @@ func (m *Monitor) Observe(at time.Duration, powerDBm float64) bool {
 	}
 	return m.up
 }
-
-// Up returns the current link state.
-func (m *Monitor) Up() bool { return m.up }
-
-// GoodputGbps returns the instantaneous TCP goodput: the optimal rate when
-// up, zero when down.
-func (m *Monitor) GoodputGbps() float64 {
-	if m.up {
-		return m.t.OptimalGoodputGbps
-	}
-	return 0
-}

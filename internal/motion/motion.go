@@ -104,10 +104,6 @@ func (l LinearStrokes) Pose(t time.Duration) geom.Pose {
 	return geom.NewPose(l.Base.Rot, l.Base.Trans.Add(axis.Scale(end)))
 }
 
-// PeakSpeed returns the fastest commanded stroke speed — the upper end of
-// the Fig 13 x-axis this program explores.
-func (l LinearStrokes) PeakSpeed() float64 { return l.strokeSpeed(l.Strokes - 1) }
-
 // AngularSweeps is the rotation-stage analogue: the assembly oscillates in
 // yaw about the base pose with a per-sweep peak angular speed ramp.
 type AngularSweeps struct {
@@ -167,9 +163,6 @@ func (a AngularSweeps) Pose(t time.Duration) geom.Pose {
 	}
 	return geom.NewPose(geom.QuatFromAxisAngle(axis, -a.HalfAngle*dir).Mul(a.Base.Rot), a.Base.Trans)
 }
-
-// PeakSpeed returns the fastest commanded sweep speed (rad/s).
-func (a AngularSweeps) PeakSpeed() float64 { return a.sweepSpeed(a.Sweeps - 1) }
 
 // HandHeld simulates the §5.3 user study: the assembly held in hands and
 // moved freely in front of the TX with simultaneous linear and angular

@@ -57,7 +57,7 @@ func TestLinearStrokesKinematics(t *testing.T) {
 		t.Errorf("linear program rotated: %v rad/s", maxAng)
 	}
 	// Peak measured speed ≈ final stroke's commanded peak.
-	want := l.PeakSpeed()
+	want := l.strokeSpeed(l.Strokes - 1)
 	if maxLin < want*0.9 || maxLin > want*1.1 {
 		t.Errorf("peak speed = %v, commanded %v", maxLin, want)
 	}
@@ -83,8 +83,8 @@ func TestLinearStrokesSpeedRamp(t *testing.T) {
 	if l.strokeDur(2) >= l.strokeDur(0) {
 		t.Error("stroke durations not decreasing with speed ramp")
 	}
-	if got := l.PeakSpeed(); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("PeakSpeed = %v", got)
+	if got := l.strokeSpeed(l.Strokes - 1); math.Abs(got-0.3) > 1e-12 {
+		t.Errorf("peak stroke speed = %v", got)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestAngularSweepsKinematics(t *testing.T) {
 	if maxLin > 1e-9 {
 		t.Errorf("angular program translated: %v m/s", maxLin)
 	}
-	want := a.PeakSpeed()
+	want := a.sweepSpeed(a.Sweeps - 1)
 	if maxAng < want*0.9 || maxAng > want*1.1 {
 		t.Errorf("peak angular speed = %v, commanded %v", maxAng, want)
 	}

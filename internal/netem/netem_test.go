@@ -24,7 +24,7 @@ func TestStreamSteadyState(t *testing.T) {
 			t.Errorf("window at %v = %.2f Gbps, want 9.4", w.Start, w.Gbps)
 		}
 	}
-	if s.Packets() == 0 {
+	if s.packets == 0 {
 		t.Error("no packets accounted")
 	}
 }
@@ -75,7 +75,7 @@ func TestStreamPacketAccountingCarriesRemainder(t *testing.T) {
 	}
 	totalBits := 10e9 * (ticks * ms).Seconds()
 	want := totalBits / 8 / float64(s.MTU) // 833333.33
-	if got := float64(s.Packets()); math.Abs(got-want) > 1 {
+	if got := float64(s.packets); math.Abs(got-want) > 1 {
 		t.Errorf("packets = %.0f, want %.2f ± 1 (per-tick truncation?)", got, want)
 	}
 
@@ -96,7 +96,7 @@ func TestStreamPacketAccountingCarriesRemainder(t *testing.T) {
 		}
 	}
 	want2 := bits / 8 / float64(s2.MTU)
-	if got := float64(s2.Packets()); math.Abs(got-want2) > 1 {
+	if got := float64(s2.packets); math.Abs(got-want2) > 1 {
 		t.Errorf("ramped packets = %.0f, want %.2f ± 1", got, want2)
 	}
 }
@@ -218,7 +218,7 @@ func TestStreamFreezeTick(t *testing.T) {
 		}
 	}
 	ws := s.Finish()
-	if s.FrozenWindows() == 0 {
+	if s.frozenWindows == 0 {
 		t.Fatal("no windows were frozen")
 	}
 	for _, w := range ws {
@@ -257,7 +257,7 @@ func TestStreamAllFrozen(t *testing.T) {
 	if len(ws) != 0 {
 		t.Errorf("all-frozen stream reported %d windows", len(ws))
 	}
-	if s.FrozenWindows() == 0 {
+	if s.frozenWindows == 0 {
 		t.Error("frozen windows not counted")
 	}
 }

@@ -160,8 +160,8 @@ func (s *Stream) flushWindow() {
 // offered or carried bits — the graceful-degradation mode: when the
 // supervisor declares the link degraded, traffic accounting pauses
 // instead of charging a long outage against the throughput record.
-// Windows containing frozen ticks are dropped at rollover (see
-// FrozenWindows), and the link is treated as down so TCP re-ramps when
+// Windows containing frozen ticks are dropped at rollover (counted in
+// frozenWindows), and the link is treated as down so TCP re-ramps when
 // normal ticks resume. Mixing FreezeTick and Tick within one window
 // drops that window entirely.
 func (s *Stream) FreezeTick(at, tickLen time.Duration) {
@@ -176,10 +176,6 @@ func (s *Stream) FreezeTick(at, tickLen time.Duration) {
 	s.curFrozen = true
 	s.wasUp = false
 }
-
-// FrozenWindows counts measurement windows dropped because they contained
-// degraded-mode (frozen) ticks.
-func (s *Stream) FrozenWindows() int64 { return s.frozenWindows }
 
 // Finish returns all completed measurements. A partially filled trailing
 // window is discarded — averaging a fraction of a window against the full
@@ -196,21 +192,6 @@ func (s *Stream) Finish() []Window {
 	}
 	return s.windows
 }
-
-// CarriedFraction is the share of the link's nominal zero-downtime
-// capacity actually delivered so far (1 means no outages and no ramping).
-func (s *Stream) CarriedFraction() float64 {
-	if s.offeredBits == 0 {
-		return 0
-	}
-	return s.carriedBits / s.offeredBits
-}
-
-// Windows returns the completed measurement windows so far.
-func (s *Stream) Windows() []Window { return s.windows }
-
-// Packets returns the cumulative delivered packet count.
-func (s *Stream) Packets() int64 { return s.packets }
 
 // MeanGbps returns the average goodput across all completed windows.
 func (s *Stream) MeanGbps() float64 {

@@ -22,9 +22,6 @@ func (b GaussianBeam) RadiusAt(z float64) float64 {
 	return b.W0 + b.Divergence*math.Abs(z)
 }
 
-// DiameterAt returns the 1/e² intensity diameter at distance z.
-func (b GaussianBeam) DiameterAt(z float64) float64 { return 2 * b.RadiusAt(z) }
-
 // DivergenceFor returns the divergence half-angle needed for the beam to
 // reach 1/e² diameter d at distance z, clamped at ≥ 0 (a target diameter
 // smaller than the launch diameter yields a collimated beam).
@@ -192,9 +189,4 @@ func AngleCouplingFraction(theta, acceptance float64) float64 {
 	}
 	r := theta / acceptance
 	return math.Exp(-2 * r * r)
-}
-
-// AngleCouplingLossDB returns the same response as a dB loss.
-func AngleCouplingLossDB(theta, acceptance float64) float64 {
-	return FractionToDB(AngleCouplingFraction(theta, acceptance))
 }

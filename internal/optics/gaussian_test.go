@@ -12,7 +12,6 @@ func TestBeamRadius(t *testing.T) {
 	b := GaussianBeam{W0: MM(2), Divergence: Mrad(4)}
 	almost(t, b.RadiusAt(0), MM(2), 1e-12, "radius at 0")
 	almost(t, b.RadiusAt(1.75), MM(2)+0.004*1.75, 1e-12, "radius at 1.75m")
-	almost(t, b.DiameterAt(1.75), 2*(MM(2)+0.004*1.75), 1e-12, "diameter")
 	// Negative z is symmetric.
 	almost(t, b.RadiusAt(-1), b.RadiusAt(1), 1e-15, "symmetry")
 }
@@ -125,8 +124,6 @@ func TestAngleCoupling(t *testing.T) {
 	almost(t, AngleCouplingFraction(acc, acc), math.Exp(-2), 1e-12, "at acceptance")
 	// Symmetric in angle sign.
 	almost(t, AngleCouplingFraction(-Mrad(2), acc), AngleCouplingFraction(Mrad(2), acc), 1e-15, "symmetry")
-	// Loss form agrees.
-	almost(t, AngleCouplingLossDB(acc, acc), -10*math.Log10(math.Exp(-2)), 1e-9, "loss dB")
 }
 
 func TestAngleCouplingZeroAcceptance(t *testing.T) {

@@ -23,10 +23,6 @@ type Transceiver struct {
 	RelockDelay time.Duration
 }
 
-// LinkBudgetDB returns TxPower − Sensitivity, the total loss the link can
-// absorb.
-func (t Transceiver) LinkBudgetDB() float64 { return t.TxPowerDBm - t.SensitivityDBm }
-
 // Amplifier models an inline EDFA used, as in the paper, only to
 // compensate for the coupling loss of capturing into a fiber rather than
 // an exposed photodetector.
@@ -65,14 +61,6 @@ type GalvoSpec struct {
 	// VoltageRange is the symmetric command range ±VoltageRange.
 	VoltageRange float64
 }
-
-// RadPerVolt returns the optical beam deflection per command volt.
-func (g GalvoSpec) RadPerVolt() float64 {
-	mechDegPerVolt := 1 / g.VoltsPerDegree
-	return 2 * mechDegPerVolt * degToRad
-}
-
-const degToRad = 3.14159265358979323846 / 180
 
 // DAQSpec describes the USB data-acquisition device driving the galvo
 // power supplies.

@@ -21,15 +21,6 @@ import "math"
 // DBmToMilliwatt converts optical power in dBm to milliwatts.
 func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
-// MilliwattToDBm converts optical power in milliwatts to dBm.
-// Zero or negative power maps to -inf dBm.
-func MilliwattToDBm(mw float64) float64 {
-	if mw <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(mw)
-}
-
 // FractionToDB converts a power fraction (0,1] to a loss in dB (positive
 // number = loss). A zero or negative fraction maps to +inf loss.
 func FractionToDB(frac float64) float64 {
@@ -39,20 +30,11 @@ func FractionToDB(frac float64) float64 {
 	return -10 * math.Log10(frac)
 }
 
-// DBToFraction converts a loss in dB (positive = loss) to a power fraction.
-func DBToFraction(lossDB float64) float64 { return math.Pow(10, -lossDB/10) }
-
 // Mrad converts milliradians to radians.
 func Mrad(m float64) float64 { return m * 1e-3 }
 
 // ToMrad converts radians to milliradians.
 func ToMrad(rad float64) float64 { return rad * 1e3 }
-
-// Deg converts degrees to radians.
-func Deg(d float64) float64 { return d * math.Pi / 180 }
-
-// ToDeg converts radians to degrees.
-func ToDeg(rad float64) float64 { return rad * 180 / math.Pi }
 
 // MM converts millimeters to meters.
 func MM(mm float64) float64 { return mm * 1e-3 }

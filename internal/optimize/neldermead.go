@@ -173,32 +173,6 @@ func nelderMead(f ObjectiveFunc, x0 []float64, opts NMOptions) Result {
 	}
 }
 
-// GoldenSection minimizes a 1-D unimodal function on [a, b] to within tol,
-// returning the minimizing x. Used for the tolerance probes in the link
-// evaluation (finding where received power crosses the sensitivity
-// threshold is a 1-D search).
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	if a > b {
-		a, b = b, a
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
-}
-
 // Bisect finds x in [lo, hi] where pred flips from true to false, assuming
 // pred(lo) is true. It returns the largest x (within tol) for which pred
 // holds. This is the root-finder behind "maximum angular movement for which

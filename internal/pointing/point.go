@@ -3,7 +3,6 @@ package pointing
 import (
 	"fmt"
 
-	"cyclops/internal/geom"
 	"cyclops/internal/gma"
 	"cyclops/internal/obs"
 )
@@ -220,27 +219,6 @@ func coincidenceResidual(gt, gr *gma.Compiled, v Voltages) float64 {
 	// neighborhood and vice versa; measured as each beam's distance of
 	// closest approach to the other's origin.
 	return bt.DistanceTo(br.Origin) + br.DistanceTo(bt.Origin)
-}
-
-// CoincidenceResidual is the exported form used by tests and the
-// calibration error analysis.
-func CoincidenceResidual(gt, gr gma.Params, v Voltages) float64 {
-	ct, cr := gt.Compile(), gr.Compile()
-	return coincidenceResidual(&ct, &cr, v)
-}
-
-// InVRSpace places a K-space GMA model into VR-space. For the TX terminal
-// the mapping is the fixed learned pose M_tx; for the RX terminal the
-// K-space rides on the headset, so the mapping composes the current
-// tracking report Ψ with the learned relative pose M_rx (§4.2 footnote 8).
-func InVRSpace(kspaceModel gma.Params, mapping geom.Pose) gma.Params {
-	return kspaceModel.Transformed(mapping)
-}
-
-// RXInVRSpace maps the RX K-space model into VR-space for the tracking
-// report psi: K-space → tracked frame (learned M_rx) → VR-space (Ψ).
-func RXInVRSpace(kspaceModel gma.Params, mrx geom.Pose, psi geom.Pose) gma.Params {
-	return kspaceModel.Transformed(psi.Compose(mrx))
 }
 
 func max4(a, b, c, d float64) float64 {

@@ -162,32 +162,21 @@ func TestPointWarmStartFewerIterations(t *testing.T) {
 	}
 }
 
-func TestRXInVRSpaceComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	k := gma.Perturbed(rng)
-	mrx := geom.NewPose(geom.QuatFromAxisAngle(geom.V(1, 0, 0), 0.2), geom.V(0.05, 0.02, 0.01))
-	psi := geom.NewPose(geom.QuatFromAxisAngle(geom.V(0, 1, 0), 1.0), geom.V(1, 1.5, 2))
-	got := RXInVRSpace(k, mrx, psi)
-	want := k.Transformed(psi.Compose(mrx))
-	if got != want {
-		t.Error("RXInVRSpace composition mismatch")
-	}
-}
-
 func TestCoincidenceResidualZeroAtAlignment(t *testing.T) {
 	gt, gr := fixture(8)
 	res, err := Point(gt, gr, Voltages{}, PointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := CoincidenceResidual(gt, gr, res.V)
+	ct, cr := gt.Compile(), gr.Compile()
+	r := coincidenceResidual(&ct, &cr, res.V)
 	if r < 0 || r > 1e-3 {
 		t.Errorf("residual at alignment = %v", r)
 	}
 	// A detuned voltage set has a visibly larger residual.
 	detuned := res.V
 	detuned.TX1 += 0.05
-	if CoincidenceResidual(gt, gr, detuned) < 10*r {
+	if coincidenceResidual(&ct, &cr, detuned) < 10*r {
 		t.Error("residual not sensitive to detuning")
 	}
 }

@@ -305,17 +305,11 @@ func (c *Controller) maybeReadmit(at time.Duration) {
 	}
 }
 
-// State returns the current policy state.
-func (c *Controller) State() State { return c.state }
-
 // Failovers counts PRIMARY→SECONDARY transitions so far.
 func (c *Controller) Failovers() int { return c.failovers }
 
 // Readmits counts SECONDARY→PRIMARY transitions so far.
 func (c *Controller) Readmits() int { return c.readmits }
-
-// SecondaryTime totals the tick time spent with traffic on the secondary.
-func (c *Controller) SecondaryTime() time.Duration { return c.secondaryTime }
 
 // MinSecondaryDwell is the shortest completed failover→readmit dwell, or
 // zero when no dwell has completed. By construction it is never below

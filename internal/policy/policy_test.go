@@ -161,15 +161,15 @@ func TestCountersAndSecondaryTime(t *testing.T) {
 	if c.Failovers() != 1 || c.Readmits() != 1 {
 		t.Fatalf("failovers=%d readmits=%d, want 1/1", c.Failovers(), c.Readmits())
 	}
-	if got := c.SecondaryTime(); got != 4*ms {
+	if got := c.secondaryTime; got != 4*ms {
 		t.Fatalf("SecondaryTime = %v, want 4ms", got)
 	}
 	// Dwell: failed over at t=1ms, readmitted at t=5ms.
 	if got := c.MinSecondaryDwell(); got != 4*ms {
 		t.Fatalf("MinSecondaryDwell = %v, want 4ms", got)
 	}
-	if c.State() != Primary {
-		t.Fatalf("final state %v, want PRIMARY", c.State())
+	if c.state != Primary {
+		t.Fatalf("final state %v, want PRIMARY", c.state)
 	}
 }
 
@@ -246,21 +246,21 @@ func FuzzObserveRunMatchesObserve(f *testing.F) {
 			if rng.Intn(4) == 0 {
 				n = rng.Intn(3) // single samples and empty runs
 			}
-			want := one.State()
+			want := one.state
 			for j := 0; j < n; j++ {
 				want = one.Observe(at+time.Duration(j)*tick, tick, healthy)
 			}
-			if got := run.ObserveRun(at, tick, n, healthy); got != want || run.State() != want {
+			if got := run.ObserveRun(at, tick, n, healthy); got != want || run.state != want {
 				t.Fatalf("run %d (n=%d healthy=%v at %v): ObserveRun = %v, Observe = %v", i, n, healthy, at, got, want)
 			}
 			at += time.Duration(n) * tick
 			checkDeadline(t, run, at)
 		}
 		if run.Failovers() != one.Failovers() || run.Readmits() != one.Readmits() ||
-			run.SecondaryTime() != one.SecondaryTime() || run.MinSecondaryDwell() != one.MinSecondaryDwell() {
+			run.secondaryTime != one.secondaryTime || run.MinSecondaryDwell() != one.MinSecondaryDwell() {
 			t.Fatalf("ObserveRun counters %d/%d/%v/%v, Observe %d/%d/%v/%v",
-				run.Failovers(), run.Readmits(), run.SecondaryTime(), run.MinSecondaryDwell(),
-				one.Failovers(), one.Readmits(), one.SecondaryTime(), one.MinSecondaryDwell())
+				run.Failovers(), run.Readmits(), run.secondaryTime, run.MinSecondaryDwell(),
+				one.Failovers(), one.Readmits(), one.secondaryTime, one.MinSecondaryDwell())
 		}
 		if got, want := regRun.Exposition(), regObs.Exposition(); got != want {
 			t.Fatalf("ObserveRun exposition:\n%s\nObserve exposition:\n%s", got, want)
@@ -273,11 +273,11 @@ func FuzzObserveRunMatchesObserve(f *testing.F) {
 // that is no earlier than from) and moves at it; a settled one has none.
 func checkDeadline(t *testing.T, c *Controller, from time.Duration) {
 	t.Helper()
-	healthy := c.State() == Primary || c.State() == ReadmitPending
+	healthy := c.state == Primary || c.state == ReadmitPending
 	d := c.Deadline()
-	if c.State() == Primary || c.State() == Secondary {
+	if c.state == Primary || c.state == Secondary {
 		if d != math.MaxInt64 {
-			t.Fatalf("%v: Deadline = %v, want none", c.State(), d)
+			t.Fatalf("%v: Deadline = %v, want none", c.state, d)
 		}
 		return
 	}
@@ -287,11 +287,11 @@ func checkDeadline(t *testing.T, c *Controller, from time.Duration) {
 		return cp.Observe(at, ms, healthy)
 	}
 	if d-1 >= from {
-		if st := probe(d - 1); st != c.State() {
-			t.Fatalf("%v moved to %v at Deadline−1ns (%v)", c.State(), st, d-1)
+		if st := probe(d - 1); st != c.state {
+			t.Fatalf("%v moved to %v at Deadline−1ns (%v)", c.state, st, d-1)
 		}
 	}
-	if st := probe(max(d, from)); st == c.State() {
-		t.Fatalf("%v held at Deadline %v", c.State(), d)
+	if st := probe(max(d, from)); st == c.state {
+		t.Fatalf("%v held at Deadline %v", c.state, d)
 	}
 }

@@ -89,8 +89,10 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 }
 
 // slotArms are the slot engine's optional arms. The zero value is the
-// clean §5.4 model; a fault schedule, a secondary medium or a sink moves
-// every segment onto the armed path.
+// clean §5.4 model, which runs through the same slot loop as every armed
+// combination: with no fault schedule the blocking arm never fires, and
+// without a hybrid arm or a sink nothing bounds a run short of the trace
+// end.
 type slotArms struct {
 	// sched injects faults (nil or empty: none). Occlusions block the link
 	// (with standby rescue when ChaosParams.TXCount > 1), tracker
@@ -145,8 +147,8 @@ func bound(horizon, t, at time.Duration) time.Duration {
 }
 
 // simulate is the slot engine: the one FSO slot loop behind SimulateTrace,
-// SimulateTraceChaosSlots and SimulateTraceHybrid. The armed path reads
-// the fault state through a monotone cursor once per run of slots.
+// SimulateTraceChaosSlots and SimulateTraceHybrid. It reads the fault
+// state through a monotone cursor once per run of slots.
 func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
@@ -240,7 +242,6 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	// schedule fs stays zero, fsUntil never comes and every fault branch
 	// below is dead.
 	faults := !arms.sched.Empty()
-	armed := faults || arms.hybrid != nil || arms.sink != nil
 	cur := arms.sched.Cursor()
 	var fs fault.State
 	fsUntil := time.Duration(math.MaxInt64)
@@ -253,7 +254,7 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	}
 	blk := newBlockState(p, arms, faults)
 
-	// The open armed run: its head slot is stepped, n slots from runAt
+	// The open run: its head slot is stepped, n slots from runAt
 	// follow it in bulk with the head's verdicts (blocked, fsoOff), and
 	// none of them may reach horizon.
 	var (
@@ -328,103 +329,58 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 			limit = realignAt
 		}
 
-		if armed {
-			// Armed: slots advance in runs over which the fault verdicts,
-			// every arm's discrete state and the FSO verdict hold still.
-			// The head slot of a run steps every arm, so episode edges,
-			// rescue draws, policy transitions and metric edges all happen
-			// there. The slots after it repeat its verdicts in bulk up to
-			// the earliest horizon (fault verdict change, dark-time or
-			// re-lock end, mmWave recovery, policy deadline, trace end) or
-			// the first slot whose FSO verdict differs. Report and realign
-			// edges do not end a run: their handling reads only fault
-			// booleans, constant before the horizon, and moves only the
-			// drift offsets, which the verdict check follows. The drift
-			// offsets still add once per slot in the verdict scan; the
-			// goodput sums take a run's adds at once through xmath.AddN,
-			// which returns the per-slot sum bit for bit.
-			for at < limit {
-				if !open {
-					blocked = blk.step(at, fs.AttenDB, &res)
-					fsoOff = blocked || lat > tolLat || ang > tolAng
-					arms.deliver(&res, &fold, at, p.Slot, 1, fs, blocked, fsoOff)
-					lat += latStep
-					ang += angStep
-					head := at
-					at += p.Slot
-					horizon = blk.until(head, min(end, fsUntil))
-					if h := arms.hybrid; h != nil {
-						horizon = h.until(head, horizon)
-					}
-					open, runAt, n = true, at, 0
-				}
-				// The offsets never decrease within a segment, so the
-				// verdict flips at most once per segment: the scan runs the
-				// drift adds the per-slot loop would and stops at the first
-				// slot that disagrees with the run.
-				for stop := min(limit, horizon); at < stop && (blocked || lat > tolLat || ang > tolAng) == fsoOff; at += p.Slot {
-					lat += latStep
-					ang += angStep
-					n++
-				}
-				if at >= limit && at < horizon {
-					break // the run stays open across the event
-				}
-				// No edge falls inside a run: stepping its last slot leaves
-				// the re-lock deadline where n steps would.
-				if n > 0 {
-					blk.step(at-p.Slot, fs.AttenDB, &res)
-					arms.deliver(&res, &fold, runAt, p.Slot, n, fs, blocked, fsoOff)
-				}
-				open = false
-				if at >= fsUntil {
-					fs, fsUntil = cur.At(at), cur.UntilVerdict(blockDB, physDB)
-				}
-			}
-			continue
-		}
-
-		// delta and at are non-negative, so delta − k·Slot is exactly
-		// delta mod Slot: the multiply-compare spells the remainder
-		// check without a second hardware divide on the segment path.
-		delta := limit - at
-		if k := int(delta / p.Slot); k > 0 {
-			if time.Duration(k)*p.Slot != delta {
-				k++
-			}
-			// Fully-connected fast path. The drift steps are
-			// non-negative (rates are distances over positive dt), so
-			// the sequentially-accumulated offsets are non-decreasing
-			// within the segment: adding y ≥ 0 under round-to-nearest
-			// never moves a float below itself. The last slot's checked
-			// values (k−1 accumulation steps from here) therefore bound
-			// every check in the segment — if they are inside tolerance,
-			// no slot is off, and the per-slot bookkeeping collapses to
-			// O(1). The accumulation itself still runs step by step, so
-			// lat/ang leave the segment bit-identical to the per-slot
-			// loop.
-			lat0, ang0 := lat, ang
-			for i := 1; i < k; i++ {
+		// Slots advance in runs over which the fault verdicts, every
+		// arm's discrete state and the FSO verdict hold still. The head
+		// slot of a run steps every arm, so episode edges, rescue draws,
+		// policy transitions and metric edges all happen there. The slots
+		// after it repeat its verdicts in bulk up to the earliest horizon
+		// (fault verdict change, dark-time or re-lock end, mmWave
+		// recovery, policy deadline, trace end) or the first slot whose
+		// FSO verdict differs. Report and realign edges do not end a run:
+		// their handling reads only fault booleans, constant before the
+		// horizon, and moves only the drift offsets, which the verdict
+		// check follows. The drift offsets still add once per slot in the
+		// verdict scan; the goodput sums take a run's adds at once through
+		// xmath.AddN, which returns the per-slot sum bit for bit. A clean
+		// trace (no schedule, no hybrid arm, no sink) never blocks and
+		// has no horizon before end, so its runs end only at verdict
+		// flips and cover each all-on stretch in one fold.
+		for at < limit {
+			if !open {
+				blocked = blk.step(at, fs.AttenDB, &res)
+				fsoOff = blocked || lat > tolLat || ang > tolAng
+				arms.deliver(&res, &fold, at, p.Slot, 1, fs, blocked, fsoOff)
 				lat += latStep
 				ang += angStep
+				head := at
+				at += p.Slot
+				horizon = blk.until(head, min(end, fsUntil))
+				if h := arms.hybrid; h != nil {
+					horizon = h.until(head, horizon)
+				}
+				open, runAt, n = true, at, 0
 			}
-			if lat <= tolLat && ang <= tolAng {
+			// The offsets never decrease within a segment, so the
+			// verdict flips at most once per segment: the scan runs the
+			// drift adds the per-slot loop would and stops at the first
+			// slot that disagrees with the run.
+			for stop := min(limit, horizon); at < stop && (blocked || lat > tolLat || ang > tolAng) == fsoOff; at += p.Slot {
 				lat += latStep
 				ang += angStep
-				fold.addRun(k, false)
-				at += time.Duration(k) * p.Slot
-			} else {
-				// At least one slot trips a tolerance: replay the
-				// segment per slot (the adds are pure, so the replay
-				// revisits the exact same values).
-				lat, ang = lat0, ang0
-				for ; at < limit; at += p.Slot {
-					fold.add(lat > tolLat || ang > tolAng)
-
-					// Drift across the slot.
-					lat += latStep
-					ang += angStep
-				}
+				n++
+			}
+			if at >= limit && at < horizon {
+				break // the run stays open across the event
+			}
+			// No edge falls inside a run: stepping its last slot leaves
+			// the re-lock deadline where n steps would.
+			if n > 0 {
+				blk.step(at-p.Slot, fs.AttenDB, &res)
+				arms.deliver(&res, &fold, runAt, p.Slot, n, fs, blocked, fsoOff)
+			}
+			open = false
+			if at >= fsUntil {
+				fs, fsUntil = cur.At(at), cur.UntilVerdict(blockDB, physDB)
 			}
 		}
 	}
@@ -432,7 +388,7 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	return res
 }
 
-// frameFold is the slot count and 30-slot frame histogram every slot loop
+// frameFold is the slot count and 30-slot frame histogram the slot loop
 // folds its verdicts into: FrameHistogram[k] counts frames with exactly k
 // off slots, the trailing partial frame included.
 type frameFold struct {
@@ -441,24 +397,11 @@ type frameFold struct {
 	hist              [31]int
 }
 
-// add folds one slot's verdict.
-func (f *frameFold) add(off bool) {
-	f.slots++
-	if off {
-		f.offSlots++
-		f.frameOff++
-	}
-	f.inFrame++
-	if f.inFrame == 30 {
-		f.hist[f.frameOff]++
-		f.inFrame, f.frameOff = 0, 0
-	}
-}
-
 // addRun folds n consecutive slots with one verdict in O(1): the run
 // fills the open frame, completes total/30 − 1 whole frames of its own
 // verdict (all off: hist[30]; all on: hist[0]) and leaves the remainder
-// open, exactly as n add calls would.
+// open, exactly as n one-slot folds would (TestFrameFoldAddRunMatchesAdd
+// checks it against the per-slot oracle frameFold.add).
 func (f *frameFold) addRun(n int, off bool) {
 	per := 0 // off slots per slot of the run
 	if off {

@@ -31,7 +31,7 @@ func spinningTrace(n int, rate float64) trace.Trace {
 		at := time.Duration(i) * trace.SampleInterval
 		tr.Samples = append(tr.Samples, trace.Sample{
 			At:   at,
-			Pose: geom.NewPose(geom.QuatFromAxisAngle(geom.V(0, 1, 0), rate*at.Seconds()), geom.Zero),
+			Pose: geom.NewPose(geom.QuatFromAxisAngle(geom.V(0, 1, 0), rate*at.Seconds()), geom.Vec3{}),
 		})
 	}
 	return tr
@@ -110,6 +110,22 @@ func TestFrameHistogram(t *testing.T) {
 	}
 	if off != r.OffSlots {
 		t.Errorf("histogram off slots = %d, want %d", off, r.OffSlots)
+	}
+}
+
+// add folds one slot's verdict: the per-slot oracle addRun's closed form
+// must reproduce, kept here for TestFrameFoldAddRunMatchesAdd and the
+// per-slot reference engines.
+func (f *frameFold) add(off bool) {
+	f.slots++
+	if off {
+		f.offSlots++
+		f.frameOff++
+	}
+	f.inFrame++
+	if f.inFrame == 30 {
+		f.hist[f.frameOff]++
+		f.inFrame, f.frameOff = 0, 0
 	}
 }
 

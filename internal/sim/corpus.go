@@ -18,7 +18,7 @@ package sim
 import (
 	"context"
 	"fmt"
-
+	"math"
 	"time"
 
 	"cyclops/internal/fault"
@@ -138,8 +138,9 @@ type CorpusOptions struct {
 }
 
 // Validate fills defaults in place — through o.Chaos too — and rejects
-// malformed options. RunCorpus validates a private copy of the chaos spec,
-// so a run never writes the caller's CorpusChaos.
+// malformed options, slot-model constants included. RunCorpus validates a
+// private copy of the chaos spec, so a run never writes the caller's
+// CorpusChaos.
 func (o *CorpusOptions) Validate() error {
 	if o.Workers < 0 {
 		o.Workers = 0
@@ -165,6 +166,9 @@ func (o *CorpusOptions) Validate() error {
 	if o.Registry == nil {
 		o.Registry = obs.Default()
 	}
+	if err := o.Params.validate("CorpusOptions.Params"); err != nil {
+		return err
+	}
 	if o.Chaos != nil {
 		c := o.Chaos
 		if c.Hybrid != nil && c.MmWaveOnly != nil {
@@ -176,6 +180,51 @@ func (o *CorpusOptions) Validate() error {
 		} else if c.Params.AvailabilityParams == (AvailabilityParams{}) {
 			c.Params.AvailabilityParams = o.Params
 		}
+		if err := c.Params.validate("CorpusChaos.Params"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validate rejects slot-model constants the engine would misread rather
+// than fail on: a NaN tolerance makes every lat > tol comparison false,
+// so the run would report 100 % availability.
+func (p AvailabilityParams) validate(name string) error {
+	if p.Slot < 0 || p.RealignLatency < 0 {
+		return fmt.Errorf("sim: %s: negative Slot %v or RealignLatency %v", name, p.Slot, p.RealignLatency)
+	}
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"LateralTolerance", p.LateralTolerance},
+		{"AngularTolerance", p.AngularTolerance},
+		{"TPLateralError", p.TPLateralError},
+		{"TPAngularError", p.TPAngularError},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("sim: %s.%s %v is not a finite non-negative value", name, f.field, f.v)
+		}
+	}
+	return nil
+}
+
+// validate extends AvailabilityParams.validate to the chaos constants. A
+// BlockAttenDB at or below zero stays valid: it never blocks
+// (thresholdDB).
+func (p ChaosParams) validate(name string) error {
+	if err := p.AvailabilityParams.validate(name); err != nil {
+		return err
+	}
+	if math.IsNaN(p.BlockAttenDB) || math.IsInf(p.BlockAttenDB, 0) {
+		return fmt.Errorf("sim: %s.BlockAttenDB %v is not finite", name, p.BlockAttenDB)
+	}
+	if p.Relock < 0 || p.HandoverDark < 0 {
+		return fmt.Errorf("sim: %s: negative Relock %v or HandoverDark %v", name, p.Relock, p.HandoverDark)
+	}
+	if !(p.StandbyBlockProb >= 0 && p.StandbyBlockProb <= 1) {
+		return fmt.Errorf("sim: %s.StandbyBlockProb %v is outside [0, 1]", name, p.StandbyBlockProb)
 	}
 	return nil
 }
@@ -377,8 +426,8 @@ func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int) shardOut {
 				r = SimulateTraceChaosSlots(tr, c.Params, &sched, reg, nil)
 			}
 		} else {
-			// Without a schedule every segment takes the engine's
-			// all-on fast path.
+			// Without a schedule the slot loop never blocks, so its runs
+			// end only where the misalignment verdict flips.
 			r = ChaosTraceResult{TraceResult: SimulateTraceObs(tr, opts.Params, reg)}
 		}
 		out.agg.addTrace(r, reg.Snapshot())

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -187,15 +188,85 @@ func TestCorpusOptionsValidate(t *testing.T) {
 	if inherit.Chaos.Params.AvailabilityParams != Paper25G() || inherit.Chaos.Params.BlockAttenDB != 7 {
 		t.Errorf("chaos availability params not inherited: %+v", inherit.Chaos.Params)
 	}
+	nanTol := Paper25G()
+	nanTol.LateralTolerance = math.NaN()
+	negSlot := Paper25G()
+	negSlot.Slot = -time.Millisecond
+	chaosWith := func(edit func(*ChaosParams)) *CorpusChaos {
+		c := &CorpusChaos{Params: PaperChaos25G()}
+		edit(&c.Params)
+		return c
+	}
 	for _, bad := range []CorpusOptions{
 		{ShardSize: -1},
 		{MaxShards: -1},
 		{Resume: Checkpoint{NextShard: -1}},
+		{Params: nanTol},
+		{Params: negSlot},
+		{Chaos: chaosWith(func(p *ChaosParams) { p.AngularTolerance = math.Inf(1) })},
+		{Chaos: chaosWith(func(p *ChaosParams) { p.BlockAttenDB = math.NaN() })},
+		{Chaos: chaosWith(func(p *ChaosParams) { p.Relock = -time.Second })},
+		{Chaos: chaosWith(func(p *ChaosParams) { p.StandbyBlockProb = 1.5 })},
 	} {
 		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
+			t.Errorf("Validate accepted %+v (chaos %+v)", bad, bad.Chaos)
 		}
 	}
+	// A non-positive blocking depth is the documented "never blocks".
+	neverBlocks := CorpusOptions{Chaos: chaosWith(func(p *ChaosParams) { p.BlockAttenDB = -3 })}
+	if err := neverBlocks.Validate(); err != nil {
+		t.Errorf("BlockAttenDB -3 rejected: %v", err)
+	}
+}
+
+// FuzzCorpusOptionsValidate: Validate never panics on arbitrary
+// slot-model constants, rejects every option set with a NaN float field,
+// and accepts only finite, non-negative tolerances and errors, non-negative
+// durations and a StandbyBlockProb in [0, 1].
+func FuzzCorpusOptionsValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, slot, realign int64, latTol, angTol, tpLat, tpAng, blockDB float64, relock, dark int64, standby float64, chaos bool) {
+		p := AvailabilityParams{
+			Slot: time.Duration(slot), RealignLatency: time.Duration(realign),
+			LateralTolerance: latTol, AngularTolerance: angTol,
+			TPLateralError: tpLat, TPAngularError: tpAng,
+		}
+		floats := []float64{latTol, angTol, tpLat, tpAng}
+		o := CorpusOptions{Params: p}
+		if chaos {
+			o = CorpusOptions{Chaos: &CorpusChaos{Params: ChaosParams{
+				AvailabilityParams: p, BlockAttenDB: blockDB,
+				Relock: time.Duration(relock), HandoverDark: time.Duration(dark), StandbyBlockProb: standby,
+			}}}
+			floats = append(floats, blockDB, standby)
+		}
+		err := o.Validate()
+		for _, v := range floats {
+			if math.IsNaN(v) && err == nil {
+				t.Fatalf("Validate accepted a NaN field: %+v", p)
+			}
+		}
+		if err != nil {
+			return
+		}
+		q := o.Params
+		if chaos {
+			q = o.Chaos.Params.AvailabilityParams
+		}
+		for _, v := range []float64{q.LateralTolerance, q.AngularTolerance, q.TPLateralError, q.TPAngularError} {
+			if !(v >= 0) || math.IsInf(v, 0) {
+				t.Fatalf("Validate accepted tolerance or error %v", v)
+			}
+		}
+		if q.Slot < 0 || q.RealignLatency < 0 {
+			t.Fatalf("Validate accepted negative durations %v, %v", q.Slot, q.RealignLatency)
+		}
+		if c := o.Chaos; c != nil {
+			if math.IsInf(c.Params.BlockAttenDB, 0) || c.Params.Relock < 0 || c.Params.HandoverDark < 0 ||
+				c.Params.StandbyBlockProb < 0 || c.Params.StandbyBlockProb > 1 {
+				t.Fatalf("Validate accepted chaos params %+v", c.Params)
+			}
+		}
+	})
 }
 
 // TestCorpusChaosDefaultsTakeRunParams: a zero CorpusChaos.Params takes

@@ -408,9 +408,9 @@ func armedRun(engine func(trace.Trace, ChaosParams, slotArms) ChaosTraceResult,
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n", res)
 	if h != nil {
-		fmt.Fprintf(&b, "fsoOff=%d secondary=%d goodput=%s failovers=%d readmits=%d secondaryTime=%v mindwell=%v\n",
+		fmt.Fprintf(&b, "fsoOff=%d secondary=%d goodput=%s failovers=%d readmits=%d mindwell=%v\n",
 			h.fsoOff, h.secondarySlots, fmtBits(h.goodput), h.ctl.Failovers(), h.ctl.Readmits(),
-			h.ctl.SecondaryTime(), h.ctl.MinSecondaryDwell())
+			h.ctl.MinSecondaryDwell())
 	}
 	fmt.Fprintf(&b, "sink %s\n", verdicts)
 	b.WriteString(reg.Exposition())

@@ -196,41 +196,6 @@ func (t Trace) WriteCSV(w io.Writer) error {
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 9, 64) }
 
-// ReadCSV parses a trace written by WriteCSV (or the public dataset
-// converted to the same layout).
-func ReadCSV(r io.Reader, id string) (Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return Trace{}, fmt.Errorf("trace: %w", err)
-	}
-	if len(rows) < 2 {
-		return Trace{}, fmt.Errorf("trace: no data rows")
-	}
-	tr := Trace{ID: id}
-	for i, row := range rows[1:] {
-		if len(row) != 7 {
-			return Trace{}, fmt.Errorf("trace: row %d has %d fields, want 7", i+1, len(row))
-		}
-		var f [7]float64
-		for j, cell := range row {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return Trace{}, fmt.Errorf("trace: row %d field %d: %w", i+1, j, err)
-			}
-			f[j] = v
-		}
-		tr.Samples = append(tr.Samples, Sample{
-			At: time.Duration(f[0]) * time.Millisecond,
-			Pose: geom.NewPose(
-				geom.QuatFromEuler(f[4], f[5], f[6]),
-				geom.V(f[1], f[2], f[3]),
-			),
-		})
-	}
-	return tr, nil
-}
-
 // eulerFromQuat extracts yaw (about +Y), pitch (about +X), roll (about +Z)
 // matching geom.QuatFromEuler's composition order.
 func eulerFromQuat(q geom.Quat) (yaw, pitch, roll float64) {
@@ -275,8 +240,8 @@ func Generate(seed int64, index int, length time.Duration, origin geom.Vec3) Tra
 // state recurrence (RNG draws and OU updates) for a block of samples,
 // recording the per-sample Euler angles and positions into stack-resident
 // arrays; pass 2 builds each pose and stores it straight into the sample
-// buffer (the same per-element call chain as geom.PosesFromEulerBatch,
-// minus a staging array that cost a 64-byte store+load per sample). The
+// buffer (geom.NewPose of geom.QuatFromEuler per element, with no
+// staging array, which cost a 64-byte store+load per sample). The
 // split keeps the serially-dependent recurrence and the independent pose
 // construction in separate tight loops over L1-resident data. 256 samples
 // is ~12 KB of block state. The width is purely a restructuring knob: the

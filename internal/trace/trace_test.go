@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,8 +60,8 @@ func TestFig3SpeedCalibration(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(3, 5, 10*time.Second, geom.Zero)
-	b := Generate(3, 5, 10*time.Second, geom.Zero)
+	a := Generate(3, 5, 10*time.Second, geom.Vec3{})
+	b := Generate(3, 5, 10*time.Second, geom.Vec3{})
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatal("lengths differ")
 	}
@@ -67,14 +71,14 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	// Different indices differ.
-	c := Generate(3, 6, 10*time.Second, geom.Zero)
+	c := Generate(3, 6, 10*time.Second, geom.Vec3{})
 	if a.Samples[500].Pose == c.Samples[500].Pose {
 		t.Error("different trace indices identical")
 	}
 }
 
 func TestPoseAtInterpolation(t *testing.T) {
-	tr := Generate(4, 0, time.Second, geom.Zero)
+	tr := Generate(4, 0, time.Second, geom.Vec3{})
 	// Exactly on a sample.
 	if got := tr.PoseAt(100 * time.Millisecond); got != tr.Samples[10].Pose {
 		t.Error("PoseAt on-sample mismatch")
@@ -109,7 +113,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, "roundtrip")
+	back, err := readCSV(&buf, "roundtrip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +132,13 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("t_ms,x\n"), "x"); err == nil {
+	if _, err := readCSV(strings.NewReader("t_ms,x\n"), "x"); err == nil {
 		t.Error("header-only CSV accepted")
 	}
-	if _, err := ReadCSV(strings.NewReader("h\n1,2\n"), "x"); err == nil {
+	if _, err := readCSV(strings.NewReader("h\n1,2\n"), "x"); err == nil {
 		t.Error("wrong-width CSV accepted")
 	}
-	if _, err := ReadCSV(strings.NewReader(
+	if _, err := readCSV(strings.NewReader(
 		"t_ms,x,y,z,yaw,pitch,roll\n0,a,0,0,0,0,0\n"), "x"); err == nil {
 		t.Error("non-numeric CSV accepted")
 	}
@@ -197,9 +201,44 @@ func TestStatsEmpty(t *testing.T) {
 }
 
 func TestPercentileOrdering(t *testing.T) {
-	tr := Generate(6, 2, 30*time.Second, geom.Zero)
+	tr := Generate(6, 2, 30*time.Second, geom.Vec3{})
 	s := tr.Stats()
 	if s.P95Linear > s.MaxLinear || s.P95Angular > s.MaxAngular {
 		t.Error("P95 exceeds max")
 	}
+}
+
+// readCSV parses a trace written by WriteCSV: the round-trip oracle that
+// checks the dataset layout WriteCSV emits.
+func readCSV(r io.Reader, id string) (Trace, error) {
+	cr := csv.NewReader(r)
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return Trace{}, fmt.Errorf("trace: %w", err)
+	}
+	if len(rows) < 2 {
+		return Trace{}, fmt.Errorf("trace: no data rows")
+	}
+	tr := Trace{ID: id}
+	for i, row := range rows[1:] {
+		if len(row) != 7 {
+			return Trace{}, fmt.Errorf("trace: row %d has %d fields, want 7", i+1, len(row))
+		}
+		var f [7]float64
+		for j, cell := range row {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return Trace{}, fmt.Errorf("trace: row %d field %d: %w", i+1, j, err)
+			}
+			f[j] = v
+		}
+		tr.Samples = append(tr.Samples, Sample{
+			At: time.Duration(f[0]) * time.Millisecond,
+			Pose: geom.NewPose(
+				geom.QuatFromEuler(f[4], f[5], f[6]),
+				geom.V(f[1], f[2], f[3]),
+			),
+		})
+	}
+	return tr, nil
 }

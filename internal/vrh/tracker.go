@@ -75,6 +75,8 @@ type Option func(*Tracker)
 
 // WithNoise overrides the stationary noise (1-σ location in meters,
 // orientation in radians).
+//
+//cyclops:keep test lever: vrspace tests build noise-free trackers
 func WithNoise(loc, ang float64) Option {
 	return func(t *Tracker) { t.locSigma, t.angSigma = loc, ang }
 }
@@ -82,20 +84,10 @@ func WithNoise(loc, ang float64) Option {
 // WithWarp overrides the systematic pose-dependent tracking bias: peak
 // location bias (meters), peak orientation bias (radians), and spatial
 // frequency (rad/m). Zeros give an ideally unbiased tracker.
+//
+//cyclops:keep test lever: vrspace tests build unbiased trackers
 func WithWarp(loc, ang, freq float64) Option {
 	return func(t *Tracker) { t.warpAmp, t.warpAngAmp, t.warpFreq = loc, ang, freq }
-}
-
-// WithMotionNoise overrides the speed-proportional noise growth: extra 1-σ
-// location noise per m/s of linear speed and orientation noise per rad/s
-// of angular speed. Zeros give speed-independent noise.
-func WithMotionNoise(linPerMS, angPerRadS float64) Option {
-	return func(t *Tracker) { t.motionNoiseLin, t.motionNoiseAng = linPerMS, angPerRadS }
-}
-
-// WithFrames pins the hidden frames (useful for deterministic fixtures).
-func WithFrames(vrSpace, offset geom.Pose) Option {
-	return func(t *Tracker) { t.vrSpace, t.offset = vrSpace, offset }
 }
 
 // New creates a tracker with randomized hidden frames. The VR-space origin

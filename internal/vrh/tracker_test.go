@@ -144,8 +144,11 @@ func TestMotionScaledNoise(t *testing.T) {
 	}
 }
 
+// TestWithMotionNoiseDisable: zero speed-proportional noise growth keeps
+// the noise at the stationary floor.
 func TestWithMotionNoiseDisable(t *testing.T) {
-	tr := New(10, WithWarp(0, 0, 0), WithMotionNoise(0, 0))
+	tr := New(10, WithWarp(0, 0, 0))
+	tr.motionNoiseLin, tr.motionNoiseAng = 0, 0
 	// Even at speed, noise stays at the stationary floor.
 	pos := geom.V(0, 1.6, 0)
 	at := time.Duration(0)
@@ -166,18 +169,6 @@ func TestWithMotionNoiseDisable(t *testing.T) {
 	// Pure stationary noise: a few×0.45 mm per axis, differenced.
 	if maxDev > 4e-3 {
 		t.Errorf("disabled motion noise still grew: %.4f", maxDev)
-	}
-}
-
-func TestWithFrames(t *testing.T) {
-	vr := geom.NewPose(geom.QuatFromAxisAngle(geom.V(0, 1, 0), 1), geom.V(1, 2, 3))
-	off := geom.NewPose(geom.QuatIdentity(), geom.V(0.01, 0.02, 0.03))
-	tr := New(8, WithFrames(vr, off), WithNoise(0, 0))
-	if tr.VRSpace() != vr {
-		t.Error("WithFrames did not pin VR-space")
-	}
-	if tr.Offset() != off {
-		t.Error("WithFrames did not pin offset")
 	}
 }
 

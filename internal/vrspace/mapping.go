@@ -69,23 +69,6 @@ func (m Mapping) RXModel(kRX gma.Params, psi geom.Pose) gma.Params {
 	return kRX.Transformed(psi.Compose(m.MRX))
 }
 
-// CoincidenceError evaluates the §4.2 error for one tuple under this
-// mapping: d(p_t, τ_r) + d(p_r, τ_t), measured as each modeled beam's
-// distance from the other's origin.
-func (m Mapping) CoincidenceError(kTX, kRX gma.Params, t Tuple) (float64, error) {
-	gt := m.TXModel(kTX)
-	gr := m.RXModel(kRX, t.Psi)
-	bt, err := gt.Beam(t.V.TX1, t.V.TX2)
-	if err != nil {
-		return 0, err
-	}
-	br, err := gr.Beam(t.V.RX1, t.V.RX2)
-	if err != nil {
-		return 0, err
-	}
-	return bt.DistanceTo(br.Origin) + br.DistanceTo(bt.Origin), nil
-}
-
 // ErrNotEnoughTuples is returned when fewer than the minimum usable tuples
 // are supplied (12 parameters need at least 6 tuples of 2 residuals; we
 // require a safety factor).

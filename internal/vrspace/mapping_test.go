@@ -203,7 +203,7 @@ func TestCoincidenceErrorSensitive(t *testing.T) {
 
 	// With truth mapping and truth GMA models the coincidence error is
 	// tiny (only servo noise / DAC quantization remains).
-	e0, err := truth.CoincidenceError(p.TXDev.Truth(), p.RXDev.Truth(), tuple)
+	e0, err := coincidenceError(truth, p.TXDev.Truth(), p.RXDev.Truth(), tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,28 @@ func TestCoincidenceErrorSensitive(t *testing.T) {
 	// Perturbing the mapping inflates it.
 	bad := truth
 	bad.MTX = geom.NewPose(bad.MTX.Rot, bad.MTX.Trans.Add(geom.V(0.02, 0, 0)))
-	e1, err := bad.CoincidenceError(p.TXDev.Truth(), p.RXDev.Truth(), tuple)
+	e1, err := coincidenceError(bad, p.TXDev.Truth(), p.RXDev.Truth(), tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 < 5*e0 {
 		t.Errorf("perturbed mapping error %v not ≫ truth error %v", e1, e0)
 	}
+}
+
+// coincidenceError evaluates the §4.2 error for one tuple under mapping
+// m: d(p_t, τ_r) + d(p_r, τ_t), measured as each modeled beam's distance
+// from the other's origin.
+func coincidenceError(m Mapping, kTX, kRX gma.Params, t Tuple) (float64, error) {
+	gt := m.TXModel(kTX)
+	gr := m.RXModel(kRX, t.Psi)
+	bt, err := gt.Beam(t.V.TX1, t.V.TX2)
+	if err != nil {
+		return 0, err
+	}
+	br, err := gr.Beam(t.V.RX1, t.V.RX2)
+	if err != nil {
+		return 0, err
+	}
+	return bt.DistanceTo(br.Origin) + br.DistanceTo(bt.Origin), nil
 }

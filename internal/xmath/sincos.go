@@ -115,6 +115,8 @@ func sincosReduce(x float64) (z float64, j uint64, sinSign, cosSign, ok bool) {
 
 // Sincos returns math.Sincos(x), bit for bit, skipping the shared
 // special-case dispatch for the common finite small-magnitude arguments.
+//
+//cyclops:keep scalar reference for Sincos3's unrolled blocks: TestSincosBitIdentical pins the shared reduction and kernel
 func Sincos(x float64) (sin, cos float64) {
 	z, j, ss, cs, ok := sincosReduce(x)
 	if !ok {

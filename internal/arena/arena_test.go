@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/fault"
+	"cyclops/internal/geom"
 	"cyclops/internal/handover"
+	"cyclops/internal/netem"
 	"cyclops/internal/obs"
+	"cyclops/internal/sim"
 )
 
 // testOpts is a small but non-degenerate venue: 32 users over 16 cells,
@@ -287,4 +291,138 @@ func TestOptionsValidate(t *testing.T) {
 		o.BackhaulGbps != 100 || o.LinkGoodputGbps == 0 || o.Registry == nil {
 		t.Errorf("defaults wrong: %+v", o)
 	}
+}
+
+// runCellPerSlot is the per-slot oracle of runCell: pass 1 collects one
+// verdict per slot through SimulateTraceChaosSlots, pass 2 counts the
+// cell's up users slot by slot and feeds every slot to its own
+// netem.Stream.Tick. TestRunCellMatchesPerSlot holds runCell to it.
+func runCellPerSlot(l Layout, opts Options, c int) Aggregate {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	sm := netem.NewStreamMetrics(reg)
+	var agg Aggregate
+	agg.Cells = 1
+	m.Cells.Inc()
+
+	lo, hi := l.CellUsers(c)
+	agg.Users = hi - lo
+	tx := l.TXPos(c)
+
+	// Rank the cell's users by distance to the TX (ties by index) and
+	// serve the closest UsersPerTX; the rest stay in the crowd as
+	// occluders only.
+	order := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		order = append(order, i)
+	}
+	for a := 0; a < len(order); a++ {
+		best := a
+		for b := a + 1; b < len(order); b++ {
+			da := l.Home(order[best]).Dist(geom.V(tx.X, tx.Y, 0))
+			db := l.Home(order[b]).Dist(geom.V(tx.X, tx.Y, 0))
+			if db < da || (db == da && order[b] < order[best]) {
+				best = b
+			}
+		}
+		order[a], order[best] = order[best], order[a]
+	}
+	served := order
+	if len(served) > opts.UsersPerTX {
+		served = served[:opts.UsersPerTX]
+	}
+	for range order[len(served):] {
+		m.Unserved.Inc()
+		agg.Unserved++
+	}
+	m.Users.Add(float64(hi - lo))
+
+	p := opts.Params
+	if p.TXCount == 0 {
+		p.TXCount = 1 + l.Standbys(c)
+	}
+	if p.TXCount > 1 && p.HandoverDark == 0 {
+		p.HandoverDark = 2 * time.Millisecond
+	}
+	if p.TXCount > 1 && p.StandbyBlockProb == 0 {
+		p.StandbyBlockProb = sim.StandbyBlockProbForSpacing(l.Pitch)
+	}
+
+	// Pass 1: slot model per served user, collecting per-slot link
+	// verdicts for the contention pass.
+	type userRun struct {
+		res sim.ChaosTraceResult
+		off []bool
+	}
+	runs := make([]userRun, len(served))
+	for k, i := range served {
+		tr := l.Trace(i, opts.TraceLen)
+		var occs []handover.Occluder
+		for _, j := range l.Neighbors(i) {
+			pair := l.Occluder(j)
+			occs = append(occs, pair[0], pair[1])
+		}
+		sched := fault.Schedule{
+			Seed:    opts.Seed + 7919*int64(i),
+			Windows: OcclusionWindows(tx, tr, occs),
+		}
+		// One verdict per slot: preallocated to the trace's slot count.
+		run := userRun{}
+		if p.Slot > 0 {
+			run.off = make([]bool, 0, (tr.Duration()+p.Slot-1)/p.Slot)
+		}
+		run.res = sim.SimulateTraceChaosSlots(tr, p, &sched, reg, func(slot int, off bool) {
+			run.off = append(run.off, off)
+		})
+		runs[k] = run
+		agg.Slots += run.res.Slots
+		agg.OffSlots += run.res.OffSlots
+		agg.BlockedSlots += run.res.BlockedSlots
+		agg.Outages += run.res.Outages
+		agg.Handovers += run.res.Handovers
+	}
+
+	// Pass 2: per-slot backhaul contention. The cell owns an equal share
+	// of the venue backhaul; each slot splits it across the users whose
+	// links are up, capped by the per-link goodput ceiling.
+	cellShare := opts.BackhaulGbps / float64(l.Cells())
+	maxSlots := 0
+	for _, r := range runs {
+		if len(r.off) > maxSlots {
+			maxSlots = len(r.off)
+		}
+	}
+	up := make([]int, maxSlots)
+	for _, r := range runs {
+		for s, off := range r.off {
+			if !off {
+				up[s]++
+			}
+		}
+	}
+	slotLen := p.Slot
+	for _, r := range runs {
+		st := netem.NewStream()
+		st.Metrics = sm
+		for s, off := range r.off {
+			rate := opts.LinkGoodputGbps
+			if up[s] > 0 {
+				if share := cellShare / float64(up[s]); share < rate {
+					rate = share
+				}
+			}
+			st.Tick(time.Duration(s)*slotLen, slotLen, !off, rate)
+		}
+		st.Finish()
+		goodput := st.MeanGbps()
+		avail := 1.0
+		if r.res.Slots > 0 {
+			avail = 1 - float64(r.res.BlockedSlots)/float64(r.res.Slots)
+		}
+		m.Goodput.Observe(goodput)
+		agg.addServed(avail, goodput)
+	}
+
+	agg.Metrics = reg.Snapshot()
+	return agg
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/arena"
 	"cyclops/internal/obs"
 	"cyclops/internal/sim"
 )
@@ -184,6 +185,31 @@ func BenchmarkFig16ChaosCorpusSerial(b *testing.B) {
 		}
 	}
 	b.Logf("%d traces, %d slots, delivered %.2f%% up", res.Traces, res.Slots, res.MeanOnFraction*100)
+}
+
+// BenchmarkFig16ArenaSerial runs the densest fig16-arena cell — the
+// configuration of the perfbench arena workload: 128 headsets at
+// 2 users/m², 8 per ceiling TX, one-minute sessions, seed 1 — through
+// arena.Run at workers=1. `make bench-hotpath` records it as
+// arena_ns_per_op.
+func BenchmarkFig16ArenaSerial(b *testing.B) {
+	var res arena.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = arena.Run(arena.Options{
+			Seed:       1,
+			Users:      128,
+			Density:    2,
+			UsersPerTX: 8,
+			TraceLen:   time.Minute,
+			Workers:    1,
+			Registry:   obs.NewRegistry(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Log(res.String())
 }
 
 // BenchmarkPointingConvergence measures the §4.3 iteration counts.

@@ -11,8 +11,9 @@
 // from the seed. The venue is processed one ceiling cell at a time
 // (streamed, like sim.RunCorpus): cell membership is integer arithmetic
 // on the user index, so a cell's work needs only its own and adjacent
-// cells' users — live heap is O(users-per-cell · slots), independent of
-// venue size, and a run checkpoints and resumes by cell.
+// cells' users — live heap is one trace plus O(users-per-cell · verdict
+// runs), independent of venue size, and a run checkpoints and resumes by
+// cell.
 package arena
 
 import (
@@ -342,9 +343,18 @@ func (l Layout) Neighbors(i int) []int {
 
 // Trace returns user i's head-motion trace, seeded per user and anchored
 // at the home spot at headset height.
+//
+//cyclops:keep perfbench replays the arena's trace generation through it
 func (l Layout) Trace(i int, length time.Duration) trace.Trace {
+	return l.traceInto(i, length, nil)
+}
+
+// traceInto is Trace with a caller-owned sample buffer (see
+// trace.GenerateInto): runCell generates every served user's trace into
+// one buffer per cell.
+func (l Layout) traceInto(i int, length time.Duration, buf []trace.Sample) trace.Trace {
 	home := l.Home(i)
-	return trace.Generate(l.Seed, i, length, geom.V(home.X, home.Y, HeadHeight))
+	return trace.GenerateInto(l.Seed, i, length, geom.V(home.X, home.Y, HeadHeight), buf)
 }
 
 // hashUnit maps (seed, index, salt) to a uniform float64 in [0, 1) with a
@@ -613,15 +623,16 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 		p.StandbyBlockProb = sim.StandbyBlockProbForSpacing(l.Pitch)
 	}
 
-	// Pass 1: slot model per served user, collecting per-slot link
-	// verdicts for the contention pass.
-	type userRun struct {
-		res sim.ChaosTraceResult
-		off []bool
-	}
-	runs := make([]userRun, len(served))
+	// Pass 1: slot model per served user, collecting the link verdicts
+	// in runs for the contention pass. Every trace is generated into the
+	// cell's one sample buffer: a user's trace is dead once its slot
+	// model has run.
+	runs := make([][]verdictRun, len(served))
+	results := make([]sim.ChaosTraceResult, len(served))
+	var buf []trace.Sample
 	for k, i := range served {
-		tr := l.Trace(i, opts.TraceLen)
+		tr := l.traceInto(i, opts.TraceLen, buf)
+		buf = tr.Samples
 		var occs []handover.Occluder
 		for _, j := range l.Neighbors(i) {
 			pair := l.Occluder(j)
@@ -631,58 +642,51 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 			Seed:    opts.Seed + 7919*int64(i),
 			Windows: OcclusionWindows(tx, tr, occs),
 		}
-		// One verdict per slot: preallocated to the trace's slot count.
-		run := userRun{}
-		if p.Slot > 0 {
-			run.off = make([]bool, 0, (tr.Duration()+p.Slot-1)/p.Slot)
-		}
-		run.res = sim.SimulateTraceChaosSlots(tr, p, &sched, reg, func(slot int, off bool) {
-			run.off = append(run.off, off)
+		// The engine may split one verdict across runs (a fault horizon
+		// ends a run without a flip); merged, a user's runs alternate.
+		var rs []verdictRun
+		r := sim.SimulateTraceChaosRuns(tr, p, &sched, reg, func(_, n int, off bool) {
+			if last := len(rs) - 1; last >= 0 && rs[last].off == off {
+				rs[last].n += n
+				return
+			}
+			rs = append(rs, verdictRun{n: n, off: off})
 		})
-		runs[k] = run
-		agg.Slots += run.res.Slots
-		agg.OffSlots += run.res.OffSlots
-		agg.BlockedSlots += run.res.BlockedSlots
-		agg.Outages += run.res.Outages
-		agg.Handovers += run.res.Handovers
+		runs[k], results[k] = rs, r
+		agg.Slots += r.Slots
+		agg.OffSlots += r.OffSlots
+		agg.BlockedSlots += r.BlockedSlots
+		agg.Outages += r.Outages
+		agg.Handovers += r.Handovers
 	}
 
-	// Pass 2: per-slot backhaul contention. The cell owns an equal share
-	// of the venue backhaul; each slot splits it across the users whose
-	// links are up, capped by the per-link goodput ceiling.
-	cellShare := opts.BackhaulGbps / float64(l.Cells())
-	maxSlots := 0
-	for _, r := range runs {
-		if len(r.off) > maxSlots {
-			maxSlots = len(r.off)
-		}
-	}
-	up := make([]int, maxSlots)
-	for _, r := range runs {
-		for s, off := range r.off {
-			if !off {
-				up[s]++
-			}
-		}
-	}
+	// Pass 2: backhaul contention. The cell owns an equal share of the
+	// venue backhaul; each slot splits it across the users whose links
+	// are up, capped by the per-link goodput ceiling. The up count moves
+	// only at run edges, so every user's stream ticks one TickRun per
+	// (verdict run × contention segment) piece — the same ticks, at the
+	// same rates, as one Tick per slot.
+	segs := contention(runs, opts.BackhaulGbps/float64(l.Cells()), opts.LinkGoodputGbps)
 	slotLen := p.Slot
-	for _, r := range runs {
+	for k, rs := range runs {
 		st := netem.NewStream()
 		st.Metrics = sm
-		for s, off := range r.off {
-			rate := opts.LinkGoodputGbps
-			if up[s] > 0 {
-				if share := cellShare / float64(up[s]); share < rate {
-					rate = share
+		from, seg := 0, 0
+		for _, r := range rs {
+			for end := from + r.n; from < end; {
+				for segs[seg].end <= from {
+					seg++
 				}
+				n := min(end, segs[seg].end) - from
+				st.TickRun(time.Duration(from)*slotLen, slotLen, n, !r.off, segs[seg].rate)
+				from += n
 			}
-			st.Tick(time.Duration(s)*slotLen, slotLen, !off, rate)
 		}
 		st.Finish()
 		goodput := st.MeanGbps()
 		avail := 1.0
-		if r.res.Slots > 0 {
-			avail = 1 - float64(r.res.BlockedSlots)/float64(r.res.Slots)
+		if r := results[k]; r.Slots > 0 {
+			avail = 1 - float64(r.BlockedSlots)/float64(r.Slots)
 		}
 		m.Goodput.Observe(goodput)
 		agg.addServed(avail, goodput)
@@ -690,6 +694,64 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 
 	agg.Metrics = reg.Snapshot()
 	return agg
+}
+
+// verdictRun is n consecutive slots of one link verdict.
+type verdictRun struct {
+	n   int
+	off bool
+}
+
+// segment is a stretch of a cell's slots over which every served user
+// ticks at one contended rate; it ends before slot end and starts where
+// the previous segment ended.
+type segment struct {
+	end  int
+	rate float64
+}
+
+// contention sweeps the users' run edges in slot order and returns the
+// cell's rate segments: over each, rate is the link ceiling linkGbps or,
+// when lower, cellShare split across the users up there. Adjacent
+// stretches of one rate merge. The segments end at the longest user's
+// last slot.
+func contention(runs [][]verdictRun, cellShare, linkGbps float64) []segment {
+	// next[k] indexes user k's run covering slot at, which starts at
+	// runAt[k].
+	next := make([]int, len(runs))
+	runAt := make([]int, len(runs))
+	var segs []segment
+	for at := 0; ; {
+		up, end := 0, math.MaxInt
+		for k, rs := range runs {
+			for next[k] < len(rs) && runAt[k]+rs[next[k]].n <= at {
+				runAt[k] += rs[next[k]].n
+				next[k]++
+			}
+			if next[k] == len(rs) {
+				continue
+			}
+			if !rs[next[k]].off {
+				up++
+			}
+			end = min(end, runAt[k]+rs[next[k]].n)
+		}
+		if end == math.MaxInt {
+			return segs
+		}
+		rate := linkGbps
+		if up > 0 {
+			if share := cellShare / float64(up); share < rate {
+				rate = share
+			}
+		}
+		if last := len(segs) - 1; last >= 0 && segs[last].rate == rate {
+			segs[last].end = end
+		} else {
+			segs = append(segs, segment{end: end, rate: rate})
+		}
+		at = end
+	}
 }
 
 // String renders a one-line capacity summary (the smoke target greps it).

@@ -218,8 +218,10 @@ func TestStreamFreezeTick(t *testing.T) {
 		}
 	}
 	ws := s.Finish()
-	if s.frozenWindows == 0 {
-		t.Fatal("no windows were frozen")
+	// 500 ticks complete nine windows; the two the freeze touches
+	// (100 ms and 150 ms) are dropped.
+	if len(ws) != 7 {
+		t.Fatalf("Finish returned %d windows, want 9 completed less 2 frozen", len(ws))
 	}
 	for _, w := range ws {
 		if w.Start >= 100*ms && w.Start < 200*ms {
@@ -257,7 +259,13 @@ func TestStreamAllFrozen(t *testing.T) {
 	if len(ws) != 0 {
 		t.Errorf("all-frozen stream reported %d windows", len(ws))
 	}
-	if s.frozenWindows == 0 {
-		t.Error("frozen windows not counted")
+	// Live ticks after the freeze complete windows only past it: the four
+	// frozen windows were rolled over and dropped, not reported.
+	for i := 200; i < 400; i++ {
+		s.Tick(time.Duration(i)*ms, ms, true, 9.4)
+	}
+	ws = s.Finish()
+	if len(ws) != 3 || ws[0].Start != 200*ms {
+		t.Errorf("after the freeze Finish returned %v, want the 200, 250 and 300 ms windows", ws)
 	}
 }

@@ -11,9 +11,11 @@ package netem
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"cyclops/internal/obs"
+	"cyclops/internal/xmath"
 )
 
 // Window is one throughput measurement: average goodput over the window
@@ -37,7 +39,7 @@ type Stream struct {
 	RampTime time.Duration
 	// Metrics, when non-nil, receives the stream's totals (packets,
 	// carried/offered bits, windows) once, when Finish is called —
-	// aggregate flushing keeps the per-tick cost at two float adds.
+	// aggregate flushing keeps the counters out of Tick and TickRun.
 	Metrics *StreamMetrics
 
 	cur     time.Duration // current window start
@@ -54,8 +56,7 @@ type Stream struct {
 	// curFrozen marks the current window as containing frozen
 	// (degraded-mode) ticks; frozen windows are dropped at rollover
 	// instead of being reported as fabricated zero-goodput measurements.
-	curFrozen     bool
-	frozenWindows int64
+	curFrozen bool
 	// carriedBits / offeredBits total the run: offered counts the line
 	// rate over every tick (up or down), so carried/offered is the
 	// fraction of the link's nominal capacity actually delivered.
@@ -131,12 +132,103 @@ func (s *Stream) Tick(at, tickLen time.Duration, up bool, lineRateGbps float64) 
 		bits := rate * 1e9 * tickLen.Seconds()
 		s.bits += bits
 		s.carriedBits += bits
-		s.fracPkts += bits / 8 / float64(s.MTU)
-		if whole := math.Floor(s.fracPkts); whole > 0 {
-			s.packets += int64(whole)
-			s.fracPkts -= whole
-		}
+		s.fracPkts, s.packets = carryStep(s.fracPkts, bits/8/float64(s.MTU), s.packets)
 	}
+}
+
+// TickRun advances the stream by n ticks of tickLen from at with one
+// verdict: exactly the n calls Tick(at+k·tickLen, tickLen, up,
+// lineRateGbps) for k = 0 … n−1, bit for bit. Tick takes the first tick,
+// each window's first tick, and every up tick inside the TCP ramp (an up
+// edge restarts it); every other stretch of a window is one piece whose
+// per-tick float adds are taken at once: offered, window and carried bits
+// through xmath.AddN, and the fractional-packet carry through carryN.
+//
+//cyclops:hotpath bulk netem accounting of the arena's contention pass, one call per verdict run and backhaul share; zero-alloc contract pinned by TestTickRunZeroAllocs and make alloc-check
+func (s *Stream) TickRun(at, tickLen time.Duration, n int, up bool, lineRateGbps float64) {
+	for n > 0 {
+		end := s.cur + s.WindowLen
+		if !s.started || at >= end || tickLen <= 0 || up && (!s.wasUp || at-s.upAt < s.RampTime) {
+			s.Tick(at, tickLen, up, lineRateGbps)
+			at += tickLen
+			n--
+			continue
+		}
+		// The k ticks from at that start before the window ends.
+		k := int((end - at + tickLen - 1) / tickLen)
+		if k > n {
+			k = n
+		}
+		s.wasUp = up
+		bits := lineRateGbps * 1e9 * tickLen.Seconds()
+		s.offeredBits = xmath.AddN(s.offeredBits, bits, k)
+		if up {
+			s.bits = xmath.AddN(s.bits, bits, k)
+			s.carriedBits = xmath.AddN(s.carriedBits, bits, k)
+			var whole int64
+			s.fracPkts, whole = carryN(s.fracPkts, bits/8/float64(s.MTU), k)
+			s.packets += whole
+		}
+		at += time.Duration(k) * tickLen
+		n -= k
+	}
+}
+
+// carryN returns f after n steps of Tick's fractional-packet carry,
+//
+//	f += c
+//	if w := math.Floor(f); w > 0 {
+//		packets += int64(w)
+//		f -= w
+//	}
+//
+// and the packets those steps add, bit for bit and in O(1) on its fast
+// path.
+//
+// Let c lie in the binade [2ᵉ, 2ᵉ⁺¹) with 0 ≤ e ≤ 52, so its ulp
+// u = 2ᵉ⁻⁵² is at most 1. The first step runs in hardware; from any
+// finite f ≥ 0 it leaves f in [0, 1) on the grid of u (the sum lands at or
+// above c, where every float is a multiple of u, and taking off its
+// integer part is exact). From there, while c + 1 ≤ 2ᵉ⁺¹, each sum
+// f + c is a multiple of u in [c, c+1) ⊂ [2ᵉ, 2ᵉ⁺¹), so it is exact, as
+// are its floor and the subtraction: the steps are integer arithmetic on
+// F = f/u, C = c/u and M = 1/u = 2⁵²⁻ᵉ. After n of them the carried
+// total is F + n·C (n·C by bits.Mul64), the packets are its quotient by M
+// and the new F its remainder. Any other input — c below 1 or within 1 of
+// its binade's top, negative f, non-finite values — steps the loop.
+//
+//cyclops:hotpath the fractional-packet carry of every TickRun piece; zero-alloc contract pinned by TestTickRunZeroAllocs and make alloc-check
+func carryN(f, c float64, n int) (float64, int64) {
+	var packets int64
+	cb := math.Float64bits(c)
+	s := 52 + 1023 - int(cb>>52) // log2 M; the sign bit makes it negative
+	C := cb&(1<<52-1) | 1<<52
+	if n <= 0 || !(f >= 0 && f <= math.MaxFloat64) || s < 0 || s > 52 || C+1<<s > 1<<53 {
+		for ; n > 0; n-- {
+			f, packets = carryStep(f, c, packets)
+		}
+		return f, packets
+	}
+	f, packets = carryStep(f, c, packets)
+	F := uint64(f * float64(uint64(1)<<s))
+	hi, lo := bits.Mul64(uint64(n-1), C)
+	lo, cy := bits.Add64(lo, F, 0)
+	hi += cy
+	// The low 64 bits of (hi:lo) >> s: packets wrap as the loop's int64
+	// adds do (hi << 64 is 0 in Go, so s = 0 is lo itself).
+	packets += int64(hi<<(64-s) | lo>>s)
+	F = lo & (1<<s - 1)
+	return float64(F) / float64(uint64(1)<<s), packets
+}
+
+// carryStep is one step of Tick's fractional-packet carry.
+func carryStep(f, c float64, packets int64) (float64, int64) {
+	f += c
+	if whole := math.Floor(f); whole > 0 {
+		packets += int64(whole)
+		f -= whole
+	}
+	return f, packets
 }
 
 func (s *Stream) flushWindow() {
@@ -145,7 +237,6 @@ func (s *Stream) flushWindow() {
 		// frozen, not measured-at-zero. Drop it rather than report a
 		// throughput number the stream never observed.
 		s.curFrozen = false
-		s.frozenWindows++
 		s.cur += s.WindowLen
 		s.bits = 0
 		return
@@ -160,8 +251,8 @@ func (s *Stream) flushWindow() {
 // offered or carried bits — the graceful-degradation mode: when the
 // supervisor declares the link degraded, traffic accounting pauses
 // instead of charging a long outage against the throughput record.
-// Windows containing frozen ticks are dropped at rollover (counted in
-// frozenWindows), and the link is treated as down so TCP re-ramps when
+// Windows containing frozen ticks are dropped at rollover (Finish never
+// reports them), and the link is treated as down so TCP re-ramps when
 // normal ticks resume. Mixing FreezeTick and Tick within one window
 // drops that window entirely.
 func (s *Stream) FreezeTick(at, tickLen time.Duration) {

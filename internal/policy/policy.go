@@ -168,11 +168,10 @@ type Controller struct {
 	clearSince  time.Duration
 	failedAt    time.Duration
 
-	failovers     int
-	readmits      int
-	secondaryTime time.Duration
-	minDwell      time.Duration
-	hasDwell      bool
+	failovers int
+	readmits  int
+	minDwell  time.Duration
+	hasDwell  bool
 }
 
 // New builds a controller in the PRIMARY state. A nil Metrics disables
@@ -213,11 +212,8 @@ func (c *Controller) Observe(at, tick time.Duration, primaryHealthy bool) State 
 			c.maybeReadmit(at)
 		}
 	}
-	if c.state.OnSecondary() {
-		c.secondaryTime += tick
-		if c.m != nil {
-			c.m.SecondarySeconds.Add(tick.Seconds())
-		}
+	if c.state.OnSecondary() && c.m != nil {
+		c.m.SecondarySeconds.Add(tick.Seconds())
 	}
 	return c.state
 }
@@ -232,11 +228,8 @@ func (c *Controller) ObserveRun(from, tick time.Duration, n int, primaryHealthy 
 		if k == 0 {
 			c.Observe(from, tick, primaryHealthy)
 			k = 1
-		} else if c.state.OnSecondary() {
-			c.secondaryTime += time.Duration(k) * tick
-			if c.m != nil {
-				c.m.SecondarySeconds.AddN(tick.Seconds(), k)
-			}
+		} else if c.state.OnSecondary() && c.m != nil {
+			c.m.SecondarySeconds.AddN(tick.Seconds(), k)
 		}
 		from += time.Duration(k) * tick
 		n -= k

@@ -153,7 +153,8 @@ func TestNoFlapDwellFloor(t *testing.T) {
 }
 
 func TestCountersAndSecondaryTime(t *testing.T) {
-	c := New(Options{BreachAfter: ms, ClearAfter: 2 * ms}, nil)
+	reg := obs.NewRegistry()
+	c := New(Options{BreachAfter: ms, ClearAfter: 2 * ms}, NewMetrics(reg))
 	// b@0 clock, b@1 → SECONDARY (2 secondary samples: 1,2? walk it):
 	// samples: b0=BREACH, b1=SECONDARY, b2=SECONDARY, h3=READMIT,
 	// h4=READMIT, h5=PRIMARY. OnSecondary at 1,2,3,4 → 4ms.
@@ -161,8 +162,12 @@ func TestCountersAndSecondaryTime(t *testing.T) {
 	if c.Failovers() != 1 || c.Readmits() != 1 {
 		t.Fatalf("failovers=%d readmits=%d, want 1/1", c.Failovers(), c.Readmits())
 	}
-	if got := c.secondaryTime; got != 4*ms {
-		t.Fatalf("SecondaryTime = %v, want 4ms", got)
+	var want float64
+	for i := 0; i < 4; i++ {
+		want += ms.Seconds()
+	}
+	if got := reg.Snapshot().Counters["cyclops_policy_secondary_seconds"]; got != want {
+		t.Fatalf("cyclops_policy_secondary_seconds = %v, want 4 ms", got)
 	}
 	// Dwell: failed over at t=1ms, readmitted at t=5ms.
 	if got := c.MinSecondaryDwell(); got != 4*ms {
@@ -230,8 +235,8 @@ func TestDeterminism(t *testing.T) {
 // FuzzObserveRunMatchesObserve: a controller fed random runs of equal
 // verdicts through ObserveRun ends every run exactly where a twin fed the
 // same samples one Observe call at a time does — state, counters,
-// secondary time, shortest dwell and the exposition of a registry attached
-// to each — and Deadline marks the first sample time at which an agreeing
+// shortest dwell and the exposition of a registry attached to each, which
+// carries the secondary time — and Deadline marks the first sample time at which an agreeing
 // sample moves a pending state.
 func FuzzObserveRunMatchesObserve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, breachUS, clearUS uint16, tickUS uint16, runs uint8) {
@@ -256,11 +261,12 @@ func FuzzObserveRunMatchesObserve(f *testing.F) {
 			at += time.Duration(n) * tick
 			checkDeadline(t, run, at)
 		}
+		// The exposition check below covers the secondary time.
 		if run.Failovers() != one.Failovers() || run.Readmits() != one.Readmits() ||
-			run.secondaryTime != one.secondaryTime || run.MinSecondaryDwell() != one.MinSecondaryDwell() {
-			t.Fatalf("ObserveRun counters %d/%d/%v/%v, Observe %d/%d/%v/%v",
-				run.Failovers(), run.Readmits(), run.secondaryTime, run.MinSecondaryDwell(),
-				one.Failovers(), one.Readmits(), one.secondaryTime, one.MinSecondaryDwell())
+			run.MinSecondaryDwell() != one.MinSecondaryDwell() {
+			t.Fatalf("ObserveRun counters %d/%d/%v, Observe %d/%d/%v",
+				run.Failovers(), run.Readmits(), run.MinSecondaryDwell(),
+				one.Failovers(), one.Readmits(), one.MinSecondaryDwell())
 		}
 		if got, want := regRun.Exposition(), regObs.Exposition(); got != want {
 			t.Fatalf("ObserveRun exposition:\n%s\nObserve exposition:\n%s", got, want)

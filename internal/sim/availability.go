@@ -91,8 +91,8 @@ func SimulateTrace(tr trace.Trace, p AvailabilityParams) TraceResult {
 // slotArms are the slot engine's optional arms. The zero value is the
 // clean §5.4 model, which runs through the same slot loop as every armed
 // combination: with no fault schedule the blocking arm never fires, and
-// without a hybrid arm or a sink nothing bounds a run short of the trace
-// end.
+// without a hybrid arm nothing bounds a run short of the trace end. The
+// sink only observes runs; it never bounds one.
 type slotArms struct {
 	// sched injects faults (nil or empty: none). Occlusions block the link
 	// (with standby rescue when ChaosParams.TXCount > 1), tracker
@@ -106,13 +106,15 @@ type slotArms struct {
 	// only). When set, the result's availability fields and the sink see
 	// the delivered verdict.
 	hybrid *hybridArm
-	// sink receives every slot's final verdict, in slot order.
-	sink func(slot int, off bool)
+	// sink receives the final verdicts in runs, in slot order: n slots
+	// from slot index from share verdict off. Two adjacent runs may carry
+	// the same verdict.
+	sink func(from, n int, off bool)
 }
 
 // deliver applies one verdict to the n slots from at: the blocked-slot
 // count, the hybrid arm (whose delivered verdict replaces fsoOff), the
-// sink, once per slot, and the frame fold.
+// sink, once per run, and the frame fold.
 func (a *slotArms) deliver(res *ChaosTraceResult, fold *frameFold, at, slot time.Duration, n int, fs fault.State, blocked, fsoOff bool) {
 	if blocked {
 		res.BlockedSlots += n
@@ -122,9 +124,7 @@ func (a *slotArms) deliver(res *ChaosTraceResult, fold *frameFold, at, slot time
 		off = a.hybrid.run(at, slot, n, fs, fsoOff)
 	}
 	if a.sink != nil {
-		for i := 0; i < n; i++ {
-			a.sink(fold.slots+i, off)
-		}
+		a.sink(fold.slots, n, off)
 	}
 	fold.addRun(n, off)
 }
@@ -147,7 +147,7 @@ func bound(horizon, t, at time.Duration) time.Duration {
 }
 
 // simulate is the slot engine: the one FSO slot loop behind SimulateTrace,
-// SimulateTraceChaosSlots and SimulateTraceHybrid. It reads the fault
+// SimulateTraceChaosRuns and SimulateTraceHybrid. It reads the fault
 // state through a monotone cursor once per run of slots.
 func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
@@ -342,9 +342,10 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 		// check follows. The drift offsets still add once per slot in the
 		// verdict scan; the goodput sums take a run's adds at once through
 		// xmath.AddN, which returns the per-slot sum bit for bit. A clean
-		// trace (no schedule, no hybrid arm, no sink) never blocks and
-		// has no horizon before end, so its runs end only at verdict
-		// flips and cover each all-on stretch in one fold.
+		// trace (no schedule, no hybrid arm) never blocks and has no
+		// horizon before end, so its runs end only at verdict flips and
+		// cover each all-on stretch in one fold. The sink sees each run
+		// once, as the frame fold does.
 		for at < limit {
 			if !open {
 				blocked = blk.step(at, fs.AttenDB, &res)
@@ -445,7 +446,7 @@ func SimulateTraceObs(tr trace.Trace, p AvailabilityParams, reg *obs.Registry) T
 
 // recordTrace is the single registering call site for the per-trace sim
 // metrics — the clean (SimulateTraceObs) and chaos
-// (SimulateTraceChaosSlots) paths feed the same series, so a corpus mixing the
+// (SimulateTraceChaosRuns) paths feed the same series, so a corpus mixing the
 // two still merges into one exposition.
 func recordTrace(reg *obs.Registry, slots, offSlots int, onFraction float64) {
 	if reg == nil {

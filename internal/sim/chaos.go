@@ -102,7 +102,7 @@ type ChaosTraceResult struct {
 	MeanGoodputGbps float64
 }
 
-// SimulateTraceChaosSlots runs the slot model over one trace with the
+// SimulateTraceChaosRuns runs the slot model over one trace with the
 // given fault schedule injected. The base drift/realign machinery matches
 // SimulateTrace slot for slot; on top of it:
 //
@@ -115,17 +115,37 @@ type ChaosTraceResult struct {
 //   - a stuck galvo at a realignment's completion turns it into a no-op —
 //     the mirrors never moved, so the accumulated offsets stand.
 //
-// sink(slot, off), when non-nil, fires once per simulated slot, in slot
-// order, with the slot's final connectivity verdict (off covers both
-// misalignment and blocking); the arena engine replays per-user
-// connectivity through its shared-backhaul contention pass this way.
+// sink(from, n, off), when non-nil, receives the slots' final
+// connectivity verdicts (off covers both misalignment and blocking) in
+// runs, in slot order: the n slots from slot index from share verdict
+// off. The runs tile the trace's slots; adjacent runs may share a
+// verdict. The arena engine replays per-user connectivity through its
+// shared-backhaul contention pass this way, one netem tick run per
+// verdict run and backhaul share.
 //
-// A nil or empty schedule with a nil sink reproduces SimulateTrace's
-// Slots/OffSlots exactly. Outage metrics are recorded into reg under the
-// same names the hardware supervisor uses (cyclops_outage_total,
+// A nil or empty schedule reproduces SimulateTrace's Slots/OffSlots
+// exactly. Outage metrics are recorded into reg under the same names the
+// hardware supervisor uses (cyclops_outage_total,
 // cyclops_reacquire_seconds), so both fault paths expose identically.
-func SimulateTraceChaosSlots(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry, sink func(slot int, off bool)) ChaosTraceResult {
+func SimulateTraceChaosRuns(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry, sink func(from, n int, off bool)) ChaosTraceResult {
 	return simulateChaos(tr, p, sched, reg, slotArms{sink: sink})
+}
+
+// SimulateTraceChaosSlots is SimulateTraceChaosRuns with the verdict runs
+// expanded into slots: sink(slot, off), when non-nil, fires once per
+// simulated slot, in slot order.
+//
+//cyclops:keep perfbench replays the arena's per-slot contention pass through it
+func SimulateTraceChaosSlots(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry, sink func(slot int, off bool)) ChaosTraceResult {
+	var runs func(from, n int, off bool)
+	if sink != nil {
+		runs = func(from, n int, off bool) {
+			for i := 0; i < n; i++ {
+				sink(from+i, off)
+			}
+		}
+	}
+	return SimulateTraceChaosRuns(tr, p, sched, reg, runs)
 }
 
 // simulateChaos runs the slot engine with a fault schedule and the outage

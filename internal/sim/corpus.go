@@ -423,7 +423,7 @@ func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int) shardOut {
 			case c.MmWaveOnly != nil:
 				r = SimulateTraceMmWave(tr, c.Params, *c.MmWaveOnly, &sched, reg)
 			default:
-				r = SimulateTraceChaosSlots(tr, c.Params, &sched, reg, nil)
+				r = SimulateTraceChaosRuns(tr, c.Params, &sched, reg, nil)
 			}
 		} else {
 			// Without a schedule the slot loop never blocks, so its runs

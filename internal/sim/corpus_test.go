@@ -336,6 +336,39 @@ func TestSimulateTraceChaosSlotsSink(t *testing.T) {
 	}
 }
 
+// TestSimulateTraceChaosRunsSink checks the run sink tiles the slots in
+// order with non-empty runs, that its runs expand to the per-slot sink's
+// verdicts, and that it fires once per engine run, not once per slot.
+func TestSimulateTraceChaosRunsSink(t *testing.T) {
+	tr := testSource(1).At(0)
+	spec := testChaos()
+	sched := fault.Plan(spec.Config, spec.Seed, tr.Duration())
+	var slots []bool
+	SimulateTraceChaosSlots(tr, spec.Params, &sched, nil, func(_ int, off bool) {
+		slots = append(slots, off)
+	})
+	var runs []bool
+	calls := 0
+	res := SimulateTraceChaosRuns(tr, spec.Params, &sched, nil, func(from, n int, off bool) {
+		if from != len(runs) || n < 1 {
+			t.Fatalf("run [%d, +%d) after %d slots — not a tiling", from, n, len(runs))
+		}
+		for i := 0; i < n; i++ {
+			runs = append(runs, off)
+		}
+		calls++
+	})
+	if !reflect.DeepEqual(runs, slots) {
+		t.Fatal("run sink's verdicts differ from the per-slot sink's")
+	}
+	if len(runs) != res.Slots {
+		t.Errorf("runs cover %d slots of %d", len(runs), res.Slots)
+	}
+	if calls*10 > res.Slots {
+		t.Errorf("run sink fired %d times over %d slots — runs are not bulk", calls, res.Slots)
+	}
+}
+
 // TestRunCorpusMemoryBounded is the streaming claim, measured: a 10×
 // longer corpus run in aggregate-only mode must stay within a fixed live
 // heap envelope of the small one (the engine holds O(workers·shard)

@@ -291,7 +291,7 @@ func simulatePerSlotReference(tr trace.Trace, p ChaosParams, arms slotArms) Chao
 				off = h.stepReference(at, p.Slot, fs, off)
 			}
 			if arms.sink != nil {
-				arms.sink(fold.slots, off)
+				arms.sink(fold.slots, 1, off)
 			}
 			fold.add(off)
 
@@ -387,15 +387,17 @@ func armedRun(engine func(trace.Trace, ChaosParams, slotArms) ChaosTraceResult,
 		arms.hm = fault.NewHandoverMetrics(reg)
 	}
 	if withSink {
-		arms.sink = func(slot int, off bool) {
-			v := byte('.')
-			if off {
-				v = 'x'
+		arms.sink = func(from, n int, off bool) {
+			for slot := from; slot < from+n; slot++ {
+				v := byte('.')
+				if off {
+					v = 'x'
+				}
+				if slot != len(verdicts) {
+					v = '?'
+				}
+				verdicts = append(verdicts, v)
 			}
-			if slot != len(verdicts) {
-				v = '?'
-			}
-			verdicts = append(verdicts, v)
 		}
 	}
 	var h *hybridArm

@@ -35,10 +35,14 @@ lint:
 
 # Lint self-test: cyclops-vet must exit non-zero on a tree with known
 # violations — proving the gate actually gates (a linter that silently
-# passes everything is worse than none).
+# passes everything is worse than none) — AND report the fixture's
+# math/rand import: internal/xrand is the deterministic scope's one
+# generator, so a rule that stops banning math/rand fails here.
 lint-smoke:
-	@if $(GO) run ./cmd/cyclops-vet -root internal/analysis/testdata/src/determinism -module fixture >/dev/null 2>&1; then \
-		echo "lint-smoke: cyclops-vet passed a known-bad fixture"; exit 1; fi
+	@out="$$($(GO) run ./cmd/cyclops-vet -root internal/analysis/testdata/src/determinism -module fixture 2>&1)"; \
+	if [ $$? -eq 0 ]; then echo "lint-smoke: cyclops-vet passed a known-bad fixture"; exit 1; fi; \
+	echo "$$out" | grep -q 'internal/sim/sim.go:4:2: determinism: import of math/rand in deterministic package internal/sim' || \
+		{ echo "lint-smoke: math/rand import finding missing from output:"; echo "$$out"; exit 1; }
 	@echo "lint-smoke: ok"
 
 # Interprocedural self-test: the taint fixture hides time.Now two hops

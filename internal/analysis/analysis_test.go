@@ -37,13 +37,15 @@ func TestFixtures(t *testing.T) {
 		{
 			fixture: "determinism",
 			want: []string{
+				"internal/sim/sim.go:4:2: determinism: import of math/rand in deterministic package internal/sim: draw from a seeded internal/xrand generator (xrand.New, or Rand.Seed on a held value)",
 				"internal/sim/sim.go:10:6: unused: exported func sim.Bad is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
 				"internal/sim/sim.go:11:16: determinism: time.Now in deterministic package internal/sim: derive timestamps from the simulation clock or the seed",
 				"internal/sim/sim.go:12:13: determinism: os.Getenv in deterministic package internal/sim: plumb configuration through options structs",
-				"internal/sim/sim.go:13:10: determinism: global math/rand.Float64 in deterministic package internal/sim: use rand.New(rand.NewSource(seed))",
 				"internal/sim/sim.go:16:14: determinism: time.Since in deterministic package internal/sim: derive durations from the simulation clock",
 				"internal/sim/sim.go:20:6: unused: exported func sim.Good is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
-				"internal/sim/sim.go:26:6: unused: exported func sim.Tolerated is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
+				"internal/sim/sim.go:25:6: unused: exported func sim.Tolerated is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
+				"internal/sim/v2.go:3:8: determinism: import of math/rand/v2 in deterministic package internal/sim: draw from a seeded internal/xrand generator (xrand.New, or Rand.Seed on a held value)",
+				"internal/sim/v2.go:6:6: unused: exported func sim.Pick is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
 			},
 			suppressed: 1, // the //cyclops:deterministic-ok time.Now in Tolerated
 		},
@@ -99,10 +101,12 @@ func TestFixtures(t *testing.T) {
 				"geomx/geomx.go:9:1: determinism-taint: geomx.Jitter is reachable from the deterministic scope and reaches time.Now: internal/sim.Run → geomx.Jitter → util.Stamp → time.Now — derive timestamps from the simulation clock or the seed",
 				"geomx/geomx.go:14:1: determinism-taint: geomx.Sorted is reachable from the deterministic scope and reaches range over map m: internal/sim.UsesSorted → geomx.Sorted → range over map m — extract sorted keys",
 				"geomx/geomx.go:24:1: determinism-taint: geomx.MakeFn is reachable from the deterministic scope and reaches time.Now: internal/sim.UsesFn → geomx.MakeFn → util.Stamp → time.Now — derive timestamps from the simulation clock or the seed",
+				"geomx/noise.go:7:1: determinism-taint: geomx.Noise is reachable from the deterministic scope and reaches math/rand.New: internal/sim.UsesNoise → geomx.Noise → math/rand.New — draw from a seeded internal/xrand generator (xrand.New, or Rand.Seed on a held value)",
 				"internal/sim/sim.go:12:6: unused: exported func sim.Run is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
 				"internal/sim/sim.go:17:6: unused: exported func sim.UsesSorted is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
 				"internal/sim/sim.go:23:6: unused: exported func sim.UsesFn is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
 				"internal/sim/sim.go:28:6: unused: exported func sim.Calm is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
+				"internal/sim/sim.go:33:6: unused: exported func sim.UsesNoise is unreachable from the module's non-test code: delete it with the tests that only exercise it, or annotate //cyclops:keep <reason>",
 				"util/util.go:7:1: determinism-taint: util.Stamp is reachable from the deterministic scope and reaches time.Now: internal/sim.Run → geomx.Jitter → util.Stamp → time.Now — derive timestamps from the simulation clock or the seed",
 			},
 			suppressed: 0,

@@ -49,7 +49,8 @@ const (
 	SrcClock SourceCat = "clock"
 	// SrcEnv is os.Getenv/LookupEnv/Environ.
 	SrcEnv SourceCat = "env"
-	// SrcRand is a global math/rand (or math/rand/v2) top-level function.
+	// SrcRand is any math/rand (or math/rand/v2) package-level function,
+	// constructors included: internal/xrand is the one generator.
 	SrcRand SourceCat = "rand"
 	// SrcMapRange is `for range` over a map.
 	SrcMapRange SourceCat = "map-range"
@@ -275,7 +276,7 @@ func forbiddenSource(fn *types.Func) (srcInfo, bool) {
 		return srcInfo{}, false
 	}
 	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return srcInfo{}, false // methods (e.g. (*rand.Rand).Intn) are fine
+		return srcInfo{}, false // methods are fine; constructing their receiver is the source
 	}
 	path := fn.Pkg().Path()
 	name := fn.Name()
@@ -286,8 +287,8 @@ func forbiddenSource(fn *types.Func) (srcInfo, bool) {
 		}
 		return srcInfo{cat: cat, desc: path + "." + name, alt: alt}, true
 	}
-	if (path == "math/rand" || path == "math/rand/v2") && !sanctionedRandFuncs[name] {
-		return srcInfo{cat: SrcRand, desc: "global " + path + "." + name, alt: "use rand.New(rand.NewSource(seed))"}, true
+	if isMathRand(path) {
+		return srcInfo{cat: SrcRand, desc: path + "." + name, alt: randAlt}, true
 	}
 	if path == "math" && name == "FMA" {
 		return srcInfo{

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 )
 
 // forbiddenStdlibFuncs maps package path → function name → the message
@@ -21,25 +22,19 @@ var forbiddenStdlibFuncs = map[string]map[string]string{
 	},
 }
 
-// sanctionedRandFuncs are the math/rand package-level constructors that
-// ARE the sanctioned seeded pattern; every other package-level math/rand
-// function draws from the global, scheduling-ordered source and is
-// forbidden in deterministic packages.
-var sanctionedRandFuncs = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true,
-}
+// randAlt is the one generator the deterministic scope draws from.
+const randAlt = "draw from a seeded internal/xrand generator (xrand.New, or Rand.Seed on a held value)"
+
+// isMathRand reports whether an import path is math/rand or math/rand/v2.
+func isMathRand(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
 
 func ruleDeterminism() Rule {
 	return Rule{
 		Name: "determinism",
-		Doc: "In the deterministic packages (internal/{core,sim,fault,trace,parallel,obs,netem}), " +
-			"non-test code must be a pure function of explicit seeds: time.Now/Since/Until, " +
-			"os.Getenv/LookupEnv/Environ, and the global math/rand top-level functions are forbidden " +
-			"(rand.New(rand.NewSource(seed)) is the sanctioned pattern).",
+		Doc: "In the deterministic scope (every package under internal/ except the documented " +
+			"deterministicScopeHoles), non-test code must be a pure function of explicit seeds: " +
+			"time.Now/Since/Until and os.Getenv/LookupEnv/Environ are forbidden, and math/rand and " +
+			"math/rand/v2 may not be imported (internal/xrand is the one generator).",
 		Suppress: dirDetOK,
 		Check: func(p *Pass) {
 			for _, pkg := range p.Module.Pkgs {
@@ -47,28 +42,24 @@ func ruleDeterminism() Rule {
 					continue
 				}
 				for _, f := range pkg.Files {
+					for _, spec := range f.Imports {
+						if path, err := strconv.Unquote(spec.Path.Value); err == nil && isMathRand(path) {
+							p.Reportf(p.Pos(spec.Path.Pos()),
+								"import of %s in deterministic package %s: %s", path, pkg.RelPath, randAlt)
+						}
+					}
 					ast.Inspect(f, func(n ast.Node) bool {
 						id, ok := n.(*ast.Ident)
 						if !ok {
 							return true
 						}
 						fn, ok := pkg.Info.Uses[id].(*types.Func)
-						if !ok || fn.Pkg() == nil {
+						if !ok {
 							return true
 						}
-						if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-							return true // methods (e.g. (*rand.Rand).Intn) are fine
-						}
-						path := fn.Pkg().Path()
-						if alt, bad := forbiddenStdlibFuncs[path][fn.Name()]; bad {
-							p.Reportf(p.Pos(id.Pos()),
-								"%s.%s in deterministic package %s: %s", path, fn.Name(), pkg.RelPath, alt)
-							return true
-						}
-						if (path == "math/rand" || path == "math/rand/v2") && !sanctionedRandFuncs[fn.Name()] {
-							p.Reportf(p.Pos(id.Pos()),
-								"global %s.%s in deterministic package %s: use rand.New(rand.NewSource(seed))",
-								path, fn.Name(), pkg.RelPath)
+						// math/rand is reported at its import; FMA by float-determinism.
+						if src, bad := forbiddenSource(fn); bad && (src.cat == SrcClock || src.cat == SrcEnv) {
+							p.Reportf(p.Pos(id.Pos()), "%s in deterministic package %s: %s", src.desc, pkg.RelPath, src.alt)
 						}
 						return true
 					})

@@ -28,3 +28,8 @@ func UsesFn() float64 {
 func Calm() float64 {
 	return geomx.Settle()
 }
+
+// UsesNoise reaches a seeded math/rand constructor one hop away.
+func UsesNoise() float64 {
+	return geomx.Noise(1)
+}

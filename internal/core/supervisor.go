@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"cyclops/internal/fault"
 	"cyclops/internal/obs"
 	"cyclops/internal/pointing"
+	"cyclops/internal/xrand"
 )
 
 // SupState is the supervisor's recovery state.
@@ -126,7 +126,7 @@ const goldenAngle = 2.399963229728653
 // faulted run stays bit-reproducible.
 type Supervisor struct {
 	opts RecoveryOptions
-	rng  *rand.Rand
+	rng  *xrand.Rand
 
 	state      SupState
 	timeIn     [numSupStates]time.Duration
@@ -161,7 +161,7 @@ func NewSupervisor(opts RecoveryOptions, seed int64, reg *obs.Registry) *Supervi
 	opts.defaults()
 	return &Supervisor{
 		opts:  opts,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   xrand.New(seed),
 		state: SupTracking,
 		om:    fault.NewOutageMetrics(reg),
 		sm:    newSupervisorMetrics(reg),

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"cyclops/internal/gma"
@@ -19,6 +18,7 @@ import (
 	"cyclops/internal/pointing"
 	"cyclops/internal/vrh"
 	"cyclops/internal/vrspace"
+	"cyclops/internal/xrand"
 )
 
 // System is one deployed Cyclops installation.
@@ -71,7 +71,7 @@ func (r CalibrationReport) String() string {
 // learned pointing function.
 func (s *System) Calibrate() (CalibrationReport, error) {
 	var rep CalibrationReport
-	rng := rand.New(rand.NewSource(s.seed + 2))
+	rng := xrand.New(s.seed + 2)
 
 	// Same registry resolution as Run: System.Obs or a private registry
 	// whose contribution is published to the process default. Plant power

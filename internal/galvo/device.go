@@ -13,13 +13,13 @@ package galvo
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
 	"cyclops/internal/geom"
 	"cyclops/internal/gma"
 	"cyclops/internal/optics"
+	"cyclops/internal/xrand"
 )
 
 // Device is one simulated two-axis galvo assembly (mirrors + servo + DAQ
@@ -35,7 +35,7 @@ type Device struct {
 	truthC gma.Compiled
 	spec   optics.GalvoSpec
 	daq    optics.DAQSpec
-	rng    *rand.Rand
+	rng    *xrand.Rand
 
 	v1, v2 float64 // commanded voltages after clamping+quantization
 
@@ -62,7 +62,7 @@ func New(truth gma.Params, spec optics.GalvoSpec, daq optics.DAQSpec, seed int64
 		truthC:   truth.Compile(),
 		spec:     spec,
 		daq:      daq,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      xrand.New(seed),
 		slewRate: 300,
 	}
 	return d
@@ -71,8 +71,9 @@ func New(truth gma.Params, spec optics.GalvoSpec, daq optics.DAQSpec, seed int64
 // NewUnit manufactures a device with realistic unit-to-unit geometry
 // variation: the truth is gma.Nominal perturbed by assembly tolerances.
 func NewUnit(seed int64) *Device {
-	rng := rand.New(rand.NewSource(seed))
-	return New(gma.Perturbed(rng), optics.GVS102, optics.USB1608G, seed+1)
+	var rng xrand.Rand
+	rng.Seed(seed)
+	return New(gma.Perturbed(&rng), optics.GVS102, optics.USB1608G, seed+1)
 }
 
 // SetVoltages commands the two mirror channels. The command is clamped to

@@ -2,10 +2,10 @@ package gma
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/xrand"
 )
 
 func TestNominalZeroVoltageBeam(t *testing.T) {
@@ -100,7 +100,7 @@ func TestBeamMissesMirror(t *testing.T) {
 }
 
 func TestVectorRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := xrand.New(2)
 	for i := 0; i < 50; i++ {
 		p := Perturbed(rng)
 		q, err := FromVector(p.Vector())
@@ -122,7 +122,7 @@ func TestFromVectorWrongLength(t *testing.T) {
 func TestTransformedConsistency(t *testing.T) {
 	// Evaluating the transformed model equals transforming the
 	// evaluation: G_world(v) == M·G_local(v).
-	rng := rand.New(rand.NewSource(4))
+	rng := xrand.New(4)
 	p := Perturbed(rng)
 	m := geom.NewPose(
 		geom.QuatFromAxisAngle(geom.V(1, 2, 0.5), 0.8),
@@ -205,7 +205,7 @@ func TestValidDeterministicMessage(t *testing.T) {
 }
 
 func TestPerturbedStaysFunctional(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	rng := xrand.New(99)
 	board := geom.NewPlane(geom.V(0, 0, 1.5), geom.V(0, 0, -1))
 	for i := 0; i < 100; i++ {
 		p := Perturbed(rng)
@@ -219,7 +219,7 @@ func TestPerturbedStaysFunctional(t *testing.T) {
 }
 
 func TestPerturbedDiffersFromNominal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := xrand.New(1)
 	p := Perturbed(rng)
 	if p == Nominal() {
 		t.Error("perturbation was a no-op")

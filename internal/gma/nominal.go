@@ -1,9 +1,8 @@
 package gma
 
 import (
-	"math/rand"
-
 	"cyclops/internal/geom"
+	"cyclops/internal/xrand"
 )
 
 // Nominal returns the catalog ("CAD design") geometry of a GVS102-style
@@ -41,7 +40,7 @@ func Nominal() Params {
 // K-space calibration of §4.1 exists to close, and the reason TX-GMA and
 // RX-GMA "will likely have different values for p₀ and x⃗₀" even when built
 // from identical parts.
-func Perturbed(rng *rand.Rand) Params {
+func Perturbed(rng *xrand.Rand) Params {
 	p := Nominal()
 	jv := func(v geom.Vec3, s float64) geom.Vec3 {
 		return v.Add(geom.V(rng.NormFloat64()*s, rng.NormFloat64()*s, rng.NormFloat64()*s))

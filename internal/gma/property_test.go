@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/xrand"
 )
 
 // Property tests on the GMA model's physical invariants.
@@ -99,7 +100,7 @@ func TestPropertyDeflectionLinearity(t *testing.T) {
 
 func TestPropertyTransformedPreservesAngles(t *testing.T) {
 	// A rigid transform preserves every angle between beams.
-	rng := rand.New(rand.NewSource(5))
+	rng := xrand.New(5)
 	p := Perturbed(rng)
 	m := geom.NewPose(
 		geom.QuatFromAxisAngle(geom.V(0.3, 1, -0.2), 1.1),

@@ -19,10 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cyclops/internal/galvo"
 	"cyclops/internal/geom"
+	"cyclops/internal/xrand"
 )
 
 // Inch is the grid pitch of the calibration board, meters.
@@ -51,7 +51,7 @@ type Rig struct {
 	// target before the experimenter accepts the voltages.
 	SearchTol float64
 
-	rng *rand.Rand
+	rng *xrand.Rand
 }
 
 // NewRig builds a bench around a device with the prototype's geometry:
@@ -65,7 +65,7 @@ func NewRig(dev *galvo.Device, seed int64) *Rig {
 		BoardDistance: 1.5,
 		ObsNoise:      1.3e-3,
 		SearchTol:     1.3e-3,
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           xrand.New(seed),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cyclops/internal/optimize"
 	"cyclops/internal/pointing"
@@ -112,7 +111,7 @@ func (p *Plant) AlignSearch(start pointing.Voltages, opts AlignOptions) (pointin
 // HandAim produces the rough starting point a human installer provides
 // before the automated search: the true aligned voltages disturbed by a
 // few tenths of a volt (±ish 10 mrad of aim error).
-func (p *Plant) HandAim(rng *rand.Rand) (pointing.Voltages, error) {
+func (p *Plant) HandAim(rng interface{ NormFloat64() float64 }) (pointing.Voltages, error) {
 	v, err := p.OracleAlignedVoltages()
 	if err != nil {
 		return pointing.Voltages{}, err
@@ -127,7 +126,7 @@ func (p *Plant) HandAim(rng *rand.Rand) (pointing.Voltages, error) {
 
 // Align runs the full physical alignment procedure (hand aim + automated
 // search) and returns the aligned voltages and power.
-func (p *Plant) Align(rng *rand.Rand) (pointing.Voltages, float64, error) {
+func (p *Plant) Align(rng interface{ NormFloat64() float64 }) (pointing.Voltages, float64, error) {
 	start, err := p.HandAim(rng)
 	if err != nil {
 		return pointing.Voltages{}, math.Inf(-1), err

@@ -8,13 +8,13 @@ package link
 
 import (
 	"math"
-	"math/rand"
 
 	"cyclops/internal/galvo"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
 	"cyclops/internal/optics"
 	"cyclops/internal/pointing"
+	"cyclops/internal/xrand"
 )
 
 // Plant is the physical link: two terminals plus current headset pose.
@@ -79,7 +79,8 @@ func NewPlant(cfg optics.LinkConfig, seed int64) *Plant {
 // identities separately, which lets a multi-transmitter deployment share
 // one physical RX assembly across several plants.
 func NewPlantAt(cfg optics.LinkConfig, txSeed, rxSeed int64, txPos geom.Vec3) *Plant {
-	rng := rand.New(rand.NewSource(txSeed))
+	var rng xrand.Rand
+	rng.Seed(txSeed)
 
 	// Aim the TX K-space +Z from its mount point toward the play area,
 	// with a little installation slop.
@@ -97,10 +98,10 @@ func NewPlantAt(cfg optics.LinkConfig, txSeed, rxSeed int64, txPos geom.Vec3) *P
 	// The RX assembly sits on the headset breadboard, beam axis up with
 	// small assembly slop, a few centimeters above the head origin. Its
 	// identity derives from rxSeed so plants sharing an RX agree on it.
-	rxRng := rand.New(rand.NewSource(rxSeed + 7))
+	rng.Seed(rxSeed + 7)
 	rxSlop := geom.QuatFromAxisAngle(
-		geom.V(rxRng.NormFloat64(), rxRng.NormFloat64(), rxRng.NormFloat64()+1e-9),
-		rxRng.NormFloat64()*0.02,
+		geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()+1e-9),
+		rng.NormFloat64()*0.02,
 	)
 	rxMount := geom.NewPose(rxSlop, geom.V(0.05, 0.0, 0.12))
 

@@ -7,11 +7,11 @@ package motion
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"cyclops/internal/geom"
 	"cyclops/internal/trace"
+	"cyclops/internal/xrand"
 )
 
 // Program yields the true headset pose over time.
@@ -207,7 +207,8 @@ func (h *HandHeld) synthesize() {
 	h.once = true
 	h.step = 5 * time.Millisecond
 	n := int(h.Len/h.step) + 2
-	rng := rand.New(rand.NewSource(h.Seed))
+	var rng xrand.Rand
+	rng.Seed(h.Seed)
 	dt := h.step.Seconds()
 
 	pos := h.Base.Trans

@@ -8,13 +8,14 @@ import (
 
 	"cyclops/internal/geom"
 	"cyclops/internal/gma"
+	"cyclops/internal/xrand"
 )
 
 // fixture builds a TX model at the world origin (beam exiting +Z) and an
 // RX model 1.75 m away facing back down at it — the ceiling-to-headset
 // geometry flipped into a convenient frame.
 func fixture(seed int64) (gt, gr gma.Params) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	gt = gma.Perturbed(rng)
 	rxMount := geom.NewPose(
 		geom.QuatFromAxisAngle(geom.V(0, 1, 0), math.Pi),

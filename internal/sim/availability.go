@@ -19,6 +19,7 @@ import (
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
 	"cyclops/internal/trace"
+	"cyclops/internal/xrand"
 )
 
 // AvailabilityParams are the §5.4 simulation constants.
@@ -252,7 +253,8 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 	if h := arms.hybrid; h != nil {
 		physDB = thresholdDB(h.mm.p.BlockAttenDB)
 	}
-	blk := newBlockState(p, arms, faults)
+	var rescue xrand.Rand // the rescue stream, off the heap
+	blk := newBlockState(p, arms, faults, &rescue)
 
 	// The open run: its head slot is stepped, n slots from runAt
 	// follow it in bulk with the head's verdicts (blocked, fsoOff), and

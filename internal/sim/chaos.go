@@ -2,12 +2,12 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"cyclops/internal/fault"
 	"cyclops/internal/obs"
 	"cyclops/internal/trace"
+	"cyclops/internal/xrand"
 )
 
 // ChaosParams extend the §5.4 slot model with the fault-injection
@@ -186,8 +186,8 @@ type blockState struct {
 	// rng is the rescue stream: per trace, derived from the schedule's
 	// seed, with a fixed per-episode consumption pattern (one draw per
 	// standby, every episode), so any worker count replays it bit for bit.
-	// nil without standbys or faults.
-	rng *rand.Rand
+	// nil without standbys or faults; else the caller's stack-held value.
+	rng *xrand.Rand
 
 	relockUntil                time.Duration
 	wasBlocked, inOcc, rescued bool
@@ -195,13 +195,14 @@ type blockState struct {
 	blockedSince, hoUntil      time.Duration
 }
 
-func newBlockState(p ChaosParams, arms slotArms, faults bool) blockState {
+func newBlockState(p ChaosParams, arms slotArms, faults bool, rng *xrand.Rand) blockState {
 	if p.HandoverDark <= 0 {
 		p.HandoverDark = 2 * time.Millisecond
 	}
 	b := blockState{p: p, om: arms.om, hm: arms.hm, relockUntil: -1}
 	if p.TXCount > 1 && faults {
-		b.rng = rand.New(rand.NewSource(arms.sched.Seed*9176 + 13))
+		rng.Seed(arms.sched.Seed*9176 + 13)
+		b.rng = rng
 	}
 	return b
 }

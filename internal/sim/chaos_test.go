@@ -295,6 +295,32 @@ func TestEngineAllocsFlatInTraceLength(t *testing.T) {
 	}
 }
 
+// TestRescueStreamZeroAllocs pins the per-trace rescue stream off the
+// heap: arming standbys under faults seeds it, and a three-TX trace
+// allocates exactly as often as the single-TX one. Run without -race.
+func TestRescueStreamZeroAllocs(t *testing.T) {
+	tr := trace.Generate(5, 1, 10*time.Second, geom.V(0.35, 0.25, 1.0))
+	sched := fault.Plan(goldenConfig(), 3, tr.Duration())
+	allocs := func(txCount int) (float64, int) {
+		p := PaperChaos25G()
+		p.TXCount = txCount
+		p.StandbyBlockProb = 0.3
+		var handovers int
+		n := testing.AllocsPerRun(5, func() {
+			handovers = SimulateTraceChaosRuns(tr, p, &sched, nil, nil).Handovers
+		})
+		return n, handovers
+	}
+	one, _ := allocs(1)
+	three, handovers := allocs(3)
+	if handovers == 0 {
+		t.Fatal("three-TX trace drew no rescue: test is vacuous")
+	}
+	if three != one {
+		t.Errorf("TXCount 3 allocates %v per trace, TXCount 1 %v: the rescue stream reached the heap", three, one)
+	}
+}
+
 func containsSub(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

@@ -14,6 +14,7 @@ import (
 	"cyclops/internal/obs"
 	"cyclops/internal/policy"
 	"cyclops/internal/trace"
+	"cyclops/internal/xrand"
 )
 
 // simulateTraceReference is the §5.4 slot model as a straight-line
@@ -218,7 +219,8 @@ func simulatePerSlotReference(tr trace.Trace, p ChaosParams, arms slotArms) Chao
 	faults := !arms.sched.Empty()
 	cur := arms.sched.Cursor()
 	var fs fault.State
-	blk := newBlockState(p, arms, faults)
+	var rescue xrand.Rand
+	blk := newBlockState(p, arms, faults, &rescue)
 
 	// Event handling reads the fault state of the segment's head slot:
 	// the first slot at or after the report or realignment time.

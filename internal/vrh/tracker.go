@@ -14,10 +14,10 @@ package vrh
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"cyclops/internal/geom"
+	"cyclops/internal/xrand"
 )
 
 // Report is one VRH-T tracking report: the pose Ψ of the hidden tracked
@@ -67,7 +67,7 @@ type Tracker struct {
 	lastReport Report
 	haveReport bool
 
-	rng *rand.Rand
+	rng *xrand.Rand
 }
 
 // Option configures a Tracker.
@@ -96,7 +96,7 @@ func WithWarp(loc, ang, freq float64) Option {
 // the tracked point sits a few centimeters inside the headset with a small
 // attitude offset.
 func New(seed int64, opts ...Option) *Tracker {
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	randPose := func(posScale, angScale float64) geom.Pose {
 		axis := geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 		if axis.IsZero() {

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"cyclops/internal/geom"
@@ -23,6 +22,7 @@ import (
 	"cyclops/internal/optimize"
 	"cyclops/internal/pointing"
 	"cyclops/internal/vrh"
+	"cyclops/internal/xrand"
 )
 
 // Tuple is one §4.2 training sample.
@@ -120,7 +120,8 @@ func FitMapping(kTX, kRX gma.Params, tuples []Tuple, init Mapping) (Mapping, opt
 // and attitudes within ±12°, deterministic in seed. The spread matters —
 // degenerate pose sets leave mapping directions unconstrained.
 func CalibrationPoses(n int, seed int64) []geom.Pose {
-	rng := rand.New(rand.NewSource(seed))
+	var rng xrand.Rand
+	rng.Seed(seed)
 	base := link.DefaultHeadsetPose()
 	poses := make([]geom.Pose, 0, n)
 	for i := 0; i < n; i++ {
@@ -143,7 +144,7 @@ func CalibrationPoses(n int, seed int64) []geom.Pose {
 // for each pose, lock the headset there, read a tracking report, run the
 // automated alignment search, and record the 5-tuple. Poses where the
 // search fails are skipped.
-func CollectTuples(p *link.Plant, tr *vrh.Tracker, poses []geom.Pose, rng *rand.Rand) []Tuple {
+func CollectTuples(p *link.Plant, tr *vrh.Tracker, poses []geom.Pose, rng interface{ NormFloat64() float64 }) []Tuple {
 	var tuples []Tuple
 	for i, pose := range poses {
 		p.SetHeadset(pose)
@@ -170,7 +171,7 @@ func TrueMapping(p *link.Plant, tr *vrh.Tracker) Mapping {
 // InitialGuess perturbs the true mapping by installer-measurement error
 // (a few centimeters, a few degrees) — the §4.2 analogue of the K-space
 // stage's CAD prior.
-func InitialGuess(p *link.Plant, tr *vrh.Tracker, rng *rand.Rand) Mapping {
+func InitialGuess(p *link.Plant, tr *vrh.Tracker, rng interface{ NormFloat64() float64 }) Mapping {
 	truth := TrueMapping(p, tr)
 	perturb := func(m geom.Pose) geom.Pose {
 		axis := geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())

@@ -1,11 +1,14 @@
 // Package xrand is a devirtualized, bit-exact replica of the subset of
 // math/rand that the deterministic packages draw from: the Mitchell/Reeds
 // additive lagged-Fibonacci source behind rand.NewSource, plus Float64,
-// Intn, the ziggurat NormFloat64 and ExpFloat64 on top of it. The trace
-// synthesizer (trace.Generate) and the fault planner (fault.Plan) use it.
+// Intn, the ziggurat NormFloat64 and ExpFloat64 on top of it. It is the
+// deterministic packages' one generator (cyclops-vet rejects math/rand
+// there): trace synthesis, fault planning, the slot engine's rescue
+// stream and every simulated device, rig, program and supervisor draw
+// from it. One-shot streams hold a Rand by value and Seed it in place.
 //
-// Why it exists: both sit on the corpus hot path. Every math/rand draw
-// is a virtual Int63 call through the rand.Source interface that the
+// Why a replica: the corpus hot path draws and seeds often. Every math/rand
+// draw is a virtual Int63 call through the rand.Source interface that the
 // compiler cannot inline, and every rand.NewSource seeds its 607-word
 // register through a serial chain of 1841 Lehmer steps. Replicating the
 // generator with concrete types removes the interface dispatch and lets
@@ -107,7 +110,7 @@ func New(seed int64) *Rand {
 // rngCooked state. The sequence values are read by jump-ahead (see the
 // package doc), not by stepping the generator.
 //
-//cyclops:hotpath re-seeded once per fault class by every fault.Plan call; zero-alloc contract pinned by TestSeedZeroAllocs and make alloc-check
+//cyclops:hotpath re-seeded once per fault class by every fault.Plan call and once per faulted multi-TX trace by the slot engine; zero-alloc contract pinned by TestSeedZeroAllocs and make alloc-check
 func (r *Rand) Seed(seed int64) {
 	r.pos = rngLen // buffer empty; first draw refills
 

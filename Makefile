@@ -86,12 +86,13 @@ verify:
 # radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm),
 # the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
 # kernels (xmath.AddN, xrand.Seed) and the arena's bulk netem tick
-# (Stream.TickRun with its carry kernel) are pinned by AllocsPerRun tests,
-# as is the slot engine's per-trace allocation count (flat in trace
-# length); run them without -race (the race detector inserts
-# allocations).
+# (Stream.TickRun with its carry kernel, and a Reset stream's rerun) are
+# pinned by AllocsPerRun tests, as are the slot engine's per-trace
+# allocation count and the bytes of an arena cell and a corpus shard on a
+# warm per-worker scratch (all flat in trace length); run them without
+# -race (the race detector inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|TestEngineAllocsFlatInTraceLength' -count 1 ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/xmath/ ./internal/xrand/ ./internal/netem/
+	$(GO) test -run 'ZeroAllocs|AllocsFlatInTraceLength' -count 1 ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/arena/ ./internal/xmath/ ./internal/xrand/ ./internal/netem/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics
@@ -220,31 +221,35 @@ bench:
 # serial Fig 16 corpus on the clean slot model (corpus_ns_per_op), on
 # the armed engine (every fault kind, haze fades and the hybrid policy:
 # chaos_corpus_ns_per_op) and the densest fig16-arena cell at workers=1
-# (arena_ns_per_op), recorded into BENCH_hotpath.json. The
-# micro-benchmarks run with -benchmem, and allocs_per_op is parsed from
-# that output (the field before "allocs/op"; the batch kernel reports its
-# worst batch size). Benchmark names are matched with the -GOMAXPROCS
-# suffix stripped. The three corpus rows are the median of 3 runs at
-# -benchtime 5x with their min and max: co-tenant noise on a shared host
+# (arena_ns_per_op), recorded into BENCH_hotpath.json. Every benchmark
+# runs with -benchmem: the three corpus benchmarks also record their
+# bytes per op (corpus_bytes_per_op, chaos_corpus_bytes_per_op,
+# arena_bytes_per_op, the field before "B/op"), and the micro-benchmarks'
+# allocs_per_op is parsed from the field before "allocs/op" (the batch
+# kernel reports its worst batch size). A missing row fails the target.
+# Benchmark names are matched with the -GOMAXPROCS suffix stripped. The
+# six corpus rows are the median of 3 runs at -benchtime 5x with their
+# min and max: co-tenant noise on a shared host
 # is strictly additive, so short exposures track the code's true cost
 # more faithfully than long ones, and the spread says how far to trust
 # the median. There is no typed-in baseline: compare two recordings made
 # on one host (`git stash` or a second checkout for the other side).
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkFig16(TraceAvailability|ChaosCorpus|Arena)Serial$$' -benchtime 5x -count 3 . | tee .bench_hotpath.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkFig16(TraceAvailability|ChaosCorpus|Arena)Serial$$' -benchtime 5x -count 3 -benchmem . | tee .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(AddN|Seed)$$' -benchtime 1s -benchmem ./internal/xmath/ ./internal/xrand/ | tee -a .bench_hotpath.txt
 	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	    -v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)" ' \
 	function allocs(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "allocs/op") return $$i; return "" } \
+	function bytes(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "B/op") return $$i; return "" } \
 	function spread(v, n,   i, j, t) { \
 		for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j-1] > v[j]; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t } \
 		return sprintf("{ \"median\": %.0f, \"min\": %.0f, \"max\": %.0f }", (n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2), v[1], v[n]) \
 	} \
 	{ name = ($$1 ~ /^Benchmark/ ? $$1 : ""); sub(/-[0-9]+$$/, "", name) } \
-	name == "BenchmarkFig16TraceAvailabilitySerial" { cv[++cn] = $$3 } \
-	name == "BenchmarkFig16ChaosCorpusSerial"       { xv[++xn] = $$3 } \
-	name == "BenchmarkFig16ArenaSerial"             { av[++an] = $$3 } \
+	name == "BenchmarkFig16TraceAvailabilitySerial" { cv[++cn] = $$3; if ((v = bytes()) != "") cb[++cbn] = v + 0 } \
+	name == "BenchmarkFig16ChaosCorpusSerial"       { xv[++xn] = $$3; if ((v = bytes()) != "") xb[++xbn] = v + 0 } \
+	name == "BenchmarkFig16ArenaSerial"             { av[++an] = $$3; if ((v = bytes()) != "") ab[++abn] = v + 0 } \
 	name == "BenchmarkParamsBeam"           { pbeam = $$3 } \
 	name == "BenchmarkCompiledBeam"         { cbeam = $$3; a["gma_compiled_beam"] = allocs() } \
 	name == "BenchmarkCompile"              { comp = $$3 } \
@@ -262,12 +267,13 @@ bench-hotpath:
 	name == "BenchmarkSeed"                 { seed = $$3; a["xrand_seed"] = allocs() } \
 	END { \
 		if (cn == 0 || xn == 0 || an == 0) { print "bench-hotpath: missing corpus benchmark output" > "/dev/stderr"; exit 1 } \
+		if (cbn != cn || xbn != xn || abn != an) { print "bench-hotpath: missing -benchmem B/op for a corpus benchmark run" > "/dev/stderr"; exit 1 } \
 		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power xmath_add_n xrand_seed", keys, " "); \
 		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
 		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "" || addn == "" || seed == "") { \
 			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
-		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s\n  }\n}\n", \
-			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, \
+		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s\n  }\n}\n", \
+			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), spread(cb, cbn), spread(xb, xbn), spread(ab, abn), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, \
 			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"]; \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt

@@ -11,9 +11,10 @@
 // from the seed. The venue is processed one ceiling cell at a time
 // (streamed, like sim.RunCorpus): cell membership is integer arithmetic
 // on the user index, so a cell's work needs only its own and adjacent
-// cells' users — live heap is one trace plus O(users-per-cell · verdict
-// runs), independent of venue size, and a run checkpoints and resumes by
-// cell.
+// cells' users — live heap is one batch of cell outputs plus, per Fold
+// worker, one trace and O(users-per-cell · verdict runs) of reused
+// scratch, independent of venue size, and a run checkpoints and resumes
+// by cell.
 package arena
 
 import (
@@ -351,7 +352,7 @@ func (l Layout) Trace(i int, length time.Duration) trace.Trace {
 
 // traceInto is Trace with a caller-owned sample buffer (see
 // trace.GenerateInto): runCell generates every served user's trace into
-// one buffer per cell.
+// its worker's one buffer.
 func (l Layout) traceInto(i int, length time.Duration, buf []trace.Sample) trace.Trace {
 	home := l.Home(i)
 	return trace.GenerateInto(l.Seed, i, length, geom.V(home.X, home.Y, HeadHeight), buf)
@@ -373,8 +374,14 @@ func hashUnit(seed int64, i, salt int) float64 {
 // OcclusionWindows traces the TX→head beam against the occluder set and
 // returns the blocked intervals as fault windows. The beam is sampled
 // every OcclusionStep; consecutive blocked samples merge into one window.
+//
+//cyclops:keep perfbench replays the arena's occlusion geometry through it
 func OcclusionWindows(tx geom.Vec3, tr trace.Trace, occs []handover.Occluder) []fault.Window {
-	var wins []fault.Window
+	return occlusionWindows(nil, tx, tr, occs)
+}
+
+// occlusionWindows is OcclusionWindows appending to wins.
+func occlusionWindows(wins []fault.Window, tx geom.Vec3, tr trace.Trace, occs []handover.Occluder) []fault.Window {
 	dur := tr.Duration()
 	blockedFrom := time.Duration(-1)
 	flush := func(end time.Duration) {
@@ -484,6 +491,9 @@ func (a *Aggregate) addServed(avail, goodput float64) {
 	}
 }
 
+// merge folds a cell's aggregate in, cells in order. It folds o's metrics
+// into a's maps in place (obs.Snapshot.MergeInPlace), so a must own them:
+// Run copies a resumed aggregate's before its first fold.
 func (a *Aggregate) merge(o Aggregate) {
 	if o.Cells == 0 {
 		return
@@ -511,7 +521,7 @@ func (a *Aggregate) merge(o Aggregate) {
 	a.Avail99 += o.Avail99
 	a.Avail999 += o.Avail999
 	a.GoodputSumGbps += o.GoodputSumGbps
-	a.Metrics = a.Metrics.Merge(o.Metrics)
+	a.Metrics.MergeInPlace(o.Metrics)
 }
 
 // MeanAvailability is the venue-wide occlusion-layer availability.
@@ -557,9 +567,18 @@ func Run(opts Options) (Result, error) {
 	}
 	l := NewLayout(opts.Seed, opts.Users, opts.Density, opts.Pitch)
 	agg := opts.Resume.Agg
+	// agg's metric maps are the caller's (Resume.Agg) until the first fold
+	// copies them; merge then writes them in place.
+	owned := false
 	next, err := parallel.Fold(opts.Context, l.Cells(), opts.Resume.NextCell, opts.MaxCells, opts.Workers,
-		func(c int) Aggregate { return runCell(l, opts, c) },
-		agg.merge)
+		func() *cellScratch { return new(cellScratch) },
+		func(sc *cellScratch, c int) Aggregate { return runCell(l, opts, c, sc) },
+		func(o Aggregate) {
+			if !owned {
+				agg.Metrics, owned = agg.Metrics.Merge(obs.Snapshot{}), true
+			}
+			agg.merge(o)
+		})
 	res := Result{Aggregate: agg, Layout: l}
 	res.Checkpoint = Checkpoint{NextCell: next, Done: next == l.Cells(), Agg: agg}
 	if err == nil && res.Checkpoint.Done {
@@ -568,11 +587,24 @@ func Run(opts Options) (Result, error) {
 	return res, err
 }
 
+// cellScratch is one Fold worker's storage, reused by every cell the
+// worker runs: the trace sample buffer, the occlusion windows, the served
+// users' verdict runs, the contention segments and one netem stream. runCell truncates each
+// before use and never reads past what it wrote, so a cell's Aggregate
+// does not depend on the cells before it.
+type cellScratch struct {
+	buf    []trace.Sample
+	wins   []fault.Window
+	runs   [][]verdictRun
+	segs   []segment
+	stream netem.Stream
+}
+
 // runCell simulates one ceiling cell: schedule its users against the TX,
 // derive each served user's occlusion windows from the surrounding
 // bodies, run the chaos slot model, then share the cell's backhaul slice
 // among the momentarily-connected users.
-func runCell(l Layout, opts Options, c int) Aggregate {
+func runCell(l Layout, opts Options, c int, sc *cellScratch) Aggregate {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	sm := netem.NewStreamMetrics(reg)
@@ -625,26 +657,26 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 
 	// Pass 1: slot model per served user, collecting the link verdicts
 	// in runs for the contention pass. Every trace is generated into the
-	// cell's one sample buffer: a user's trace is dead once its slot
+	// worker's one sample buffer: a user's trace is dead once its slot
 	// model has run.
-	runs := make([][]verdictRun, len(served))
+	for len(sc.runs) < len(served) {
+		sc.runs = append(sc.runs, nil)
+	}
+	runs := sc.runs[:len(served)]
 	results := make([]sim.ChaosTraceResult, len(served))
-	var buf []trace.Sample
 	for k, i := range served {
-		tr := l.traceInto(i, opts.TraceLen, buf)
-		buf = tr.Samples
+		tr := l.traceInto(i, opts.TraceLen, sc.buf)
+		sc.buf = tr.Samples
 		var occs []handover.Occluder
 		for _, j := range l.Neighbors(i) {
 			pair := l.Occluder(j)
 			occs = append(occs, pair[0], pair[1])
 		}
-		sched := fault.Schedule{
-			Seed:    opts.Seed + 7919*int64(i),
-			Windows: OcclusionWindows(tx, tr, occs),
-		}
+		sc.wins = occlusionWindows(sc.wins[:0], tx, tr, occs)
+		sched := fault.Schedule{Seed: opts.Seed + 7919*int64(i), Windows: sc.wins}
 		// The engine may split one verdict across runs (a fault horizon
 		// ends a run without a flip); merged, a user's runs alternate.
-		var rs []verdictRun
+		rs := runs[k][:0]
 		r := sim.SimulateTraceChaosRuns(tr, p, &sched, reg, func(_, n int, off bool) {
 			if last := len(rs) - 1; last >= 0 && rs[last].off == off {
 				rs[last].n += n
@@ -666,10 +698,12 @@ func runCell(l Layout, opts Options, c int) Aggregate {
 	// only at run edges, so every user's stream ticks one TickRun per
 	// (verdict run × contention segment) piece — the same ticks, at the
 	// same rates, as one Tick per slot.
-	segs := contention(runs, opts.BackhaulGbps/float64(l.Cells()), opts.LinkGoodputGbps)
+	sc.segs = contention(sc.segs[:0], runs, opts.BackhaulGbps/float64(l.Cells()), opts.LinkGoodputGbps)
+	segs := sc.segs
 	slotLen := p.Slot
+	st := &sc.stream
 	for k, rs := range runs {
-		st := netem.NewStream()
+		st.Reset()
 		st.Metrics = sm
 		from, seg := 0, 0
 		for _, r := range rs {
@@ -710,17 +744,17 @@ type segment struct {
 	rate float64
 }
 
-// contention sweeps the users' run edges in slot order and returns the
-// cell's rate segments: over each, rate is the link ceiling linkGbps or,
-// when lower, cellShare split across the users up there. Adjacent
-// stretches of one rate merge. The segments end at the longest user's
-// last slot.
-func contention(runs [][]verdictRun, cellShare, linkGbps float64) []segment {
+// contention sweeps the users' run edges in slot order and appends the
+// cell's rate segments to segs: over each, rate is the link ceiling
+// linkGbps or, when lower, cellShare split across the users up there.
+// Adjacent stretches of one rate merge. The segments end at the longest
+// user's last slot.
+func contention(segs []segment, runs [][]verdictRun, cellShare, linkGbps float64) []segment {
 	// next[k] indexes user k's run covering slot at, which starts at
 	// runAt[k].
 	next := make([]int, len(runs))
 	runAt := make([]int, len(runs))
-	var segs []segment
+	first := len(segs)
 	for at := 0; ; {
 		up, end := 0, math.MaxInt
 		for k, rs := range runs {
@@ -745,7 +779,7 @@ func contention(runs [][]verdictRun, cellShare, linkGbps float64) []segment {
 				rate = share
 			}
 		}
-		if last := len(segs) - 1; last >= 0 && segs[last].rate == rate {
+		if last := len(segs) - 1; last >= first && segs[last].rate == rate {
 			segs[last].end = end
 		} else {
 			segs = append(segs, segment{end: end, rate: rate})

@@ -147,7 +147,9 @@ func TestRunWorkerDeterminism(t *testing.T) {
 	if serial.Served == 0 || serial.Slots == 0 {
 		t.Fatalf("empty run: %+v", serial.Aggregate)
 	}
-	for _, workers := range []int{2, 4} {
+	// Three workers split the cells unevenly, so each worker's scratch
+	// sees a different cell sequence than at two or four.
+	for _, workers := range []int{2, 3, 4} {
 		got, err := Run(testOpts(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -168,6 +170,8 @@ func TestRunResume(t *testing.T) {
 	}
 	for _, window := range []int{1, 3, 7} {
 		ck := Checkpoint{}
+		var prev Result
+		var prevExp string
 		for !ck.Done {
 			opts := testOpts(2)
 			opts.Resume = ck
@@ -176,6 +180,12 @@ func TestRunResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("window=%d: %v", window, err)
 			}
+			// The resumed run folds into a copy of its Resume.Agg metrics,
+			// never into the maps the previous result still holds.
+			if prev.Metrics.Exposition() != prevExp {
+				t.Fatalf("window=%d: resuming at cell %d wrote into the previous result's metrics", window, ck.NextCell)
+			}
+			prev, prevExp = part, part.Metrics.Exposition()
 			ck = part.Checkpoint
 		}
 		if !reflect.DeepEqual(ck, full.Checkpoint) {

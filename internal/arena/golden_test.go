@@ -112,8 +112,10 @@ func TestArenaGolden(t *testing.T) {
 
 // TestRunCellMatchesPerSlot holds runCell to the per-slot oracle cell by
 // cell, every Aggregate field and the cell's exposition, over the golden
-// venues (the two short-trace ones under -short).
+// venues (the two short-trace ones under -short). One scratch serves
+// every cell of every venue, as one Fold worker's would.
 func TestRunCellMatchesPerSlot(t *testing.T) {
+	sc := new(cellScratch)
 	for _, v := range goldenVenues {
 		if testing.Short() && v.traceLen > 20*time.Second {
 			continue
@@ -121,7 +123,7 @@ func TestRunCellMatchesPerSlot(t *testing.T) {
 		opts := v.options()
 		l := NewLayout(opts.Seed, opts.Users, opts.Density, opts.Pitch)
 		for c := 0; c < l.Cells(); c++ {
-			got, want := runCell(l, opts, c), runCellPerSlot(l, opts, c)
+			got, want := runCell(l, opts, c, sc), runCellPerSlot(l, opts, c)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v cell %d:\ngot:  %s\nwant: %s", v, c, renderAggregate(got), renderAggregate(want))
 			}

@@ -38,9 +38,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -507,7 +508,14 @@ func DefaultHazeConfig() Config {
 // controlled experiment rather than a reshuffle. The streams are
 // xrand replicas of rand.New(rand.NewSource(…)).
 func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
-	s := Schedule{Seed: seed}
+	return PlanInto(cfg, seed, dur, nil)
+}
+
+// PlanInto is Plan with caller-owned window storage: the schedule's
+// Windows are built in buf[:0], growing it only when it is too short. The
+// corpus engine plans every trace of a worker into one buffer.
+func PlanInto(cfg Config, seed int64, dur time.Duration, buf []Window) Schedule {
+	s := Schedule{Seed: seed, Windows: buf[:0]}
 	// One generator, re-seeded per class, stays on Plan's stack; an
 	// xrand.New per class would allocate 9.7 KB each.
 	var rng xrand.Rand
@@ -546,11 +554,13 @@ func Plan(cfg Config, seed int64, dur time.Duration) Schedule {
 		}
 	}
 
-	sort.SliceStable(s.Windows, func(i, j int) bool {
-		if s.Windows[i].Start != s.Windows[j].Start {
-			return s.Windows[i].Start < s.Windows[j].Start
+	// A stable sort's output is fixed by its order alone; SortStableFunc,
+	// unlike sort.SliceStable, sorts without allocating.
+	slices.SortStableFunc(s.Windows, func(a, b Window) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		return s.Windows[i].Kind < s.Windows[j].Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 	return s
 }

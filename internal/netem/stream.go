@@ -93,10 +93,21 @@ func NewStreamMetrics(reg *obs.Registry) *StreamMetrics {
 
 // NewStream builds a stream with the paper's measurement parameters.
 func NewStream() *Stream {
-	return &Stream{
+	s := &Stream{}
+	s.Reset()
+	return s
+}
+
+// Reset returns s to the state NewStream builds, Metrics detached, but
+// keeps its window storage, so a stream reused for a run no longer than
+// the last one allocates nothing. The slice an earlier Finish returned
+// shares that storage: the next run overwrites it.
+func (s *Stream) Reset() {
+	*s = Stream{
 		WindowLen: 50 * time.Millisecond,
 		MTU:       1500,
 		RampTime:  150 * time.Millisecond,
+		windows:   s.windows[:0],
 	}
 }
 

@@ -413,66 +413,84 @@ func (r *Registry) Exposition() string { return r.Snapshot().Exposition() }
 // Merge returns the union of two snapshots: counters and histogram buckets
 // add, gauges add, help strings union (s wins on conflict). Merging
 // serially in a fixed order yields bit-identical results; histograms with
-// mismatched bounds panic (instrumentation bug).
+// mismatched bounds panic (instrumentation bug). The result owns fresh
+// maps: neither s nor o is written.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{}
-	for _, src := range []map[string]float64{s.Counters, o.Counters} {
-		for _, name := range sortedKeys(src) {
-			if out.Counters == nil {
-				out.Counters = map[string]float64{}
-			}
-			out.Counters[name] += src[name]
-		}
-	}
-	for _, src := range []map[string]float64{s.Gauges, o.Gauges} {
-		for _, name := range sortedKeys(src) {
-			if out.Gauges == nil {
-				out.Gauges = map[string]float64{}
-			}
-			out.Gauges[name] += src[name]
-		}
-	}
-	for _, src := range []map[string]HistogramSnapshot{s.Histograms, o.Histograms} {
-		for _, name := range sortedKeys(src) {
-			hs := src[name]
-			if out.Histograms == nil {
-				out.Histograms = map[string]HistogramSnapshot{}
-			}
-			have, ok := out.Histograms[name]
-			if !ok {
-				out.Histograms[name] = HistogramSnapshot{
-					Bounds: append([]float64(nil), hs.Bounds...),
-					Counts: append([]uint64(nil), hs.Counts...),
-					Sum:    hs.Sum,
-					Count:  hs.Count,
-				}
-				continue
-			}
-			if !sameBounds(have.Bounds, hs.Bounds) {
-				//cyclops:panic-ok bounds mismatch across merged snapshots is an instrumentation bug, not a runtime condition
-				panic(fmt.Sprintf("obs: merge of histogram %q with different bounds", name))
-			}
-			for i, c := range hs.Counts {
-				have.Counts[i] += c
-			}
-			have.Sum += hs.Sum
-			have.Count += hs.Count
-			out.Histograms[name] = have
-		}
-	}
-	for _, src := range []map[string]string{o.Help, s.Help} {
-		for _, name := range sortedKeys(src) {
-			help := src[name]
-			if help == "" {
-				continue
-			}
-			if out.Help == nil {
-				out.Help = map[string]string{}
-			}
-			out.Help[name] = help
-		}
-	}
+	var out Snapshot
+	out.MergeInPlace(s)
+	out.MergeInPlace(o)
 	return out
+}
+
+// MergeInPlace folds o into s and leaves s equal to s.Merge(o), bit for
+// bit (the same adds, in the same order, per name), without building
+// fresh maps. It writes s's maps and histogram count slices, so s must
+// own them: the zero Snapshot, or one an earlier Merge or MergeInPlace
+// built that nothing else holds. To fold into a snapshot someone else
+// still reads, Merge once first; that copies. o is only read.
+func (s *Snapshot) MergeInPlace(o Snapshot) {
+	//cyclops:deterministic-ok each name's add reads and writes only that name, so visiting order cannot reach the result
+	for name, v := range o.Counters {
+		if s.Counters == nil {
+			s.Counters = make(map[string]float64, len(o.Counters))
+		}
+		s.Counters[name] += v
+	}
+	//cyclops:deterministic-ok each name's add reads and writes only that name, so visiting order cannot reach the result
+	for name, v := range o.Gauges {
+		if s.Gauges == nil {
+			s.Gauges = make(map[string]float64, len(o.Gauges))
+		}
+		s.Gauges[name] += v
+	}
+	//cyclops:deterministic-ok each name's fold reads and writes only that name, and a bounds clash names the lowest clashing histogram, so visiting order cannot reach the result
+	for name, hs := range o.Histograms {
+		if s.Histograms == nil {
+			s.Histograms = make(map[string]HistogramSnapshot, len(o.Histograms))
+		}
+		have, ok := s.Histograms[name]
+		if !ok {
+			s.Histograms[name] = HistogramSnapshot{
+				Bounds: append([]float64(nil), hs.Bounds...),
+				Counts: append([]uint64(nil), hs.Counts...),
+				Sum:    hs.Sum,
+				Count:  hs.Count,
+			}
+			continue
+		}
+		if !sameBounds(have.Bounds, hs.Bounds) {
+			//cyclops:panic-ok bounds mismatch across merged snapshots is an instrumentation bug, not a runtime condition
+			panic(fmt.Sprintf("obs: merge of histogram %q with different bounds", boundsClash(s.Histograms, o.Histograms)))
+		}
+		for i, c := range hs.Counts {
+			have.Counts[i] += c
+		}
+		have.Sum += hs.Sum
+		have.Count += hs.Count
+		s.Histograms[name] = have
+	}
+	//cyclops:deterministic-ok each name's help is decided by that name alone (s's wins), so visiting order cannot reach the result
+	for name, help := range o.Help {
+		if help == "" || s.Help[name] != "" {
+			continue
+		}
+		if s.Help == nil {
+			s.Help = make(map[string]string, len(o.Help))
+		}
+		s.Help[name] = help
+	}
+}
+
+// boundsClash returns the lowest name whose histogram has different
+// bounds in a and b, so a failed merge panics with the same message
+// whatever order it visited the names in.
+func boundsClash(a, b map[string]HistogramSnapshot) string {
+	for _, name := range sortedKeys(b) {
+		if h, ok := a[name]; ok && !sameBounds(h.Bounds, b[name].Bounds) {
+			return name
+		}
+	}
+	return ""
 }
 
 // Diff returns s minus prev: counters and histogram buckets subtract
@@ -585,9 +603,11 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// sortedKeys is the one sanctioned map iteration in this package: every
-// walk over a metrics map goes through it so iteration order is erased
-// before it can reach a merge, diff, or exposition.
+// sortedKeys is the sanctioned map iteration in this package: every walk
+// over a metrics map whose order could reach a merge, diff, or exposition
+// goes through it, so iteration order is erased first. MergeInPlace's
+// per-name folds, which no visiting order can change, are the annotated
+// exception.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	//cyclops:deterministic-ok iteration order is erased by the sort below

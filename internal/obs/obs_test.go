@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -197,5 +198,150 @@ func TestCounterAddNMatchesAdd(t *testing.T) {
 	nilC.AddN(1, 3)
 	if nilC.Value() != 0 {
 		t.Error("nil counter must read as zero after AddN")
+	}
+}
+
+// TestSnapshotMergeInPlace folds a sequence of snapshots with disjoint
+// and shared names, help strings and float sums that round three ways —
+// through the sorted-key reference, through Merge and in place — and the
+// folds match field for field and in exposition at every step, while the
+// folded snapshots stay unchanged and unaliased.
+func TestSnapshotMergeInPlace(t *testing.T) {
+	var parts []Snapshot
+	for i := 0; i < 6; i++ {
+		r := NewRegistry()
+		r.Counter("cyclops_test_ticks_total", "Simulation ticks executed.").Add(0.1 * float64(i+1))
+		r.Gauge("cyclops_test_level", "").Add(-1.5 * float64(i))
+		h := r.Histogram("cyclops_test_latency_seconds", "Repoint latency.", []float64{0.001, 0.002, 0.005})
+		h.Observe(0.0007 * float64(i))
+		h.Observe(0.1 / 3)
+		if i%2 == 1 {
+			r.Counter("cyclops_test_odd_total", "Odd parts only.").Inc()
+			r.Histogram("cyclops_test_odd_seconds", "", []float64{1}).Observe(float64(i) / 7)
+		}
+		parts = append(parts, r.Snapshot())
+	}
+	parts = append(parts, buildSample().Snapshot(), Snapshot{})
+	before := make([]string, len(parts))
+	for i, p := range parts {
+		before[i] = p.Exposition()
+	}
+
+	var ref, merged, inPlace Snapshot
+	for i, p := range parts {
+		ref = mergeReference(ref, p)
+		merged = merged.Merge(p)
+		inPlace.MergeInPlace(p)
+		for _, got := range []Snapshot{merged, inPlace} {
+			if !reflect.DeepEqual(got, ref) || got.Exposition() != ref.Exposition() {
+				t.Fatalf("after part %d:\n%s\nreference\n%s", i, got.Exposition(), ref.Exposition())
+			}
+		}
+	}
+	// A fold into a copy Merge made leaves the copied snapshot alone.
+	copied := merged.Merge(Snapshot{})
+	copied.MergeInPlace(parts[0])
+	if want := mergeReference(merged, parts[0]); !reflect.DeepEqual(copied, want) {
+		t.Errorf("fold into a Merge copy differs from the reference")
+	}
+	if merged.Exposition() != inPlace.Exposition() {
+		t.Errorf("folding into a copy wrote the snapshot it was copied from")
+	}
+	inPlace.Histograms["cyclops_test_latency_seconds"].Counts[0] += 100
+	for i, p := range parts {
+		if p.Exposition() != before[i] {
+			t.Errorf("part %d changed by the in-place fold", i)
+		}
+	}
+}
+
+// mergeReference is Snapshot.Merge as first written, walking every map in
+// sorted key order into a fresh snapshot: the oracle for MergeInPlace,
+// which Merge is now built on.
+func mergeReference(s, o Snapshot) Snapshot {
+	out := Snapshot{}
+	for _, src := range []map[string]float64{s.Counters, o.Counters} {
+		for _, name := range sortedKeys(src) {
+			if out.Counters == nil {
+				out.Counters = map[string]float64{}
+			}
+			out.Counters[name] += src[name]
+		}
+	}
+	for _, src := range []map[string]float64{s.Gauges, o.Gauges} {
+		for _, name := range sortedKeys(src) {
+			if out.Gauges == nil {
+				out.Gauges = map[string]float64{}
+			}
+			out.Gauges[name] += src[name]
+		}
+	}
+	for _, src := range []map[string]HistogramSnapshot{s.Histograms, o.Histograms} {
+		for _, name := range sortedKeys(src) {
+			hs := src[name]
+			if out.Histograms == nil {
+				out.Histograms = map[string]HistogramSnapshot{}
+			}
+			have, ok := out.Histograms[name]
+			if !ok {
+				out.Histograms[name] = HistogramSnapshot{
+					Bounds: append([]float64(nil), hs.Bounds...),
+					Counts: append([]uint64(nil), hs.Counts...),
+					Sum:    hs.Sum,
+					Count:  hs.Count,
+				}
+				continue
+			}
+			if !sameBounds(have.Bounds, hs.Bounds) {
+				panic(fmt.Sprintf("obs: merge of histogram %q with different bounds", name))
+			}
+			for i, c := range hs.Counts {
+				have.Counts[i] += c
+			}
+			have.Sum += hs.Sum
+			have.Count += hs.Count
+			out.Histograms[name] = have
+		}
+	}
+	for _, src := range []map[string]string{o.Help, s.Help} {
+		for _, name := range sortedKeys(src) {
+			help := src[name]
+			if help == "" {
+				continue
+			}
+			if out.Help == nil {
+				out.Help = map[string]string{}
+			}
+			out.Help[name] = help
+		}
+	}
+	return out
+}
+
+// TestMergeBoundsClashNamesLowest: merging snapshots whose histograms
+// clash on bounds panics, and names the lowest clashing histogram however
+// the fold happens to visit the names.
+func TestMergeBoundsClashNamesLowest(t *testing.T) {
+	build := func(bound float64) Snapshot {
+		r := NewRegistry()
+		for _, name := range []string{"d_h", "c_h", "b_h", "a_ok", "e_h"} {
+			bounds := []float64{1, bound}
+			if name == "a_ok" {
+				bounds = []float64{1, 2}
+			}
+			r.Histogram(name, "", bounds).Observe(1)
+		}
+		return r.Snapshot()
+	}
+	a, b := build(2), build(3)
+	for k := 0; k < 20; k++ {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != `obs: merge of histogram "b_h" with different bounds` {
+					t.Fatalf("panic %q, want the lowest clashing histogram b_h", msg)
+				}
+			}()
+			a.Merge(b)
+		}()
 	}
 }

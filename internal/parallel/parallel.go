@@ -114,6 +114,16 @@ func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 // then the lowest failing job index, then ctx.Err() verbatim (so callers
 // can match context.Canceled / DeadlineExceeded with errors.Is).
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	return mapWorkers(ctx, n, workers, func(ctx context.Context, _, i int) (T, error) {
+		return fn(ctx, i)
+	})
+}
+
+// mapWorkers is MapCtx that also tells each job which worker runs it: w
+// lies in [0, min(workers, n)), and each w is one goroutine (the caller's,
+// on the serial path), so state indexed by w is never touched by two jobs
+// at once.
+func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -134,7 +144,7 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			v, err := fn(ctx, i)
+			v, err := fn(ctx, 0, i)
 			if err != nil {
 				return nil, fmt.Errorf("parallel: job %d: %w", i, err)
 			}
@@ -159,7 +169,7 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 		}
 		mu.Unlock()
 	}
-	runOne := func(i int) {
+	runOne := func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				buf := make([]byte, 64<<10)
@@ -167,7 +177,7 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 				record(i, nil, &PanicError{Index: i, Value: r, Stack: buf})
 			}
 		}()
-		v, err := fn(ctx, i)
+		v, err := fn(ctx, w, i)
 		if err != nil {
 			record(i, err, nil)
 			return
@@ -198,7 +208,7 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 				if i >= n {
 					return
 				}
-				runOne(i)
+				runOne(w, i)
 			}
 		}()
 	}
@@ -220,26 +230,46 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 // Fold is the sharded-fold engine behind every streamed run (the sim
 // corpus, the arena venue): it runs shards [start, end) of an n-shard job,
 // where end is n, or start+limit when limit > 0, and merges their outputs
-// serially in shard order. Shards fan out through MapCtx one batch of
-// batchWidth(workers) at a time, so at most that many outputs are ever in
-// flight — the memory bound of a streamed run — and the merge order never
-// depends on scheduling, so the fold is bit-identical for every worker
-// count. shard must be pure in k; merge runs on the calling goroutine.
+// serially in shard order. Shards fan out through the worker pool one
+// batch of batchWidth(workers) at a time, so at most that many outputs are
+// ever in flight, and the merge order never depends on scheduling, so the
+// fold is bit-identical for every worker count. shard must be pure in k;
+// merge runs on the calling goroutine.
+//
+// Each worker owns one scratch value for the whole call: newScratch runs
+// at most once per worker, the first time that worker takes a shard, and
+// every shard the worker runs afterwards, in any batch, gets the same
+// value. It is storage a shard reuses (buffers, not state): no two shards
+// hold it at once, and shard's output must not depend on what an earlier
+// shard left in it, nor alias it. A streamed run's memory bound is
+// therefore one batch of outputs plus one scratch per worker. The scratch
+// is not a sync.Pool: the collector empties a pool, so its reuse, and the
+// run's allocation, would vary with GC timing.
 //
 // next is the first shard not merged: end on success; on cancellation the
 // failed batch's start, alongside ctx's error, with exactly the shards
 // [start, next) merged — a resumable position. A start outside [0, n] (a
 // checkpoint from a different job) or a negative limit is an error, and
 // nothing runs.
-func Fold[T any](ctx context.Context, n, start, limit, workers int, shard func(k int) T, merge func(T)) (next int, err error) {
+func Fold[S, T any](ctx context.Context, n, start, limit, workers int, newScratch func() S, shard func(s S, k int) T, merge func(T)) (next int, err error) {
 	end, err := Window(n, start, limit)
 	if err != nil {
 		return start, err
 	}
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
 	batch := batchWidth(workers)
+	// mapWorkers numbers its workers below min(workers, batch), and
+	// batchWidth is never below workers.
+	scratch := make([]S, workers)
+	made := make([]bool, workers)
 	for lo := start; lo < end; lo += batch {
-		outs, err := MapCtx(ctx, min(batch, end-lo), workers, func(_ context.Context, k int) (T, error) {
-			return shard(lo + k), nil
+		outs, err := mapWorkers(ctx, min(batch, end-lo), workers, func(_ context.Context, w, k int) (T, error) {
+			if !made[w] {
+				scratch[w], made[w] = newScratch(), true
+			}
+			return shard(scratch[w], lo+k), nil
 		})
 		if err != nil {
 			return lo, err

@@ -296,7 +296,7 @@ func TestFold(t *testing.T) {
 			mu                    sync.Mutex
 			started, merged, peak int
 		)
-		r.next, r.err = Fold(ctx, n, start, limit, workers, func(k int) int {
+		r.next, r.err = Fold(ctx, n, start, limit, workers, func() struct{} { return struct{}{} }, func(_ struct{}, k int) int {
 			mu.Lock()
 			started++
 			peak = max(peak, started-merged)
@@ -359,6 +359,54 @@ func TestFold(t *testing.T) {
 		if !errors.Is(r.err, context.Canceled) || r.next != want || !reflect.DeepEqual(r.merged, span(0, want)) {
 			t.Errorf("workers=%d canceled in shard %d: next=%d err=%v merged %v, want next=%d (batch start) and shards [0, %d)",
 				workers, cancelAt, r.next, r.err, r.merged, want, want)
+		}
+	}
+}
+
+// TestFoldScratchPerWorker pins Fold's scratch contract: at most one
+// scratch per worker for the whole call, across batches, never held by
+// two shards at once, and none made when no shard runs.
+func TestFoldScratchPerWorker(t *testing.T) {
+	type scratch struct {
+		busy atomic.Bool
+		used int
+	}
+	const n = 100
+	for _, workers := range []int{1, 2, 8} {
+		var made atomic.Int64
+		var mu sync.Mutex
+		all := map[*scratch]bool{}
+		next, err := Fold(context.Background(), n, 0, 0, workers, func() *scratch {
+			made.Add(1)
+			return new(scratch)
+		}, func(s *scratch, k int) int {
+			if !s.busy.CompareAndSwap(false, true) {
+				t.Errorf("workers=%d shard %d: scratch held by another shard", workers, k)
+			}
+			s.used++
+			mu.Lock()
+			all[s] = true
+			mu.Unlock()
+			s.busy.Store(false)
+			return k
+		}, func(int) {})
+		if err != nil || next != n {
+			t.Fatalf("workers=%d: next=%d err=%v", workers, next, err)
+		}
+		used := 0
+		for s := range all {
+			used += s.used
+		}
+		if m := made.Load(); m < 1 || m > int64(workers) || int(m) != len(all) || used != n {
+			t.Errorf("workers=%d: %d scratches made, %d used for %d shards, want 1..%d covering all %d",
+				workers, m, len(all), used, workers, n)
+		}
+		made.Store(0)
+		if _, err := Fold(context.Background(), n, n, 0, workers, func() *scratch {
+			made.Add(1)
+			return new(scratch)
+		}, func(*scratch, int) int { return 0 }, func(int) {}); err != nil || made.Load() != 0 {
+			t.Errorf("workers=%d: empty window made %d scratches (err %v), want none", workers, made.Load(), err)
 		}
 	}
 }

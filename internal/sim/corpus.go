@@ -7,8 +7,11 @@
 //   - bit-identical results for any worker count (the shard partition is a
 //     function of the options alone, never of the worker count, and every
 //     reduction happens serially in shard order);
-//   - memory bounded: live heap is O(workers · shard), independent of
-//     corpus length, unless KeepPerTrace asks for the full per-trace slice;
+//   - memory bounded: live heap is one batch of shard outputs (O(workers ·
+//     shard) results) plus, per worker, one trace sample buffer and one
+//     fault schedule's windows — Fold's per-worker scratch, reused by
+//     every shard that worker runs — independent of corpus length, unless
+//     KeepPerTrace asks for the full per-trace slice;
 //   - resumable: the returned Checkpoint restarts the run mid-corpus
 //     (Resume + MaxShards) and the stitched result is bit-identical to the
 //     uninterrupted one; a checkpoint past the source's shard count is
@@ -43,11 +46,11 @@ type CorpusSource interface {
 // ReusableSource is an optional CorpusSource refinement: AtInto is At
 // with a caller-owned sample buffer, aliased by the returned trace when
 // large enough. The engine consumes each trace fully (simulate, fold,
-// drop) before asking for the next one in the shard, so runShard keeps a
-// single buffer per shard and threads it through every AtInto call —
-// turning ~ShardSize per-trace sample allocations (and their clears)
-// into one. trace.Source implements it; sources that don't silently get
-// the plain At path.
+// drop) before asking for the next one, so every parallel.Fold worker
+// keeps a single buffer for all the shards it runs and threads it through
+// every AtInto call — one sample allocation per worker instead of one per
+// trace (and its clear). trace.Source implements it; sources that don't
+// silently get the plain At path.
 type ReusableSource interface {
 	CorpusSource
 	// AtInto is At with a reusable buffer. Like At it must be pure in i
@@ -266,7 +269,8 @@ type CorpusAggregate struct {
 }
 
 // addTrace folds one trace's result and metrics snapshot into the
-// aggregate, as a one-trace aggregate. Serial use only.
+// aggregate, as a one-trace aggregate. Serial use only; a's metric maps
+// must be its own (see merge).
 func (a *CorpusAggregate) addTrace(r ChaosTraceResult, snap obs.Snapshot) {
 	a.merge(CorpusAggregate{
 		Traces:            1,
@@ -287,7 +291,9 @@ func (a *CorpusAggregate) addTrace(r ChaosTraceResult, snap obs.Snapshot) {
 }
 
 // merge folds a completed shard's aggregate in. Serial use only, shards in
-// index order.
+// index order. It folds o's metrics into a's maps in place
+// (obs.Snapshot.MergeInPlace), so a must own them: a zero aggregate does,
+// and RunCorpus copies a resumed one's before its first fold.
 func (a *CorpusAggregate) merge(o CorpusAggregate) {
 	if o.Traces == 0 {
 		return
@@ -315,7 +321,7 @@ func (a *CorpusAggregate) merge(o CorpusAggregate) {
 		a.MinSecondaryDwell = o.MinSecondaryDwell
 	}
 	a.GoodputSlotSum += o.GoodputSlotSum
-	a.Metrics = a.Metrics.Merge(o.Metrics)
+	a.Metrics.MergeInPlace(o.Metrics)
 }
 
 // finalize recomputes the derived mean. Idempotent.
@@ -367,16 +373,23 @@ func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 	nShards := (n + opts.ShardSize - 1) / opts.ShardSize
 	start := opts.Resume.NextShard
 	agg := opts.Resume.Agg
+	// agg's metric maps are the caller's (Resume.Agg) until the first fold
+	// copies them; merge then writes them in place.
+	owned := false
 	res := CorpusRunResult{}
 	// Fold rejects a bad window itself; Window here only sizes PerTrace.
 	if end, err := parallel.Window(nShards, start, opts.MaxShards); err == nil && opts.KeepPerTrace {
 		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*opts.ShardSize)
 	}
 	next, err := parallel.Fold(opts.Context, nShards, start, opts.MaxShards, opts.Workers,
-		func(k int) shardOut {
-			return runShard(src, &opts, k*opts.ShardSize, min((k+1)*opts.ShardSize, n))
+		func() *shardScratch { return new(shardScratch) },
+		func(sc *shardScratch, k int) shardOut {
+			return runShard(src, &opts, k*opts.ShardSize, min((k+1)*opts.ShardSize, n), sc)
 		},
 		func(so shardOut) {
+			if !owned {
+				agg.Metrics, owned = agg.Metrics.Merge(obs.Snapshot{}), true
+			}
 			agg.merge(so.agg)
 			res.PerTrace = append(res.PerTrace, so.perTrace...)
 		})
@@ -395,28 +408,36 @@ type shardOut struct {
 	perTrace []ChaosTraceResult
 }
 
+// shardScratch is one Fold worker's storage, reused by every shard the
+// worker runs: the trace sample buffer and the fault schedule's window
+// storage. Each trace is fully consumed by its simulate call before the
+// next one overwrites both.
+type shardScratch struct {
+	buf  []trace.Sample
+	wins []fault.Window
+}
+
 // runShard simulates traces [lo, hi) serially and folds them — results and
-// per-trace metric snapshots alike — in trace order.
-func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int) shardOut {
+// per-trace metric snapshots alike — in trace order, on the Fold worker's
+// scratch sc.
+func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int, sc *shardScratch) shardOut {
 	var out shardOut
 	if opts.KeepPerTrace {
 		out.perTrace = make([]ChaosTraceResult, 0, hi-lo)
 	}
-	// One sample buffer per shard: each trace is fully consumed by its
-	// simulate call below before the next AtInto overwrites the buffer.
 	reuse, _ := src.(ReusableSource)
-	var buf []trace.Sample
 	for i := lo; i < hi; i++ {
 		var tr trace.Trace
 		if reuse != nil {
-			tr = reuse.AtInto(i, buf)
+			tr = reuse.AtInto(i, sc.buf)
 		} else {
 			tr = src.At(i)
 		}
 		reg := obs.NewRegistry()
 		var r ChaosTraceResult
 		if c := opts.Chaos; c != nil {
-			sched := fault.Plan(c.Config, c.Seed+7919*int64(i), tr.Duration())
+			sched := fault.PlanInto(c.Config, c.Seed+7919*int64(i), tr.Duration(), sc.wins)
+			sc.wins = sched.Windows
 			switch {
 			case c.Hybrid != nil:
 				r = SimulateTraceHybrid(tr, c.Params, *c.Hybrid, &sched, reg)
@@ -435,7 +456,7 @@ func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int) shardOut {
 			out.perTrace = append(out.perTrace, r)
 		}
 		if reuse != nil {
-			buf = tr.Samples[:0]
+			sc.buf = tr.Samples[:0]
 		}
 	}
 	return out

@@ -63,7 +63,9 @@ func TestRunCorpusWorkerDeterminism(t *testing.T) {
 			t.Fatalf("chaos run fired %d outages / %d handovers — test is vacuous",
 				serial.Outages, serial.Handovers)
 		}
-		for _, workers := range []int{2, 4} {
+		// Three workers split the shards unevenly, so each worker's scratch
+		// sees a different shard sequence than at two or four.
+		for _, workers := range []int{2, 3, 4} {
 			got, err := RunCorpus(src, runOpts(workers, chaos))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -93,6 +95,8 @@ func TestRunCorpusResume(t *testing.T) {
 	for _, window := range []int{1, 2, 3} {
 		var per []ChaosTraceResult
 		ck := Checkpoint{}
+		var prev CorpusRunResult
+		var prevExp string
 		for !ck.Done {
 			opts := runOpts(2, testChaos())
 			opts.Resume = ck
@@ -101,6 +105,12 @@ func TestRunCorpusResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("window=%d: %v", window, err)
 			}
+			// The resumed run folds into a copy of its Resume.Agg metrics,
+			// never into the maps the previous result still holds.
+			if prev.Metrics.Exposition() != prevExp {
+				t.Fatalf("window=%d: resuming at shard %d wrote into the previous result's metrics", window, ck.NextShard)
+			}
+			prev, prevExp = part, part.Metrics.Exposition()
 			per = append(per, part.PerTrace...)
 			ck = part.Checkpoint
 		}

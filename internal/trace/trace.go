@@ -251,7 +251,7 @@ const genBlock = 256
 
 // GenerateInto is Generate with a caller-owned sample buffer: when
 // cap(buf) is large enough the returned trace aliases buf instead of
-// allocating. The corpus engine recycles one buffer per shard through
+// allocating. The corpus engine recycles one buffer per worker through
 // this (a ~400 KB make plus its clear, per trace, otherwise). The
 // synthesized samples are byte-identical to Generate's
 // (TestGenerateMatchesReference).
@@ -444,7 +444,7 @@ func (s Source) At(i int) Trace {
 
 // AtInto generates trace i into a caller-owned sample buffer (see
 // GenerateInto). The corpus engine uses this to recycle one buffer per
-// shard instead of allocating per trace; the samples are byte-identical
+// worker instead of allocating per trace; the samples are byte-identical
 // to At's.
 func (s Source) AtInto(i int, buf []Sample) Trace {
 	origin := s.Origin

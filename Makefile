@@ -85,8 +85,9 @@ verify:
 # solvers (warm and cold/coarse-seed paths), the
 # radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm),
 # the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
-# kernels (xmath.AddN, xrand.Seed) and the arena's bulk netem tick
-# (Stream.TickRun with its carry kernel, and a Reset stream's rerun) are
+# kernels (xmath.AddN, xrand.Seed), the arena's occlusion pass and its
+# bulk netem tick (Stream.TickRun with its carry kernel, and a Reset
+# stream's rerun) are
 # pinned by AllocsPerRun tests, as are the slot engine's per-trace
 # allocation count and the bytes of an arena cell and a corpus shard on a
 # warm per-worker scratch (all flat in trace length); run them without
@@ -217,7 +218,9 @@ bench:
 # Hot-path benchmark suite: micro-benchmarks for the compiled GMA model,
 # the warm G'/P solves, the radiometry kernel (CaptureFraction and one
 # LinkConfig.ReceivedPowerDBm read) and the slot engine's bulk kernels
-# (xmath.AddN over one 60 s trace of 1 ms adds, one xrand.Seed), plus the
+# (xmath.AddN over one 60 s trace of 1 ms adds, one xrand.Seed), the
+# arena's occlusion pass over one densest-venue cell's eight served users
+# (arena_occlusion_ns_per_op), plus the
 # serial Fig 16 corpus on the clean slot model (corpus_ns_per_op), on
 # the armed engine (every fault kind, haze fades and the hybrid policy:
 # chaos_corpus_ns_per_op) and the densest fig16-arena cell at workers=1
@@ -238,6 +241,7 @@ bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig16(TraceAvailability|ChaosCorpus|Arena)Serial$$' -benchtime 5x -count 3 -benchmem . | tee .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(AddN|Seed)$$' -benchtime 1s -benchmem ./internal/xmath/ ./internal/xrand/ | tee -a .bench_hotpath.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkArenaOcclusion$$' -benchtime 1s -benchmem ./internal/arena/ | tee -a .bench_hotpath.txt
 	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	    -v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)" ' \
 	function allocs(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "allocs/op") return $$i; return "" } \
@@ -265,16 +269,17 @@ bench-hotpath:
 	name == "BenchmarkLinkReceivedPowerDBm" { rp = $$3; a["optics_link_received_power"] = allocs() } \
 	name == "BenchmarkAddN"                 { addn = $$3; a["xmath_add_n"] = allocs() } \
 	name == "BenchmarkSeed"                 { seed = $$3; a["xrand_seed"] = allocs() } \
+	name == "BenchmarkArenaOcclusion"       { aocc = $$3; a["arena_occlusion"] = allocs() } \
 	END { \
 		if (cn == 0 || xn == 0 || an == 0) { print "bench-hotpath: missing corpus benchmark output" > "/dev/stderr"; exit 1 } \
 		if (cbn != cn || xbn != xn || abn != an) { print "bench-hotpath: missing -benchmem B/op for a corpus benchmark run" > "/dev/stderr"; exit 1 } \
-		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power xmath_add_n xrand_seed", keys, " "); \
+		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power xmath_add_n xrand_seed arena_occlusion", keys, " "); \
 		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
-		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "" || addn == "" || seed == "") { \
+		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "" || addn == "" || seed == "" || aocc == "") { \
 			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
-		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s\n  }\n}\n", \
-			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), spread(cb, cbn), spread(xb, xbn), spread(ab, abn), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, \
-			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"]; \
+		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s,\n    \"arena_occlusion_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s,\n    \"arena_occlusion\": %s\n  }\n}\n", \
+			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), spread(cb, cbn), spread(xb, xbn), spread(ab, abn), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, aocc, \
+			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"], a["arena_occlusion"]; \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt
 	cat BENCH_hotpath.json

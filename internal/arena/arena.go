@@ -266,22 +266,41 @@ func (l Layout) Home(i int) geom.Vec3 {
 	)
 }
 
-// Occluder builds the two opaque spheres user i's body presents to
-// neighboring beams: torso and raised arm, both swaying around the home
-// spot with a seeded phase and period.
-func (l Layout) Occluder(i int) [2]handover.Occluder {
+// body is one user's body as its neighbours' beams see it: a torso and a
+// raised-arm sphere of radius OccluderRadius at TorsoHeight and ArmHeight,
+// both swaying around the home spot with a seeded amplitude, phase and
+// period. The arena's occlusion pass tests it directly; Occluder wraps it
+// in handover.Occluder paths.
+type body struct {
+	homeX, homeY       float64
+	amp, phase, period float64
+}
+
+// body returns user i's body.
+func (l Layout) body(i int) body {
 	home := l.Home(i)
-	amp := SwayAmplitude * (0.5 + 0.5*hashUnit(l.Seed, i, 3))
-	phase := 2 * math.Pi * hashUnit(l.Seed, i, 4)
-	period := 3 + 3*hashUnit(l.Seed, i, 5) // 3–6 s shuffle
-	sway := func(t time.Duration) (float64, float64) {
-		th := 2*math.Pi*t.Seconds()/period + phase
-		return amp * math.Sin(th), amp * math.Cos(th)
+	return body{
+		homeX:  home.X,
+		homeY:  home.Y,
+		amp:    SwayAmplitude * (0.5 + 0.5*hashUnit(l.Seed, i, 3)),
+		phase:  2 * math.Pi * hashUnit(l.Seed, i, 4),
+		period: 3 + 3*hashUnit(l.Seed, i, 5), // 3–6 s shuffle
 	}
+}
+
+// sway is the body's offset from home at t, shared by both spheres; its
+// length is amp up to rounding.
+func (b body) sway(t time.Duration) (dx, dy float64) {
+	th := 2*math.Pi*t.Seconds()/b.period + b.phase
+	return b.amp * math.Sin(th), b.amp * math.Cos(th)
+}
+
+// occluders is the body as two handover.Occluder path closures.
+func (b body) occluders() [2]handover.Occluder {
 	path := func(z float64) func(t time.Duration) geom.Vec3 {
 		return func(t time.Duration) geom.Vec3 {
-			dx, dy := sway(t)
-			return geom.V(home.X+dx, home.Y+dy, z)
+			dx, dy := b.sway(t)
+			return geom.V(b.homeX+dx, b.homeY+dy, z)
 		}
 	}
 	return [2]handover.Occluder{
@@ -290,56 +309,79 @@ func (l Layout) Occluder(i int) [2]handover.Occluder {
 	}
 }
 
+// Occluder builds the two opaque spheres user i's body presents to
+// neighboring beams: torso and raised arm, both swaying around the home
+// spot with a seeded phase and period.
+//
+//cyclops:keep perfbench replays the arena's occlusion geometry through it
+func (l Layout) Occluder(i int) [2]handover.Occluder {
+	return l.body(i).occluders()
+}
+
+// neighbor is a candidate occluder of a user: another user's index and
+// the distance between their home spots.
+type neighbor struct {
+	idx  int
+	dist float64
+}
+
 // Neighbors returns the occluding users around user i: everyone whose
 // home spot lies within NeighborRadius, nearest first (ties by index),
-// capped at MaxNeighbors. Only the 3×3 cell neighborhood is scanned —
-// NeighborRadius never exceeds a cell diagonal at the supported pitches.
+// capped at MaxNeighbors.
+//
+//cyclops:keep perfbench replays the arena's occlusion geometry through it
 func (l Layout) Neighbors(i int) []int {
+	ns := l.neighbors(nil, i)
+	out := make([]int, len(ns))
+	for k, n := range ns {
+		out[k] = n.idx
+	}
+	return out
+}
+
+// neighbors is Neighbors appending to cands, with the distances. It scans
+// every cell within ⌈NeighborRadius / min(CellW, CellD)⌉ rings of user
+// i's: a home in a cell k rings away is at least (k − 1)·CellW away, so no
+// cell past that reach holds a home within NeighborRadius. The default 2 m
+// pitch scans one ring, the 3×3 block.
+func (l Layout) neighbors(cands []neighbor, i int) []neighbor {
 	home := l.Home(i)
 	c := l.CellOf(i)
 	cx, cy := c%l.NX, c/l.NX
-	type cand struct {
-		idx  int
-		dist float64
+	// Clamped to the grid before the conversion, so a degenerate cell
+	// width cannot overflow the ring count.
+	ring := max(l.NX, l.NY)
+	if r := math.Ceil(NeighborRadius / math.Min(l.CellW, l.CellD)); r < float64(ring) {
+		ring = int(r)
 	}
-	var cands []cand
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			nx, ny := cx+dx, cy+dy
-			if nx < 0 || nx >= l.NX || ny < 0 || ny >= l.NY {
-				continue
-			}
+	first := len(cands)
+	for ny := max(cy-ring, 0); ny <= min(cy+ring, l.NY-1); ny++ {
+		for nx := max(cx-ring, 0); nx <= min(cx+ring, l.NX-1); nx++ {
 			lo, hi := l.CellUsers(ny*l.NX + nx)
 			for j := lo; j < hi; j++ {
 				if j == i {
 					continue
 				}
 				if d := l.Home(j).Dist(home); d <= NeighborRadius {
-					cands = append(cands, cand{j, d})
+					cands = append(cands, neighbor{j, d})
 				}
 			}
 		}
 	}
 	// Selection sort by (dist, index): the candidate set is tiny and the
 	// order must be reproducible.
-	for a := 0; a < len(cands); a++ {
+	ns := cands[first:]
+	for a := 0; a < len(ns); a++ {
 		best := a
-		for b := a + 1; b < len(cands); b++ {
-			if cands[b].dist < cands[best].dist ||
-				(cands[b].dist == cands[best].dist && cands[b].idx < cands[best].idx) {
+		for b := a + 1; b < len(ns); b++ {
+			if ns[b].dist < ns[best].dist ||
+				(ns[b].dist == ns[best].dist && ns[b].idx < ns[best].idx) {
 				best = b
 			}
 		}
-		cands[a], cands[best] = cands[best], cands[a]
+		ns[a], ns[best] = ns[best], ns[a]
 	}
-	if len(cands) > MaxNeighbors {
-		cands = cands[:MaxNeighbors]
-	}
-	out := make([]int, len(cands))
-	for k, c := range cands {
-		out[k] = c.idx
-	}
-	return out
+	return cands[:first+min(len(ns), MaxNeighbors)]
 }
 
 // Trace returns user i's head-motion trace, seeded per user and anchored
@@ -374,28 +416,14 @@ func hashUnit(seed int64, i, salt int) float64 {
 // OcclusionWindows traces the TX→head beam against the occluder set and
 // returns the blocked intervals as fault windows. The beam is sampled
 // every OcclusionStep; consecutive blocked samples merge into one window.
+// It is the per-sample reference of the arena's occlusion pass,
+// occlusionWindows.
 //
 //cyclops:keep perfbench replays the arena's occlusion geometry through it
 func OcclusionWindows(tx geom.Vec3, tr trace.Trace, occs []handover.Occluder) []fault.Window {
-	return occlusionWindows(nil, tx, tr, occs)
-}
-
-// occlusionWindows is OcclusionWindows appending to wins.
-func occlusionWindows(wins []fault.Window, tx geom.Vec3, tr trace.Trace, occs []handover.Occluder) []fault.Window {
+	var wins []fault.Window
 	dur := tr.Duration()
 	blockedFrom := time.Duration(-1)
-	flush := func(end time.Duration) {
-		if blockedFrom >= 0 {
-			wins = append(wins, fault.Window{
-				Kind:    fault.Occlusion,
-				Start:   blockedFrom,
-				End:     end,
-				DepthDB: BodyDepthDB,
-				Ramp:    BodyRamp,
-			})
-			blockedFrom = -1
-		}
-	}
 	for t := time.Duration(0); t <= dur; t += OcclusionStep {
 		seg := geom.Segment{A: tx, B: tr.PoseAt(t).Trans}
 		blocked := false
@@ -409,12 +437,107 @@ func occlusionWindows(wins []fault.Window, tx geom.Vec3, tr trace.Trace, occs []
 			if blockedFrom < 0 {
 				blockedFrom = t
 			}
-		} else {
-			flush(t)
+		} else if blockedFrom >= 0 {
+			wins = append(wins, occlusionWindow(blockedFrom, t))
+			blockedFrom = -1
 		}
 	}
-	flush(dur + OcclusionStep)
+	if blockedFrom >= 0 {
+		wins = append(wins, occlusionWindow(blockedFrom, dur+OcclusionStep))
+	}
 	return wins
+}
+
+// occlusionWindow is the fault window of a body occlusion over [from, end).
+func occlusionWindow(from, end time.Duration) fault.Window {
+	return fault.Window{Kind: fault.Occlusion, Start: from, End: end, DepthDB: BodyDepthDB, Ramp: BodyRamp}
+}
+
+const (
+	// headStride is the trace samples per OcclusionStep. The step is a
+	// whole number of SampleIntervals, so every occlusion sample falls on
+	// a trace sample and the pass reads the head there: PoseAt's lerp at
+	// fraction 0 can change only the sign of a zero coordinate, which no
+	// distance sees.
+	headStride = int(OcclusionStep / trace.SampleInterval)
+	// occlusionChunk is how many occlusion samples (1 s) share one
+	// rejection test per body.
+	occlusionChunk = 20
+	// rejectSlack absorbs rounding in the chunk bound, in meters.
+	rejectSlack = 1e-9
+)
+
+// occlusionWindows is OcclusionWindows over bodies, window for window and
+// bit for bit, appending to wins. samples must be non-empty and on the
+// SampleInterval grid from 0, as trace.GenerateInto writes them. It
+// reorders bodies.
+//
+// Each body's sway is computed once per sample and tested against both
+// spheres. Before that, a chunk of occlusionChunk samples from h0 =
+// the head at the chunk's first sample rejects a body for the whole
+// chunk when, for both spheres, the segment tx→h0 passes its home column
+// at z farther than amp + r + OccluderRadius + rejectSlack, where r is
+// the head's largest move from h0 within the chunk. The bound is sound:
+// tx→h(t) stays within r of tx→h0 (match points by their fraction along
+// the segment), and a sphere centre stays within amp of its home. So
+// every rejected sphere is farther than OccluderRadius from the beam at
+// every sample of the chunk, and only the other bodies take the exact
+// per-sample test.
+//
+//cyclops:hotpath the geometry of every served arena user's beam; zero-alloc contract pinned by TestOcclusionZeroAllocs and make alloc-check
+func occlusionWindows(wins []fault.Window, tx geom.Vec3, samples []trace.Sample, bodies []body) []fault.Window {
+	dur := samples[len(samples)-1].At
+	steps := int(dur/OcclusionStep) + 1
+	blockedFrom := time.Duration(-1)
+	for s0 := 0; s0 < steps; s0 += occlusionChunk {
+		s1 := min(s0+occlusionChunk, steps)
+		h0 := samples[s0*headStride].Pose.Trans
+		var r2 float64
+		for s := s0 + 1; s < s1; s++ {
+			r2 = max(r2, samples[s*headStride].Pose.Trans.Sub(h0).Norm2())
+		}
+		r := math.Sqrt(r2)
+		// Partition the bodies the bound cannot reject to the front.
+		seg0 := geom.Segment{A: tx, B: h0}
+		near := 0
+		for k, b := range bodies {
+			d := min(seg0.DistanceTo(geom.V(b.homeX, b.homeY, TorsoHeight)),
+				seg0.DistanceTo(geom.V(b.homeX, b.homeY, ArmHeight)))
+			if d-b.amp-r <= OccluderRadius+rejectSlack {
+				bodies[near], bodies[k] = bodies[k], bodies[near]
+				near++
+			}
+		}
+		for s := s0; s < s1; s++ {
+			t := time.Duration(s) * OcclusionStep
+			if beamBlocked(geom.Segment{A: tx, B: samples[s*headStride].Pose.Trans}, bodies[:near], t) {
+				if blockedFrom < 0 {
+					blockedFrom = t
+				}
+			} else if blockedFrom >= 0 {
+				wins = append(wins, occlusionWindow(blockedFrom, t))
+				blockedFrom = -1
+			}
+		}
+	}
+	if blockedFrom >= 0 {
+		wins = append(wins, occlusionWindow(blockedFrom, dur+OcclusionStep))
+	}
+	return wins
+}
+
+// beamBlocked reports whether a torso or arm sphere of any body cuts seg
+// at t.
+func beamBlocked(seg geom.Segment, bodies []body, t time.Duration) bool {
+	for _, b := range bodies {
+		dx, dy := b.sway(t)
+		x, y := b.homeX+dx, b.homeY+dy
+		if seg.DistanceTo(geom.V(x, y, TorsoHeight)) < OccluderRadius ||
+			seg.DistanceTo(geom.V(x, y, ArmHeight)) < OccluderRadius {
+			return true
+		}
+	}
+	return false
 }
 
 // Metrics is the arena's observability surface (one registration site,
@@ -588,16 +711,34 @@ func Run(opts Options) (Result, error) {
 }
 
 // cellScratch is one Fold worker's storage, reused by every cell the
-// worker runs: the trace sample buffer, the occlusion windows, the served
-// users' verdict runs, the contention segments and one netem stream. runCell truncates each
-// before use and never reads past what it wrote, so a cell's Aggregate
-// does not depend on the cells before it.
+// worker runs: the trace sample buffer, a served user's neighbours, their
+// bodies and the occlusion windows, the served users' verdict runs, the
+// contention segments and one netem stream. runCell truncates each before
+// use and never reads past what it wrote, so a cell's Aggregate does not
+// depend on the cells before it.
 type cellScratch struct {
 	buf    []trace.Sample
+	nbrs   []neighbor
+	bodies []body
 	wins   []fault.Window
 	runs   [][]verdictRun
 	segs   []segment
 	stream netem.Stream
+}
+
+// occlusion is user i's occlusion pass on the worker's scratch: the
+// bodies of i's neighbours traced against the beam from tx to i's head.
+// The returned windows live in sc.wins.
+//
+//cyclops:hotpath once per served arena user; zero-alloc contract on a warm scratch pinned by TestOcclusionZeroAllocs and make alloc-check
+func (sc *cellScratch) occlusion(l Layout, tx geom.Vec3, i int, samples []trace.Sample) []fault.Window {
+	sc.nbrs = l.neighbors(sc.nbrs[:0], i)
+	sc.bodies = sc.bodies[:0]
+	for _, n := range sc.nbrs {
+		sc.bodies = append(sc.bodies, l.body(n.idx))
+	}
+	sc.wins = occlusionWindows(sc.wins[:0], tx, samples, sc.bodies)
+	return sc.wins
 }
 
 // runCell simulates one ceiling cell: schedule its users against the TX,
@@ -667,13 +808,7 @@ func runCell(l Layout, opts Options, c int, sc *cellScratch) Aggregate {
 	for k, i := range served {
 		tr := l.traceInto(i, opts.TraceLen, sc.buf)
 		sc.buf = tr.Samples
-		var occs []handover.Occluder
-		for _, j := range l.Neighbors(i) {
-			pair := l.Occluder(j)
-			occs = append(occs, pair[0], pair[1])
-		}
-		sc.wins = occlusionWindows(sc.wins[:0], tx, tr, occs)
-		sched := fault.Schedule{Seed: opts.Seed + 7919*int64(i), Windows: sc.wins}
+		sched := fault.Schedule{Seed: opts.Seed + 7919*int64(i), Windows: sc.occlusion(l, tx, i, tr.Samples)}
 		// The engine may split one verdict across runs (a fault horizon
 		// ends a run without a flip); merged, a user's runs alternate.
 		rs := runs[k][:0]

@@ -16,19 +16,20 @@ test:
 race:
 	$(GO) test -race -timeout 4m ./...
 
-# Static gate: gofmt-clean, go vet-clean, and zero fresh cyclops-vet
-# findings against the committed baseline (the repo's own interprocedural
-# invariant linter — determinism taint, transitive hot-path purity,
-# opt-in contracts, metrics hygiene, error discipline; see DESIGN.md §10
-# and §15). The -json run reports its own wall time, which the recipe
-# echoes so lint cost stays visible in CI logs. gofmt -l prints
-# offending files; the test -n fails the target on any output.
+# Static gate: gofmt-clean, go vet-clean, and zero cyclops-vet findings
+# (the repo's own interprocedural invariant linter — determinism taint,
+# transitive hot-path purity, opt-in contracts, metrics hygiene, error
+# discipline; see DESIGN.md §10 and §15). Any finding fails the target;
+# the only way to silence one is a reasoned //cyclops: annotation at its
+# line. The -json run reports its own wall time, which the recipe echoes
+# so lint cost stays visible in CI logs. gofmt -l prints offending files;
+# the test -n fails the target on any output.
 lint:
 	@fmtout="$$(gofmt -l cmd internal *.go 2>/dev/null)"; \
 	if [ -n "$$fmtout" ]; then echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
-	@out="$$($(GO) run ./cmd/cyclops-vet -json -baseline analysis-baseline.json ./...)" || \
-		{ echo "$$out"; echo "lint: fresh cyclops-vet findings (baseline them only with a review: make sure each is intended)"; exit 1; }; \
+	@out="$$($(GO) run ./cmd/cyclops-vet -json ./...)" || \
+		{ echo "$$out"; echo "lint: cyclops-vet findings (fix each, or annotate it //cyclops:<directive> <reason> where it is intended)"; exit 1; }; \
 	echo "$$out" | grep -o '"elapsed_ms": *[0-9]*' | \
 		awk -F': *' '{printf "lint: cyclops-vet wall time %d ms\n", $$2}'
 	@echo "lint: ok"

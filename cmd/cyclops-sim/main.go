@@ -93,7 +93,7 @@ func main() {
 		if d <= 0 {
 			d = 1.0
 		}
-		res, err := cyclops.Fig16ArenaAt(*seed, *users, d, *usersPerTX, 0)
+		res, err := cyclops.Fig16ArenaAt(*seed, *users, d, *usersPerTX)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cyclops-sim: fig16-arena: %v\n", err)
 			os.Exit(1)

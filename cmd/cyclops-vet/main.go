@@ -15,19 +15,14 @@
 //	                go.mod — used by fixture trees and the lint smoke gates
 //	-list           print the rule catalog and exit
 //	-json           emit a machine-readable report (module, packages,
-//	                elapsed_ms, findings, suppressed, baselined, stale)
-//	-baseline file  subtract grandfathered findings recorded in file;
-//	                only findings NOT in the baseline fail the build, and
-//	                stale entries (no longer occurring) warn
-//	-write-baseline file  write the current findings as a new baseline
-//	                and exit 0 (the rollout tool; review before committing)
+//	                elapsed_ms, findings, suppressed)
 //
 // Without -json, findings print one per line as file:line:col: rule:
-// message, sorted by path and line. The exit status is 1 when any fresh
-// (unbaselined, unsuppressed) finding exists, 2 on load/type-check
-// errors; zero fresh findings exits 0. The rule catalog and the
-// //cyclops: annotation grammar are documented in DESIGN.md §10; the
-// call graph, taint semantics, and baseline workflow in §15.
+// message, sorted by path and line. The exit status is 1 when any
+// unsuppressed finding exists, 2 on load/type-check errors; zero findings
+// exits 0. The only way to silence a finding is a reasoned //cyclops:
+// annotation at its line. The rule catalog and the annotation grammar are
+// documented in DESIGN.md §10; the call graph and taint semantics in §15.
 package main
 
 import (
@@ -45,8 +40,6 @@ func main() {
 	modPath := flag.String("module", "", "module path override (analyze -root without a go.mod, e.g. fixture trees)")
 	list := flag.Bool("list", false, "print the rule catalog and exit")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings to subtract")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: cyclops-vet [flags] [./...]\n\nFlags:\n")
@@ -89,36 +82,13 @@ func main() {
 	rep := analysis.Run(mod, analysis.Rules())
 	elapsed := time.Since(start)
 
-	if *writeBaseline != "" {
-		if err := analysis.NewBaseline(rep.Findings).Save(*writeBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "cyclops-vet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cyclops-vet: wrote %d finding(s) to %s\n", len(rep.Findings), *writeBaseline)
-		return
-	}
-
-	fresh := rep.Findings
-	baselined := 0
-	var stale []analysis.BaselineEntry
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cyclops-vet: %v\n", err)
-			os.Exit(2)
-		}
-		fresh, baselined, stale = b.Filter(rep.Findings)
-	}
-
 	if *jsonOut {
-		out := analysis.JSONReport{
+		out := jsonReport{
 			Module:     mod.Path,
 			Packages:   len(mod.Pkgs),
 			ElapsedMS:  elapsed.Milliseconds(),
-			Findings:   analysis.JSONFindings(fresh),
+			Findings:   jsonFindings(rep.Findings),
 			Suppressed: rep.Suppressed,
-			Baselined:  baselined,
-			Stale:      stale,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -127,23 +97,51 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		for _, f := range fresh {
+		for _, f := range rep.Findings {
 			fmt.Println(f.String())
 		}
 	}
 
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "cyclops-vet: stale baseline entry (finding no longer occurs; prune it): %s\n", e)
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "cyclops-vet: %d finding(s) in %d package(s)", len(fresh), len(mod.Pkgs))
-		if baselined > 0 {
-			fmt.Fprintf(os.Stderr, " (%d baselined)", baselined)
-		}
+	if len(rep.Findings) > 0 {
+		fmt.Fprintf(os.Stderr, "cyclops-vet: %d finding(s) in %d package(s)", len(rep.Findings), len(mod.Pkgs))
 		if rep.Suppressed > 0 {
 			fmt.Fprintf(os.Stderr, " (%d suppressed by annotation)", rep.Suppressed)
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(1)
 	}
+}
+
+// jsonReport is the machine-readable vet output (-json).
+type jsonReport struct {
+	Module     string        `json:"module"`
+	Packages   int           `json:"packages"`
+	ElapsedMS  int64         `json:"elapsed_ms"`
+	Findings   []jsonFinding `json:"findings"`
+	Suppressed int           `json:"suppressed"`
+}
+
+// jsonFinding is one finding in -json output.
+type jsonFinding struct {
+	Rule string `json:"rule"`
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Col  int    `json:"col"`
+	Msg  string `json:"msg"`
+}
+
+// jsonFindings converts findings (already sorted by Run) to their wire
+// form.
+func jsonFindings(findings []analysis.Finding) []jsonFinding {
+	out := make([]jsonFinding, 0, len(findings))
+	for _, f := range findings {
+		out = append(out, jsonFinding{
+			Rule: f.Rule,
+			File: f.Pos.Filename,
+			Line: f.Pos.Line,
+			Col:  f.Pos.Column,
+			Msg:  f.Msg,
+		})
+	}
+	return out
 }

@@ -47,7 +47,8 @@ import (
 // headset tracker, learned models, and the real-time controller.
 type System = core.System
 
-// RunOptions configures an experiment run.
+// RunOptions configures an experiment run. The loop steps at a fixed
+// 1 ms tick, the paper's slot resolution.
 type RunOptions = core.RunOptions
 
 // RunResult is a run's recorded output.
@@ -227,9 +228,11 @@ type FaultWindow = fault.Window
 // from.
 type FaultConfig = fault.Config
 
-// RecoveryOptions tunes the link supervisor (backoff, jittered restarts,
-// spiral scan, degradation threshold). The zero value uses the documented
-// defaults.
+// RecoveryOptions tunes the link supervisor's jittered restarts
+// (RestartJitterV; zero means the 0.02 V default). Its backoff (10 ms
+// doubling to 160 ms, ±25 % jitter), spiral scan (after 3 failures,
+// 0.04 V steps every 10 ms) and 500 ms degradation threshold are fixed
+// constants in internal/core.
 type RecoveryOptions = core.RecoveryOptions
 
 // PlanFaults synthesizes a reproducible fault schedule: the same (cfg,
@@ -245,8 +248,11 @@ func DefaultFaultConfig() FaultConfig { return fault.DefaultConfig() }
 // HandoverOptions arms make-before-break multi-TX handover on a run:
 // standby ceiling TXs are kept pre-pointed, and when the primary path
 // occludes the supervisor swaps one in within the SFP's LOS holdover —
-// ~2 ms of dark instead of the 3 s re-lock. Requires RunOptions.Faults;
-// see DESIGN.md "Multi-TX handover as recovery".
+// ~2 ms of dark instead of the 3 s re-lock. It carries the standbys and
+// their fault schedules; the timing (1 ms switch debounce, 12 ms
+// pre-point refresh, 5 ms LOS holdover, 500 ms failback) and the 10 dB
+// blocking depth are fixed constants in internal/core. Requires
+// RunOptions.Faults; see DESIGN.md "Multi-TX handover as recovery".
 type HandoverOptions = core.HandoverOptions
 
 // TXPlant is one ceiling transmitter's physical surface (the primary's is
@@ -263,17 +269,21 @@ func StandbyRing(cfg LinkConfig, rxSeed int64, count int, spacing float64) []*TX
 
 // SolveGateOptions arms pose-delta solver gating on a run: assigning the
 // pointer to RunOptions.SolveGate skips the P solve when the report's
-// pose delta since the last accepted solve is inside the tolerance cone.
-// nil (the default) leaves the gate off — byte-identical to baseline.
+// pose delta since the last accepted solve is inside the fixed tolerance
+// cone (0.5 mm, 1 mrad). nil (the default) leaves the gate off —
+// byte-identical to baseline.
 type SolveGateOptions = core.SolveGateOptions
 
 // HybridOptions arms the hybrid FSO + mmWave link policy on a run: a
 // shadow mmWave link steps beside the optical plant, and when the FSO
 // power SLO breaches for the breach window the policy fails the stream
 // over, re-admitting the primary only after re-lock plus the clear
-// window. Unlike HandoverOptions it needs no fault schedule — a clean run
-// simply never leaves the primary. See DESIGN.md "Hybrid FSO + mmWave
-// failover policy".
+// window. It has no fields: the secondary is the paper's 802.11ad link
+// (a fresh baseline.NewMmWave() per run), the windows are the
+// PolicyOptions defaults (50 ms breach, 500 ms clear), and the 10 dB
+// blocking depth is the handover arm's. Unlike HandoverOptions it needs
+// no fault schedule — a clean run simply never leaves the primary. See
+// DESIGN.md "Hybrid FSO + mmWave failover policy".
 type HybridOptions = core.HybridOptions
 
 // HybridStats is the hybrid policy's per-run outcome (RunResult.Hybrid).

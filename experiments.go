@@ -684,22 +684,17 @@ var fig16FaultsSweep = struct {
 	durs:  []time.Duration{100 * time.Millisecond, 500 * time.Millisecond},
 }
 
-// Fig16Faults runs the chaos sweep with the default worker pool.
+// Fig16Faults runs the chaos sweep on the default worker pool
+// (parallel.SetDefaultWorkers). The whole sweep is a pure function of the
+// seed: trace generation, per-trace fault plans, and the slot model are
+// all seeded, so every worker count returns the identical
+// Fig16FaultsResult bit for bit.
 func Fig16Faults(seed int64) (Fig16FaultsResult, error) {
-	return Fig16FaultsWorkers(seed, 0)
-}
-
-// Fig16FaultsWorkers is Fig16Faults with an explicit worker count. The
-// whole sweep is a pure function of the seed: trace generation, per-trace
-// fault plans, and the slot model are all seeded, so every worker count
-// returns the identical Fig16FaultsResult bit for bit.
-func Fig16FaultsWorkers(seed int64, workers int) (Fig16FaultsResult, error) {
 	// The sweep reuses one corpus across every cell, so materialize it
 	// once and stream the chaos runs aggregate-only.
-	traces := sim.Materialize(TraceSource(seed), workers)
+	traces := sim.Materialize(TraceSource(seed), 0)
 	base, err := sim.RunCorpus(sim.TraceSlice(traces), sim.CorpusOptions{
-		Params:  sim.Paper25G(),
-		Workers: workers,
+		Params: sim.Paper25G(),
 	})
 	if err != nil {
 		return Fig16FaultsResult{}, err
@@ -716,8 +711,7 @@ func Fig16FaultsWorkers(seed int64, workers int) (Fig16FaultsResult, error) {
 				Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
 			}
 			c, err := sim.RunCorpus(sim.TraceSlice(traces), sim.CorpusOptions{
-				Chaos:   &sim.CorpusChaos{Config: cfg, Seed: seed + 1, Params: p},
-				Workers: workers,
+				Chaos: &sim.CorpusChaos{Config: cfg, Seed: seed + 1, Params: p},
 			})
 			if err != nil {
 				return res, err
@@ -807,19 +801,14 @@ var fig16HandoverSweep = fig16HandoverGrid{
 	},
 }
 
-// Fig16Handover runs the handover sweep with the default worker pool.
-func Fig16Handover(seed int64) (Fig16HandoverResult, error) {
-	return Fig16HandoverWorkers(seed, 0)
-}
-
-// Fig16HandoverWorkers is Fig16Handover with an explicit worker count.
-// Like fig16-faults, the whole sweep is a pure function of the seed —
-// every worker count returns the identical result bit for bit. Every cell
+// Fig16Handover runs the handover sweep on the default worker pool. Like
+// fig16-faults, the whole sweep is a pure function of the seed — every
+// worker count returns the identical result bit for bit. Every cell
 // reuses the same fault plans (same seed), so the TX-count and spacing
 // knobs are the only thing that varies across cells of one occlusion
 // regime.
-func Fig16HandoverWorkers(seed int64, workers int) (Fig16HandoverResult, error) {
-	return fig16HandoverRun(seed, workers, fig16HandoverSweep)
+func Fig16Handover(seed int64) (Fig16HandoverResult, error) {
+	return fig16HandoverRun(seed, 0, fig16HandoverSweep)
 }
 
 func fig16HandoverRun(seed int64, workers int, grid fig16HandoverGrid) (Fig16HandoverResult, error) {

@@ -66,23 +66,18 @@ var fig16ArenaSweep = fig16ArenaGrid{
 	traceLen:   time.Minute,
 }
 
-// Fig16Arena runs the arena capacity sweep with the default worker pool.
+// Fig16Arena runs the arena capacity sweep on the default worker pool.
+// The sweep is a pure function of the seed: every worker count returns
+// the identical result bit for bit (the arena engine folds its ceiling
+// cells in cell order regardless of completion order).
 func Fig16Arena(seed int64) (Fig16ArenaResult, error) {
-	return Fig16ArenaWorkers(seed, 0)
+	return fig16ArenaRun(seed, 0, fig16ArenaSweep)
 }
 
-// Fig16ArenaWorkers is Fig16Arena with an explicit worker count. The
-// sweep is a pure function of the seed: every worker count returns the
-// identical result bit for bit (the arena engine folds its ceiling cells
-// in cell order regardless of completion order).
-func Fig16ArenaWorkers(seed int64, workers int) (Fig16ArenaResult, error) {
-	return fig16ArenaRun(seed, workers, fig16ArenaSweep)
-}
-
-// Fig16ArenaAt runs a single arena configuration — the cyclops-sim
-// -users/-density entry point. The venue is sized to hold users at
-// density; usersPerTX ≤ 0 takes the arena default.
-func Fig16ArenaAt(seed int64, users int, density float64, usersPerTX, workers int) (Fig16ArenaResult, error) {
+// Fig16ArenaAt runs a single arena configuration on the default worker
+// pool — the cyclops-sim -users/-density entry point. The venue is sized
+// to hold users at density; usersPerTX ≤ 0 takes the arena default.
+func Fig16ArenaAt(seed int64, users int, density float64, usersPerTX int) (Fig16ArenaResult, error) {
 	grid := fig16ArenaGrid{
 		areaM2:     float64(users) / density,
 		usersPerTX: []int{usersPerTX},
@@ -92,7 +87,7 @@ func Fig16ArenaAt(seed int64, users int, density float64, usersPerTX, workers in
 	if usersPerTX <= 0 {
 		grid.usersPerTX = []int{4}
 	}
-	return fig16ArenaRun(seed, workers, grid)
+	return fig16ArenaRun(seed, 0, grid)
 }
 
 func fig16ArenaRun(seed int64, workers int, grid fig16ArenaGrid) (Fig16ArenaResult, error) {

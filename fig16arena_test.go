@@ -93,7 +93,7 @@ func TestFig16ArenaRender(t *testing.T) {
 
 // TestFig16ArenaAt covers the -users/-density single-venue entry point.
 func TestFig16ArenaAt(t *testing.T) {
-	res, err := Fig16ArenaAt(3, 32, 2.0, 0, 2)
+	res, err := Fig16ArenaAt(3, 32, 2.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

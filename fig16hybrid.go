@@ -86,18 +86,13 @@ func fig16HybridSchedules() []struct {
 	}
 }
 
-// Fig16Hybrid runs the hybrid medium sweep with the default worker pool.
+// Fig16Hybrid runs the hybrid medium sweep on the default worker pool.
+// The sweep is a pure function of the seed: corpus, per-trace fault
+// plans, and all three slot models are seeded, so every worker count
+// returns the identical result bit for bit. Every cell's metrics merge
+// into obs.Default(), cell by cell in sweep order.
 func Fig16Hybrid(seed int64) (Fig16HybridResult, error) {
-	return Fig16HybridWorkers(seed, 0)
-}
-
-// Fig16HybridWorkers is Fig16Hybrid with an explicit worker count. The
-// sweep is a pure function of the seed: corpus, per-trace fault plans,
-// and all three slot models are seeded, so every worker count returns the
-// identical result bit for bit. Every cell's metrics merge into
-// obs.Default(), cell by cell in sweep order.
-func Fig16HybridWorkers(seed int64, workers int) (Fig16HybridResult, error) {
-	return fig16HybridRun(seed, workers, fig16HybridSweep, obs.Default())
+	return fig16HybridRun(seed, 0, fig16HybridSweep, obs.Default())
 }
 
 // fig16HybridRun runs the sweep over grid and merges each cell's corpus

@@ -12,7 +12,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -97,29 +96,6 @@ func NewMmWaveMetrics(reg *obs.Registry) *MmWaveMetrics {
 	}
 }
 
-// Validate rejects non-finite or non-positive link parameters, mirroring
-// core.RunOptions.Validate so a bad config fails loudly at arm time
-// instead of producing NaN goodput mid-run.
-func (l *MmWaveLink) Validate() error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	if !finite(l.APPosition.X) || !finite(l.APPosition.Y) || !finite(l.APPosition.Z) {
-		return fmt.Errorf("baseline: non-finite APPosition %+v", l.APPosition)
-	}
-	if !(l.PeakGoodputGbps > 0) || !finite(l.PeakGoodputGbps) {
-		return fmt.Errorf("baseline: PeakGoodputGbps %v must be positive and finite", l.PeakGoodputGbps)
-	}
-	if !(l.BeamWidth > 0) || !finite(l.BeamWidth) {
-		return fmt.Errorf("baseline: BeamWidth %v must be positive and finite", l.BeamWidth)
-	}
-	if l.TrainInterval <= 0 {
-		return fmt.Errorf("baseline: TrainInterval %v must be positive", l.TrainInterval)
-	}
-	if !(l.BlockageLossDB >= 0) || !finite(l.BlockageLossDB) {
-		return fmt.Errorf("baseline: BlockageLossDB %v must be non-negative and finite", l.BlockageLossDB)
-	}
-	return nil
-}
-
 // goodputAt returns the instantaneous goodput toward a headset at hpos
 // given the current beam aim and blockage state: the 802.11ad MCS ladder
 // reduced to an SNR-step function of pointing error and obstruction.
@@ -177,8 +153,8 @@ func (l *MmWaveLink) Reset() {
 
 // Step advances the link one tick: trains the beam when the refinement
 // cycle is due, then returns the instantaneous goodput toward a headset
-// at hpos under the given blockage state. Call Reset before the first
-// Step of a run.
+// at hpos under the given blockage state. A fresh link starts reset;
+// call Reset before reusing one for another run.
 func (l *MmWaveLink) Step(at time.Duration, hpos geom.Vec3, blocked bool) float64 {
 	if at >= l.nextTrain {
 		// Beam training snaps the aim back onto the headset.

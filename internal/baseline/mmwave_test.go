@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -96,38 +95,6 @@ func TestGoodputLadderMonotone(t *testing.T) {
 	// Degenerate geometry.
 	if g := l.goodputAt(l.APPosition, false); g != 0 {
 		t.Errorf("zero-range goodput %.2f", g)
-	}
-}
-
-func TestMmWaveValidate(t *testing.T) {
-	if err := NewMmWave().Validate(); err != nil {
-		t.Fatalf("default link must validate: %v", err)
-	}
-	nan := math.NaN()
-	cases := []struct {
-		name   string
-		mutate func(*MmWaveLink)
-	}{
-		{"nan AP position", func(l *MmWaveLink) { l.APPosition = geom.V(0, nan, 2) }},
-		{"inf AP position", func(l *MmWaveLink) { l.APPosition = geom.V(math.Inf(1), 0, 2) }},
-		{"zero peak goodput", func(l *MmWaveLink) { l.PeakGoodputGbps = 0 }},
-		{"negative peak goodput", func(l *MmWaveLink) { l.PeakGoodputGbps = -1 }},
-		{"nan peak goodput", func(l *MmWaveLink) { l.PeakGoodputGbps = nan }},
-		{"zero beamwidth", func(l *MmWaveLink) { l.BeamWidth = 0 }},
-		{"inf beamwidth", func(l *MmWaveLink) { l.BeamWidth = math.Inf(1) }},
-		{"zero train interval", func(l *MmWaveLink) { l.TrainInterval = 0 }},
-		{"negative train interval", func(l *MmWaveLink) { l.TrainInterval = -time.Second }},
-		{"negative blockage loss", func(l *MmWaveLink) { l.BlockageLossDB = -5 }},
-		{"nan blockage loss", func(l *MmWaveLink) { l.BlockageLossDB = nan }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			l := NewMmWave()
-			tc.mutate(l)
-			if err := l.Validate(); err == nil {
-				t.Error("bad config must be rejected")
-			}
-		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/link"
 	"cyclops/internal/motion"
@@ -45,12 +46,15 @@ func TestRunOptionsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero values mean defaults", RunOptions{Program: prog}, true},
-		{"explicit values", RunOptions{Program: prog, Duration: time.Second, Tick: time.Millisecond, SampleEvery: 5 * time.Millisecond, ReportEvery: 2 * time.Millisecond}, true},
+		{"explicit values", RunOptions{Program: prog, Duration: time.Second, SampleEvery: 5 * time.Millisecond, ReportEvery: 2 * time.Millisecond}, true},
 		{"nil program", RunOptions{}, false},
 		{"negative duration", RunOptions{Program: prog, Duration: -time.Second}, false},
-		{"negative tick", RunOptions{Program: prog, Tick: -time.Millisecond}, false},
 		{"negative sample", RunOptions{Program: prog, SampleEvery: -time.Millisecond}, false},
 		{"negative report", RunOptions{Program: prog, ReportEvery: -time.Millisecond}, false},
+		{"explicit restart jitter", RunOptions{Program: prog, Recovery: RecoveryOptions{RestartJitterV: 0.05}}, true},
+		{"negative restart jitter", RunOptions{Program: prog, Recovery: RecoveryOptions{RestartJitterV: -0.01}}, false},
+		{"NaN restart jitter", RunOptions{Program: prog, Recovery: RecoveryOptions{RestartJitterV: math.NaN()}}, false},
+		{"infinite restart jitter", RunOptions{Program: prog, Recovery: RecoveryOptions{RestartJitterV: math.Inf(1)}}, false},
 	}
 	for _, c := range cases {
 		if err := c.opts.Validate(); (err == nil) != c.ok {
@@ -59,9 +63,56 @@ func TestRunOptionsValidate(t *testing.T) {
 	}
 	// Run rejects what Validate rejects.
 	s := oracleSystem(optics.Diverging10G16mm, 1)
-	if _, err := s.Run(RunOptions{Program: prog, Tick: -time.Millisecond}); err == nil {
-		t.Error("Run accepted a negative Tick")
+	if _, err := s.Run(RunOptions{Program: prog, SampleEvery: -time.Millisecond}); err == nil {
+		t.Error("Run accepted a negative SampleEvery")
 	}
+}
+
+// FuzzRunOptionsValidate: Validate never panics, accepts a bare
+// RunOptions{Program: p}, and rejects exactly the option sets with a
+// negative duration, a negative or non-finite RestartJitterV, or a
+// malformed (negative start, end before start) or unsorted window in the
+// primary schedule or, with handover armed, the standby's.
+func FuzzRunOptionsValidate(f *testing.F) {
+	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
+	if err := (RunOptions{Program: prog}).Validate(); err != nil {
+		f.Fatalf("bare options rejected: %v", err)
+	}
+	f.Fuzz(func(t *testing.T, dur, sample, report int64, jitter float64,
+		ps0, pe0, ps1, pe1, ss0, se0, ss1, se1 int64, handover bool) {
+		// sched builds a two-window schedule and reports whether it is
+		// malformed or unsorted.
+		sched := func(s0, e0, s1, e1 int64) (*fault.Schedule, bool) {
+			w0 := fault.Window{Kind: fault.Occlusion, Start: time.Duration(s0), End: time.Duration(e0), DepthDB: 40}
+			w1 := fault.Window{Kind: fault.Occlusion, Start: time.Duration(s1), End: time.Duration(e1), DepthDB: 40}
+			bad := w0.Start < 0 || w0.End < w0.Start || w1.Start < 0 || w1.End < w1.Start || w1.Start < w0.Start
+			return &fault.Schedule{Seed: 1, Windows: []fault.Window{w0, w1}}, bad
+		}
+		primary, bad := sched(ps0, pe0, ps1, pe1)
+		o := RunOptions{
+			Program:     prog,
+			Duration:    time.Duration(dur),
+			SampleEvery: time.Duration(sample),
+			ReportEvery: time.Duration(report),
+			Recovery:    RecoveryOptions{RestartJitterV: jitter},
+			Faults:      primary,
+		}
+		bad = bad || o.Duration < 0 || o.SampleEvery < 0 || o.ReportEvery < 0 ||
+			!(jitter >= 0) || math.IsInf(jitter, 1)
+		if handover {
+			standby, standbyBad := sched(ss0, se0, ss1, se1)
+			// Validate reads only the standby count, so placeholder
+			// plants keep the fuzz loop free of calibration.
+			o.Handover = &HandoverOptions{
+				Standbys:      make([]*link.Plant, 1),
+				StandbyFaults: []*fault.Schedule{standby},
+			}
+			bad = bad || standbyBad
+		}
+		if err := o.Validate(); (err != nil) != bad {
+			t.Fatalf("Validate(%+v, handover %v) = %v, want rejection %v", o, handover, err, bad)
+		}
+	})
 }
 
 func TestRunRecordsMetrics(t *testing.T) {
@@ -295,24 +346,6 @@ func TestRunDurationOverride(t *testing.T) {
 	last := res.Samples[len(res.Samples)-1].At
 	if last > 301*time.Millisecond {
 		t.Errorf("run continued to %v past the 300 ms cap", last)
-	}
-}
-
-func TestRunCoarseTick(t *testing.T) {
-	s := oracleSystem(optics.Diverging10G16mm, 8)
-	res, err := s.Run(RunOptions{
-		Program: motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second},
-		Tick:    5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UpFraction < 0.99 {
-		t.Errorf("coarse-tick static run up fraction %v", res.UpFraction)
-	}
-	// Samples land on the coarse grid.
-	if len(res.Samples) < 150 || len(res.Samples) > 210 {
-		t.Errorf("coarse run recorded %d samples, want ≈200", len(res.Samples))
 	}
 }
 

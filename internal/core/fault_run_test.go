@@ -69,7 +69,7 @@ func TestRunMidRunOcclusionRecovers(t *testing.T) {
 	if res.Reacquired != 1 {
 		t.Errorf("Reacquired = %d, want 1 (outage not matched by recovery)", res.Reacquired)
 	}
-	// The 300 ms window + 3 s re-lock outlasts DegradeAfter.
+	// The 300 ms window + 3 s re-lock outlasts degradeAfter.
 	if res.DegradedTicks == 0 {
 		t.Error("long outage never degraded")
 	}

@@ -10,13 +10,34 @@ import (
 	"cyclops/internal/pointing"
 )
 
+// The handover arm's fixed timing and blocking threshold.
+const (
+	// switchAfter is how long the active path must stay dark before the
+	// controller switches: one slot of debounce.
+	switchAfter = time.Millisecond
+	// freshEvery is the standby pre-point refresh cadence, the tracker's
+	// own report cadence.
+	freshEvery = 12 * time.Millisecond
+	// losHold is the SFP's LOS-assert window (Monitor.HoldOver): dark
+	// spells shorter than this do not unlock the transceiver, which is
+	// what lets a ~2 ms switch ride through without the re-lock penalty.
+	losHold = 5 * time.Millisecond
+	// failbackAfter is how long the primary path must stay clear before a
+	// lit run switches back to it.
+	failbackAfter = 500 * time.Millisecond
+	// blockAttenDB is the injected physical-obstruction attenuation at or
+	// above which a path counts as blocked: for handover candidates and
+	// for the hybrid arm's mmWave link alike. 10 dB is the 25G budget's
+	// full margin, the same depth the sim chaos model uses.
+	blockAttenDB = 10
+)
+
 // hoState is the run-scoped make-before-break machinery behind
 // RunOptions.Handover. plants[0] is the primary (the System's own plant at
 // Run start); the rest are the caller's standbys. Everything here is driven
 // from runLoop.step, one decision per tick, with no randomness of its own —
 // a handover run is as bit-reproducible as the faulted run it extends.
 type hoState struct {
-	opts   HandoverOptions
 	plants []*link.Plant
 	// faults[k] reads TX k's path fault schedule (a nil schedule reads
 	// the clear path); faults[0] reads RunOptions.Faults so candidate
@@ -26,7 +47,7 @@ type hoState struct {
 	active int
 
 	// Pre-point cache: the freshest oracle mirror solution per inactive
-	// TX, refreshed on the FreshEvery cadence but only applied at a
+	// TX, refreshed on the freshEvery cadence but only applied at a
 	// switch — the "make" of make-before-break.
 	preV  []pointing.Voltages
 	preAt []time.Duration
@@ -45,8 +66,7 @@ type hoState struct {
 }
 
 func newHoState(s *System, o *HandoverOptions, primary *fault.Schedule) *hoState {
-	ho := &hoState{opts: *o}
-	ho.opts.defaults()
+	ho := &hoState{}
 	ho.plants = make([]*link.Plant, 0, len(o.Standbys)+1)
 	ho.plants = append(ho.plants, s.Plant)
 	ho.plants = append(ho.plants, o.Standbys...)
@@ -105,7 +125,7 @@ func (ho *hoState) candidate(at time.Duration) int {
 		if k == ho.active || !ho.preOK[k] {
 			continue
 		}
-		if ho.pathAtten(at, k) >= ho.opts.BlockAttenDB {
+		if ho.pathAtten(at, k) >= blockAttenDB {
 			continue
 		}
 		d := p.TXMountTruth().Trans.Dist(p.RXWorldPose().Trans)
@@ -119,7 +139,7 @@ func (ho *hoState) candidate(at time.Duration) int {
 // hoTick is the per-tick handover controller: refresh standby pre-points,
 // clock darkness on the active path, switch to the best clear standby once
 // the debounce matures, and fail back to the primary after its path has
-// stayed clear for FailbackAfter.
+// stayed clear for failbackAfter.
 func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 	ho := l.ho
 
@@ -137,13 +157,13 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 				ho.preV[k], ho.preAt[k] = v, at
 			}
 		}
-		ho.nextFresh = at + ho.opts.FreshEvery
+		ho.nextFresh = at + freshEvery
 	}
 
 	// Failback bookkeeping: while a standby is active, clock how long the
 	// primary path has been continuously clear.
 	if ho.active != 0 {
-		if ho.pathAtten(at, 0) >= ho.opts.BlockAttenDB {
+		if ho.pathAtten(at, 0) >= blockAttenDB {
 			ho.clearSince0 = -1
 		} else if ho.clearSince0 < 0 {
 			ho.clearSince0 = at
@@ -152,7 +172,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 
 	// Dark clock, with the post-switch slew window carved out: the forced
 	// darkness while the mirrors slew to the new TX must not re-arm the
-	// debounce, or any SwitchAfter at or below the realignment latency
+	// debounce, or a switchAfter at or below the realignment latency
 	// would flap straight off the TX we just switched to.
 	if powerOK {
 		ho.darkSince = -1
@@ -160,7 +180,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 		ho.darkSince = at
 	}
 
-	if ho.darkSince >= 0 && at-ho.darkSince >= ho.opts.SwitchAfter {
+	if ho.darkSince >= 0 && at-ho.darkSince >= switchAfter {
 		if k := ho.candidate(at); k >= 0 {
 			l.hoSwitch(at, k)
 			return
@@ -171,7 +191,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 	// its pre-point is good — re-admit it (make-before-break again; the
 	// monitor's holdover rides through the slew).
 	if ho.active != 0 && powerOK && ho.clearSince0 >= 0 &&
-		at-ho.clearSince0 >= ho.opts.FailbackAfter && ho.preOK[0] {
+		at-ho.clearSince0 >= failbackAfter && ho.preOK[0] {
 		l.hoSwitch(at, 0)
 	}
 }

@@ -143,7 +143,7 @@ func TestRunHandoverAllPathsBlocked(t *testing.T) {
 // the settle window and costs an extra dark tick. Fixture: a hard primary
 // occlusion starting at every offset across three 12–13 ms report
 // periods, so some reports fall inside the ≈1.8 ms slew. Every offset must
-// cost the same 3 dark ticks: two while SwitchAfter debounces, one of slew.
+// cost the same 3 dark ticks: two while switchAfter debounces, one of slew.
 func TestRunHandoverSlewReportKeepsSwitch(t *testing.T) {
 	const seed = 12
 	for off := time.Duration(0); off < 40; off++ {
@@ -176,7 +176,7 @@ func TestRunHandoverSlewReportKeepsSwitch(t *testing.T) {
 
 // TestRunHandoverNoFlapDuringSlew pins the slew-window debounce: the forced
 // darkness while the mirrors slew to a new TX must not start the dark
-// clock, or a SwitchAfter below the ≈1.8 ms realignment latency flaps the
+// clock, or a switchAfter below the ≈1.8 ms realignment latency flaps the
 // controller off the TX it just switched to. Fixture: the primary is
 // occluded over [5, 30) ms; the chosen standby catches a one-tick blip at
 // [8, 9) ms, just after its slew. A dark clock armed during the slew
@@ -200,7 +200,6 @@ func TestRunHandoverNoFlapDuringSlew(t *testing.T) {
 		Handover: &HandoverOptions{
 			Standbys:      standbys,
 			StandbyFaults: []*fault.Schedule{hard(8*time.Millisecond, 9*time.Millisecond), nil},
-			SwitchAfter:   time.Millisecond, // below the realignment latency
 		},
 	})
 	if err != nil {
@@ -215,7 +214,9 @@ func TestRunHandoverNoFlapDuringSlew(t *testing.T) {
 }
 
 // Handover option validation: standbys are required, a fault schedule must
-// be armed, and StandbyFaults must match the standby count.
+// be armed, and StandbyFaults must match the standby count and pass the
+// primary schedule's window checks (an unsorted standby schedule would
+// have its cursor silently drop windows).
 func TestRunOptionsValidateHandover(t *testing.T) {
 	prog := motion.Static{P: link.DefaultHeadsetPose(), Len: time.Second}
 	standbys := handover.StandbysFor(optics.Diverging10G16mm, 1, handover.RingPositions(1, 1.4))
@@ -232,8 +233,20 @@ func TestRunOptionsValidateHandover(t *testing.T) {
 			Standbys:      standbys,
 			StandbyFaults: []*fault.Schedule{{}, {}},
 		}}},
-		{"negative duration", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
-			Standbys: standbys, LOSHold: -time.Millisecond,
+		{"unsorted standby faults", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
+			Standbys: standbys,
+			StandbyFaults: []*fault.Schedule{{Seed: 2, Windows: []fault.Window{
+				occlusionAt(300*time.Millisecond, 400*time.Millisecond),
+				occlusionAt(100*time.Millisecond, 200*time.Millisecond),
+			}}},
+		}}},
+		{"standby window ends before it starts", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
+			Standbys:      standbys,
+			StandbyFaults: []*fault.Schedule{{Seed: 2, Windows: []fault.Window{occlusionAt(200*time.Millisecond, 100*time.Millisecond)}}},
+		}}},
+		{"negative standby window start", RunOptions{Program: prog, Faults: sched, Handover: &HandoverOptions{
+			Standbys:      standbys,
+			StandbyFaults: []*fault.Schedule{{Seed: 2, Windows: []fault.Window{occlusionAt(-time.Millisecond, 100*time.Millisecond)}}},
 		}}},
 	}
 	for _, c := range cases {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"cyclops/internal/baseline"
@@ -14,58 +12,14 @@ import (
 )
 
 // HybridOptions arm the hybrid FSO + mmWave link policy
-// (RunOptions.Hybrid): the baseline 802.11ad link runs side by side with
-// the optical plant over its own netem stream, and the policy.Controller
-// fails delivered traffic over to it on a sustained SLO breach, re-
-// admitting the FSO primary only after re-lock plus the clear window.
-// The zero value of every field means "use the documented default".
-type HybridOptions struct {
-	// Secondary is the mmWave link to run as the RF fallback. Default
-	// (nil): baseline.NewMmWave() — the paper's 802.11ad comparison
-	// system mounted at the Cyclops TX position.
-	Secondary *baseline.MmWaveLink
-	// Policy tunes the failover hysteresis (breach and clear windows).
-	Policy policy.Options
-	// MarginDB is the SLO headroom above receiver sensitivity the primary
-	// must hold to count as healthy: power below sensitivity + MarginDB
-	// starts the breach clock even while the SFP still carries. Default 0
-	// — healthy is exactly "locked and above sensitivity".
-	MarginDB float64
-	// BlockAttenDB is the injected physical-obstruction attenuation at or
-	// above which the mmWave path counts as body-blocked too (haze does
-	// not block RF, so the haze component is excluded). Default 10 dB,
-	// the same constant HandoverOptions and the sim chaos model use.
-	BlockAttenDB float64
-}
-
-func (o *HybridOptions) defaults() {
-	if o.Secondary == nil {
-		o.Secondary = baseline.NewMmWave()
-	}
-	if o.BlockAttenDB <= 0 {
-		o.BlockAttenDB = 10
-	}
-	o.Policy.Defaults()
-}
-
-// validate is HybridOptions' slice of RunOptions.Validate.
-func (o *HybridOptions) validate() error {
-	if err := o.Policy.Validate(); err != nil {
-		return fmt.Errorf("core: invalid RunOptions: Hybrid %w", err)
-	}
-	if math.IsNaN(o.MarginDB) || math.IsInf(o.MarginDB, 0) || o.MarginDB < 0 {
-		return fmt.Errorf("core: invalid RunOptions: Hybrid MarginDB %v must be finite and non-negative", o.MarginDB)
-	}
-	if math.IsNaN(o.BlockAttenDB) || math.IsInf(o.BlockAttenDB, 0) || o.BlockAttenDB < 0 {
-		return fmt.Errorf("core: invalid RunOptions: Hybrid BlockAttenDB %v must be finite and non-negative", o.BlockAttenDB)
-	}
-	if o.Secondary != nil {
-		if err := o.Secondary.Validate(); err != nil {
-			return fmt.Errorf("core: invalid RunOptions: Hybrid Secondary: %w", err)
-		}
-	}
-	return nil
-}
+// (RunOptions.Hybrid): the baseline 802.11ad link (a fresh
+// baseline.NewMmWave() per run, mounted at the Cyclops TX position) runs
+// side by side with the optical plant over its own netem stream, and the
+// policy.Controller, at the policy package's default 50 ms breach and
+// 500 ms clear windows, fails delivered traffic over to it on a sustained
+// SLO breach, re-admitting the FSO primary only after re-lock plus the
+// clear window. Setting the pointer arms the policy; it has no tuning.
+type HybridOptions struct{}
 
 // HybridStats is the hybrid policy's contribution to a RunResult. Always
 // nil without RunOptions.Hybrid.
@@ -84,8 +38,8 @@ type HybridStats struct {
 	DeliveredUpTicks    int
 	DeliveredUpFraction float64
 	// MinSecondaryDwell is the shortest completed failover→readmit dwell
-	// (zero when none completed). Never below Policy.ClearAfter — the
-	// no-flap guarantee.
+	// (zero when none completed). Never below the policy's clear window —
+	// the no-flap guarantee.
 	MinSecondaryDwell time.Duration
 	// SecondaryWindows are the shadow mmWave stream's 50 ms throughput
 	// windows, measured for the whole run regardless of policy state
@@ -99,28 +53,22 @@ type HybridStats struct {
 // randomness of its own — a hybrid run is as bit-reproducible as the run
 // it extends.
 type hyState struct {
-	opts HybridOptions
-	sec  *baseline.MmWaveLink
-	ctl  *policy.Controller
+	sec *baseline.MmWaveLink
+	ctl *policy.Controller
 	// stream shadows the secondary: it measures the mmWave link every
 	// tick of the run so SecondaryWindows is a full side-by-side trace,
 	// not just the failover episodes. It carries no metrics — the run's
 	// netem instruments belong to the delivered (primary) stream.
 	stream *netem.Stream
 
-	prevSecMetrics *baseline.MmWaveMetrics
 	secondaryTicks int
 	deliveredUp    int
 }
 
-func newHyState(o *HybridOptions, reg *obs.Registry) *hyState {
-	hy := &hyState{opts: *o}
-	hy.opts.defaults()
-	hy.sec = hy.opts.Secondary
-	hy.prevSecMetrics = hy.sec.Metrics
+func newHyState(reg *obs.Registry) *hyState {
+	hy := &hyState{sec: baseline.NewMmWave()}
 	hy.sec.Metrics = baseline.NewMmWaveMetrics(reg)
-	hy.sec.Reset()
-	hy.ctl = policy.New(hy.opts.Policy, policy.NewMetrics(reg))
+	hy.ctl = policy.New(policy.Options{}, policy.NewMetrics(reg))
 	hy.stream = netem.NewStream()
 	// Same MAC-level recovery constant baseline.Run uses: mmWave
 	// reconnects fast after a blockage, no optical re-lock.
@@ -139,15 +87,15 @@ func (l *runLoop) hyTick(at time.Duration, pose geom.Pose, fs fault.State, power
 	// The mmWave path shares the FSO link's body-blockage exposure (§2.1)
 	// but not its haze sensitivity: only the physical-obstruction
 	// component of the injected attenuation blocks it.
-	blocked := fs.AttenDB-fs.HazeDB >= hy.opts.BlockAttenDB
+	blocked := fs.AttenDB-fs.HazeDB >= blockAttenDB
 	g := hy.sec.Step(at, pose.Trans, blocked)
-	hy.stream.Tick(at, l.tick, g > 0, g)
+	hy.stream.Tick(at, tick, g > 0, g)
 
-	// SLO verdict: locked AND inside the power margin. Using the monitor's
-	// up state makes the 3 s SFP re-lock tail count as breaching, so
-	// re-admission waits for re-lock plus the clear window.
-	healthy := up && power >= l.s.Plant.Config.Transceiver.SensitivityDBm+hy.opts.MarginDB
-	st := hy.ctl.Observe(at, l.tick, healthy)
+	// SLO verdict: locked AND above receiver sensitivity. Using the
+	// monitor's up state makes the 3 s SFP re-lock tail count as
+	// breaching, so re-admission waits for re-lock plus the clear window.
+	healthy := up && power >= l.s.Plant.Config.Transceiver.SensitivityDBm
+	st := hy.ctl.Observe(at, tick, healthy)
 
 	if st.OnSecondary() {
 		hy.secondaryTicks++
@@ -158,16 +106,16 @@ func (l *runLoop) hyTick(at time.Duration, pose geom.Pose, fs fault.State, power
 		// even while the supervisor holds the FSO side in DEGRADED — the
 		// whole point of the failover is zero delivered-availability loss
 		// beyond the switch cost.
-		l.stream.Tick(at, l.tick, g > 0, g)
+		l.stream.Tick(at, tick, g > 0, g)
 		return
 	}
 	if up {
 		hy.deliveredUp++
 	}
 	if degraded {
-		l.stream.FreezeTick(at, l.tick)
+		l.stream.FreezeTick(at, tick)
 	} else {
-		l.stream.Tick(at, l.tick, up, l.s.Plant.Config.Transceiver.OptimalGoodputGbps)
+		l.stream.Tick(at, tick, up, l.s.Plant.Config.Transceiver.OptimalGoodputGbps)
 	}
 }
 

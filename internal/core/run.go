@@ -16,6 +16,9 @@ import (
 	"cyclops/internal/vrh"
 )
 
+// tick is core.Run's simulation step: 1 ms, the paper's slot resolution.
+const tick = time.Millisecond
+
 // RunOptions configures one experiment run. The zero value of every field
 // except Program means "use the documented default"; Validate rejects
 // nonsensical values instead of silently patching them.
@@ -25,11 +28,8 @@ type RunOptions struct {
 	Program motion.Program
 	// Duration caps the run. Default (0): the program's own duration.
 	Duration time.Duration
-	// Tick is the simulation step. Default (0): 1 ms, the paper's slot
-	// resolution.
-	Tick time.Duration
 	// SampleEvery controls how often a Sample is recorded. Default (0):
-	// every tick.
+	// every 1 ms tick.
 	SampleEvery time.Duration
 	// ReportEvery overrides the tracker's own 12–13 ms report cadence
 	// with a fixed interval — the §6 "custom VRH-T with much higher
@@ -53,20 +53,20 @@ type RunOptions struct {
 	// empty schedule: no injection, no supervisor — bit-identical to the
 	// historical run loop.
 	Faults *fault.Schedule
-	// Recovery tunes the supervisor; the zero value means the documented
-	// defaults. Consulted only when Faults is armed — it tunes a layer
-	// Faults arms rather than arming anything itself, which is why it is
-	// a value, not a pointer arm.
+	// Recovery tunes the supervisor's restart jitter; the zero value
+	// means the documented default. Consulted only when Faults is armed —
+	// it tunes a layer Faults arms rather than arming anything itself,
+	// which is why it is a value, not a pointer arm.
 	//cyclops:contract-ok tuning sub-struct for the Faults-gated supervisor, not an opt-in feature arm; zero value = documented defaults
 	Recovery RecoveryOptions
 	// SolveGate, when non-nil, arms pose-delta solver gating: a tracking
 	// report whose pose has moved less than the gate's tolerance cone
-	// since the last accepted solve skips the full P iteration and lets
-	// the in-flight (or settled) mirror command stand. Default (nil):
-	// every report runs through P, bit-identical to the historical loop;
-	// arming it trades bounded extra pointing error (below the beam's
-	// own capture tolerance when the cone is set sanely) for skipped
-	// solves on near-static poses.
+	// (gateMaxTrans, gateMaxAngle) since the last accepted solve skips the
+	// full P iteration and lets the in-flight (or settled) mirror command
+	// stand. Default (nil): every report runs through P, bit-identical to
+	// the historical loop; arming it trades bounded extra pointing error
+	// (below the beam's own capture tolerance) for skipped solves on
+	// near-static poses.
 	SolveGate *SolveGateOptions
 	// Handover, when non-nil, arms make-before-break multi-TX recovery:
 	// standby ceiling transmitters are kept pre-pointed and the run
@@ -86,33 +86,24 @@ type RunOptions struct {
 	Hybrid *HybridOptions
 }
 
-// SolveGateOptions configure pose-delta solver gating
-// (RunOptions.SolveGate). Setting the pointer arms the gate — there is
-// no Enable bit, so "off" and "zeroed" cannot diverge; the zero value
-// of each threshold means "use the documented default".
-type SolveGateOptions struct {
-	// MaxTrans is the translation delta (meters) below which a report is
-	// considered inside the tolerance cone (default 0.5 mm — well under
-	// the millimeter-scale lateral capture tolerance of §5.4, so a
-	// skipped solve cannot by itself walk the beam off the aperture).
-	MaxTrans float64
-	// MaxAngle is the rotation delta (radians) below which a report is
-	// inside the cone (default 1 mrad, the same order as the solver's
-	// own voltage tolerance mapped through the mirror gain).
-	MaxAngle float64
-}
+// SolveGateOptions arm pose-delta solver gating (RunOptions.SolveGate).
+// Setting the pointer arms the gate; its tolerance cone is fixed.
+type SolveGateOptions struct{}
 
-func (o *SolveGateOptions) defaults() {
-	if o.MaxTrans <= 0 {
-		o.MaxTrans = 0.5e-3
-	}
-	if o.MaxAngle <= 0 {
-		o.MaxAngle = 1e-3
-	}
-}
+// The solve gate's tolerance cone.
+const (
+	// gateMaxTrans is the translation delta (meters) below which a report
+	// is inside the cone: 0.5 mm, well under the millimeter-scale lateral
+	// capture tolerance of §5.4, so a skipped solve cannot by itself walk
+	// the beam off the aperture.
+	gateMaxTrans = 0.5e-3
+	// gateMaxAngle is the rotation delta (radians) below which a report is
+	// inside the cone: 1 mrad, the same order as the solver's own voltage
+	// tolerance mapped through the mirror gain.
+	gateMaxAngle = 1e-3
+)
 
-// HandoverOptions configure the multi-TX recovery path. The zero value of
-// every duration/threshold field means "use the documented default".
+// HandoverOptions configure the multi-TX recovery path.
 type HandoverOptions struct {
 	// Standbys are the standby transmitter plants (handover.StandbysFor
 	// builds them); each shares the primary's RX assembly identity and
@@ -122,47 +113,12 @@ type HandoverOptions struct {
 	// schedule (nil entries mean a clear path). Must be empty or match
 	// len(Standbys); the primary path's schedule is RunOptions.Faults.
 	StandbyFaults []*fault.Schedule
-	// SwitchAfter is how long the active path must stay dark before the
-	// controller switches (default 1 ms — one slot of debounce).
-	SwitchAfter time.Duration
-	// FreshEvery is the standby pre-point refresh cadence (default 12 ms,
-	// the tracker's own report cadence).
-	FreshEvery time.Duration
-	// LOSHold is the SFP's LOS-assert window (Monitor.HoldOver): dark
-	// spells shorter than this do not unlock the transceiver, which is
-	// what lets a ~2 ms switch ride through without the re-lock penalty
-	// (default 5 ms).
-	LOSHold time.Duration
-	// FailbackAfter is how long the primary path must stay clear before a
-	// lit run switches back to it (default 500 ms).
-	FailbackAfter time.Duration
-	// BlockAttenDB is the injected attenuation at or above which a path
-	// counts as blocked for candidate selection (default 10 dB, the 25G
-	// budget's full margin — same constant the sim chaos model uses).
-	BlockAttenDB float64
-}
-
-func (o *HandoverOptions) defaults() {
-	if o.SwitchAfter <= 0 {
-		o.SwitchAfter = time.Millisecond
-	}
-	if o.FreshEvery <= 0 {
-		o.FreshEvery = 12 * time.Millisecond
-	}
-	if o.LOSHold <= 0 {
-		o.LOSHold = 5 * time.Millisecond
-	}
-	if o.FailbackAfter <= 0 {
-		o.FailbackAfter = 500 * time.Millisecond
-	}
-	if o.BlockAttenDB <= 0 {
-		o.BlockAttenDB = 10
-	}
 }
 
 // Validate reports whether the options are usable: Program must be set,
-// and durations must be non-negative (zero always means "default", never
-// "disable"). System.Run calls it before touching any state.
+// durations and RestartJitterV must be non-negative (zero always means
+// "default", never "disable"), and every fault schedule must be sorted
+// and well-formed. System.Run calls it before touching any state.
 func (o RunOptions) Validate() error {
 	if o.Program == nil {
 		return fmt.Errorf("core: invalid RunOptions: Program is nil")
@@ -170,35 +126,17 @@ func (o RunOptions) Validate() error {
 	if o.Duration < 0 {
 		return fmt.Errorf("core: invalid RunOptions: negative Duration %v", o.Duration)
 	}
-	if o.Tick < 0 {
-		return fmt.Errorf("core: invalid RunOptions: negative Tick %v", o.Tick)
-	}
 	if o.SampleEvery < 0 {
 		return fmt.Errorf("core: invalid RunOptions: negative SampleEvery %v", o.SampleEvery)
 	}
 	if o.ReportEvery < 0 {
 		return fmt.Errorf("core: invalid RunOptions: negative ReportEvery %v", o.ReportEvery)
 	}
-	if o.Faults != nil {
-		for i, w := range o.Faults.Windows {
-			if w.Start < 0 || w.End < w.Start {
-				return fmt.Errorf("core: invalid RunOptions: fault window %d malformed (%v-%v)",
-					i, w.Start, w.End)
-			}
-			// Schedule lookups stop at the first window that starts
-			// later, so an unsorted schedule would silently drop windows.
-			if i > 0 && w.Start < o.Faults.Windows[i-1].Start {
-				return fmt.Errorf("core: invalid RunOptions: fault window %d starts at %v, before window %d (%v): windows must be sorted by Start",
-					i, w.Start, i-1, o.Faults.Windows[i-1].Start)
-			}
-		}
+	if j := o.Recovery.RestartJitterV; !(j >= 0) || math.IsInf(j, 1) {
+		return fmt.Errorf("core: invalid RunOptions: Recovery.RestartJitterV %v must be finite and non-negative", j)
 	}
-	if g := o.SolveGate; g != nil {
-		if math.IsNaN(g.MaxTrans) || math.IsInf(g.MaxTrans, 0) || g.MaxTrans < 0 ||
-			math.IsNaN(g.MaxAngle) || math.IsInf(g.MaxAngle, 0) || g.MaxAngle < 0 {
-			return fmt.Errorf("core: invalid RunOptions: SolveGate thresholds (%v m, %v rad) must be finite and non-negative",
-				g.MaxTrans, g.MaxAngle)
-		}
+	if err := validateWindows(o.Faults); err != nil {
+		return fmt.Errorf("core: invalid RunOptions: %w", err)
 	}
 	if h := o.Handover; h != nil {
 		if len(h.Standbys) == 0 {
@@ -211,13 +149,30 @@ func (o RunOptions) Validate() error {
 			return fmt.Errorf("core: invalid RunOptions: %d StandbyFaults for %d standbys",
 				n, len(h.Standbys))
 		}
-		if h.SwitchAfter < 0 || h.FreshEvery < 0 || h.LOSHold < 0 || h.FailbackAfter < 0 {
-			return fmt.Errorf("core: invalid RunOptions: negative Handover duration")
+		for k, f := range h.StandbyFaults {
+			if err := validateWindows(f); err != nil {
+				return fmt.Errorf("core: invalid RunOptions: standby %d %w", k, err)
+			}
 		}
 	}
-	if o.Hybrid != nil {
-		if err := o.Hybrid.validate(); err != nil {
-			return err
+	return nil
+}
+
+// validateWindows rejects a malformed or unsorted fault schedule (nil is
+// the clear path).
+func validateWindows(s *fault.Schedule) error {
+	if s == nil {
+		return nil
+	}
+	for i, w := range s.Windows {
+		if w.Start < 0 || w.End < w.Start {
+			return fmt.Errorf("fault window %d malformed (%v-%v)", i, w.Start, w.End)
+		}
+		// Schedule lookups stop at the first window that starts later, so
+		// an unsorted schedule would silently drop windows.
+		if i > 0 && w.Start < s.Windows[i-1].Start {
+			return fmt.Errorf("fault window %d starts at %v, before window %d (%v): windows must be sorted by Start",
+				i, w.Start, i-1, s.Windows[i-1].Start)
 		}
 	}
 	return nil
@@ -241,7 +196,7 @@ type Sample struct {
 	// paper's 50 ms windows use.
 	LinSpeed, AngSpeed float64
 	// Degraded marks ticks the supervisor spent in the DEGRADED state
-	// (outage longer than RecoveryOptions.DegradeAfter): the run kept
+	// (outage longer than the supervisor's 500 ms degradeAfter): the run kept
 	// going, but traffic accounting was frozen and the sample should not
 	// count against alignment quality. Always false without fault
 	// injection.
@@ -320,10 +275,6 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	tick := opts.Tick
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
 	dur := opts.Duration
 	if dur <= 0 {
 		dur = opts.Program.Duration()
@@ -382,7 +333,7 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	var ho *hoState
 	if opts.Handover != nil {
 		ho = newHoState(s, opts.Handover, opts.Faults)
-		mon.HoldOver = ho.opts.LOSHold
+		mon.HoldOver = losHold
 		sup.ArmHandover(reg)
 		primary := s.Plant
 		prevStandbyMetrics := make([]*link.PlantMetrics, len(opts.Handover.Standbys))
@@ -399,13 +350,12 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 		}()
 	}
 
-	// Hybrid FSO + mmWave policy: the secondary link joins the run with
-	// its instruments registered here (restored after, like the plant's),
-	// and the policy controller records under the cyclops_policy_* names.
+	// Hybrid FSO + mmWave policy: a fresh secondary link joins the run
+	// with its instruments registered here, and the policy controller
+	// records under the cyclops_policy_* names.
 	var hy *hyState
 	if opts.Hybrid != nil {
-		hy = newHyState(opts.Hybrid, reg)
-		defer func() { hy.sec.Metrics = hy.prevSecMetrics }()
+		hy = newHyState(reg)
 	}
 
 	// Initial state: align at the program's first pose. Under fault
@@ -422,16 +372,9 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	}
 	// The TX model does not depend on the headset pose: compile it once
 	// and every P solve of the run reuses the precomputed form.
-	var gate SolveGateOptions
-	if opts.SolveGate != nil {
-		gate = *opts.SolveGate
-		gate.defaults()
-	}
 	l := &runLoop{
 		s:           s,
 		opts:        opts,
-		tick:        tick,
-		gate:        gate,
 		gateOn:      opts.SolveGate != nil,
 		sampleEvery: sampleEvery,
 		rm:          rm,
@@ -509,7 +452,6 @@ const speedWindow = 50 * time.Millisecond
 type runLoop struct {
 	s           *System
 	opts        RunOptions
-	tick        time.Duration
 	sampleEvery time.Duration
 
 	rm     runMetrics
@@ -545,11 +487,9 @@ type runLoop struct {
 	nextSample time.Duration
 
 	// Pose-delta solver gating (RunOptions.SolveGate): gateOn mirrors
-	// the arm's non-nil-ness; gate is the defaulted copy. solvedPose is
-	// the pose of the last accepted solve, valid while haveSolvedPose. A
-	// report inside the gate's tolerance cone of solvedPose skips the P
-	// iteration.
-	gate           SolveGateOptions
+	// the arm's non-nil-ness. solvedPose is the pose of the last accepted
+	// solve, valid while haveSolvedPose. A report inside the gate's
+	// tolerance cone of solvedPose skips the P iteration.
 	gateOn         bool
 	solvedPose     geom.Pose
 	haveSolvedPose bool
@@ -695,7 +635,7 @@ func (l *runLoop) step(at time.Duration) {
 			// and backoff cases above, so recovery is never starved.
 			if l.gateOn && l.haveSolvedPose {
 				lin, ang := rep.Pose.Delta(l.solvedPose)
-				if lin <= l.gate.MaxTrans && ang <= l.gate.MaxAngle {
+				if lin <= gateMaxTrans && ang <= gateMaxAngle {
 					l.rm.reports.Inc()
 					l.rm.solvesSkipped.Inc()
 					l.res.SolvesSkipped++
@@ -770,7 +710,7 @@ func (l *runLoop) step(at time.Duration) {
 	}
 	degraded := false
 	if l.sup != nil {
-		l.sup.Observe(at, l.tick, up, powerOK)
+		l.sup.Observe(at, tick, up, powerOK)
 		degraded = l.sup.State() == SupDegraded
 		if degraded {
 			l.res.DegradedTicks++
@@ -784,9 +724,9 @@ func (l *runLoop) step(at time.Duration) {
 		// Graceful degradation: the stream's clock advances but
 		// accounting freezes — a long outage is marked, not billed
 		// as measured zero-throughput windows.
-		l.stream.FreezeTick(at, l.tick)
+		l.stream.FreezeTick(at, tick)
 	} else {
-		l.stream.Tick(at, l.tick, up, l.s.Plant.Config.Transceiver.OptimalGoodputGbps)
+		l.stream.Tick(at, tick, up, l.s.Plant.Config.Transceiver.OptimalGoodputGbps)
 	}
 
 	if at >= l.nextSample {

@@ -21,7 +21,7 @@ const (
 	// SupReacquiring: the link is down; the supervisor is driving
 	// recovery (backoff'd solves, jittered restarts, spiral scan).
 	SupReacquiring
-	// SupDegraded: the outage has outlasted DegradeAfter; the run keeps
+	// SupDegraded: the outage has outlasted degradeAfter; the run keeps
 	// going with samples marked Degraded and traffic accounting frozen.
 	SupDegraded
 	// SupHandover: the active TX path went dark and a pre-pointed standby
@@ -50,64 +50,40 @@ func (s SupState) String() string {
 	return fmt.Sprintf("core.SupState(%d)", uint8(s))
 }
 
-// RecoveryOptions tunes the supervisor. The zero value of every field
-// means "use the documented default".
+// RecoveryOptions tunes the supervisor.
 type RecoveryOptions struct {
-	// BackoffBase is the first retry delay after a failed solve
-	// (default 10 ms — skip at most one report).
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff growth (default 160 ms).
-	BackoffMax time.Duration
-	// JitterFrac spreads each backoff uniformly by ±JitterFrac around
-	// its nominal value, drawn from the supervisor's own seeded stream
-	// (default 0.25).
-	JitterFrac float64
 	// RestartJitterV is the 1-σ voltage perturbation applied per
 	// consecutive failure when restarting a solve from the last-good
-	// voltages (default 0.02 V) — the jittered-restart escape from a
-	// stuck fixed point.
+	// voltages (default 0: 0.02 V) — the jittered-restart escape from a
+	// stuck fixed point. RunOptions.Validate rejects a negative or
+	// non-finite value.
 	RestartJitterV float64
-	// SpiralAfter is the consecutive-failure count that abandons warm
-	// restarts for the spiral scan (default 3).
-	SpiralAfter int
-	// SpiralStepV scales the spiral radius: attempt n sits at
-	// SpiralStepV·√(n+1) volts from the last-good voltages (default
-	// 0.04 V).
-	SpiralStepV float64
-	// SpiralEvery paces spiral commands (default 10 ms, roughly one
-	// mirror settle per probe).
-	SpiralEvery time.Duration
-	// DegradeAfter is the continuous downtime that flips REACQUIRING to
-	// DEGRADED (default 500 ms — ten 50 ms throughput windows lost).
-	DegradeAfter time.Duration
 }
 
-func (o *RecoveryOptions) defaults() {
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 10 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 160 * time.Millisecond
-	}
-	if o.JitterFrac <= 0 {
-		o.JitterFrac = 0.25
-	}
-	if o.RestartJitterV <= 0 {
-		o.RestartJitterV = 0.02
-	}
-	if o.SpiralAfter <= 0 {
-		o.SpiralAfter = 3
-	}
-	if o.SpiralStepV <= 0 {
-		o.SpiralStepV = 0.04
-	}
-	if o.SpiralEvery <= 0 {
-		o.SpiralEvery = 10 * time.Millisecond
-	}
-	if o.DegradeAfter <= 0 {
-		o.DegradeAfter = 500 * time.Millisecond
-	}
-}
+// The supervisor's fixed recovery timing, scaled to the hardware's 1–2 ms
+// realignment and the tracker's 12–13 ms report cadence.
+const (
+	// backoffBase is the first retry delay after a failed solve: skip at
+	// most one report.
+	backoffBase = 10 * time.Millisecond
+	// backoffMax caps the exponential backoff growth.
+	backoffMax = 160 * time.Millisecond
+	// jitterFrac spreads each backoff uniformly by ±jitterFrac around its
+	// nominal value, drawn from the supervisor's own seeded stream.
+	jitterFrac = 0.25
+	// spiralAfter is the consecutive-failure count that abandons warm
+	// restarts for the spiral scan.
+	spiralAfter = 3
+	// spiralStepV scales the spiral radius: probe n sits at
+	// spiralStepV·√(n+1) volts from the last-good voltages.
+	spiralStepV = 0.04
+	// spiralEvery paces spiral commands, roughly one mirror settle per
+	// probe.
+	spiralEvery = 10 * time.Millisecond
+	// degradeAfter is the continuous downtime that flips REACQUIRING to
+	// DEGRADED: ten 50 ms throughput windows lost.
+	degradeAfter = 500 * time.Millisecond
+)
 
 // goldenAngle spreads successive spiral probes maximally apart.
 const goldenAngle = 2.399963229728653
@@ -117,7 +93,7 @@ const goldenAngle = 2.399963229728653
 // REACQUIRING while it drives solve retries (exponential backoff with
 // seeded jitter) and, when solves keep failing, a deterministic spiral
 // scan around the last-good voltages; DEGRADED once the outage outlasts
-// DegradeAfter — the run never aborts, it marks samples and freezes
+// degradeAfter — the run never aborts, it marks samples and freezes
 // traffic accounting until the link returns.
 //
 // All randomness (backoff jitter, restart perturbations) comes from the
@@ -125,8 +101,8 @@ const goldenAngle = 2.399963229728653
 // activity never perturbs the tracker/galvo noise streams and the whole
 // faulted run stays bit-reproducible.
 type Supervisor struct {
-	opts RecoveryOptions
-	rng  *xrand.Rand
+	restartJitterV float64
+	rng            *xrand.Rand
 
 	state      SupState
 	timeIn     [numSupStates]time.Duration
@@ -158,13 +134,16 @@ type Supervisor struct {
 // recording). The seed drives the backoff-jitter and restart-perturbation
 // stream only.
 func NewSupervisor(opts RecoveryOptions, seed int64, reg *obs.Registry) *Supervisor {
-	opts.defaults()
+	j := opts.RestartJitterV
+	if j == 0 {
+		j = 0.02
+	}
 	return &Supervisor{
-		opts:  opts,
-		rng:   xrand.New(seed),
-		state: SupTracking,
-		om:    fault.NewOutageMetrics(reg),
-		sm:    newSupervisorMetrics(reg),
+		restartJitterV: j,
+		rng:            xrand.New(seed),
+		state:          SupTracking,
+		om:             fault.NewOutageMetrics(reg),
+		sm:             newSupervisorMetrics(reg),
 	}
 }
 
@@ -247,7 +226,7 @@ func (s *Supervisor) Reacquired() int { return s.reacquired }
 // signal. It advances the state timers and runs every state transition:
 // up→down opens an outage (→ REACQUIRING), down→up closes it with a
 // reacquire-time observation (→ TRACKING), and a down stretch longer than
-// DegradeAfter sinks to DEGRADED.
+// degradeAfter sinks to DEGRADED.
 func (s *Supervisor) Observe(at, tick time.Duration, up, powerOK bool) {
 	s.timeIn[s.state] += tick
 	// HANDOVER resolves on the optical signal, not the SFP state: the
@@ -272,7 +251,7 @@ func (s *Supervisor) Observe(at, tick time.Duration, up, powerOK bool) {
 		s.state = SupTracking
 		s.resetRecovery()
 	case s.down:
-		if s.state == SupReacquiring && at-s.downSince >= s.opts.DegradeAfter {
+		if s.state == SupReacquiring && at-s.downSince >= degradeAfter {
 			s.state = SupDegraded
 		}
 	case !up:
@@ -317,7 +296,7 @@ func (s *Supervisor) StartVoltages(warm pointing.Voltages) pointing.Voltages {
 	if s.haveGood {
 		base = s.lastGood
 	}
-	j := s.opts.RestartJitterV * float64(s.consecFails)
+	j := s.restartJitterV * float64(s.consecFails)
 	base.TX1 += s.rng.NormFloat64() * j
 	base.TX2 += s.rng.NormFloat64() * j
 	base.RX1 += s.rng.NormFloat64() * j
@@ -338,14 +317,14 @@ func (s *Supervisor) SolveOK(v pointing.Voltages) {
 // exponential backoff and seeded jitter.
 func (s *Supervisor) SolveFailed(at time.Duration) {
 	s.consecFails++
-	backoff := s.opts.BackoffBase
-	for i := 1; i < s.consecFails && backoff < s.opts.BackoffMax; i++ {
+	backoff := backoffBase
+	for i := 1; i < s.consecFails && backoff < backoffMax; i++ {
 		backoff *= 2
 	}
-	if backoff > s.opts.BackoffMax {
-		backoff = s.opts.BackoffMax
+	if backoff > backoffMax {
+		backoff = backoffMax
 	}
-	jitter := 1 + s.opts.JitterFrac*(2*s.rng.Float64()-1)
+	jitter := 1 + jitterFrac*(2*s.rng.Float64()-1)
 	s.retryAt = at + time.Duration(float64(backoff)*jitter)
 	if s.spiralN == 0 {
 		s.spiralNextAt = at // first spiral probe may fire immediately
@@ -353,14 +332,14 @@ func (s *Supervisor) SolveFailed(at time.Duration) {
 }
 
 // SpiralDue reports whether a spiral-scan command should be issued now:
-// solves have failed SpiralAfter times in a row and the per-probe pacing
+// solves have failed spiralAfter times in a row and the per-probe pacing
 // interval has elapsed.
 func (s *Supervisor) SpiralDue(at time.Duration) bool {
-	return s.consecFails >= s.opts.SpiralAfter && at >= s.spiralNextAt
+	return s.consecFails >= spiralAfter && at >= s.spiralNextAt
 }
 
 // SpiralNext returns the next spiral-scan voltages: probe n sits at
-// radius SpiralStepV·√(n+1) and angle n·goldenAngle around the last-good
+// radius spiralStepV·√(n+1) and angle n·goldenAngle around the last-good
 // voltages (or the caller's fallback when no solve ever succeeded). The
 // TX and RX pairs take mirrored angular offsets so the two ends do not
 // chase each other along the same direction.
@@ -371,11 +350,11 @@ func (s *Supervisor) SpiralNext(at time.Duration, fallback pointing.Voltages) po
 	}
 	n := s.spiralN
 	s.spiralN++
-	s.spiralNextAt = at + s.opts.SpiralEvery
+	s.spiralNextAt = at + spiralEvery
 	if s.sm != nil {
 		s.sm.spiral.Inc()
 	}
-	r := s.opts.SpiralStepV * math.Sqrt(float64(n+1))
+	r := spiralStepV * math.Sqrt(float64(n+1))
 	th := float64(n) * goldenAngle
 	dv1, dv2 := r*math.Cos(th), r*math.Sin(th)
 	return pointing.Voltages{

@@ -11,7 +11,7 @@ import (
 const tickMs = time.Millisecond
 
 // The supervisor's transition table: TRACKING → REACQUIRING on link loss,
-// REACQUIRING → DEGRADED after DegradeAfter of continuous downtime, and
+// REACQUIRING → DEGRADED after degradeAfter of continuous downtime, and
 // any down state → TRACKING the moment the monitor reports up.
 func TestSupervisorStateTransitions(t *testing.T) {
 	cases := []struct {
@@ -187,7 +187,7 @@ func TestSupervisorOutageAccounting(t *testing.T) {
 }
 
 // Backoff grows exponentially (with bounded jitter) and resets on success;
-// the spiral arms after SpiralAfter consecutive failures.
+// the spiral arms after spiralAfter consecutive failures.
 func TestSupervisorBackoffAndSpiral(t *testing.T) {
 	s := NewSupervisor(RecoveryOptions{}, 1, nil)
 	if !s.AllowSolve(0) {

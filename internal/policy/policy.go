@@ -87,7 +87,7 @@ type Options struct {
 	BreachAfter time.Duration
 	// ClearAfter is how long the primary must stay continuously healthy
 	// (re-locked and inside margin) before the controller re-admits it
-	// (default 500 ms, matching HandoverOptions.FailbackAfter). This is
+	// (default 500 ms, matching core.Run's handover failback). This is
 	// also the minimum completed SECONDARY dwell — the no-flap floor.
 	ClearAfter time.Duration
 }

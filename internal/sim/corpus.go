@@ -186,6 +186,24 @@ func (o *CorpusOptions) Validate() error {
 		if err := c.Params.validate("CorpusChaos.Params"); err != nil {
 			return err
 		}
+		// The arms are checked read-only: their defaults are applied per
+		// trace, never written back through the caller's pointers.
+		if h := c.Hybrid; h != nil {
+			if err := h.Policy.Validate(); err != nil {
+				return fmt.Errorf("sim: CorpusChaos.Hybrid.Policy: %w", err)
+			}
+			if err := h.Secondary.validate("CorpusChaos.Hybrid.Secondary"); err != nil {
+				return err
+			}
+			if g := h.PrimaryGoodputGbps; !(g >= 0) || math.IsInf(g, 1) {
+				return fmt.Errorf("sim: CorpusChaos.Hybrid.PrimaryGoodputGbps %v is not a finite non-negative value", g)
+			}
+		}
+		if m := c.MmWaveOnly; m != nil {
+			if err := m.validate("CorpusChaos.MmWaveOnly"); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -228,6 +246,22 @@ func (p ChaosParams) validate(name string) error {
 	}
 	if !(p.StandbyBlockProb >= 0 && p.StandbyBlockProb <= 1) {
 		return fmt.Errorf("sim: %s.StandbyBlockProb %v is outside [0, 1]", name, p.StandbyBlockProb)
+	}
+	return nil
+}
+
+// validate rejects mmWave slot constants the engine would misread: a NaN
+// or negative rate or blocking depth, or a negative recovery tail. The
+// zero value stays valid (the arms default it to PaperMmWave).
+func (p MmWaveSlotParams) validate(name string) error {
+	if !(p.PeakGoodputGbps >= 0) || math.IsInf(p.PeakGoodputGbps, 1) {
+		return fmt.Errorf("sim: %s.PeakGoodputGbps %v is not a finite non-negative value", name, p.PeakGoodputGbps)
+	}
+	if !(p.BlockAttenDB >= 0) || math.IsInf(p.BlockAttenDB, 1) {
+		return fmt.Errorf("sim: %s.BlockAttenDB %v is not a finite non-negative value", name, p.BlockAttenDB)
+	}
+	if p.Recovery < 0 {
+		return fmt.Errorf("sim: %s: negative Recovery %v", name, p.Recovery)
 	}
 	return nil
 }

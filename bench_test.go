@@ -61,6 +61,21 @@ func BenchmarkTable2CalibrationError(b *testing.B) {
 	b.Log("\n" + r.Render())
 }
 
+// BenchmarkCalibrate is one full two-stage calibration of the chosen 10G
+// design at seed 1: both K-space grids, the ≈30 aligned tuples' alignment
+// searches, the mapping fit and its evaluation. It is closed-loop's
+// setup, and make bench-hotpath records it as calibrate_ns_per_op.
+func BenchmarkCalibrate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := NewSystem(Link10G, 1)
+		sys.Obs = obs.NewRegistry()
+		if _, err := sys.Calibrate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTPLatency runs the §5.2 TP evaluation (cadence, stationary
 // noise, latency, lock tests).
 func BenchmarkTPLatency(b *testing.B) {

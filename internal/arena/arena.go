@@ -115,7 +115,10 @@ type Options struct {
 	MaxCells int
 }
 
-// Validate fills defaults and rejects impossible configurations.
+// Validate fills defaults and rejects impossible configurations: a
+// non-finite or negative number, a non-positive Users or Density, and
+// slot-model Params the engine would misread (sim.ChaosParams.Validate;
+// a NaN tolerance would read as 100 % availability).
 func (o *Options) Validate() error {
 	if o.Users <= 0 {
 		return errors.New("arena: Users must be positive")
@@ -129,12 +132,21 @@ func (o *Options) Validate() error {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("arena: %s %v is not finite", f.name, f.v)
 		}
+		if f.v < 0 {
+			return fmt.Errorf("arena: %s %v is negative", f.name, f.v)
+		}
 	}
 	if o.Density <= 0 {
 		return errors.New("arena: Density must be positive")
 	}
+	if o.TraceLen < 0 {
+		return errors.New("arena: negative TraceLen")
+	}
 	if o.UsersPerTX < 0 {
 		return errors.New("arena: negative UsersPerTX")
+	}
+	if err := o.Params.Validate(); err != nil {
+		return fmt.Errorf("arena: Params: %w", err)
 	}
 	if o.MaxCells < 0 {
 		return errors.New("arena: negative MaxCells")

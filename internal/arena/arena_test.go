@@ -321,6 +321,12 @@ func TestOptionsValidate(t *testing.T) {
 		{Users: 10, Density: 0.5, BackhaulGbps: math.Inf(1)},
 		{Users: 10, Density: 0.5, LinkGoodputGbps: math.NaN()},
 		{Users: 10, Density: 0.5, LinkGoodputGbps: math.Inf(1)},
+		{Users: 10, Density: 0.5, Pitch: -2},
+		{Users: 10, Density: 0.5, BackhaulGbps: -100},
+		{Users: 10, Density: 0.5, TraceLen: -time.Second},
+		{Users: 10, Density: 0.5, Params: sim.ChaosParams{AvailabilityParams: sim.AvailabilityParams{LateralTolerance: math.NaN()}}},
+		{Users: 10, Density: 0.5, Params: sim.ChaosParams{StandbyBlockProb: 2}},
+		{Users: 10, Density: 0.5, Params: sim.ChaosParams{Relock: -time.Second}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
@@ -464,4 +470,57 @@ func runCellPerSlot(l Layout, opts Options, c int) Aggregate {
 
 	agg.Metrics = reg.Snapshot()
 	return agg
+}
+
+// FuzzArenaOptionsValidate: Validate never panics, rejects every NaN
+// field (the slot-model Params included), and what it accepts is a
+// finite, non-negative configuration with every default installed, which
+// a second Validate leaves as it is.
+func FuzzArenaOptionsValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, users int, density, pitch, backhaul, goodput float64, usersPerTX int, traceLen int64,
+		maxCells, nextCell int, latTol, angTol, tpLat, tpAng float64, slot, realign int64,
+		blockDB float64, relock, dark int64, standby float64, txCount int) {
+		o := Options{
+			Users: users, Density: density, Pitch: pitch, BackhaulGbps: backhaul, LinkGoodputGbps: goodput,
+			UsersPerTX: usersPerTX, TraceLen: time.Duration(traceLen), MaxCells: maxCells,
+			Resume: Checkpoint{NextCell: nextCell},
+			Params: sim.ChaosParams{
+				AvailabilityParams: sim.AvailabilityParams{
+					Slot: time.Duration(slot), RealignLatency: time.Duration(realign),
+					LateralTolerance: latTol, AngularTolerance: angTol, TPLateralError: tpLat, TPAngularError: tpAng,
+				},
+				BlockAttenDB: blockDB, Relock: time.Duration(relock), HandoverDark: time.Duration(dark),
+				StandbyBlockProb: standby, TXCount: txCount,
+			},
+		}
+		err := o.Validate()
+		for _, v := range []float64{density, pitch, backhaul, goodput, latTol, angTol, tpLat, tpAng, blockDB, standby} {
+			if math.IsNaN(v) && err == nil {
+				t.Fatalf("Validate accepted a NaN field: %+v", o)
+			}
+		}
+		if err != nil {
+			return
+		}
+		p := o.Params
+		for _, v := range []float64{o.Density, o.Pitch, o.BackhaulGbps, o.LinkGoodputGbps} {
+			if !(v > 0) || math.IsInf(v, 1) {
+				t.Fatalf("Validate accepted or defaulted to %v: %+v", v, o)
+			}
+		}
+		for _, v := range []float64{p.LateralTolerance, p.AngularTolerance, p.TPLateralError, p.TPAngularError, p.StandbyBlockProb} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				t.Fatalf("Validate accepted slot-model value %v: %+v", v, p)
+			}
+		}
+		if o.Users <= 0 || o.UsersPerTX <= 0 || o.TraceLen <= 0 || o.MaxCells < 0 || o.Resume.NextCell < 0 ||
+			p.Slot < 0 || p.RealignLatency < 0 || p.Relock < 0 || p.HandoverDark < 0 || p.StandbyBlockProb > 1 ||
+			math.IsInf(p.BlockAttenDB, 0) {
+			t.Fatalf("Validate accepted %+v", o)
+		}
+		again := o
+		if err := again.Validate(); err != nil || !reflect.DeepEqual(again, o) {
+			t.Fatalf("a second Validate changed accepted options: %v\n%+v\n%+v", err, o, again)
+		}
+	})
 }

@@ -74,18 +74,19 @@ func (s *System) Calibrate() (CalibrationReport, error) {
 	rng := xrand.New(s.seed + 2)
 
 	// Same registry resolution as Run: System.Obs or a private registry
-	// whose contribution is published to the process default. Plant power
-	// reads during tuple collection land here too.
+	// whose contribution is published to the process default. The
+	// alignment search's photodiode reads during tuple collection land
+	// here too.
 	reg := s.Obs
 	publish := reg == nil
 	if publish {
 		reg = obs.NewRegistry()
 	}
 	startSnap := reg.Snapshot()
-	prevPlantMetrics := s.Plant.Metrics
-	s.Plant.Metrics = link.NewPlantMetrics(reg)
+	prevAlignMetrics := s.Plant.AlignMetrics
+	s.Plant.AlignMetrics = link.NewAlignMetrics(reg)
 	defer func() {
-		s.Plant.Metrics = prevPlantMetrics
+		s.Plant.AlignMetrics = prevAlignMetrics
 		if publish {
 			obs.Default().Merge(reg.Snapshot().Diff(startSnap))
 		}

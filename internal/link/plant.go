@@ -37,9 +37,13 @@ type Plant struct {
 	rxMount geom.Pose
 
 	// Metrics, when non-nil, receives a received-power observation on
-	// every radiometry read. core.Run and core.Calibrate attach a
-	// per-run/per-calibration instrument set here and detach it after.
+	// every ReceivedPowerDBm read. core.Run attaches a per-run instrument
+	// set here and detaches it after.
 	Metrics *PlantMetrics
+	// AlignMetrics, when non-nil, counts the alignment search's
+	// photodiode reads, which PlantMetrics does not see. core.Calibrate
+	// attaches it for the calibration and detaches it after.
+	AlignMetrics *AlignMetrics
 
 	// attenDB is extra path attenuation applied to every radiometry
 	// read — the injection surface for occlusion faults. The plant does
@@ -256,7 +260,7 @@ func (p *Plant) AttenuationDB() float64 { return p.attenDB }
 // Geometric failure (a beam steered outside its own assembly) reads as no
 // light.
 //
-//cyclops:hotpath read once per core.Run tick and per alignment-search probe; zero-alloc contract (nil Metrics) pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
+//cyclops:hotpath read once per core.Run tick; zero-alloc contract (nil Metrics) pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
 func (p *Plant) ReceivedPowerDBm() float64 {
 	m, err := p.Misalignment()
 	if err != nil {

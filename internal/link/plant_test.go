@@ -170,9 +170,8 @@ func TestAlignSearchFindsSignal(t *testing.T) {
 
 func TestAlignSearchFailsWithNoSignal(t *testing.T) {
 	p := NewPlant(optics.Diverging10G16mm, 8)
-	// Start absurdly far from alignment with a tiny window: no light.
-	_, _, err := p.AlignSearch(pointing.Voltages{TX1: 9, TX2: 9, RX1: -9, RX2: -9},
-		AlignOptions{CoarseSpan: 0.05, CoarseStep: 0.02})
+	// Start absurdly far from alignment: no light anywhere in the window.
+	_, _, err := p.AlignSearch(pointing.Voltages{TX1: 9, TX2: 9, RX1: -9, RX2: -9})
 	if err == nil {
 		t.Error("expected alignment failure far from signal")
 	}

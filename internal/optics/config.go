@@ -136,15 +136,54 @@ type Misalignment struct {
 //
 //cyclops:hotpath the radiometry behind every received-power read of core.Run and the alignment search; zero-alloc contract pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
 func (c LinkConfig) ReceivedPowerDBm(m Misalignment) float64 {
+	geo := CaptureFraction(c.beamRadius(m), c.ApertureRadius, m.LateralOffset)
+	return c.budgetDBm(FractionToDB(geo), m)
+}
+
+// ReceivedPowerAtMost reports whether ReceivedPowerDBm(m) - attenDB is
+// certainly at most floor, judged from upper bounds on the capture
+// fraction without evaluating CaptureFraction. False means undecided, not
+// above floor. The first tier assumes the aperture catches the whole beam;
+// the second, for an aperture clear of the beam axis, takes
+// captureEnvelope less captureLogMarginDB of Log10 rounding. DESIGN §8
+// proves both never below the exact read after rounding.
+//
+//cyclops:hotpath one call per coarse probe of the §4.2 alignment search; zero-alloc contract pinned by TestReceivedPowerAtMostZeroAllocs and make alloc-check
+func (c LinkConfig) ReceivedPowerAtMost(m Misalignment, attenDB, floor float64) bool {
+	if c.budgetDBm(0, m)-attenDB <= floor {
+		return true
+	}
+	if !(math.Abs(m.LateralOffset) > c.ApertureRadius) {
+		return false
+	}
+	env := captureEnvelope(c.beamRadius(m), c.ApertureRadius, m.LateralOffset)
+	return c.budgetDBm(FractionToDB(env)-captureLogMarginDB, m)-attenDB <= floor
+}
+
+// captureLogMarginDB is subtracted from the envelope's geometric loss
+// before the budget: it covers Log10's rounding, whose error is below
+// 1e-11 dB of loss for any positive fraction, so the envelope's loss never
+// exceeds the exact one where the envelope is the larger fraction.
+const captureLogMarginDB = 1e-9
+
+// beamRadius is the beam's 1/e² radius at the receiver for m, the
+// nominal range standing in for a non-positive one.
+func (c *LinkConfig) beamRadius(m Misalignment) float64 {
 	r := m.Range
 	if r <= 0 {
 		r = c.NominalRange
 	}
-	w := c.Beam().RadiusAt(r)
-	geo := CaptureFraction(w, c.ApertureRadius, m.LateralOffset)
+	return c.Beam().RadiusAt(r)
+}
+
+// budgetDBm is the link budget for m given its geometric capture loss in
+// dB: the one expression behind both the exact read and its bounds. It is
+// non-increasing in geoLossDB after rounding, since it only adds and
+// subtracts it.
+func (c *LinkConfig) budgetDBm(geoLossDB float64, m Misalignment) float64 {
 	ang := AngleCouplingFraction(m.IncidenceMismatch, c.AngularAcceptance())
 	p := c.Transceiver.TxPowerDBm + c.Amp.GainDB - c.InsertionLossDB()
-	p -= FractionToDB(geo) + FractionToDB(ang)
+	p -= geoLossDB + FractionToDB(ang)
 	if c.LateralAcceptance > 0 {
 		lat := m.LateralOffset / c.LateralAcceptance
 		p -= FractionToDB(math.Exp(-2 * lat * lat))

@@ -101,7 +101,7 @@ func gaussLegendre() (x, wt [captureGLN]float64) {
 // gives 0; every other input gives a result in [0, 1]. FuzzCaptureFraction
 // pins the contract.
 //
-//cyclops:hotpath one call per received-power read: every 1 ms tick of core.Run and every probe of the §4.2 alignment search; zero-alloc contract pinned by TestCaptureFractionZeroAllocs and make alloc-check
+//cyclops:hotpath one call per exact received-power read: every 1 ms tick of core.Run and every alignment-search probe no bound settles; zero-alloc contract pinned by TestCaptureFractionZeroAllocs and make alloc-check
 func CaptureFraction(w, a, dist float64) float64 {
 	d := math.Abs(dist)
 	switch {
@@ -139,20 +139,59 @@ func CaptureFraction(w, a, dist float64) float64 {
 			f = 4 * s * math.Exp(-2*(s*s+delta*delta)) * series
 		} else {
 			// I₀e(x) ≈ Σ/sqrt(2πx), so 4s·I₀e(x) = sqrt(2s/(πδ))·Σ, and
-			// s/δ = 1+u/δ stays finite when δ overflows. The terms turn
-			// to grow near k = 2x; at x = 20 they are below 1e-17 by
-			// k = 27, so the cap only bounds the loop.
-			term, series := 1.0, 1.0
-			for k := 1; k < 32 && term > 1e-17; k++ {
-				term *= float64((2*k-1)*(2*k-1)) / (8 * float64(k) * x)
-				series += term
-			}
-			f = math.Exp(-2*u*u) * math.Sqrt(2/math.Pi*(1+u/delta)) * series
+			// s/δ = 1+u/δ stays finite when δ overflows.
+			f = math.Exp(-2*u*u) * math.Sqrt(2/math.Pi*(1+u/delta)) * asymptoticI0eSeries(x)
 		}
 		sum += captureWeights[i] * f
 	}
 	return min(max(half*sum, 0), 1)
 }
+
+// asymptoticI0eSeries is Σ of I₀e(x) ≈ Σ/sqrt(2πx) for x ≥ 20. The
+// terms turn to grow near k = 2x; at x = 20 they are below 1e-17 by
+// k = 27, so the cap only bounds the loop. Every term falls as x grows, so
+// no x ≥ 20 yields more than asymptoticI0eSeries(20) after rounding.
+func asymptoticI0eSeries(x float64) float64 {
+	term, series := 1.0, 1.0
+	for k := 1; k < 32 && term > 1e-17; k++ {
+		term *= float64((2*k-1)*(2*k-1)) / (8 * float64(k) * x)
+		series += term
+	}
+	return series
+}
+
+// captureEnvelope returns an upper bound on CaptureFraction(w, a, dist)
+// for an aperture that does not contain the beam axis, |dist| > a, with
+// w and a finite and positive; elsewhere it returns 1. The computed
+// kernel's window is [lo, hi] with hi = (a-|dist|)/w < 0, so every node
+// has exp(-2u²) ≤ exp(-2hi²), and its radial factor 4s·I₀e(4δs) is at most
+// 4a/w below x = 20 and sqrt(2/π)·Σ(20) above. The window length times
+// the larger factor times exp(-2hi²) bounds the rule's sum; captureEnvSlack
+// absorbs the kernel's rounding (DESIGN §8). FuzzCaptureFractionEnvelope
+// pins envelope ≥ kernel.
+func captureEnvelope(w, a, dist float64) float64 {
+	d := math.Abs(dist)
+	if !(w > 0 && a > 0 && d > a) || math.IsInf(w, 1) || math.IsInf(d, 1) {
+		return 1
+	}
+	// lo and hi exactly as CaptureFraction forms them; hi < 0 here.
+	delta := d / w
+	lo := math.Max(-delta, -captureWindow)
+	hi := (a - d) / w
+	if !(hi > lo) {
+		return 0 // CaptureFraction's empty window
+	}
+	peak := max(4*a/w+1e-12, captureAsymPeak)
+	return (hi - lo) * peak * math.Exp(-2*hi*hi) * captureEnvSlack
+}
+
+// captureAsymPeak bounds the kernel's x ≥ 20 integrand factor
+// sqrt(2/π·(1+u/δ))·Σ, with u ≤ 0, and captureEnvSlack is the relative
+// allowance for the kernel's rounding, orders of magnitude above the
+// ≈1e-12 the proof in DESIGN §8 needs.
+var captureAsymPeak = math.Sqrt(2/math.Pi) * asymptoticI0eSeries(20)
+
+const captureEnvSlack = 1 + 1e-9
 
 // CaptureFractionCentered is the closed form of CaptureFraction for a
 // centered aperture: 1 - exp(-2a²/w²). CaptureFraction returns it for a

@@ -64,13 +64,21 @@ func (o *GPrimeOptions) defaults() {
 // default", but a NaN or ±Inf Tol compares false against every step
 // magnitude, which would silently disable (or trivially satisfy) the
 // convergence test and burn MaxIter evaluations per solve; a negative
-// Tol is a contradiction, not a default request. The solvers call this
-// at the door, so a poisoned tolerance fails fast instead of shaping
-// every subsequent solve.
+// Tol is a contradiction, not a default request. Epsilon, MaxStep and
+// VoltLimit obey the same rule (a NaN would slip past their `<= 0`
+// defaulting into every probe and step), and MaxIter must not be
+// negative. The solvers call this at the door, so a poisoned option
+// fails fast instead of shaping every subsequent solve.
 func (o GPrimeOptions) Validate() error {
 	if !finite(o.Tol) || o.Tol < 0 {
 		//cyclops:alloc-ok cold validation failure: formats the poisoned Tol once, then the run aborts
 		return fmt.Errorf("pointing: invalid GPrimeOptions: Tol %v (want a finite, non-negative voltage step; 0 means default)", o.Tol)
+	}
+	if !finite(o.Epsilon) || o.Epsilon < 0 || !finite(o.MaxStep) || o.MaxStep < 0 ||
+		!finite(o.VoltLimit) || o.VoltLimit < 0 || o.MaxIter < 0 {
+		//cyclops:alloc-ok cold validation failure: formats the poisoned options once, then the run aborts
+		return fmt.Errorf("pointing: invalid GPrimeOptions: Epsilon %v, MaxStep %v, VoltLimit %v, MaxIter %d (want finite, non-negative values; 0 means default)",
+			o.Epsilon, o.MaxStep, o.VoltLimit, o.MaxIter)
 	}
 	return nil
 }

@@ -66,3 +66,89 @@ func TestSolversRejectInvalidTol(t *testing.T) {
 		t.Fatal("PointCompiled accepted a negative G' Tol")
 	}
 }
+
+// validGPrime is GPrimeOptions.Validate's acceptance rule: every float
+// finite and non-negative, MaxIter non-negative.
+func validGPrime(o GPrimeOptions) bool {
+	for _, v := range []float64{o.Epsilon, o.Tol, o.MaxStep, o.VoltLimit} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return false
+		}
+	}
+	return o.MaxIter >= 0
+}
+
+// checkDefaulted requires an accepted option set to default to positive,
+// finite values the solver can iterate with.
+func checkDefaulted(t *testing.T, o GPrimeOptions) {
+	t.Helper()
+	o.defaults()
+	for _, v := range []float64{o.Epsilon, o.Tol, o.MaxStep, o.VoltLimit} {
+		if !(v > 0) || math.IsInf(v, 1) {
+			t.Fatalf("accepted GPrimeOptions default to %+v", o)
+		}
+	}
+	if o.MaxIter <= 0 {
+		t.Fatalf("accepted GPrimeOptions default to MaxIter %d", o.MaxIter)
+	}
+}
+
+// FuzzGPrimeOptionsValidate: Validate never panics, rejects every NaN,
+// infinite or negative field, accepts every other set, and an accepted
+// set defaults to positive, finite values.
+func FuzzGPrimeOptionsValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, eps, tol, maxStep, voltLimit float64, maxIter int) {
+		o := GPrimeOptions{Epsilon: eps, Tol: tol, MaxIter: maxIter, MaxStep: maxStep, VoltLimit: voltLimit}
+		err := o.Validate()
+		if want := validGPrime(o); (err == nil) != want {
+			t.Fatalf("GPrimeOptions%+v.Validate() = %v, want accepted %v", o, err, want)
+		}
+		if err == nil {
+			checkDefaulted(t, o)
+		}
+	})
+}
+
+// FuzzPointOptionsValidate: the same contract for PointOptions, whose own
+// Tol and MaxIter follow the G′ rule and whose G′ options must validate.
+func FuzzPointOptionsValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, tol float64, maxIter int, eps, gTol, maxStep, voltLimit float64, gMaxIter int) {
+		g := GPrimeOptions{Epsilon: eps, Tol: gTol, MaxIter: gMaxIter, MaxStep: maxStep, VoltLimit: voltLimit}
+		o := PointOptions{Tol: tol, MaxIter: maxIter, GPrime: g}
+		err := o.Validate()
+		want := tol >= 0 && !math.IsInf(tol, 1) && maxIter >= 0 && validGPrime(g)
+		if (err == nil) != want {
+			t.Fatalf("PointOptions%+v.Validate() = %v, want accepted %v", o, err, want)
+		}
+		if err == nil {
+			o.defaults()
+			if !(o.Tol > 0) || math.IsInf(o.Tol, 1) || o.MaxIter <= 0 {
+				t.Fatalf("accepted PointOptions default to Tol %v, MaxIter %d", o.Tol, o.MaxIter)
+			}
+			checkDefaulted(t, o.GPrime)
+		}
+	})
+}
+
+// TestOptionsValidateFields extends the Tol regression to the other
+// fields: a NaN, infinite or negative Epsilon, MaxStep or VoltLimit, or a
+// negative MaxIter, used to pass Validate and reach the solve.
+func TestOptionsValidateFields(t *testing.T) {
+	for _, bad := range []GPrimeOptions{
+		{Epsilon: math.NaN()}, {Epsilon: -0.01}, {MaxStep: math.Inf(1)}, {MaxStep: -3},
+		{VoltLimit: math.NaN()}, {VoltLimit: -12}, {MaxIter: -1},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("GPrimeOptions%+v.Validate() = nil, want error", bad)
+		}
+		if (PointOptions{GPrime: bad}).Validate() == nil {
+			t.Errorf("PointOptions{GPrime: %+v}.Validate() = nil, want error", bad)
+		}
+	}
+	if (PointOptions{MaxIter: -1}).Validate() == nil {
+		t.Error("PointOptions{MaxIter: -1}.Validate() = nil, want error")
+	}
+	if err := (PointOptions{Tol: 1e-4, MaxIter: 5, GPrime: GPrimeOptions{Epsilon: 0.02, MaxIter: 4, MaxStep: 1, VoltLimit: 10}}).Validate(); err != nil {
+		t.Errorf("explicit valid options rejected: %v", err)
+	}
+}

@@ -87,11 +87,16 @@ func (o *PointOptions) defaults() {
 // Validate rejects option sets defaulting cannot repair: like
 // GPrimeOptions.Validate, Tol must be a finite, non-negative voltage
 // step (zero means default; NaN/Inf would silently break the fixed-point
-// convergence test), and the embedded G′ options must validate too.
+// convergence test), MaxIter must not be negative, and the embedded G′
+// options must validate too.
 func (o PointOptions) Validate() error {
 	if !finite(o.Tol) || o.Tol < 0 {
 		//cyclops:alloc-ok cold validation failure: formats the poisoned Tol once, then the run aborts
 		return fmt.Errorf("pointing: invalid PointOptions: Tol %v (want a finite, non-negative voltage step; 0 means default)", o.Tol)
+	}
+	if o.MaxIter < 0 {
+		//cyclops:alloc-ok cold validation failure: formats the poisoned MaxIter once, then the run aborts
+		return fmt.Errorf("pointing: invalid PointOptions: MaxIter %d (want a non-negative bound; 0 means default)", o.MaxIter)
 	}
 	return o.GPrime.Validate()
 }

@@ -231,6 +231,11 @@ func (p AvailabilityParams) validate(name string) error {
 	return nil
 }
 
+// Validate rejects chaos slot-model constants the engine would misread
+// rather than fail on, for callers that run the slot model outside
+// CorpusOptions (the arena). Zero fields stay valid: callers default them.
+func (p ChaosParams) Validate() error { return p.validate("ChaosParams") }
+
 // validate extends AvailabilityParams.validate to the chaos constants. A
 // BlockAttenDB at or below zero stays valid: it never blocks
 // (thresholdDB).
@@ -251,8 +256,8 @@ func (p ChaosParams) validate(name string) error {
 }
 
 // validate rejects mmWave slot constants the engine would misread: a NaN
-// or negative rate or blocking depth, or a negative recovery tail. The
-// zero value stays valid (the arms default it to PaperMmWave).
+// or negative rate or blocking depth, or a negative recovery tail. Zero
+// fields stay valid (the arms default them, see MmWaveSlotParams).
 func (p MmWaveSlotParams) validate(name string) error {
 	if !(p.PeakGoodputGbps >= 0) || math.IsInf(p.PeakGoodputGbps, 1) {
 		return fmt.Errorf("sim: %s.PeakGoodputGbps %v is not a finite non-negative value", name, p.PeakGoodputGbps)

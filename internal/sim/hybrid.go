@@ -19,7 +19,10 @@ import (
 	"cyclops/internal/xmath"
 )
 
-// MmWaveSlotParams parameterize the slot-model mmWave link.
+// MmWaveSlotParams parameterize the slot-model mmWave link. The zero
+// value means PaperMmWave(); in a partly set value a zero PeakGoodputGbps
+// or BlockAttenDB takes PaperMmWave's, since neither zero can be meant
+// literally, while a zero Recovery stays an instant reconnect.
 type MmWaveSlotParams struct {
 	// PeakGoodputGbps is the delivered rate while the link is up (the
 	// 802.11ad single-carrier peak; the slot model does not grade the MCS
@@ -32,6 +35,21 @@ type MmWaveSlotParams struct {
 	// Recovery is the MAC-level reconnect time after a blockage clears
 	// (no optical re-lock; beam retraining plus association).
 	Recovery time.Duration
+}
+
+// withDefaults applies the zero-field defaults MmWaveSlotParams documents.
+func (p MmWaveSlotParams) withDefaults() MmWaveSlotParams {
+	paper := PaperMmWave()
+	if p == (MmWaveSlotParams{}) {
+		return paper
+	}
+	if p.PeakGoodputGbps == 0 {
+		p.PeakGoodputGbps = paper.PeakGoodputGbps
+	}
+	if p.BlockAttenDB == 0 {
+		p.BlockAttenDB = paper.BlockAttenDB
+	}
+	return p
 }
 
 // PaperMmWave returns the slot-model constants matching
@@ -51,7 +69,7 @@ type HybridSlotParams struct {
 	// Policy tunes the failover hysteresis (zero fields: the policy
 	// package defaults — 50 ms breach, 500 ms clear).
 	Policy policy.Options
-	// Secondary is the mmWave side (zero value: PaperMmWave()).
+	// Secondary is the mmWave side (zero fields: see MmWaveSlotParams).
 	Secondary MmWaveSlotParams
 	// PrimaryGoodputGbps is the delivered rate while the FSO side carries
 	// (zero: the 25G transceiver's 23.5 Gbps optimal goodput).
@@ -59,9 +77,7 @@ type HybridSlotParams struct {
 }
 
 func (p *HybridSlotParams) defaults() {
-	if p.Secondary == (MmWaveSlotParams{}) {
-		p.Secondary = PaperMmWave()
-	}
+	p.Secondary = p.Secondary.withDefaults()
 	if p.PrimaryGoodputGbps <= 0 {
 		p.PrimaryGoodputGbps = 23.5
 	}
@@ -163,9 +179,7 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 // slot reads the cursor, the rest up to its UntilVerdict and the recovery
 // tail's end follow in bulk.
 func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	if mp == (MmWaveSlotParams{}) {
-		mp = PaperMmWave()
-	}
+	mp = mp.withDefaults()
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
 		return res

@@ -115,6 +115,41 @@ func TestMmWaveOnlyArm(t *testing.T) {
 	}
 }
 
+// A partly set secondary takes the paper's rate and blocking depth for
+// its zero fields: one that sets only Recovery runs exactly as the paper
+// secondary with that recovery, in the hybrid and the mmWave-only arm.
+// (Only an all-zero value used to be defaulted, so such a secondary
+// delivered 0 Gbps and never blocked.)
+func TestMmWavePartialParamsDefault(t *testing.T) {
+	tr := trace.Generate(5, 3, 20*time.Second, geom.V(0.35, 0.25, 1.0))
+	sched := hazeSched(4*time.Second, 12*time.Second)
+	sched.Windows = append(sched.Windows, fault.Window{
+		Kind: fault.Occlusion, Start: 6 * time.Second, End: 6*time.Second + 300*time.Millisecond,
+		DepthDB: 30, Ramp: 10 * time.Millisecond,
+	})
+	partial := MmWaveSlotParams{Recovery: 50 * time.Millisecond}
+	full := PaperMmWave()
+	full.Recovery = partial.Recovery
+
+	got := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{Secondary: partial}, sched, nil)
+	want := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{Secondary: full}, sched, nil)
+	if want.SecondarySlots == 0 {
+		t.Fatal("the haze fade drove no failover; the scenario tests nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hybrid with Secondary %+v:\n got %+v\nwant %+v", partial, got, want)
+	}
+
+	got = SimulateTraceMmWave(tr, PaperChaos25G(), partial, sched, nil)
+	want = SimulateTraceMmWave(tr, PaperChaos25G(), full, sched, nil)
+	if want.BlockedSlots == 0 {
+		t.Fatal("the occlusion blocked no mmWave slot; the scenario tests nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("mmWave-only with %+v:\n got %+v\nwant %+v", partial, got, want)
+	}
+}
+
 // The hybrid and mmWave-only corpus arms are bit-identical at any worker
 // count, and the aggregate folds (switch counts, secondary time, goodput
 // sums) match a serial re-fold of the per-trace results.

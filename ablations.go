@@ -114,7 +114,7 @@ func AblationDirectGPrime(seed int64) (DirectGPrimeResult, error) {
 
 			// Model-based: solve G′ for the true 3-D target.
 			tau := geom.V(tgt.X, tgt.Y, boardZ)
-			mv1, mv2, _, err := pointing.GPrime(learned, tau, 0, 0, pointing.GPrimeOptions{})
+			mv1, mv2, _, err := pointing.GPrime(learned, tau, 0, 0)
 			if err != nil {
 				continue
 			}

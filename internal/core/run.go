@@ -508,6 +508,30 @@ func (l *runLoop) reportInterval() time.Duration {
 	return l.s.Tracker.NextInterval()
 }
 
+// solveFailed charges a failed solve and tells the supervisor.
+func (l *runLoop) solveFailed(at time.Duration) {
+	l.res.PointFailures++
+	if l.sup != nil {
+		l.sup.SolveFailed(at)
+	}
+}
+
+// command schedules the voltages v to land after the hardware latency
+// (DAQ conversion plus mirror settle, as the devices report it; both ends
+// move in parallel, so the TX spec stands for both) and tells the
+// supervisor the solve succeeded.
+func (l *runLoop) command(at time.Duration, v pointing.Voltages) {
+	lat := hardwareLatency(l.s)
+	l.rm.repoint.Observe(lat.Seconds())
+	l.latencySum += lat
+	l.latencyN++
+	l.pendingV = v
+	l.pendingAt = at + lat
+	if l.sup != nil {
+		l.sup.SolveOK(v)
+	}
+}
+
 // step advances the simulation by one tick: follow the program, apply
 // injected faults and settled mirror commands, consume a tracking report
 // when one is due (re-solving P warm-started from the in-flight
@@ -573,25 +597,14 @@ func (l *runLoop) step(at time.Duration) {
 			warmV = l.pendingV
 		}
 		switch {
-		case !rep.Pose.Finite():
-			// Poisoned report: refuse the solve at the door
-			// (pointing would reject it too — this keeps the NaN
-			// out of the model transform entirely).
+		case !rep.Pose.Finite() || fs.SolverDiverge:
+			// A poisoned report is refused at the door (pointing
+			// would reject it too — this keeps the NaN out of the
+			// model transform entirely); an injected divergence
+			// fails before the iteration produces anything usable.
 			l.rm.reports.Inc()
 			l.res.Points++
-			l.res.PointFailures++
-			if l.sup != nil {
-				l.sup.SolveFailed(at)
-			}
-		case fs.SolverDiverge:
-			// Injected solver divergence: the attempt fails
-			// before the iteration produces anything usable.
-			l.rm.reports.Inc()
-			l.res.Points++
-			l.res.PointFailures++
-			if l.sup != nil {
-				l.sup.SolveFailed(at)
-			}
+			l.solveFailed(at)
 		case l.sup != nil && !l.sup.AllowSolve(at):
 			// Backoff: skip this report's solve; the cadence and
 			// the speed window still advance.
@@ -611,20 +624,9 @@ func (l *runLoop) step(at time.Duration) {
 			l.res.Points++
 			v, verr := l.s.Plant.OracleAlignedVoltages()
 			if verr != nil {
-				l.res.PointFailures++
-				if l.sup != nil {
-					l.sup.SolveFailed(at)
-				}
+				l.solveFailed(at)
 			} else {
-				lat := hardwareLatency(l.s)
-				l.rm.repoint.Observe(lat.Seconds())
-				l.latencySum += lat
-				l.latencyN++
-				l.pendingV = v
-				l.pendingAt = at + lat
-				if l.sup != nil {
-					l.sup.SolveOK(v)
-				}
+				l.command(at, v)
 			}
 		default:
 			// Pose-delta gate: if the reported pose sits inside the
@@ -654,27 +656,12 @@ func (l *runLoop) step(at time.Duration) {
 			l.rm.reports.Inc()
 			l.res.Points++
 			if perr != nil {
-				l.res.PointFailures++
-				if l.sup != nil {
-					l.sup.SolveFailed(at)
-				}
+				l.solveFailed(at)
 			} else {
 				l.res.TotalPointIters += pres.Iterations
 				l.res.TotalGPrimeIters += pres.GPrimeIterations
-				// Hardware latency: DAQ conversion + mirror
-				// settle, as the devices report it. We probe the
-				// TX device's cost without mutating it by using
-				// the spec directly (both ends move in parallel).
-				lat := hardwareLatency(l.s)
-				l.rm.repoint.Observe(lat.Seconds())
-				l.latencySum += lat
-				l.latencyN++
-				l.pendingV = pres.V
-				l.pendingAt = at + lat
 				l.solvedPose, l.haveSolvedPose = rep.Pose, true
-				if l.sup != nil {
-					l.sup.SolveOK(pres.V)
-				}
+				l.command(at, pres.V)
 			}
 		}
 		l.nextReport = at + l.reportInterval()

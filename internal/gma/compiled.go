@@ -141,3 +141,18 @@ func (c *Compiled) Beam(v1, v2 float64) (geom.Ray, error) {
 	dir2 := dir1.Sub(pn2.Scale(2 * denom2)).Unit()
 	return geom.Ray{Origin: hit2, Dir: dir2}, nil
 }
+
+// BoardHit evaluates f(G(v1,v2)) for a target board: the point where the
+// output beam strikes the given plane. This is the observable quantity of
+// the K-space training rig (Figure 8).
+func (c *Compiled) BoardHit(v1, v2 float64, board geom.Plane) (geom.Vec3, error) {
+	beam, err := c.Beam(v1, v2)
+	if err != nil {
+		return geom.Vec3{}, err
+	}
+	hit, _, err := board.Intersect(beam)
+	if err != nil {
+		return geom.Vec3{}, fmt.Errorf("board: %w", err)
+	}
+	return hit, nil
+}

@@ -81,10 +81,10 @@ func TestCompiledBeamBitIdentical(t *testing.T) {
 	}
 }
 
-// compiledBoardHit is Params.BoardHit's operation sequence on the
-// compiled model: the beam intersected with the board.
-func compiledBoardHit(c *Compiled, v1, v2 float64, board geom.Plane) (geom.Vec3, error) {
-	beam, err := c.Beam(v1, v2)
+// paramsBoardHit is Compiled.BoardHit's operation sequence on the
+// uncompiled model: the beam intersected with the board.
+func paramsBoardHit(p Params, v1, v2 float64, board geom.Plane) (geom.Vec3, error) {
+	beam, err := p.Beam(v1, v2)
 	if err != nil {
 		return geom.Vec3{}, err
 	}
@@ -102,8 +102,8 @@ func TestCompiledBoardHitBitIdentical(t *testing.T) {
 		c := p.Compile()
 		for k := 0; k < 100; k++ {
 			v1, v2 := (rng.Float64()*2-1)*12, (rng.Float64()*2-1)*12
-			want, wantErr := p.BoardHit(v1, v2, board)
-			got, gotErr := compiledBoardHit(&c, v1, v2, board)
+			want, wantErr := paramsBoardHit(p, v1, v2, board)
+			got, gotErr := c.BoardHit(v1, v2, board)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("BoardHit err mismatch: %v vs %v", wantErr, gotErr)
 			}

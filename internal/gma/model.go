@@ -75,21 +75,6 @@ func (p Params) Beam(v1, v2 float64) (geom.Ray, error) {
 	return out, nil
 }
 
-// BoardHit evaluates f(G(v1,v2)) for a target board: the point where the
-// output beam strikes the given plane. This is the observable quantity of
-// the K-space training rig (Figure 8).
-func (p Params) BoardHit(v1, v2 float64, board geom.Plane) (geom.Vec3, error) {
-	beam, err := p.Beam(v1, v2)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	hit, _, err := board.Intersect(beam)
-	if err != nil {
-		return geom.Vec3{}, fmt.Errorf("board: %w", err)
-	}
-	return hit, nil
-}
-
 // NumParams is the length of the flat parameter vector used by the
 // K-space fit: 8 vectors × 3 components + θ₁.
 const NumParams = 25

@@ -66,7 +66,7 @@ func TestDistortionOriginMoves(t *testing.T) {
 }
 
 func TestBoardHitCenter(t *testing.T) {
-	p := Nominal()
+	p := Nominal().Compile()
 	board := geom.NewPlane(geom.V(0, 0, 1.5), geom.V(0, 0, -1))
 	hit, err := p.BoardHit(0, 0, board)
 	if err != nil {
@@ -79,12 +79,12 @@ func TestBoardHitCenter(t *testing.T) {
 
 func TestBoardHitSmallAngleLinearity(t *testing.T) {
 	// For small voltages the board displacement is ≈ 2·θ₁·v·distance.
-	p := Nominal()
+	p := Nominal().Compile()
 	board := geom.NewPlane(geom.V(0, 0, 1.5), geom.V(0, 0, -1))
 	h0, _ := p.BoardHit(0, 0, board)
 	h1, _ := p.BoardHit(0, 0.1, board)
 	moved := h0.Dist(h1)
-	want := 2 * p.Theta1 * 0.1 * 1.5
+	want := 2 * p.Src.Theta1 * 0.1 * 1.5
 	if math.Abs(moved-want)/want > 0.02 {
 		t.Errorf("small-angle displacement = %v, want ≈%v", moved, want)
 	}
@@ -212,7 +212,8 @@ func TestPerturbedStaysFunctional(t *testing.T) {
 		if err := p.Valid(); err != nil {
 			t.Fatalf("perturbed params invalid: %v", err)
 		}
-		if _, err := p.BoardHit(0, 0, board); err != nil {
+		c := p.Compile()
+		if _, err := c.BoardHit(0, 0, board); err != nil {
 			t.Fatalf("perturbed assembly cannot hit board: %v", err)
 		}
 	}
@@ -227,8 +228,9 @@ func TestPerturbedDiffersFromNominal(t *testing.T) {
 	// But only slightly: rest beams differ by well under a degree of
 	// direction and a few mm of board hit.
 	board := geom.NewPlane(geom.V(0, 0, 1.5), geom.V(0, 0, -1))
-	h0, _ := Nominal().BoardHit(0, 0, board)
-	h1, err := p.BoardHit(0, 0, board)
+	nominal, perturbed := Nominal().Compile(), p.Compile()
+	h0, _ := nominal.BoardHit(0, 0, board)
+	h1, err := perturbed.BoardHit(0, 0, board)
 	if err != nil {
 		t.Fatal(err)
 	}

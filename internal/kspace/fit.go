@@ -40,8 +40,9 @@ func Fit(samples []Sample, board geom.Plane, initial gma.Params) (gma.Params, op
 			//cyclops:panic-ok impossible: the optimizer preserves the vector length fixed below
 			panic(err)
 		}
+		c := p.Compile()
 		for i, s := range samples {
-			hit, err := p.BoardHit(s.V1, s.V2, board)
+			hit, err := c.BoardHit(s.V1, s.V2, board)
 			if err != nil {
 				// A candidate that cannot even hit the board is
 				// penalized heavily but smoothly enough for LM to
@@ -90,10 +91,11 @@ func (e Evaluation) String() string {
 
 // Evaluate measures the learned model against samples on the given board.
 func Evaluate(p gma.Params, board geom.Plane, samples []Sample) Evaluation {
+	c := p.Compile()
 	var sum, max float64
 	n := 0
 	for _, s := range samples {
-		hit, err := p.BoardHit(s.V1, s.V2, board)
+		hit, err := c.BoardHit(s.V1, s.V2, board)
 		if err != nil {
 			continue
 		}

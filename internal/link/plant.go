@@ -288,7 +288,7 @@ func (p *Plant) Connected() bool {
 func (p *Plant) OracleAlignedVoltages() (pointing.Voltages, error) {
 	gt := p.TXDev.Truth().Transformed(p.txMount)
 	gr := p.RXDev.Truth().Transformed(p.RXWorldPose())
-	res, err := pointing.Point(gt, gr, pointing.Voltages{}, pointing.PointOptions{})
+	res, err := pointing.Point(gt, gr, pointing.Voltages{})
 	if err != nil {
 		return pointing.Voltages{}, err
 	}

@@ -27,36 +27,22 @@ type ResidualFunc func(x []float64, out []float64)
 type LMOptions struct {
 	// MaxIter bounds the number of LM iterations (default 200).
 	MaxIter int
-	// TolFun stops when the relative reduction of the cost falls below
-	// this (default 1e-12).
-	TolFun float64
-	// TolX stops when the step norm relative to the parameter norm falls
-	// below this (default 1e-12).
-	TolX float64
-	// InitLambda is the initial damping factor (default 1e-3).
-	InitLambda float64
-	// Step is the relative finite-difference step for the numeric
-	// Jacobian (default 1e-7).
-	Step float64
 }
 
-func (o *LMOptions) defaults() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.TolFun <= 0 {
-		o.TolFun = 1e-12
-	}
-	if o.TolX <= 0 {
-		o.TolX = 1e-12
-	}
-	if o.InitLambda <= 0 {
-		o.InitLambda = 1e-3
-	}
-	if o.Step <= 0 {
-		o.Step = 1e-7
-	}
-}
+// The fixed Levenberg–Marquardt settings.
+const (
+	// lmTolFun stops when the relative reduction of the cost falls below
+	// it.
+	lmTolFun = 1e-12
+	// lmTolX stops when the step norm relative to the parameter norm
+	// falls below it.
+	lmTolX = 1e-12
+	// lmInitLambda is the initial damping factor.
+	lmInitLambda = 1e-3
+	// lmStep is the relative finite-difference step of the numeric
+	// Jacobian.
+	lmStep = 1e-7
+)
 
 // Result reports the outcome of a fit.
 type Result struct {
@@ -106,7 +92,11 @@ func (r Result) String() string {
 var ErrBadProblem = errors.New("optimize: malformed problem")
 
 // LeastSquares minimizes ½·Σ f(x)² with Levenberg–Marquardt starting from
-// x0, evaluating m residuals per call. x0 is not modified.
+// x0, evaluating m residuals per call. x0 is not modified. The Jacobian
+// takes forward differences of relative step lmStep; damping starts at
+// lmInitLambda, and the fit converges once, with damping back at or below
+// lmInitLambda, an accepted step cuts the cost by a relative lmTolFun or
+// less, or moves x by a relative lmTolX or less.
 func LeastSquares(f ResidualFunc, x0 []float64, m int, opts LMOptions) (Result, error) {
 	solverMetrics()
 	evals := 0
@@ -119,7 +109,9 @@ func LeastSquares(f ResidualFunc, x0 []float64, m int, opts LMOptions) (Result, 
 }
 
 func leastSquares(f ResidualFunc, x0 []float64, m int, opts LMOptions) (Result, error) {
-	opts.defaults()
+	if opts.MaxIter <= 0 {
+		opts.MaxIter = 200
+	}
 	n := len(x0)
 	if n == 0 || m == 0 {
 		return Result{}, ErrBadProblem
@@ -142,7 +134,7 @@ func leastSquares(f ResidualFunc, x0 []float64, m int, opts LMOptions) (Result, 
 	rTrial := make([]float64, m)
 	rPerturb := make([]float64, m)
 
-	lambda := opts.InitLambda
+	lambda := lmInitLambda
 	res := Result{X: x, Cost: cost}
 
 	for iter := 1; iter <= opts.MaxIter; iter++ {
@@ -150,7 +142,7 @@ func leastSquares(f ResidualFunc, x0 []float64, m int, opts LMOptions) (Result, 
 
 		// Numeric Jacobian by forward differences.
 		for j := 0; j < n; j++ {
-			h := opts.Step * math.Max(math.Abs(x[j]), 1)
+			h := lmStep * math.Max(math.Abs(x[j]), 1)
 			saved := x[j]
 			x[j] = saved + h
 			f(x, rPerturb)
@@ -216,15 +208,15 @@ func leastSquares(f ResidualFunc, x0 []float64, m int, opts LMOptions) (Result, 
 				// (large lambda) says nothing about being at a
 				// minimum — the next iterations will expand the
 				// region and keep descending.
-				if lambda <= opts.InitLambda {
-					if relRed < opts.TolFun {
+				if lambda <= lmInitLambda {
+					if relRed < lmTolFun {
 						res.X, res.Cost = x, cost
 						res.Converged = true
 						res.Reason = "relative cost reduction below TolFun"
 						res.RMSE = math.Sqrt(2 * cost / float64(m))
 						return res, nil
 					}
-					if stepNorm < opts.TolX*(xNorm+opts.TolX) {
+					if stepNorm < lmTolX*(xNorm+lmTolX) {
 						res.X, res.Cost = x, cost
 						res.Converged = true
 						res.Reason = "step size below TolX"

@@ -12,9 +12,6 @@ type ObjectiveFunc func(x []float64) float64
 type NMOptions struct {
 	// MaxIter bounds the number of simplex iterations (default 2000).
 	MaxIter int
-	// TolF stops when the spread of simplex costs falls below this
-	// (default 1e-12).
-	TolF float64
 	// TolX stops when the simplex diameter falls below this
 	// (default 1e-10).
 	TolX float64
@@ -23,12 +20,13 @@ type NMOptions struct {
 	InitStep float64
 }
 
+// nmTolF stops NelderMead when the spread of simplex costs falls below
+// it.
+const nmTolF = 1e-12
+
 func (o *NMOptions) defaults() {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 2000
-	}
-	if o.TolF <= 0 {
-		o.TolF = 1e-12
 	}
 	if o.TolX <= 0 {
 		o.TolX = 1e-10
@@ -42,7 +40,9 @@ func (o *NMOptions) defaults() {
 // (standard α=1, γ=2, ρ=0.5, σ=0.5 coefficients). It needs no derivatives,
 // which makes it the right tool for objectives that are only piecewise
 // smooth — e.g. received optical power as a function of galvo voltages,
-// which plateaus at zero outside the capture cone.
+// which plateaus at zero outside the capture cone. It stops when the
+// spread of simplex costs falls below a relative nmTolF, or the simplex
+// diameter below opts.TolX.
 func NelderMead(f ObjectiveFunc, x0 []float64, opts NMOptions) Result {
 	solverMetrics()
 	evals := 0
@@ -87,7 +87,7 @@ func nelderMead(f ObjectiveFunc, x0 []float64, opts NMOptions) Result {
 		best, worst := simplex[0], simplex[n]
 
 		// Convergence checks.
-		if math.Abs(worst.f-best.f) <= opts.TolF*(math.Abs(best.f)+opts.TolF) {
+		if math.Abs(worst.f-best.f) <= nmTolF*(math.Abs(best.f)+nmTolF) {
 			reason = "cost spread below TolF"
 			break
 		}

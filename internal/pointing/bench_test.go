@@ -34,7 +34,7 @@ func warmFixture(tb testing.TB) (ct, cr gma.Compiled, v Voltages, tau geom.Vec3)
 func TestGPrimeCompiledZeroAllocs(t *testing.T) {
 	ct, _, v, tau := warmFixture(t)
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := GPrimeCompiled(&ct, tau, v.TX1, v.TX2, GPrimeOptions{}); err != nil {
+		if _, _, _, err := GPrimeCompiled(&ct, tau, v.TX1, v.TX2); err != nil {
 			t.Fatalf("GPrime failed: %v", err)
 		}
 	}); n != 0 {
@@ -53,7 +53,7 @@ func TestGPrimeCompiledColdZeroAllocs(t *testing.T) {
 		t.Fatalf("start (%v, %v) is not cold: beam already within 0.1 m of tau", cold1, cold2)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := GPrimeCompiled(&ct, tau, cold1, cold2, GPrimeOptions{}); err != nil {
+		if _, _, _, err := GPrimeCompiled(&ct, tau, cold1, cold2); err != nil {
 			t.Fatalf("cold GPrime failed: %v", err)
 		}
 	}); n != 0 {
@@ -95,12 +95,12 @@ func TestGPrimeDegenerateBasisZeroAllocs(t *testing.T) {
 	// tau sits on the zero-voltage beam, so the cold-start guard keeps the
 	// warm path and the solve reaches the basis solve on iteration 1.
 	tau := b0.At(1.5)
-	_, _, iters, err := GPrimeCompiled(&cf, tau, 0, 0, GPrimeOptions{})
+	_, _, iters, err := GPrimeCompiled(&cf, tau, 0, 0)
 	if !errors.Is(err, errDegenerateBasis) {
 		t.Fatalf("frozen solve returned (iters=%d, err=%v), want errDegenerateBasis", iters, err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		GPrimeCompiled(&cf, tau, 0, 0, GPrimeOptions{})
+		GPrimeCompiled(&cf, tau, 0, 0)
 	}); n != 0 {
 		t.Fatalf("failing GPrimeCompiled allocates %v per solve, want 0", n)
 	}
@@ -111,7 +111,7 @@ func BenchmarkGPrimeWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := GPrimeCompiled(&ct, tau, v.TX1, v.TX2, GPrimeOptions{}); err != nil {
+		if _, _, _, err := GPrimeCompiled(&ct, tau, v.TX1, v.TX2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func BenchmarkGPrimeWarmUncompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := GPrime(gt, tau, v.TX1, v.TX2, GPrimeOptions{}); err != nil {
+		if _, _, _, err := GPrime(gt, tau, v.TX1, v.TX2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,72 +19,28 @@ import (
 	"cyclops/internal/gma"
 )
 
-// GPrimeOptions tunes the G′ iteration.
-type GPrimeOptions struct {
-	// Epsilon is the voltage probe step for the local linear model
-	// (default 0.01 V).
-	Epsilon float64
-	// Tol is the convergence threshold on the voltage update magnitude;
-	// the paper stops at the minimum GM voltage step (default 0.3 mV,
-	// the USB-1608G step).
-	Tol float64
-	// MaxIter bounds the iteration (default 25; the paper observes
-	// convergence in 2–4).
-	MaxIter int
-	// MaxStep caps the per-iteration voltage change (default 3 V): a
-	// trust region that keeps a locally linear step from swinging the
-	// mirrors so far that the modeled beam leaves its own assembly.
-	MaxStep float64
-	// VoltLimit caps the absolute commandable voltage (default 12 V,
-	// slightly beyond the DAQ's ±10 V so the iteration can overshoot
-	// and come back).
-	VoltLimit float64
-}
+// The §4.3 solver constants, shared by G′ and P.
+const (
+	// voltStep is the stop threshold on a voltage update: the paper stops
+	// both iterations at the minimum GM voltage step, 0.3 mV (the
+	// USB-1608G DAQ's step).
+	voltStep = 0.3e-3
+	// maxRounds bounds each iteration; the paper observes convergence in
+	// 2–4 G′ rounds and 2–5 P rounds.
+	maxRounds = 25
+	// probeStep is G′'s voltage probe step for the local linear model, V.
+	probeStep = 0.01
+	// maxStep caps G′'s per-iteration voltage change, V: a trust region
+	// that keeps a locally linear step from swinging the mirrors so far
+	// that the modeled beam leaves its own assembly.
+	maxStep = 3
+	// voltLimit caps the absolute commandable voltage, V: slightly beyond
+	// the DAQ's ±10 V so the iteration can overshoot and come back.
+	voltLimit = 12
+)
 
-func (o *GPrimeOptions) defaults() {
-	if o.Epsilon <= 0 {
-		o.Epsilon = 0.01
-	}
-	if o.Tol <= 0 {
-		o.Tol = 0.3e-3
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 25
-	}
-	if o.MaxStep <= 0 {
-		o.MaxStep = 3
-	}
-	if o.VoltLimit <= 0 {
-		o.VoltLimit = 12
-	}
-}
-
-// Validate rejects option sets the defaulting pass cannot repair. Tol
-// must be a finite, non-negative voltage step: zero means "use the
-// default", but a NaN or ±Inf Tol compares false against every step
-// magnitude, which would silently disable (or trivially satisfy) the
-// convergence test and burn MaxIter evaluations per solve; a negative
-// Tol is a contradiction, not a default request. Epsilon, MaxStep and
-// VoltLimit obey the same rule (a NaN would slip past their `<= 0`
-// defaulting into every probe and step), and MaxIter must not be
-// negative. The solvers call this at the door, so a poisoned option
-// fails fast instead of shaping every subsequent solve.
-func (o GPrimeOptions) Validate() error {
-	if !finite(o.Tol) || o.Tol < 0 {
-		//cyclops:alloc-ok cold validation failure: formats the poisoned Tol once, then the run aborts
-		return fmt.Errorf("pointing: invalid GPrimeOptions: Tol %v (want a finite, non-negative voltage step; 0 means default)", o.Tol)
-	}
-	if !finite(o.Epsilon) || o.Epsilon < 0 || !finite(o.MaxStep) || o.MaxStep < 0 ||
-		!finite(o.VoltLimit) || o.VoltLimit < 0 || o.MaxIter < 0 {
-		//cyclops:alloc-ok cold validation failure: formats the poisoned options once, then the run aborts
-		return fmt.Errorf("pointing: invalid GPrimeOptions: Epsilon %v, MaxStep %v, VoltLimit %v, MaxIter %d (want finite, non-negative values; 0 means default)",
-			o.Epsilon, o.MaxStep, o.VoltLimit, o.MaxIter)
-	}
-	return nil
-}
-
-// ErrNoConverge is returned when an iteration exhausts MaxIter without the
-// update falling below tolerance.
+// ErrNoConverge is returned when an iteration exhausts maxRounds without
+// the update falling below voltStep.
 var ErrNoConverge = errors.New("pointing: iteration did not converge")
 
 // ErrNonFiniteStart is returned when the starting voltages contain
@@ -112,9 +68,9 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // GPrime computes G′(τ) on an uncompiled model: it compiles and delegates
 // to GPrimeCompiled. Hot loops should compile once and call
 // GPrimeCompiled directly.
-func GPrime(model gma.Params, tau geom.Vec3, v1, v2 float64, opts GPrimeOptions) (float64, float64, int, error) {
+func GPrime(model gma.Params, tau geom.Vec3, v1, v2 float64) (float64, float64, int, error) {
 	c := model.Compile()
-	return GPrimeCompiled(&c, tau, v1, v2, opts)
+	return GPrimeCompiled(&c, tau, v1, v2)
 }
 
 // GPrimeCompiled computes G′(τ): the voltages that make the model's output
@@ -124,24 +80,21 @@ func GPrime(model gma.Params, tau geom.Vec3, v1, v2 float64, opts GPrimeOptions)
 // Each step follows §4.3 exactly: evaluate G at (v1,v2), (v1+ε,v2),
 // (v1,v2+ε); intersect the three beams with the plane P through τ
 // perpendicular to the current beam; express the miss vector in the basis
-// of the two per-ε beam displacements; and take the implied linear step.
+// of the two per-ε beam displacements (ε = probeStep); and take the
+// implied linear step, capped at maxStep and clamped to ±voltLimit. It
+// stops when both steps fall below voltStep, or fails after maxRounds.
 // The successful path performs zero heap allocations.
 //
 //cyclops:hotpath zero-alloc contract pinned by TestGPrimeCompiledZeroAllocs and make alloc-check
-func GPrimeCompiled(model *gma.Compiled, tau geom.Vec3, v1, v2 float64, opts GPrimeOptions) (float64, float64, int, error) {
-	rv1, rv2, iters, _, err := gprime(model, tau, v1, v2, opts)
+func GPrimeCompiled(model *gma.Compiled, tau geom.Vec3, v1, v2 float64) (float64, float64, int, error) {
+	rv1, rv2, iters, _, err := gprime(model, tau, v1, v2)
 	return rv1, rv2, iters, err
 }
 
 // gprime is the shared core; it additionally reports how many forward
 // model evaluations (G calls) the solve consumed, which the P solver
 // aggregates into the cyclops_pointing_beam_evals_total counter.
-func gprime(model *gma.Compiled, tau geom.Vec3, v1, v2 float64, opts GPrimeOptions) (float64, float64, int, int, error) {
-	if err := opts.Validate(); err != nil {
-		return v1, v2, 0, 0, err
-	}
-	opts.defaults()
-
+func gprime(model *gma.Compiled, tau geom.Vec3, v1, v2 float64) (float64, float64, int, int, error) {
 	if !tau.Finite() {
 		return v1, v2, 0, 0, ErrNonFiniteTarget
 	}
@@ -162,7 +115,7 @@ func gprime(model *gma.Compiled, tau geom.Vec3, v1, v2 float64, opts GPrimeOptio
 	var b0 geom.Ray
 	haveB0 := false
 	if b, err := model.Beam(v1, v2); err != nil || b.DistanceTo(tau) > 0.1 {
-		cv1, cv2, evals, ok := coarseSeed(model, tau, opts.VoltLimit)
+		cv1, cv2, evals, ok := coarseSeed(model, tau, voltLimit)
 		beamEvals += 1 + evals
 		if ok {
 			v1, v2 = cv1, cv2
@@ -186,7 +139,7 @@ func gprime(model *gma.Compiled, tau geom.Vec3, v1, v2 float64, opts GPrimeOptio
 	probes := gma.BeamBatchBuf{V2: pv2[:], Origin: porg[:], Dir: pdir[:], Err: perr[:]}
 
 	var lastStep1, lastStep2 float64
-	for iter := 1; iter <= opts.MaxIter; iter++ {
+	for iter := 1; iter <= maxRounds; iter++ {
 		// Pack the iteration's probes: slot k is the first Jacobian
 		// probe (b0 occupies slot 0 only when it must be recomputed).
 		k := 0
@@ -194,8 +147,8 @@ func gprime(model *gma.Compiled, tau geom.Vec3, v1, v2 float64, opts GPrimeOptio
 			pv1[0], pv2[0] = v1, v2
 			k = 1
 		}
-		pv1[k], pv2[k] = v1+opts.Epsilon, v2
-		pv1[k+1], pv2[k+1] = v1, v2+opts.Epsilon
+		pv1[k], pv2[k] = v1+probeStep, v2
+		pv1[k+1], pv2[k+1] = v1, v2+probeStep
 		probes.V1 = pv1[:k+2]
 		model.BeamBatch(&probes)
 
@@ -266,17 +219,17 @@ func gprime(model *gma.Compiled, tau geom.Vec3, v1, v2 float64, opts GPrimeOptio
 		a := (g22*r1 - g12*r2) / det
 		b := (g11*r2 - g12*r1) / det
 
-		s1 := clampAbs(a*opts.Epsilon, opts.MaxStep)
-		s2 := clampAbs(b*opts.Epsilon, opts.MaxStep)
-		v1 = clampAbs(v1+s1, opts.VoltLimit)
-		v2 = clampAbs(v2+s2, opts.VoltLimit)
+		s1 := clampAbs(a*probeStep, maxStep)
+		s2 := clampAbs(b*probeStep, maxStep)
+		v1 = clampAbs(v1+s1, voltLimit)
+		v2 = clampAbs(v2+s2, voltLimit)
 		lastStep1, lastStep2 = s1, s2
 
-		if abs(s1) < opts.Tol && abs(s2) < opts.Tol {
+		if abs(s1) < voltStep && abs(s2) < voltStep {
 			return v1, v2, iter, beamEvals, nil
 		}
 	}
-	return v1, v2, opts.MaxIter, beamEvals, ErrNoConverge
+	return v1, v2, maxRounds, beamEvals, ErrNoConverge
 }
 
 func clampAbs(v, limit float64) float64 {
@@ -296,7 +249,10 @@ func clampAbs(v, limit float64) float64 {
 // fill, the 81 evaluations, and the argmin scan are separated so the
 // kernel loop carries no selection branches, while the scan visits the
 // results in the exact row-major order the sequential loop compared them
-// in (same best-so-far tie behavior, same floats).
+// in (same best-so-far tie behavior, same floats). limit stays a runtime
+// argument: 0.8·limit rounds to 9.600000000000001 in float64, while the
+// constant expression 0.8·voltLimit would fold exactly to 9.6 and move
+// every grid voltage.
 func coarseSeed(model *gma.Compiled, tau geom.Vec3, limit float64) (float64, float64, int, bool) {
 	const n = 9
 	span := 0.8 * limit

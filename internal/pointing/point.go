@@ -14,16 +14,11 @@ type Voltages struct {
 	RX1, RX2 float64
 }
 
-// PointOptions tunes the pointing fixed-point iteration.
+// PointOptions carries the pointing solver's observability. The §4.3
+// stopping rule is fixed: P stops when no voltage moves by voltStep
+// (0.3 mV) in a round, or fails after maxRounds (25); its inner G′
+// solves use the same rule.
 type PointOptions struct {
-	// Tol is the stop threshold on the largest voltage change per round;
-	// the paper uses the minimum GM voltage step (default 0.3 mV).
-	Tol float64
-	// MaxIter bounds the outer iteration (default 25; the paper observes
-	// 2–5 rounds).
-	MaxIter int
-	// GPrime configures the inner G′ solves.
-	GPrime GPrimeOptions
 	// Metrics, when non-nil, receives per-solve observability: solve and
 	// failure counts plus P / G′ iteration histograms.
 	Metrics *Metrics
@@ -75,32 +70,6 @@ func (m *Metrics) record(res Result, err error) {
 	m.BeamEvals.Add(float64(res.BeamEvals))
 }
 
-func (o *PointOptions) defaults() {
-	if o.Tol <= 0 {
-		o.Tol = 0.3e-3
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 25
-	}
-}
-
-// Validate rejects option sets defaulting cannot repair: like
-// GPrimeOptions.Validate, Tol must be a finite, non-negative voltage
-// step (zero means default; NaN/Inf would silently break the fixed-point
-// convergence test), MaxIter must not be negative, and the embedded G′
-// options must validate too.
-func (o PointOptions) Validate() error {
-	if !finite(o.Tol) || o.Tol < 0 {
-		//cyclops:alloc-ok cold validation failure: formats the poisoned Tol once, then the run aborts
-		return fmt.Errorf("pointing: invalid PointOptions: Tol %v (want a finite, non-negative voltage step; 0 means default)", o.Tol)
-	}
-	if o.MaxIter < 0 {
-		//cyclops:alloc-ok cold validation failure: formats the poisoned MaxIter once, then the run aborts
-		return fmt.Errorf("pointing: invalid PointOptions: MaxIter %d (want a non-negative bound; 0 means default)", o.MaxIter)
-	}
-	return o.GPrime.Validate()
-}
-
 // Result reports a pointing solve.
 type Result struct {
 	V Voltages
@@ -123,9 +92,9 @@ type Result struct {
 // on every tracking report) should compile the models themselves — the TX
 // model once per run, the RX model once per report — and call
 // PointCompiled.
-func Point(gt, gr gma.Params, start Voltages, opts PointOptions) (Result, error) {
+func Point(gt, gr gma.Params, start Voltages) (Result, error) {
 	ct, cr := gt.Compile(), gr.Compile()
-	return PointCompiled(&ct, &cr, start, opts)
+	return PointCompiled(&ct, &cr, start, PointOptions{})
 }
 
 // PointCompiled computes P for one VRH position: given the compiled
@@ -139,11 +108,7 @@ func Point(gt, gr gma.Params, start Voltages, opts PointOptions) (Result, error)
 //
 //cyclops:hotpath zero-alloc contract pinned by TestPointCompiledZeroAllocs and make alloc-check
 func PointCompiled(gt, gr *gma.Compiled, start Voltages, opts PointOptions) (Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Result{V: start}, err
-	}
-	opts.defaults()
-	res, err := point(gt, gr, start, opts)
+	res, err := point(gt, gr, start)
 	opts.Metrics.record(res, err)
 	return res, err
 }
@@ -153,7 +118,7 @@ func (v Voltages) Finite() bool {
 	return finite(v.TX1) && finite(v.TX2) && finite(v.RX1) && finite(v.RX2)
 }
 
-func point(gt, gr *gma.Compiled, start Voltages, opts PointOptions) (Result, error) {
+func point(gt, gr *gma.Compiled, start Voltages) (Result, error) {
 	v := start
 	res := Result{V: v}
 
@@ -164,7 +129,7 @@ func point(gt, gr *gma.Compiled, start Voltages, opts PointOptions) (Result, err
 		return res, ErrNonFiniteStart
 	}
 
-	for iter := 1; iter <= opts.MaxIter; iter++ {
+	for iter := 1; iter <= maxRounds; iter++ {
 		res.Iterations = iter
 
 		bt, err := gt.Beam(v.TX1, v.TX2)
@@ -181,14 +146,14 @@ func point(gt, gr *gma.Compiled, start Voltages, opts PointOptions) (Result, err
 		}
 
 		// Each origin becomes the other terminal's target point.
-		nt1, nt2, it, et, err := gprime(gt, br.Origin, v.TX1, v.TX2, opts.GPrime)
+		nt1, nt2, it, et, err := gprime(gt, br.Origin, v.TX1, v.TX2)
 		res.GPrimeIterations += it
 		res.BeamEvals += et
 		if err != nil {
 			//cyclops:alloc-ok cold error return: wraps the solver cause only when the solve fails
 			return res, fmt.Errorf("pointing: G'_T: %w", err)
 		}
-		nr1, nr2, ir, er, err := gprime(gr, bt.Origin, v.RX1, v.RX2, opts.GPrime)
+		nr1, nr2, ir, er, err := gprime(gr, bt.Origin, v.RX1, v.RX2)
 		res.GPrimeIterations += ir
 		res.BeamEvals += er
 		if err != nil {
@@ -198,7 +163,7 @@ func point(gt, gr *gma.Compiled, start Voltages, opts PointOptions) (Result, err
 
 		delta := max4(abs(nt1-v.TX1), abs(nt2-v.TX2), abs(nr1-v.RX1), abs(nr2-v.RX2))
 		v = Voltages{TX1: nt1, TX2: nt2, RX1: nr1, RX2: nr2}
-		if delta < opts.Tol {
+		if delta < voltStep {
 			res.V = v
 			res.Residual = coincidenceResidual(gt, gr, v)
 			res.BeamEvals += 2

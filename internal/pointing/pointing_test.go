@@ -34,7 +34,7 @@ func TestGPrimeHitsTarget(t *testing.T) {
 		{X: 0.3, Y: -0.25, Z: 1.6},
 	}
 	for _, tau := range targets {
-		v1, v2, iters, err := GPrime(gt, tau, 0, 0, GPrimeOptions{})
+		v1, v2, iters, err := GPrime(gt, tau, 0, 0)
 		if err != nil {
 			t.Fatalf("target %v: %v", tau, err)
 		}
@@ -59,7 +59,7 @@ func TestGPrimeConvergesFast(t *testing.T) {
 	var total, n int
 	for i := 0; i < 50; i++ {
 		tau := geom.V(rng.Float64()*0.6-0.3, rng.Float64()*0.6-0.3, 1.5+rng.Float64()*0.5)
-		_, _, iters, err := GPrime(gt, tau, 0, 0, GPrimeOptions{})
+		_, _, iters, err := GPrime(gt, tau, 0, 0)
 		if err != nil {
 			continue
 		}
@@ -80,16 +80,16 @@ func TestGPrimeWarmStart(t *testing.T) {
 	// least as fast as cold starts.
 	gt, _ := fixture(4)
 	tau := geom.V(0.1, 0.1, 1.7)
-	v1, v2, _, err := GPrime(gt, tau, 0, 0, GPrimeOptions{})
+	v1, v2, _, err := GPrime(gt, tau, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tau2 := tau.Add(geom.V(0.005, -0.003, 0))
-	_, _, warm, err := GPrime(gt, tau2, v1, v2, GPrimeOptions{})
+	_, _, warm, err := GPrime(gt, tau2, v1, v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, cold, err := GPrime(gt, tau2, 0, 0, GPrimeOptions{})
+	_, _, cold, err := GPrime(gt, tau2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestGPrimeWarmStart(t *testing.T) {
 
 func TestPointAlignsBeams(t *testing.T) {
 	gt, gr := fixture(5)
-	res, err := Point(gt, gr, Voltages{}, PointOptions{})
+	res, err := Point(gt, gr, Voltages{})
 	if err != nil {
 		t.Fatalf("point failed after %d iters: %v", res.Iterations, err)
 	}
@@ -129,7 +129,7 @@ func TestPointIterationCount(t *testing.T) {
 	var total, n int
 	for seed := int64(10); seed < 40; seed++ {
 		gt, gr := fixture(seed)
-		res, err := Point(gt, gr, Voltages{}, PointOptions{})
+		res, err := Point(gt, gr, Voltages{})
 		if err != nil {
 			continue
 		}
@@ -147,14 +147,14 @@ func TestPointIterationCount(t *testing.T) {
 
 func TestPointWarmStartFewerIterations(t *testing.T) {
 	gt, gr := fixture(6)
-	cold, err := Point(gt, gr, Voltages{}, PointOptions{})
+	cold, err := Point(gt, gr, Voltages{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Move the RX a few millimeters (one tracking interval of motion)
 	// and re-point from the previous solution.
 	gr2 := gr.Transformed(geom.NewPose(geom.QuatIdentity(), geom.V(0.004, -0.002, 0.001)))
-	warm, err := Point(gt, gr2, cold.V, PointOptions{})
+	warm, err := Point(gt, gr2, cold.V)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPointWarmStartFewerIterations(t *testing.T) {
 
 func TestCoincidenceResidualZeroAtAlignment(t *testing.T) {
 	gt, gr := fixture(8)
-	res, err := Point(gt, gr, Voltages{}, PointOptions{})
+	res, err := Point(gt, gr, Voltages{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	nan := math.NaN()
 
 	// G′: poisoned target point.
-	_, _, iters, err := GPrimeCompiled(&ct, geom.V(nan, 0, 1), 0, 0, GPrimeOptions{})
+	_, _, iters, err := GPrimeCompiled(&ct, geom.V(nan, 0, 1), 0, 0)
 	if !errors.Is(err, ErrNonFiniteTarget) {
 		t.Errorf("NaN target: err = %v, want ErrNonFiniteTarget", err)
 	}
@@ -200,7 +200,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	}
 
 	// G′: poisoned start voltages.
-	if _, _, _, err := GPrimeCompiled(&ct, geom.V(0, 0, 1), math.Inf(1), 0, GPrimeOptions{}); !errors.Is(err, ErrNonFiniteStart) {
+	if _, _, _, err := GPrimeCompiled(&ct, geom.V(0, 0, 1), math.Inf(1), 0); !errors.Is(err, ErrNonFiniteStart) {
 		t.Errorf("Inf start: err = %v, want ErrNonFiniteStart", err)
 	}
 

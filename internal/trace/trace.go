@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -131,44 +132,10 @@ func percentile(v []float64, p float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), v...)
-	// Insertion-free selection via sort.
-	sortFloats(s)
+	s := slices.Clone(v)
+	slices.Sort(s)
 	idx := int(p * float64(len(s)-1))
 	return s[idx]
-}
-
-func sortFloats(s []float64) {
-	// Small helper to avoid importing sort for one call site... but
-	// clarity wins: use a simple heapless quicksort via sort.Float64s.
-	quick(s, 0, len(s)-1)
-}
-
-func quick(s []float64, lo, hi int) {
-	for lo < hi {
-		p := s[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < p {
-				i++
-			}
-			for s[j] > p {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quick(s, lo, j)
-			lo = i
-		} else {
-			quick(s, i, hi)
-			hi = j
-		}
-	}
 }
 
 // WriteCSV emits the trace in the dataset layout:

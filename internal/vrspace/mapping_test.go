@@ -170,7 +170,7 @@ func TestEndToEndCalibration(t *testing.T) {
 	rep := tr.Report(pose, 0)
 	gt := m.TXModel(kTX)
 	gr := m.RXModel(kRX, rep.Pose)
-	pres, err := pointing.Point(gt, gr, pointing.Voltages{}, pointing.PointOptions{})
+	pres, err := pointing.Point(gt, gr, pointing.Voltages{})
 	if err != nil {
 		t.Fatalf("pointing with learned models: %v", err)
 	}

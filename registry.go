@@ -37,6 +37,18 @@ type experimentFunc struct {
 func (e experimentFunc) Name() string                   { return e.name }
 func (e experimentFunc) Run(seed int64) (Result, error) { return e.run(seed) }
 
+// adapt lifts an experiment function with a concrete result type to the
+// registry's signature, keeping a nil Result on error.
+func adapt[R Result](f func(seed int64) (R, error)) func(seed int64) (Result, error) {
+	return func(s int64) (Result, error) {
+		r, err := f(s)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+}
+
 // multiResult concatenates sub-results in order — for experiments that
 // produce several reports (Fig 13's two rigs, the ablation bundle).
 type multiResult []Result
@@ -71,20 +83,8 @@ func Experiments() []Experiment {
 		experimentFunc{"fig11", func(int64) (Result, error) {
 			return Fig11(), nil
 		}},
-		experimentFunc{"table2", func(s int64) (Result, error) {
-			r, err := Table2(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
-		experimentFunc{"tp", func(s int64) (Result, error) {
-			r, err := TPEvaluation(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
+		experimentFunc{"table2", adapt(Table2)},
+		experimentFunc{"tp", adapt(TPEvaluation)},
 		experimentFunc{"fig13", func(s int64) (Result, error) {
 			lin, ang, err := Fig13(s)
 			if err != nil {
@@ -92,13 +92,7 @@ func Experiments() []Experiment {
 			}
 			return multiResult{lin, ang}, nil
 		}},
-		experimentFunc{"fig14", func(s int64) (Result, error) {
-			m, err := Fig14(s)
-			if err != nil {
-				return nil, err
-			}
-			return m, nil
-		}},
+		experimentFunc{"fig14", adapt(Fig14)},
 		experimentFunc{"fig15", func(s int64) (Result, error) {
 			lin, ang, mix, err := Fig15(s)
 			if err != nil {
@@ -106,51 +100,15 @@ func Experiments() []Experiment {
 			}
 			return multiResult{lin, ang, mix}, nil
 		}},
-		experimentFunc{"table3", func(s int64) (Result, error) {
-			r, err := Table3(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
+		experimentFunc{"table3", adapt(Table3)},
 		experimentFunc{"fig16", func(s int64) (Result, error) {
 			return Fig16(s), nil
 		}},
-		experimentFunc{"fig16-faults", func(s int64) (Result, error) {
-			r, err := Fig16Faults(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
-		experimentFunc{"fig16-handover", func(s int64) (Result, error) {
-			r, err := Fig16Handover(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
-		experimentFunc{"fig16-arena", func(s int64) (Result, error) {
-			r, err := Fig16Arena(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
-		experimentFunc{"fig16-hybrid", func(s int64) (Result, error) {
-			r, err := Fig16Hybrid(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
-		experimentFunc{"convergence", func(s int64) (Result, error) {
-			r, err := Convergence(s)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		}},
+		experimentFunc{"fig16-faults", adapt(Fig16Faults)},
+		experimentFunc{"fig16-handover", adapt(Fig16Handover)},
+		experimentFunc{"fig16-arena", adapt(Fig16Arena)},
+		experimentFunc{"fig16-hybrid", adapt(Fig16Hybrid)},
+		experimentFunc{"convergence", adapt(Convergence)},
 		experimentFunc{"ablations", func(s int64) (Result, error) {
 			dg, err := AblationDirectGPrime(s)
 			if err != nil {

@@ -25,7 +25,7 @@ race:
 # so lint cost stays visible in CI logs. gofmt -l prints offending files;
 # the test -n fails the target on any output.
 lint:
-	@fmtout="$$(gofmt -l cmd internal *.go 2>/dev/null)"; \
+	@fmtout="$$(gofmt -l cmd examples internal *.go 2>/dev/null)"; \
 	if [ -n "$$fmtout" ]; then echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
 	@out="$$($(GO) run ./cmd/cyclops-vet -json ./...)" || \
@@ -175,8 +175,8 @@ hybrid-smoke:
 	$(GO) run ./cmd/cyclops-sim -oracle -motion static -duration 30s -haze -chaos-seed 3 -metrics .hybrid_smoke_fso.prom
 	grep -q '^cyclops_outage_total [1-9]' .hybrid_smoke_fso.prom
 	$(GO) run ./cmd/cyclops-sim -oracle -motion static -duration 30s -haze -chaos-seed 3 -hybrid -metrics .hybrid_smoke.prom > .hybrid_smoke.out
-	grep -q '^cyclops_policy_failover_total [1-9]' .hybrid_smoke.prom
-	grep -q '^cyclops_policy_readmit_total [1-9]' .hybrid_smoke.prom
+	grep -q '^cyclops_policy_failover_total 1$$' .hybrid_smoke.prom
+	grep -q '^cyclops_policy_readmit_total 1$$' .hybrid_smoke.prom
 	grep -q '^cyclops_mmwave_goodput_gbps_count [1-9]' .hybrid_smoke.prom
 	grep -q 'delivered 99\.[0-9]% up' .hybrid_smoke.out
 	rm -f .hybrid_smoke_fso.prom .hybrid_smoke.prom .hybrid_smoke.out

@@ -38,7 +38,6 @@ import (
 	"cyclops/internal/netem"
 	"cyclops/internal/obs"
 	"cyclops/internal/optics"
-	"cyclops/internal/policy"
 	"cyclops/internal/sim"
 	"cyclops/internal/trace"
 )
@@ -279,20 +278,15 @@ type SolveGateOptions = core.SolveGateOptions
 // power SLO breaches for the breach window the policy fails the stream
 // over, re-admitting the primary only after re-lock plus the clear
 // window. It has no fields: the secondary is the paper's 802.11ad link
-// (a fresh baseline.NewMmWave() per run), the windows are the
-// PolicyOptions defaults (50 ms breach, 500 ms clear), and the 10 dB
-// blocking depth is the handover arm's. Unlike HandoverOptions it needs
+// (a fresh baseline.NewMmWave() per run, blocked at the 10 dB
+// baseline.BlockAttenDB), and the windows are policy.BreachAfter (50 ms)
+// and policy.ClearAfter (500 ms). Unlike HandoverOptions it needs
 // no fault schedule — a clean run simply never leaves the primary. See
 // DESIGN.md "Hybrid FSO + mmWave failover policy".
 type HybridOptions = core.HybridOptions
 
 // HybridStats is the hybrid policy's per-run outcome (RunResult.Hybrid).
 type HybridStats = core.HybridStats
-
-// PolicyOptions tunes the failover hysteresis: the sustained-breach
-// window before leaving the primary and the sustained-clear window before
-// re-admitting it.
-type PolicyOptions = policy.Options
 
 // DefaultHazeFaultConfig is the haze-only environmental-fade schedule
 // (slow attenuation ramps, transparent to mmWave) behind cyclops-sim

@@ -684,6 +684,19 @@ var fig16FaultsSweep = struct {
 	durs:  []time.Duration{100 * time.Millisecond, 500 * time.Millisecond},
 }
 
+// occlusionFaults is the fault schedule of the fig16 occlusion sweeps:
+// 25–45 dB occlusions of exactly dur at perMin per minute over a fixed
+// background of blackouts and stuck-galvo episodes.
+func occlusionFaults(perMin float64, dur time.Duration) fault.Config {
+	return fault.Config{
+		Occlusion:        fault.ClassConfig{PerMin: perMin, MinDur: dur, MaxDur: dur},
+		OcclusionDepthDB: [2]float64{25, 45},
+		OcclusionRamp:    10 * time.Millisecond,
+		Blackout:         fault.ClassConfig{PerMin: 1, MinDur: 50 * time.Millisecond, MaxDur: 150 * time.Millisecond},
+		Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
+	}
+}
+
 // Fig16Faults runs the chaos sweep on the default worker pool
 // (parallel.SetDefaultWorkers). The whole sweep is a pure function of the
 // seed: trace generation, per-trace fault plans, and the slot model are
@@ -703,15 +716,8 @@ func Fig16Faults(seed int64) (Fig16FaultsResult, error) {
 	p := sim.PaperChaos25G()
 	for _, rate := range fig16FaultsSweep.rates {
 		for _, dur := range fig16FaultsSweep.durs {
-			cfg := fault.Config{
-				Occlusion:        fault.ClassConfig{PerMin: rate, MinDur: dur, MaxDur: dur},
-				OcclusionDepthDB: [2]float64{25, 45},
-				OcclusionRamp:    10 * time.Millisecond,
-				Blackout:         fault.ClassConfig{PerMin: 1, MinDur: 50 * time.Millisecond, MaxDur: 150 * time.Millisecond},
-				Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
-			}
 			c, err := sim.RunCorpus(sim.TraceSlice(traces), sim.CorpusOptions{
-				Chaos: &sim.CorpusChaos{Config: cfg, Seed: seed + 1, Params: p},
+				Chaos: &sim.CorpusChaos{Config: occlusionFaults(rate, dur), Seed: seed + 1, Params: p},
 			})
 			if err != nil {
 				return res, err
@@ -822,13 +828,7 @@ func fig16HandoverRun(seed int64, workers int, grid fig16HandoverGrid) (Fig16Han
 	}
 	res := Fig16HandoverResult{BaselineOnFraction: base.MeanOnFraction}
 	for _, oc := range grid.occl {
-		cfg := fault.Config{
-			Occlusion:        fault.ClassConfig{PerMin: oc.rate, MinDur: oc.dur, MaxDur: oc.dur},
-			OcclusionDepthDB: [2]float64{25, 45},
-			OcclusionRamp:    10 * time.Millisecond,
-			Blackout:         fault.ClassConfig{PerMin: 1, MinDur: 50 * time.Millisecond, MaxDur: 150 * time.Millisecond},
-			Stuck:            fault.ClassConfig{PerMin: 0.5, MinDur: 100 * time.Millisecond, MaxDur: 300 * time.Millisecond},
-		}
+		cfg := occlusionFaults(oc.rate, oc.dur)
 		for _, tx := range grid.txCounts {
 			for si, spacing := range grid.spacings {
 				if tx <= 1 && si > 0 {

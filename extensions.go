@@ -146,7 +146,7 @@ func BaselineMmWave(seed int64) (BaselineResult, error) {
 
 	// Raw 4K30 over each: the video the renderer actually wants to push.
 	mmSamples := mmToSamples(mm)
-	r.MmWave4K30Delivered = StreamVideo(mmSamples, Video4K30, baseline.NewMmWave().PeakGoodputGbps).DeliveredFraction()
+	r.MmWave4K30Delivered = StreamVideo(mmSamples, Video4K30, baseline.PeakGoodputGbps).DeliveredFraction()
 	r.Cyclops4K30Delivered = StreamVideo(res, Video4K30, 9.4).DeliveredFraction()
 	return r, nil
 }

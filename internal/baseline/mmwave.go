@@ -22,23 +22,40 @@ import (
 	"cyclops/internal/obs"
 )
 
-// MmWaveLink models an 802.11ad-class 60 GHz link between a ceiling access
-// point and the headset.
-type MmWaveLink struct {
-	// APPosition is the access point location.
-	APPosition geom.Vec3
-	// PeakGoodputGbps is the goodput at the top MCS; 802.11ad single
+// The 802.11ad link constants every mmWave consumer shares: the
+// standalone Run comparison, core.Run's hybrid secondary and the sim
+// slot link.
+const (
+	// PeakGoodputGbps is the goodput at the top MCS: 802.11ad single
 	// carrier peaks at 4.6 Gbps PHY ≈ 6.0 Gbps with channel bonding
-	// claims, but measured prototypes deliver less. Default 4.6.
-	PeakGoodputGbps float64
-	// BeamWidth is the array's 3 dB beamwidth, radians (default 3°).
-	BeamWidth float64
-	// TrainInterval is the beam-refinement cadence (default 100 ms).
-	TrainInterval time.Duration
-	// BlockageLossDB is the penalty of a human-body obstruction
-	// (20–30 dB at 60 GHz; enough to drop the top MCS ladder entirely).
-	BlockageLossDB float64
+	// claims, but measured prototypes deliver less.
+	PeakGoodputGbps = 4.6
+	// MACRecovery is the reconnect time after an outage: mmWave needs no
+	// optical re-lock, only beam retraining plus association.
+	MACRecovery = 30 * time.Millisecond
+	// BlockAttenDB is the injected physical-obstruction attenuation at or
+	// above which the mmWave path counts as body-blocked — the same
+	// 10 dB the FSO slot model blocks at. A fault schedule's haze
+	// component never counts: fog is transparent at 60 GHz.
+	BlockAttenDB = 10
+)
 
+const (
+	// beamWidth is the array's 3 dB beamwidth, radians (3°).
+	beamWidth = 3 * math.Pi / 180
+	// trainInterval is the beam-refinement cadence.
+	trainInterval = 100 * time.Millisecond
+	// blockageLossDB is the penalty of a human-body obstruction
+	// (20–30 dB at 60 GHz; enough to drop the top MCS ladder entirely).
+	blockageLossDB = 25
+)
+
+// apPosition is the access point location: the Cyclops TX position.
+var apPosition = geom.V(0, 0, link.CeilingHeight)
+
+// MmWaveLink models an 802.11ad-class 60 GHz link between a ceiling access
+// point and the headset. The zero value is a fresh link.
+type MmWaveLink struct {
 	// Metrics, when non-nil, instruments every Step (and therefore Run).
 	Metrics *MmWaveMetrics
 
@@ -48,17 +65,9 @@ type MmWaveLink struct {
 	nextTrain time.Duration
 }
 
-// NewMmWave builds the default 802.11ad baseline mounted at the Cyclops
-// TX position.
-func NewMmWave() *MmWaveLink {
-	return &MmWaveLink{
-		APPosition:      geom.V(0, 0, link.CeilingHeight),
-		PeakGoodputGbps: 4.6,
-		BeamWidth:       3 * math.Pi / 180,
-		TrainInterval:   100 * time.Millisecond,
-		BlockageLossDB:  25,
-	}
-}
+// NewMmWave builds the 802.11ad baseline mounted at the Cyclops TX
+// position.
+func NewMmWave() *MmWaveLink { return &MmWaveLink{} }
 
 // MmWaveMetrics instruments the mmWave baseline. Defined once here (the
 // obs registry panics on conflicting re-registration): every consumer —
@@ -100,7 +109,7 @@ func NewMmWaveMetrics(reg *obs.Registry) *MmWaveMetrics {
 // given the current beam aim and blockage state: the 802.11ad MCS ladder
 // reduced to an SNR-step function of pointing error and obstruction.
 func (l *MmWaveLink) goodputAt(hpos geom.Vec3, blocked bool) float64 {
-	dir := hpos.Sub(l.APPosition)
+	dir := hpos.Sub(apPosition)
 	if dir.IsZero() {
 		return 0
 	}
@@ -109,29 +118,32 @@ func (l *MmWaveLink) goodputAt(hpos geom.Vec3, blocked bool) float64 {
 	// SNR loss: quadratic within the main lobe, cliff outside.
 	var lossDB float64
 	switch {
-	case missAngle <= l.BeamWidth/2:
-		r := missAngle / (l.BeamWidth / 2)
+	case missAngle <= beamWidth/2:
+		r := missAngle / (beamWidth / 2)
 		lossDB = 3 * r * r
-	case missAngle <= l.BeamWidth:
+	case missAngle <= beamWidth:
 		lossDB = 12
 	default:
 		lossDB = 40
 	}
 	if blocked {
-		lossDB += l.BlockageLossDB
+		lossDB += blockageLossDB
 	}
 
 	// MCS ladder: full rate with ≤3 dB of headroom loss, stepping down
-	// to zero past ~20 dB.
+	// to zero past ~20 dB. peak is a float64 variable so the steps stay
+	// rounded float64 products (4.6*0.7 is 3.2199999999999998, where the
+	// constant expression would fold to 3.22).
+	peak := float64(PeakGoodputGbps)
 	switch {
 	case lossDB <= 3:
-		return l.PeakGoodputGbps
+		return peak
 	case lossDB <= 6:
-		return l.PeakGoodputGbps * 0.7
+		return peak * 0.7
 	case lossDB <= 12:
-		return l.PeakGoodputGbps * 0.4
+		return peak * 0.4
 	case lossDB <= 20:
-		return l.PeakGoodputGbps * 0.15
+		return peak * 0.15
 	default:
 		return 0
 	}
@@ -158,8 +170,8 @@ func (l *MmWaveLink) Reset() {
 func (l *MmWaveLink) Step(at time.Duration, hpos geom.Vec3, blocked bool) float64 {
 	if at >= l.nextTrain {
 		// Beam training snaps the aim back onto the headset.
-		l.aim = hpos.Sub(l.APPosition).Unit()
-		l.nextTrain = at + l.TrainInterval
+		l.aim = hpos.Sub(apPosition).Unit()
+		l.nextTrain = at + trainInterval
 		if l.Metrics != nil {
 			l.Metrics.Retrains.Inc()
 		}
@@ -169,7 +181,7 @@ func (l *MmWaveLink) Step(at time.Duration, hpos geom.Vec3, blocked bool) float6
 		l.Metrics.Goodput.Observe(g)
 		var loss float64
 		if blocked {
-			loss = l.BlockageLossDB
+			loss = blockageLossDB
 		}
 		l.Metrics.BlockageLoss.Set(loss)
 	}
@@ -183,9 +195,7 @@ func (l *MmWaveLink) Run(prog motion.Program, blocked func(t time.Duration) bool
 	const tick = time.Millisecond
 	dur := prog.Duration()
 	stream := netem.NewStream()
-	// mmWave reconnects fast after an outage (no optical re-lock);
-	// model a short MAC-level recovery.
-	stream.RampTime = 30 * time.Millisecond
+	stream.RampTime = MACRecovery
 
 	l.Reset()
 	var ticks, up int

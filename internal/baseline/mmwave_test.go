@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -61,39 +62,39 @@ func TestMmWaveBlockageHurts(t *testing.T) {
 }
 
 func TestMmWaveStaleBeamDegrades(t *testing.T) {
-	// With beam training disabled for seconds at a time, a walking user
-	// leaves the 3° lobe.
+	// Between training cycles the beam stays where it was trained: a
+	// head that moves 0.4 m leaves the 3° lobe until the next cycle.
 	l := NewMmWave()
-	l.TrainInterval = 10 * time.Second
-	prog := motion.LinearStrokes{
-		Base:       link.DefaultHeadsetPose(),
-		Axis:       geom.V(1, 0, 0),
-		HalfTravel: 0.4,
-		StartSpeed: 0.3,
-		SpeedStep:  0,
-		Strokes:    4,
-		Dwell:      100 * time.Millisecond,
+	h := link.DefaultHeadsetPose().Trans
+	if g := l.Step(0, h, false); g != PeakGoodputGbps {
+		t.Fatalf("trained beam delivered %.2f Gbps, want the peak", g)
 	}
-	res := l.Run(prog, nil)
-	if res.MeanGoodputGbps > 4.0 {
-		t.Errorf("stale beam still delivered %.2f Gbps", res.MeanGoodputGbps)
+	moved := h.Add(geom.V(0.4, 0, 0))
+	if miss := moved.Sub(apPosition).Unit().AngleTo(l.aim); miss <= beamWidth {
+		t.Fatalf("0.4 m move is only %.2f° off the beam — still inside the lobe", miss*180/math.Pi)
+	}
+	if g := l.Step(trainInterval/2, moved, false); g > 0 {
+		t.Errorf("stale beam still delivered %.2f Gbps", g)
+	}
+	if g := l.Step(trainInterval, moved, false); g != PeakGoodputGbps {
+		t.Errorf("retrained beam delivered %.2f Gbps, want the peak", g)
 	}
 }
 
 func TestGoodputLadderMonotone(t *testing.T) {
 	l := NewMmWave()
 	h := link.DefaultHeadsetPose().Trans
-	l.aim = h.Sub(l.APPosition).Unit()
+	l.aim = h.Sub(apPosition).Unit()
 	aligned := l.goodputAt(h, false)
 	blockedRate := l.goodputAt(h, true)
-	if aligned != l.PeakGoodputGbps {
+	if aligned != PeakGoodputGbps {
 		t.Errorf("aligned rate %.2f", aligned)
 	}
 	if blockedRate >= aligned {
 		t.Error("blockage did not reduce rate")
 	}
 	// Degenerate geometry.
-	if g := l.goodputAt(l.APPosition, false); g != 0 {
+	if g := l.goodputAt(apPosition, false); g != 0 {
 		t.Errorf("zero-range goodput %.2f", g)
 	}
 }
@@ -143,7 +144,7 @@ func TestMmWaveMetricsOnlyWithRegistry(t *testing.T) {
 	l.Run(prog, func(at time.Duration) bool { return at < time.Second })
 
 	exp := reg.Exposition()
-	wantRetrains := int(prog.Duration()/l.TrainInterval) + 1
+	wantRetrains := int(prog.Duration()/trainInterval) + 1
 	if want := fmt.Sprintf("cyclops_mmwave_retrain_total %d", wantRetrains); !strings.Contains(exp, want) {
 		t.Errorf("exposition missing %q:\n%s", want, exp)
 	}

@@ -26,9 +26,9 @@ const (
 	// lit run switches back to it.
 	failbackAfter = 500 * time.Millisecond
 	// blockAttenDB is the injected physical-obstruction attenuation at or
-	// above which a path counts as blocked: for handover candidates and
-	// for the hybrid arm's mmWave link alike. 10 dB is the 25G budget's
-	// full margin, the same depth the sim chaos model uses.
+	// above which a handover candidate's path counts as blocked. 10 dB is
+	// the 25G budget's full margin, the same depth the sim chaos model
+	// uses.
 	blockAttenDB = 10
 )
 

@@ -13,12 +13,14 @@ import (
 
 // HybridOptions arm the hybrid FSO + mmWave link policy
 // (RunOptions.Hybrid): the baseline 802.11ad link (a fresh
-// baseline.NewMmWave() per run, mounted at the Cyclops TX position) runs
-// side by side with the optical plant over its own netem stream, and the
-// policy.Controller, at the policy package's default 50 ms breach and
-// 500 ms clear windows, fails delivered traffic over to it on a sustained
-// SLO breach, re-admitting the FSO primary only after re-lock plus the
-// clear window. Setting the pointer arms the policy; it has no tuning.
+// baseline.NewMmWave() per run, mounted at the Cyclops TX position,
+// blocked at baseline.BlockAttenDB and recovering in
+// baseline.MACRecovery) runs side by side with the optical plant over
+// its own netem stream, and the policy.Controller fails delivered
+// traffic over to it once the SLO breach lasts policy.BreachAfter
+// (50 ms), re-admitting the FSO primary only after re-lock plus
+// policy.ClearAfter (500 ms). Setting the pointer arms the policy; it
+// has no tuning.
 type HybridOptions struct{}
 
 // HybridStats is the hybrid policy's contribution to a RunResult. Always
@@ -38,8 +40,8 @@ type HybridStats struct {
 	DeliveredUpTicks    int
 	DeliveredUpFraction float64
 	// MinSecondaryDwell is the shortest completed failover→readmit dwell
-	// (zero when none completed). Never below the policy's clear window —
-	// the no-flap guarantee.
+	// (zero when none completed). Never below policy.ClearAfter — the
+	// no-flap guarantee.
 	MinSecondaryDwell time.Duration
 	// SecondaryWindows are the shadow mmWave stream's 50 ms throughput
 	// windows, measured for the whole run regardless of policy state
@@ -68,11 +70,11 @@ type hyState struct {
 func newHyState(reg *obs.Registry) *hyState {
 	hy := &hyState{sec: baseline.NewMmWave()}
 	hy.sec.Metrics = baseline.NewMmWaveMetrics(reg)
-	hy.ctl = policy.New(policy.Options{}, policy.NewMetrics(reg))
+	hy.ctl = policy.New(policy.NewMetrics(reg))
 	hy.stream = netem.NewStream()
-	// Same MAC-level recovery constant baseline.Run uses: mmWave
-	// reconnects fast after a blockage, no optical re-lock.
-	hy.stream.RampTime = 30 * time.Millisecond
+	// Same MAC-level recovery baseline.Run models: mmWave reconnects
+	// fast after a blockage, no optical re-lock.
+	hy.stream.RampTime = baseline.MACRecovery
 	return hy
 }
 
@@ -87,7 +89,7 @@ func (l *runLoop) hyTick(at time.Duration, pose geom.Pose, fs fault.State, power
 	// The mmWave path shares the FSO link's body-blockage exposure (§2.1)
 	// but not its haze sensitivity: only the physical-obstruction
 	// component of the injected attenuation blocks it.
-	blocked := fs.AttenDB-fs.HazeDB >= blockAttenDB
+	blocked := fs.AttenDB-fs.HazeDB >= baseline.BlockAttenDB
 	g := hy.sec.Step(at, pose.Trans, blocked)
 	hy.stream.Tick(at, tick, g > 0, g)
 

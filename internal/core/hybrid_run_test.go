@@ -10,6 +10,7 @@ import (
 	"cyclops/internal/link"
 	"cyclops/internal/motion"
 	"cyclops/internal/optics"
+	"cyclops/internal/policy"
 )
 
 // RunOptions.Hybrid == nil must be byte-identical to the historical run —
@@ -84,7 +85,6 @@ func TestRunHybridCleanStaysPrimary(t *testing.T) {
 // clear window (the no-flap acceptance criterion).
 func TestRunHybridHazeFailoverAndReadmit(t *testing.T) {
 	s := oracleSystem(optics.Diverging10G16mm, 5)
-	clear := 500 * time.Millisecond // the policy's default clear window
 	sched := &fault.Schedule{Seed: 3, Windows: []fault.Window{{
 		Kind:     fault.HazeFade,
 		Start:    2 * time.Second,
@@ -108,8 +108,8 @@ func TestRunHybridHazeFailoverAndReadmit(t *testing.T) {
 	if h.Failovers < 1 || h.Readmits < 1 {
 		t.Fatalf("haze fade produced failovers=%d readmits=%d, want ≥1 each", h.Failovers, h.Readmits)
 	}
-	if h.MinSecondaryDwell < clear {
-		t.Fatalf("min dwell %v below clear window %v — policy flapped", h.MinSecondaryDwell, clear)
+	if h.MinSecondaryDwell < policy.ClearAfter {
+		t.Fatalf("min dwell %v below clear window %v — policy flapped", h.MinSecondaryDwell, policy.ClearAfter)
 	}
 	if h.SecondaryTicks == 0 {
 		t.Fatal("no time on secondary despite a failover")

@@ -79,7 +79,7 @@ type RunOptions struct {
 	// Hybrid, when non-nil, arms the hybrid FSO + mmWave link policy: the
 	// baseline 802.11ad link runs side by side over its own netem stream
 	// and delivered traffic fails over to it on a sustained SLO breach,
-	// re-admitting FSO after re-lock plus a clear window. Unlike Handover
+	// re-admitting FSO after re-lock plus policy.ClearAfter. Unlike Handover
 	// it does not require faults — a breach can come from misalignment
 	// alone. Default (nil): FSO only, bit-identical to the historical run
 	// loop (results and metrics exposition).

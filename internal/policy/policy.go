@@ -23,13 +23,14 @@
 //	   └──sustained ClearAfter── READMIT-PENDING ◀────────────── (clear clock
 //	                                  │unhealthy──▶ SECONDARY      starts)
 //
-// Both hysteresis windows are boundary-inclusive: with BreachAfter zero
-// the first unhealthy sample fails over, with ClearAfter zero the first
-// healthy sample re-admits — the same closed-boundary convention
-// link.Monitor uses for HoldOver and RelockDelay. Because leaving
-// SECONDARY requires ClearAfter of uninterrupted health, a completed
-// failover→readmit dwell is never shorter than ClearAfter: the policy
-// cannot flap during a recovery or a handover slew by construction.
+// Both hysteresis windows are boundary-inclusive: a breach clock started
+// at t fails over on the unhealthy sample at t+BreachAfter, a clear clock
+// re-admits on the healthy sample at t+ClearAfter — the same
+// closed-boundary convention link.Monitor uses for HoldOver and
+// RelockDelay. Because leaving SECONDARY requires ClearAfter of
+// uninterrupted health, a completed failover→readmit dwell is never
+// shorter than ClearAfter: the policy cannot flap during a recovery or a
+// handover slew by construction.
 package policy
 
 import (
@@ -77,42 +78,19 @@ func (s State) String() string {
 // medium in this state.
 func (s State) OnSecondary() bool { return s == Secondary || s == ReadmitPending }
 
-// Options tune the SLO hysteresis. The zero value of each field means
-// "use the documented default"; Validate rejects negative values.
-type Options struct {
+// The SLO hysteresis windows every controller runs with.
+const (
 	// BreachAfter is how long the primary must stay continuously
-	// unhealthy before the controller fails over (default 50 ms — far
-	// above a realignment transient or a make-before-break handover slew,
-	// far below the 3 s SFP re-lock an occlusion costs).
-	BreachAfter time.Duration
+	// unhealthy before the controller fails over: far above a realignment
+	// transient or a make-before-break handover slew, far below the 3 s
+	// SFP re-lock an occlusion costs.
+	BreachAfter = 50 * time.Millisecond
 	// ClearAfter is how long the primary must stay continuously healthy
-	// (re-locked and inside margin) before the controller re-admits it
-	// (default 500 ms, matching core.Run's handover failback). This is
-	// also the minimum completed SECONDARY dwell — the no-flap floor.
-	ClearAfter time.Duration
-}
-
-// Defaults fills zero fields with the documented defaults in place.
-func (o *Options) Defaults() {
-	if o.BreachAfter <= 0 {
-		o.BreachAfter = 50 * time.Millisecond
-	}
-	if o.ClearAfter <= 0 {
-		o.ClearAfter = 500 * time.Millisecond
-	}
-}
-
-// Validate rejects negative hysteresis windows (zero always means "use
-// the default", never "disable").
-func (o Options) Validate() error {
-	if o.BreachAfter < 0 {
-		return fmt.Errorf("policy: negative BreachAfter %v", o.BreachAfter)
-	}
-	if o.ClearAfter < 0 {
-		return fmt.Errorf("policy: negative ClearAfter %v", o.ClearAfter)
-	}
-	return nil
-}
+	// (re-locked and inside margin) before the controller re-admits it,
+	// matching core.Run's handover failback. It is also the minimum
+	// completed SECONDARY dwell — the no-flap floor.
+	ClearAfter = 500 * time.Millisecond
+)
 
 // Metrics instruments the policy layer. Like fault.OutageMetrics, every
 // consumer of the controller (core.Run's hybrid path, the sim hybrid slot
@@ -127,13 +105,13 @@ type Metrics struct {
 	// SecondarySeconds totals time delivered traffic rode the secondary.
 	SecondarySeconds *obs.Counter
 	// Dwell is the completed failover→readmit dwell distribution. Every
-	// observation sits at or above Options.ClearAfter — a bucket below it
+	// observation sits at or above ClearAfter — a bucket below it
 	// filling up is the flap signature the policy exists to prevent.
 	Dwell *obs.Histogram
 }
 
 // SecondaryDwellBuckets are the cyclops_policy_secondary_dwell_seconds
-// histogram bounds. They straddle the default 500 ms clear window and the
+// histogram bounds. They straddle the 500 ms ClearAfter window and the
 // multi-second haze fades that drive realistic failovers.
 var SecondaryDwellBuckets = []float64{0.1, 0.25, 0.5, 1, 2, 5, 10, 20, 60}
 
@@ -160,8 +138,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // sample per tick through Observe, or a run of ticks with one verdict
 // through ObserveRun; it is not safe for concurrent use.
 type Controller struct {
-	opts Options
-	m    *Metrics
+	m *Metrics
 
 	state       State
 	breachSince time.Duration
@@ -175,10 +152,9 @@ type Controller struct {
 }
 
 // New builds a controller in the PRIMARY state. A nil Metrics disables
-// recording; Options zero fields take the documented defaults.
-func New(opts Options, m *Metrics) *Controller {
-	opts.Defaults()
-	return &Controller{opts: opts, m: m}
+// recording.
+func New(m *Metrics) *Controller {
+	return &Controller{m: m}
 }
 
 // Observe feeds one tick: at is the sample time (non-decreasing), tick
@@ -261,16 +237,16 @@ func (c *Controller) holding(from, tick time.Duration, n int, primaryHealthy boo
 func (c *Controller) Deadline() time.Duration {
 	switch c.state {
 	case BreachPending:
-		return c.breachSince + c.opts.BreachAfter
+		return c.breachSince + BreachAfter
 	case ReadmitPending:
-		return c.clearSince + c.opts.ClearAfter
+		return c.clearSince + ClearAfter
 	case Primary, Secondary:
 	}
 	return math.MaxInt64
 }
 
 func (c *Controller) maybeFailover(at time.Duration) {
-	if at-c.breachSince < c.opts.BreachAfter {
+	if at-c.breachSince < BreachAfter {
 		return
 	}
 	c.state = Secondary
@@ -282,7 +258,7 @@ func (c *Controller) maybeFailover(at time.Duration) {
 }
 
 func (c *Controller) maybeReadmit(at time.Duration) {
-	if at-c.clearSince < c.opts.ClearAfter {
+	if at-c.clearSince < ClearAfter {
 		return
 	}
 	c.state = Primary
@@ -306,7 +282,7 @@ func (c *Controller) Readmits() int { return c.readmits }
 
 // MinSecondaryDwell is the shortest completed failover→readmit dwell, or
 // zero when no dwell has completed. By construction it is never below
-// Options.ClearAfter — the no-flap guarantee the acceptance tests pin.
+// ClearAfter — the no-flap guarantee the acceptance tests pin.
 func (c *Controller) MinSecondaryDwell() time.Duration {
 	if !c.hasDwell {
 		return 0

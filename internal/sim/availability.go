@@ -15,6 +15,7 @@ import (
 	"math"
 	"time"
 
+	"cyclops/internal/baseline"
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
@@ -250,8 +251,8 @@ func simulate(tr trace.Trace, p ChaosParams, arms slotArms) ChaosTraceResult {
 		fsUntil = 0
 	}
 	blockDB, physDB := thresholdDB(p.BlockAttenDB), math.Inf(1)
-	if h := arms.hybrid; h != nil {
-		physDB = thresholdDB(h.mm.p.BlockAttenDB)
+	if arms.hybrid != nil {
+		physDB = baseline.BlockAttenDB
 	}
 	var rescue xrand.Rand // the rescue stream, off the heap
 	blk := newBlockState(p, arms, faults, &rescue)

@@ -186,24 +186,6 @@ func (o *CorpusOptions) Validate() error {
 		if err := c.Params.validate("CorpusChaos.Params"); err != nil {
 			return err
 		}
-		// The arms are checked read-only: their defaults are applied per
-		// trace, never written back through the caller's pointers.
-		if h := c.Hybrid; h != nil {
-			if err := h.Policy.Validate(); err != nil {
-				return fmt.Errorf("sim: CorpusChaos.Hybrid.Policy: %w", err)
-			}
-			if err := h.Secondary.validate("CorpusChaos.Hybrid.Secondary"); err != nil {
-				return err
-			}
-			if g := h.PrimaryGoodputGbps; !(g >= 0) || math.IsInf(g, 1) {
-				return fmt.Errorf("sim: CorpusChaos.Hybrid.PrimaryGoodputGbps %v is not a finite non-negative value", g)
-			}
-		}
-		if m := c.MmWaveOnly; m != nil {
-			if err := m.validate("CorpusChaos.MmWaveOnly"); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -251,22 +233,6 @@ func (p ChaosParams) validate(name string) error {
 	}
 	if !(p.StandbyBlockProb >= 0 && p.StandbyBlockProb <= 1) {
 		return fmt.Errorf("sim: %s.StandbyBlockProb %v is outside [0, 1]", name, p.StandbyBlockProb)
-	}
-	return nil
-}
-
-// validate rejects mmWave slot constants the engine would misread: a NaN
-// or negative rate or blocking depth, or a negative recovery tail. Zero
-// fields stay valid (the arms default them, see MmWaveSlotParams).
-func (p MmWaveSlotParams) validate(name string) error {
-	if !(p.PeakGoodputGbps >= 0) || math.IsInf(p.PeakGoodputGbps, 1) {
-		return fmt.Errorf("sim: %s.PeakGoodputGbps %v is not a finite non-negative value", name, p.PeakGoodputGbps)
-	}
-	if !(p.BlockAttenDB >= 0) || math.IsInf(p.BlockAttenDB, 1) {
-		return fmt.Errorf("sim: %s.BlockAttenDB %v is not a finite non-negative value", name, p.BlockAttenDB)
-	}
-	if p.Recovery < 0 {
-		return fmt.Errorf("sim: %s: negative Recovery %v", name, p.Recovery)
 	}
 	return nil
 }
@@ -481,7 +447,7 @@ func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int, sc *shardScratc
 			case c.Hybrid != nil:
 				r = SimulateTraceHybrid(tr, c.Params, *c.Hybrid, &sched, reg)
 			case c.MmWaveOnly != nil:
-				r = SimulateTraceMmWave(tr, c.Params, *c.MmWaveOnly, &sched, reg)
+				r = SimulateTraceMmWave(tr, c.Params, &sched, reg)
 			default:
 				r = SimulateTraceChaosRuns(tr, c.Params, &sched, reg, nil)
 			}

@@ -12,7 +12,6 @@ import (
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
-	"cyclops/internal/policy"
 	"cyclops/internal/trace"
 )
 
@@ -231,44 +230,21 @@ func TestCorpusOptionsValidate(t *testing.T) {
 }
 
 // TestCorpusOptionsValidateArms: the hybrid and mmWave-only arms are
-// validated, read-only, like the rest of the chaos spec: a negative
-// policy window, a NaN or negative mmWave constant, a negative recovery
-// tail and a non-finite or negative primary rate are rejected, and
-// accepted arms come back unwritten.
+// mutually exclusive, and either alone is accepted and left as set.
 func TestCorpusOptionsValidateArms(t *testing.T) {
-	withHybrid := func(edit func(*HybridSlotParams)) CorpusOptions {
-		h := &HybridSlotParams{}
-		edit(h)
-		return CorpusOptions{Chaos: &CorpusChaos{Hybrid: h}}
+	both := CorpusOptions{Chaos: &CorpusChaos{Hybrid: &HybridSlotParams{}, MmWaveOnly: &MmWaveSlotParams{}}}
+	if err := both.Validate(); err == nil {
+		t.Error("Validate accepted both arms at once")
 	}
-	withMmWave := func(m MmWaveSlotParams) CorpusOptions {
-		return CorpusOptions{Chaos: &CorpusChaos{MmWaveOnly: &m}}
-	}
-	for name, bad := range map[string]CorpusOptions{
-		"negative breach":       withHybrid(func(h *HybridSlotParams) { h.Policy.BreachAfter = -time.Millisecond }),
-		"negative clear":        withHybrid(func(h *HybridSlotParams) { h.Policy.ClearAfter = -time.Millisecond }),
-		"NaN secondary rate":    withHybrid(func(h *HybridSlotParams) { h.Secondary.PeakGoodputGbps = math.NaN() }),
-		"negative block depth":  withHybrid(func(h *HybridSlotParams) { h.Secondary.BlockAttenDB = -1 }),
-		"negative recovery":     withHybrid(func(h *HybridSlotParams) { h.Secondary.Recovery = -time.Millisecond }),
-		"infinite primary rate": withHybrid(func(h *HybridSlotParams) { h.PrimaryGoodputGbps = math.Inf(1) }),
-		"negative primary rate": withHybrid(func(h *HybridSlotParams) { h.PrimaryGoodputGbps = -1 }),
-		"NaN mmWave-only block": withMmWave(MmWaveSlotParams{BlockAttenDB: math.NaN()}),
-		"inf mmWave-only rate":  withMmWave(MmWaveSlotParams{PeakGoodputGbps: math.Inf(1)}),
-		"mmWave-only recovery":  withMmWave(MmWaveSlotParams{Recovery: -time.Second}),
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted it", name)
-		}
-	}
-	hybrid := withHybrid(func(h *HybridSlotParams) {})
-	mm := withMmWave(MmWaveSlotParams{})
-	for name, good := range map[string]CorpusOptions{"zero hybrid": hybrid, "zero mmWave-only": mm} {
+	hybrid := CorpusOptions{Chaos: &CorpusChaos{Hybrid: &HybridSlotParams{}}}
+	mm := CorpusOptions{Chaos: &CorpusChaos{MmWaveOnly: &MmWaveSlotParams{}}}
+	for name, good := range map[string]CorpusOptions{"hybrid": hybrid, "mmWave-only": mm} {
 		if err := good.Validate(); err != nil {
 			t.Errorf("%s rejected: %v", name, err)
 		}
 	}
-	if *hybrid.Chaos.Hybrid != (HybridSlotParams{}) || *mm.Chaos.MmWaveOnly != (MmWaveSlotParams{}) {
-		t.Errorf("Validate wrote an arm: hybrid %+v, mmWave-only %+v", *hybrid.Chaos.Hybrid, *mm.Chaos.MmWaveOnly)
+	if hybrid.Chaos.Hybrid == nil || hybrid.Chaos.MmWaveOnly != nil || mm.Chaos.MmWaveOnly == nil || mm.Chaos.Hybrid != nil {
+		t.Errorf("Validate rewrote an arm: hybrid %+v, mmWave-only %+v", *hybrid.Chaos, *mm.Chaos)
 	}
 }
 
@@ -277,7 +253,7 @@ func TestCorpusOptionsValidateArms(t *testing.T) {
 // error paths alone may format.
 func TestCorpusOptionsValidateZeroAllocs(t *testing.T) {
 	for _, c := range []*CorpusChaos{
-		{Hybrid: &HybridSlotParams{Secondary: PaperMmWave()}},
+		{Hybrid: &HybridSlotParams{}},
 		{MmWaveOnly: &MmWaveSlotParams{}},
 	} {
 		o := CorpusOptions{Chaos: c, Registry: obs.NewRegistry()}
@@ -294,13 +270,9 @@ func TestCorpusOptionsValidateZeroAllocs(t *testing.T) {
 // FuzzCorpusOptionsValidate: Validate never panics on arbitrary
 // slot-model constants, rejects every option set with a NaN float field,
 // and accepts only finite, non-negative tolerances and errors, non-negative
-// durations and a StandbyBlockProb in [0, 1]. With chaos on, arm 1 adds a
-// hybrid arm and arm 2 an mmWave-only arm: accepted, their rates and
-// depths are finite and non-negative, their windows non-negative, and
-// Validate left them unwritten.
+// durations and a StandbyBlockProb in [0, 1].
 func FuzzCorpusOptionsValidate(f *testing.F) {
-	f.Fuzz(func(t *testing.T, slot, realign int64, latTol, angTol, tpLat, tpAng, blockDB float64, relock, dark int64, standby float64, chaos bool,
-		arm uint8, peak, mmBlock float64, recovery, breach, clear int64, primary float64) {
+	f.Fuzz(func(t *testing.T, slot, realign int64, latTol, angTol, tpLat, tpAng, blockDB float64, relock, dark int64, standby float64, chaos bool) {
 		p := AvailabilityParams{
 			Slot: time.Duration(slot), RealignLatency: time.Duration(realign),
 			LateralTolerance: latTol, AngularTolerance: angTol,
@@ -308,32 +280,14 @@ func FuzzCorpusOptionsValidate(f *testing.F) {
 		}
 		floats := []float64{latTol, angTol, tpLat, tpAng}
 		o := CorpusOptions{Params: p}
-		mm := MmWaveSlotParams{PeakGoodputGbps: peak, BlockAttenDB: mmBlock, Recovery: time.Duration(recovery)}
-		hy := HybridSlotParams{
-			Policy:             policy.Options{BreachAfter: time.Duration(breach), ClearAfter: time.Duration(clear)},
-			Secondary:          mm,
-			PrimaryGoodputGbps: primary,
-		}
 		if chaos {
 			o = CorpusOptions{Chaos: &CorpusChaos{Params: ChaosParams{
 				AvailabilityParams: p, BlockAttenDB: blockDB,
 				Relock: time.Duration(relock), HandoverDark: time.Duration(dark), StandbyBlockProb: standby,
 			}}}
 			floats = append(floats, blockDB, standby)
-			switch arm % 3 {
-			case 1:
-				o.Chaos.Hybrid = &hy
-				floats = append(floats, peak, mmBlock, primary)
-			case 2:
-				o.Chaos.MmWaveOnly = &mm
-				floats = append(floats, peak, mmBlock)
-			}
 		}
-		callerHy, callerMm := hy, mm
 		err := o.Validate()
-		if !sameHybrid(hy, callerHy) || !sameMmWave(mm, callerMm) {
-			t.Fatalf("Validate wrote an arm: hybrid %+v → %+v, mmWave %+v → %+v", callerHy, hy, callerMm, mm)
-		}
 		for _, v := range floats {
 			if math.IsNaN(v) && err == nil {
 				t.Fatalf("Validate accepted a NaN field: %+v", p)
@@ -359,37 +313,8 @@ func FuzzCorpusOptionsValidate(f *testing.F) {
 				c.Params.StandbyBlockProb < 0 || c.Params.StandbyBlockProb > 1 {
 				t.Fatalf("Validate accepted chaos params %+v", c.Params)
 			}
-			var arms []MmWaveSlotParams
-			if c.Hybrid != nil {
-				if g := c.Hybrid.PrimaryGoodputGbps; !(g >= 0) || math.IsInf(g, 0) ||
-					c.Hybrid.Policy.BreachAfter < 0 || c.Hybrid.Policy.ClearAfter < 0 {
-					t.Fatalf("Validate accepted hybrid arm %+v", *c.Hybrid)
-				}
-				arms = append(arms, c.Hybrid.Secondary)
-			}
-			if c.MmWaveOnly != nil {
-				arms = append(arms, *c.MmWaveOnly)
-			}
-			for _, m := range arms {
-				if !(m.PeakGoodputGbps >= 0) || math.IsInf(m.PeakGoodputGbps, 0) ||
-					!(m.BlockAttenDB >= 0) || math.IsInf(m.BlockAttenDB, 0) || m.Recovery < 0 {
-					t.Fatalf("Validate accepted mmWave params %+v", m)
-				}
-			}
 		}
 	})
-}
-
-// sameMmWave and sameHybrid compare bit for bit, so a NaN field equals
-// itself.
-func sameMmWave(a, b MmWaveSlotParams) bool {
-	return math.Float64bits(a.PeakGoodputGbps) == math.Float64bits(b.PeakGoodputGbps) &&
-		math.Float64bits(a.BlockAttenDB) == math.Float64bits(b.BlockAttenDB) && a.Recovery == b.Recovery
-}
-
-func sameHybrid(a, b HybridSlotParams) bool {
-	return a.Policy == b.Policy && sameMmWave(a.Secondary, b.Secondary) &&
-		math.Float64bits(a.PrimaryGoodputGbps) == math.Float64bits(b.PrimaryGoodputGbps)
 }
 
 // TestCorpusChaosDefaultsTakeRunParams: a zero CorpusChaos.Params takes

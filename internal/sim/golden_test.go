@@ -90,7 +90,7 @@ func goldenArms() []goldenArm {
 			return SimulateTraceHybrid(c.tr, one, HybridSlotParams{}, &c.sched, reg)
 		}},
 		{"mmwave-only", func(c goldenCase, reg *obs.Registry, _ func(int, bool)) ChaosTraceResult {
-			return SimulateTraceMmWave(c.tr, one, MmWaveSlotParams{}, &c.sched, reg)
+			return SimulateTraceMmWave(c.tr, one, &c.sched, reg)
 		}},
 	}
 }

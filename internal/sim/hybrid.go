@@ -1,6 +1,6 @@
 // The hybrid and mmWave-only slot models: the corpus-scale counterparts
 // of core.Run's RunOptions.Hybrid. The FSO side is the chaos slot model
-// unchanged; the mmWave side is a two-constant caricature of
+// unchanged; the mmWave side is a three-constant caricature of
 // baseline.MmWaveLink (a 3° beam shrugs off every head speed in the
 // corpus, so only body blockage and its short MAC-level recovery matter);
 // the policy.Controller between them is the same state machine the
@@ -12,88 +12,42 @@ import (
 	"math"
 	"time"
 
+	"cyclops/internal/baseline"
 	"cyclops/internal/fault"
 	"cyclops/internal/obs"
+	"cyclops/internal/optics"
 	"cyclops/internal/policy"
 	"cyclops/internal/trace"
 	"cyclops/internal/xmath"
 )
 
-// MmWaveSlotParams parameterize the slot-model mmWave link. The zero
-// value means PaperMmWave(); in a partly set value a zero PeakGoodputGbps
-// or BlockAttenDB takes PaperMmWave's, since neither zero can be meant
-// literally, while a zero Recovery stays an instant reconnect.
-type MmWaveSlotParams struct {
-	// PeakGoodputGbps is the delivered rate while the link is up (the
-	// 802.11ad single-carrier peak; the slot model does not grade the MCS
-	// ladder — a beam this wide is either carrying or blocked).
-	PeakGoodputGbps float64
-	// BlockAttenDB is the physical-obstruction depth at or above which
-	// the mmWave path counts as body-blocked. The haze component of a
-	// fault schedule never blocks it — fog is transparent at 60 GHz.
-	BlockAttenDB float64
-	// Recovery is the MAC-level reconnect time after a blockage clears
-	// (no optical re-lock; beam retraining plus association).
-	Recovery time.Duration
-}
+// MmWaveSlotParams selects the mmWave-only corpus arm
+// (CorpusChaos.MmWaveOnly). Setting the pointer arms it; it has no
+// tuning: the slot link delivers baseline.PeakGoodputGbps while up,
+// counts as body-blocked while the physical obstruction is at or above
+// baseline.BlockAttenDB (the haze component of a fault schedule never
+// blocks it — fog is transparent at 60 GHz), and reconnects
+// baseline.MACRecovery after a blockage clears. The slot model does not
+// grade the MCS ladder: a beam this wide is either carrying or blocked.
+type MmWaveSlotParams struct{}
 
-// withDefaults applies the zero-field defaults MmWaveSlotParams documents.
-func (p MmWaveSlotParams) withDefaults() MmWaveSlotParams {
-	paper := PaperMmWave()
-	if p == (MmWaveSlotParams{}) {
-		return paper
-	}
-	if p.PeakGoodputGbps == 0 {
-		p.PeakGoodputGbps = paper.PeakGoodputGbps
-	}
-	if p.BlockAttenDB == 0 {
-		p.BlockAttenDB = paper.BlockAttenDB
-	}
-	return p
-}
-
-// PaperMmWave returns the slot-model constants matching
-// baseline.NewMmWave: the 4.6 Gbps 802.11ad peak, the 10 dB blocking
-// threshold shared with PaperChaos25G, and the 30 ms stream recovery
-// baseline.Run models.
-func PaperMmWave() MmWaveSlotParams {
-	return MmWaveSlotParams{
-		PeakGoodputGbps: 4.6,
-		BlockAttenDB:    10,
-		Recovery:        30 * time.Millisecond,
-	}
-}
-
-// HybridSlotParams parameterize a hybrid corpus arm.
-type HybridSlotParams struct {
-	// Policy tunes the failover hysteresis (zero fields: the policy
-	// package defaults — 50 ms breach, 500 ms clear).
-	Policy policy.Options
-	// Secondary is the mmWave side (zero fields: see MmWaveSlotParams).
-	Secondary MmWaveSlotParams
-	// PrimaryGoodputGbps is the delivered rate while the FSO side carries
-	// (zero: the 25G transceiver's 23.5 Gbps optimal goodput).
-	PrimaryGoodputGbps float64
-}
-
-func (p *HybridSlotParams) defaults() {
-	p.Secondary = p.Secondary.withDefaults()
-	if p.PrimaryGoodputGbps <= 0 {
-		p.PrimaryGoodputGbps = 23.5
-	}
-}
+// HybridSlotParams selects the hybrid corpus arm (CorpusChaos.Hybrid).
+// Setting the pointer arms it; it has no tuning: the FSO primary
+// delivers the 25G transceiver's optics.SFP28LR.OptimalGoodputGbps, the
+// secondary is the mmWave slot link of MmWaveSlotParams, and the policy
+// runs at policy.BreachAfter and policy.ClearAfter.
+type HybridSlotParams struct{}
 
 // mmSlotState is the slot-model mmWave link: blocked while the physical
 // obstruction is at depth, then down for the MAC recovery tail.
 type mmSlotState struct {
-	p            MmWaveSlotParams
 	recoverUntil time.Duration
 }
 
 // step advances one slot and reports whether the mmWave link is up.
 func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
-	if m.p.BlockAttenDB > 0 && occlDB >= m.p.BlockAttenDB {
-		m.recoverUntil = at + m.p.Recovery
+	if occlDB >= baseline.BlockAttenDB {
+		m.recoverUntil = at + baseline.MACRecovery
 		return false
 	}
 	return at >= m.recoverUntil
@@ -103,7 +57,6 @@ func (m *mmSlotState) step(at time.Duration, occlDB float64) bool {
 // steps beside the FSO model and the policy controller turns each slot's
 // FSO verdict into the delivered one.
 type hybridArm struct {
-	hp  HybridSlotParams
 	ctl *policy.Controller
 	mm  mmSlotState
 	// fsoOff counts the FSO side's off slots; secondarySlots and goodput
@@ -122,10 +75,10 @@ func (h *hybridArm) run(at, slot time.Duration, n int, fs fault.State, fsoOff bo
 		h.fsoOff += n
 	}
 	mmUp := h.mm.step(at+time.Duration(n-1)*slot, fs.AttenDB-fs.HazeDB)
-	rate, off := h.hp.PrimaryGoodputGbps, fsoOff
+	rate, off := optics.SFP28LR.OptimalGoodputGbps, fsoOff
 	if h.ctl.ObserveRun(at, slot, n, !fsoOff).OnSecondary() {
 		h.secondarySlots += n
-		rate, off = h.hp.Secondary.PeakGoodputGbps, !mmUp
+		rate, off = baseline.PeakGoodputGbps, !mmUp
 	}
 	if !off {
 		h.goodput = xmath.AddN(h.goodput, rate, n)
@@ -149,9 +102,9 @@ func (h *hybridArm) until(at, horizon time.Duration) time.Duration {
 // bookkeeping (the episodes the policy routed around), as do the
 // cyclops_sim_* and cyclops_outage_* metrics recorded into reg; the
 // delivered story is in the result and the cyclops_policy_* instruments.
-func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	hp.defaults()
-	h := &hybridArm{hp: hp, ctl: policy.New(hp.Policy, policy.NewMetrics(reg)), mm: mmSlotState{p: hp.Secondary}}
+// The HybridSlotParams argument only names the arm; it has no fields.
+func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, _ HybridSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
+	h := &hybridArm{ctl: policy.New(policy.NewMetrics(reg))}
 	res := simulateChaos(tr, p, sched, reg, slotArms{hybrid: h})
 	if res.Slots == 0 {
 		return res
@@ -178,15 +131,13 @@ func SimulateTraceHybrid(tr trace.Trace, p ChaosParams, hp HybridSlotParams, sch
 // mmWave slot link and the frame fold, and steps the same runs: the head
 // slot reads the cursor, the rest up to its UntilVerdict and the recovery
 // tail's end follow in bulk.
-func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	mp = mp.withDefaults()
+func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
 		return res
 	}
-	mm := mmSlotState{p: mp}
+	var mm mmSlotState
 	cur := sched.Cursor()
-	physDB := thresholdDB(mp.BlockAttenDB)
 	end := tr.Duration()
 	var fold frameFold
 	wasBlocked := false
@@ -195,7 +146,7 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		fs := cur.At(at)
 		occl := fs.AttenDB - fs.HazeDB
 		up := mm.step(at, occl)
-		if blocked := mp.BlockAttenDB > 0 && occl >= mp.BlockAttenDB; blocked {
+		if blocked := occl >= baseline.BlockAttenDB; blocked {
 			if !wasBlocked {
 				res.Outages++
 			}
@@ -207,13 +158,13 @@ func SimulateTraceMmWave(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sch
 		// changes and before the recovery tail ends repeat this one;
 		// stepping the last of them leaves the recovery deadline where n
 		// steps would.
-		horizon := bound(min(end, cur.UntilVerdict(math.Inf(1), physDB)), mm.recoverUntil, at)
+		horizon := bound(min(end, cur.UntilVerdict(math.Inf(1), baseline.BlockAttenDB)), mm.recoverUntil, at)
 		n := int((horizon-at-1)/p.Slot) + 1
 		if n > 1 {
 			mm.step(at+time.Duration(n-1)*p.Slot, occl)
 		}
 		if up {
-			goodputSum = xmath.AddN(goodputSum, mp.PeakGoodputGbps, n)
+			goodputSum = xmath.AddN(goodputSum, baseline.PeakGoodputGbps, n)
 		} else {
 			res.BlockedSlots += n
 		}

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/baseline"
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
+	"cyclops/internal/optics"
 	"cyclops/internal/policy"
 	"cyclops/internal/trace"
 )
@@ -37,8 +39,8 @@ func TestHybridEmptyScheduleStaysPrimary(t *testing.T) {
 			got.FrameHistogram != base.FrameHistogram {
 			t.Fatalf("trace %d: clean hybrid availability differs from chaos model", i)
 		}
-		if base.OffSlots == 0 && got.MeanGoodputGbps != 23.5 {
-			t.Fatalf("trace %d: fully-on goodput %v, want 23.5", i, got.MeanGoodputGbps)
+		if base.OffSlots == 0 && got.MeanGoodputGbps != optics.SFP28LR.OptimalGoodputGbps {
+			t.Fatalf("trace %d: fully-on goodput %v, want %v", i, got.MeanGoodputGbps, optics.SFP28LR.OptimalGoodputGbps)
 		}
 	}
 }
@@ -50,10 +52,8 @@ func TestHybridEmptyScheduleStaysPrimary(t *testing.T) {
 func TestHybridHazeBeatsFSO(t *testing.T) {
 	tr := trace.Generate(5, 3, 20*time.Second, geom.V(0.35, 0.25, 1.0))
 	sched := hazeSched(4*time.Second, 12*time.Second)
-	hp := HybridSlotParams{Policy: policy.Options{ClearAfter: 500 * time.Millisecond}}
-
 	fso := SimulateTraceChaosSlots(tr, PaperChaos25G(), sched, nil, nil)
-	hy := SimulateTraceHybrid(tr, PaperChaos25G(), hp, sched, nil)
+	hy := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{}, sched, nil)
 
 	if fso.OnFraction >= 0.95 {
 		t.Fatalf("haze fade barely hurt FSO (%v on) — scenario too weak", fso.OnFraction)
@@ -64,7 +64,7 @@ func TestHybridHazeBeatsFSO(t *testing.T) {
 	if hy.OnFraction <= fso.OnFraction {
 		t.Fatalf("hybrid on %v did not beat FSO-only %v", hy.OnFraction, fso.OnFraction)
 	}
-	if hy.MinSecondaryDwell < 500*time.Millisecond {
+	if hy.MinSecondaryDwell < policy.ClearAfter {
 		t.Fatalf("min secondary dwell %v below clear window — policy flapped", hy.MinSecondaryDwell)
 	}
 	if hy.SecondarySlots == 0 {
@@ -83,15 +83,15 @@ func TestMmWaveOnlyArm(t *testing.T) {
 	tr := trace.Generate(5, 7, 10*time.Second, geom.V(0.35, 0.25, 1.0))
 	p := PaperChaos25G()
 
-	clean := SimulateTraceMmWave(tr, p, MmWaveSlotParams{}, nil, nil)
+	clean := SimulateTraceMmWave(tr, p, nil, nil)
 	if clean.OffSlots != 0 || clean.OnFraction != 1 || clean.Outages != 0 {
 		t.Fatalf("clean mmWave arm not fully on: %+v", clean)
 	}
-	if math.Abs(clean.MeanGoodputGbps-4.6) > 1e-9 {
-		t.Fatalf("clean mmWave goodput %v, want 4.6", clean.MeanGoodputGbps)
+	if math.Abs(clean.MeanGoodputGbps-baseline.PeakGoodputGbps) > 1e-9 {
+		t.Fatalf("clean mmWave goodput %v, want %v", clean.MeanGoodputGbps, baseline.PeakGoodputGbps)
 	}
 
-	haze := SimulateTraceMmWave(tr, p, MmWaveSlotParams{}, hazeSched(2*time.Second, 8*time.Second), nil)
+	haze := SimulateTraceMmWave(tr, p, hazeSched(2*time.Second, 8*time.Second), nil)
 	if haze.OffSlots != 0 || haze.Outages != 0 {
 		t.Fatalf("haze blocked the mmWave arm: %+v", haze)
 	}
@@ -101,7 +101,7 @@ func TestMmWaveOnlyArm(t *testing.T) {
 		DepthDB: 30, Ramp: 10 * time.Millisecond,
 	}}}
 	reg := obs.NewRegistry()
-	blocked := SimulateTraceMmWave(tr, p, MmWaveSlotParams{}, occl, reg)
+	blocked := SimulateTraceMmWave(tr, p, occl, reg)
 	if blocked.Outages != 1 {
 		t.Fatalf("Outages = %d, want 1", blocked.Outages)
 	}
@@ -112,41 +112,6 @@ func TestMmWaveOnlyArm(t *testing.T) {
 	}
 	if blocked.OffSlots != blocked.BlockedSlots {
 		t.Errorf("OffSlots %d != BlockedSlots %d — mmWave never misaligns", blocked.OffSlots, blocked.BlockedSlots)
-	}
-}
-
-// A partly set secondary takes the paper's rate and blocking depth for
-// its zero fields: one that sets only Recovery runs exactly as the paper
-// secondary with that recovery, in the hybrid and the mmWave-only arm.
-// (Only an all-zero value used to be defaulted, so such a secondary
-// delivered 0 Gbps and never blocked.)
-func TestMmWavePartialParamsDefault(t *testing.T) {
-	tr := trace.Generate(5, 3, 20*time.Second, geom.V(0.35, 0.25, 1.0))
-	sched := hazeSched(4*time.Second, 12*time.Second)
-	sched.Windows = append(sched.Windows, fault.Window{
-		Kind: fault.Occlusion, Start: 6 * time.Second, End: 6*time.Second + 300*time.Millisecond,
-		DepthDB: 30, Ramp: 10 * time.Millisecond,
-	})
-	partial := MmWaveSlotParams{Recovery: 50 * time.Millisecond}
-	full := PaperMmWave()
-	full.Recovery = partial.Recovery
-
-	got := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{Secondary: partial}, sched, nil)
-	want := SimulateTraceHybrid(tr, PaperChaos25G(), HybridSlotParams{Secondary: full}, sched, nil)
-	if want.SecondarySlots == 0 {
-		t.Fatal("the haze fade drove no failover; the scenario tests nothing")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("hybrid with Secondary %+v:\n got %+v\nwant %+v", partial, got, want)
-	}
-
-	got = SimulateTraceMmWave(tr, PaperChaos25G(), partial, sched, nil)
-	want = SimulateTraceMmWave(tr, PaperChaos25G(), full, sched, nil)
-	if want.BlockedSlots == 0 {
-		t.Fatal("the occlusion blocked no mmWave slot; the scenario tests nothing")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mmWave-only with %+v:\n got %+v\nwant %+v", partial, got, want)
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/baseline"
 	"cyclops/internal/fault"
 	"cyclops/internal/geom"
 	"cyclops/internal/obs"
+	"cyclops/internal/optics"
 	"cyclops/internal/policy"
 	"cyclops/internal/trace"
 	"cyclops/internal/xrand"
@@ -323,27 +325,24 @@ func (h *hybridArm) stepReference(at, slot time.Duration, fs fault.State, fsoOff
 	if st.OnSecondary() {
 		h.secondarySlots++
 		if mmUp {
-			h.goodput += h.hp.Secondary.PeakGoodputGbps
+			h.goodput += baseline.PeakGoodputGbps
 		}
 		return !mmUp
 	}
 	if !fsoOff {
-		h.goodput += h.hp.PrimaryGoodputGbps
+		h.goodput += optics.SFP28LR.OptimalGoodputGbps
 	}
 	return fsoOff
 }
 
 // mmWaveReference is SimulateTraceMmWave's per-slot loop as it ran before
 // runs: one cursor read and one mmWave step per slot.
-func mmWaveReference(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
-	if mp == (MmWaveSlotParams{}) {
-		mp = PaperMmWave()
-	}
+func mmWaveReference(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *obs.Registry) ChaosTraceResult {
 	res := ChaosTraceResult{TraceResult: TraceResult{ID: tr.ID}}
 	if len(tr.Samples) < 2 || p.Slot <= 0 {
 		return res
 	}
-	mm := mmSlotState{p: mp}
+	var mm mmSlotState
 	cur := sched.Cursor()
 	end := tr.Duration()
 	var fold frameFold
@@ -353,7 +352,7 @@ func mmWaveReference(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *
 		fs := cur.At(at)
 		occl := fs.AttenDB - fs.HazeDB
 		up := mm.step(at, occl)
-		if blocked := mp.BlockAttenDB > 0 && occl >= mp.BlockAttenDB; blocked {
+		if blocked := occl >= baseline.BlockAttenDB; blocked {
 			if !wasBlocked {
 				res.Outages++
 			}
@@ -362,7 +361,7 @@ func mmWaveReference(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *
 			wasBlocked = false
 		}
 		if up {
-			goodputSum += mp.PeakGoodputGbps
+			goodputSum += baseline.PeakGoodputGbps
 		} else {
 			res.BlockedSlots++
 		}
@@ -379,9 +378,10 @@ func mmWaveReference(tr trace.Trace, p ChaosParams, mp MmWaveSlotParams, sched *
 // armedRun runs one engine with the chaos arms wired as simulateChaos and
 // SimulateTraceHybrid wire them (hp nil: FSO only), plus an optional sink,
 // and renders everything it produced: every result field, the hybrid
-// arm's FSO off count, the sink's verdict stream and the exposition.
+// arm's FSO off count, the sink's verdict stream and the exposition. It
+// also returns the hybrid arm (nil without one).
 func armedRun(engine func(trace.Trace, ChaosParams, slotArms) ChaosTraceResult,
-	tr trace.Trace, p ChaosParams, hp *HybridSlotParams, sched *fault.Schedule, withSink bool) string {
+	tr trace.Trace, p ChaosParams, hp *HybridSlotParams, sched *fault.Schedule, withSink bool) (string, *hybridArm) {
 	reg := obs.NewRegistry()
 	var verdicts []byte
 	arms := slotArms{sched: sched, om: fault.NewOutageMetrics(reg)}
@@ -404,8 +404,7 @@ func armedRun(engine func(trace.Trace, ChaosParams, slotArms) ChaosTraceResult,
 	}
 	var h *hybridArm
 	if hp != nil {
-		hp.defaults()
-		h = &hybridArm{hp: *hp, ctl: policy.New(hp.Policy, policy.NewMetrics(reg)), mm: mmSlotState{p: hp.Secondary}}
+		h = &hybridArm{ctl: policy.New(policy.NewMetrics(reg))}
 		arms.hybrid = h
 	}
 	res := engine(tr, p, arms)
@@ -418,7 +417,7 @@ func armedRun(engine func(trace.Trace, ChaosParams, slotArms) ChaosTraceResult,
 	}
 	fmt.Fprintf(&b, "sink %s\n", verdicts)
 	b.WriteString(reg.Exposition())
-	return b.String()
+	return b.String(), h
 }
 
 // armedCase draws one randomized armed-engine case: a 2–22 s trace, a
@@ -427,11 +426,9 @@ func armedRun(engine func(trace.Trace, ChaosParams, slotArms) ChaosTraceResult,
 // TXs with a random standby block probability and 0–4 ms dark time, a
 // 0–500 ms re-lock and, on some cases, tightened tolerances so the
 // misalignment verdict flips inside segments. Half the cases carry the
-// hybrid arm with 1 ns–2 ms breach and 0–2 ms clear windows over a
-// mmWave side that blocks at 8 dB and recovers in 0–50 ms. A third of the
-// schedules, and half the drawn durations, sit on the 1 ms slot grid, so
-// window edges and deadlines land exactly on slots, where an off-by-one
-// horizon shows.
+// hybrid arm. A third of the schedules, and half the drawn durations, sit
+// on the 1 ms slot grid, so window edges and deadlines land exactly on
+// slots, where an off-by-one horizon shows.
 func armedCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedule) {
 	rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
 	span := func(max time.Duration) time.Duration {
@@ -483,13 +480,7 @@ func armedCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedu
 
 	var hp *HybridSlotParams
 	if rng.Intn(2) == 0 {
-		hp = &HybridSlotParams{
-			Policy: policy.Options{
-				BreachAfter: max(1, span(2*time.Millisecond)),
-				ClearAfter:  span(2 * time.Millisecond),
-			},
-			Secondary: MmWaveSlotParams{PeakGoodputGbps: 4.6, BlockAttenDB: 8, Recovery: span(50 * time.Millisecond)},
-		}
+		hp = &HybridSlotParams{}
 	}
 	return tr, p, hp, sched
 }
@@ -499,8 +490,8 @@ func armedCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedu
 // (a 20 dB fade ramping over 2 s reads exactly 10 dB halfway up):
 //
 //   - family 0: a hard-edged plateau occlusion whose depth equals the
-//     10 dB FSO or the 8 dB mmWave threshold exactly, under a ramping haze
-//     fade, where fl(fl(occ+H)−H) wobbles around the threshold;
+//     10 dB FSO and mmWave threshold exactly, under a ramping haze fade,
+//     where fl(fl(occ+H)−H) wobbles around the threshold;
 //   - family 1: three stacked haze fades ramping together;
 //   - family 2: triangular occlusion and haze windows whose leading and
 //     trailing ramps overlap;
@@ -519,10 +510,9 @@ func rampCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedul
 	var add []fault.Window
 	switch i % 4 {
 	case 0:
-		depth := []float64{10, 8}[rng.Intn(2)]
 		add = append(add,
 			win(fault.HazeFade, s0, s0+ms(4000, 8000), 20, 2*time.Second, 3*time.Second),
-			win(fault.Occlusion, s0+ms(200, 1500), s0+ms(2000, 3500), depth, 0, 0))
+			win(fault.Occlusion, s0+ms(200, 1500), s0+ms(2000, 3500), baseline.BlockAttenDB, 0, 0))
 	case 1:
 		for k := 0; k < 3; k++ {
 			add = append(add, win(fault.HazeFade, s0+ms(0, 700), s0+ms(4000, 7000),
@@ -546,7 +536,7 @@ func rampCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedul
 		return wa.Kind < wb.Kind
 	})
 	if hp == nil && i%2 == 0 {
-		hp = &HybridSlotParams{Secondary: MmWaveSlotParams{PeakGoodputGbps: 4.6, BlockAttenDB: 8, Recovery: ms(0, 50)}}
+		hp = &HybridSlotParams{}
 	}
 	return tr, p, hp, sched
 }
@@ -556,30 +546,47 @@ func rampCase(i int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedul
 // 80 ramp-dense ones (rampCase) the engine and simulatePerSlotReference
 // agree on every result field, the hybrid arm's bookkeeping, the full sink
 // verdict stream and the exposition bytes; SimulateTraceMmWave agrees with
-// its per-slot loop the same way.
+// its per-slot loop the same way. So that the agreement covers the policy
+// moving, at least half of each generator's hybrid cases fail over and at
+// least half of those re-admit.
 func TestArmedEngineMatchesPerSlotReference(t *testing.T) {
 	for _, gen := range []struct {
 		name  string
 		cases int
 		draw  func(int) (trace.Trace, ChaosParams, *HybridSlotParams, fault.Schedule)
 	}{{"armed", 400, armedCase}, {"ramp", 80, rampCase}} {
+		var hybrid, failedOver, readmitted, failovers int
 		for i := 0; i < gen.cases; i++ {
 			tr, p, hp, sched := gen.draw(i)
 			withSink := i%3 != 0
-			got := armedRun(simulate, tr, p, hp, &sched, withSink)
-			want := armedRun(simulatePerSlotReference, tr, p, hp, &sched, withSink)
+			got, h := armedRun(simulate, tr, p, hp, &sched, withSink)
+			want, _ := armedRun(simulatePerSlotReference, tr, p, hp, &sched, withSink)
 			if got != want {
 				t.Fatalf("%s case %d (%v, TX %d, hybrid %v):\n%s", gen.name, i, tr.Duration(), p.TXCount, hp != nil, firstDiff(got, want))
 			}
+			if h != nil {
+				hybrid++
+				failovers += h.ctl.Failovers()
+				if h.ctl.Failovers() > 0 {
+					failedOver++
+				}
+				if h.ctl.Readmits() > 0 {
+					readmitted++
+				}
+			}
 			if i%4 == 0 || gen.name == "ramp" {
-				mp := MmWaveSlotParams{PeakGoodputGbps: 4.6, BlockAttenDB: 8, Recovery: p.Relock / 10}
 				regGot, regWant := obs.NewRegistry(), obs.NewRegistry()
-				g := fmt.Sprintf("%+v\n%s", SimulateTraceMmWave(tr, p, mp, &sched, regGot), regGot.Exposition())
-				w := fmt.Sprintf("%+v\n%s", mmWaveReference(tr, p, mp, &sched, regWant), regWant.Exposition())
+				g := fmt.Sprintf("%+v\n%s", SimulateTraceMmWave(tr, p, &sched, regGot), regGot.Exposition())
+				w := fmt.Sprintf("%+v\n%s", mmWaveReference(tr, p, &sched, regWant), regWant.Exposition())
 				if g != w {
 					t.Fatalf("%s case %d mmWave-only:\n%s", gen.name, i, firstDiff(g, w))
 				}
 			}
+		}
+		t.Logf("%s: %d hybrid cases, %d failed over, %d re-admitted, %d failovers", gen.name, hybrid, failedOver, readmitted, failovers)
+		if 2*failedOver < hybrid || 2*readmitted < failedOver {
+			t.Errorf("%s: %d of %d hybrid cases failed over and %d re-admitted; the policy barely moves",
+				gen.name, failedOver, hybrid, readmitted)
 		}
 	}
 }

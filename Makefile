@@ -25,7 +25,7 @@ race:
 # so lint cost stays visible in CI logs. gofmt -l prints offending files;
 # the test -n fails the target on any output.
 lint:
-	@fmtout="$$(gofmt -l cmd examples internal *.go 2>/dev/null)"; \
+	@fmtout="$$(gofmt -l cmd examples internal perfbench *.go 2>/dev/null)"; \
 	if [ -n "$$fmtout" ]; then echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
 	@out="$$($(GO) run ./cmd/cyclops-vet -json ./...)" || \

@@ -199,16 +199,13 @@ type CorpusSource = sim.CorpusSource
 type CorpusOptions = sim.CorpusOptions
 
 // CorpusRunResult is RunCorpus's outcome: the order-insensitive aggregate
-// plus a resumable checkpoint.
+// plus, with KeepPerTrace, the per-trace results.
 type CorpusRunResult = sim.CorpusRunResult
-
-// CorpusCheckpoint is a resumable position in a corpus run (set
-// CorpusOptions.Resume to continue).
-type CorpusCheckpoint = sim.Checkpoint
 
 // RunCorpus streams a corpus through the §5.4 slot model — optionally
 // under fault injection (CorpusOptions.Chaos) — sharded across the worker
-// pool, bit-identical at any worker count, resumable by shard. This is
+// pool, bit-identical at any worker count, in memory bounded by one shard
+// batch. This is
 // the unified entry point behind Fig16, fig16-faults, fig16-handover and
 // the arena engine.
 func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {

@@ -836,7 +836,6 @@ func fig16HandoverRun(seed int64, workers int, grid fig16HandoverGrid) (Fig16Han
 				}
 				p := sim.PaperChaos25G()
 				p.TXCount = tx
-				p.HandoverDark = 2 * time.Millisecond
 				p.StandbyBlockProb = sim.StandbyBlockProbForSpacing(spacing)
 				c, err := sim.RunCorpus(sim.TraceSlice(traces), sim.CorpusOptions{
 					Chaos:   &sim.CorpusChaos{Config: cfg, Seed: seed + 1, Params: p},

@@ -13,12 +13,10 @@
 // on the user index, so a cell's work needs only its own and adjacent
 // cells' users — live heap is one batch of cell outputs plus, per Fold
 // worker, one trace and O(users-per-cell · verdict runs) of reused
-// scratch, independent of venue size, and a run checkpoints and resumes
-// by cell.
+// scratch, independent of venue size.
 package arena
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -97,22 +95,15 @@ type Options struct {
 	// LinkGoodputGbps is the per-link TCP goodput ceiling (default the
 	// 25G part's 23.5).
 	LinkGoodputGbps float64
-	// Params is the base slot-model parameterization. TXCount,
-	// StandbyBlockProb and HandoverDark are derived per cell from the
-	// ceiling geometry when left zero.
+	// Params is the base slot-model parameterization. TXCount and
+	// StandbyBlockProb are derived per cell from the ceiling geometry when
+	// left zero; a zero HandoverDark takes the slot model's default.
 	Params sim.ChaosParams
 	// Workers bounds the cell-level fan-out (0 = parallel default).
 	Workers int
-	// Context cancels a run between cell batches.
-	Context context.Context
-	// Registry receives the merged metrics of a completed run (nil =
+	// Registry receives the merged metrics of a run (nil =
 	// obs.Default()).
 	Registry *obs.Registry
-	// Resume continues a previous run from its returned Checkpoint.
-	Resume Checkpoint
-	// MaxCells bounds how many cells this call processes (0 = all
-	// remaining) — the checkpointing window.
-	MaxCells int
 }
 
 // Validate fills defaults and rejects impossible configurations: a
@@ -148,12 +139,6 @@ func (o *Options) Validate() error {
 	if err := o.Params.Validate(); err != nil {
 		return fmt.Errorf("arena: Params: %w", err)
 	}
-	if o.MaxCells < 0 {
-		return errors.New("arena: negative MaxCells")
-	}
-	if o.Resume.NextCell < 0 {
-		return errors.New("arena: negative Resume.NextCell")
-	}
 	if o.UsersPerTX == 0 {
 		o.UsersPerTX = 4
 	}
@@ -177,9 +162,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		o.Workers = 0
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
 	}
 	if o.Registry == nil {
 		o.Registry = obs.Default()
@@ -627,8 +609,8 @@ func (a *Aggregate) addServed(avail, goodput float64) {
 }
 
 // merge folds a cell's aggregate in, cells in order. It folds o's metrics
-// into a's maps in place (obs.Snapshot.MergeInPlace), so a must own them:
-// Run copies a resumed aggregate's before its first fold.
+// into a's maps in place (obs.Snapshot.MergeInPlace), so a must own them,
+// as a zero aggregate does.
 func (a *Aggregate) merge(o Aggregate) {
 	if o.Cells == 0 {
 		return
@@ -675,51 +657,38 @@ func (a Aggregate) MeanGoodputGbps() float64 {
 	return a.GoodputSumGbps / float64(a.Served)
 }
 
-// Checkpoint is a resumable position in an arena run.
+// Checkpoint reports that a run covered the whole venue: a run always
+// does, so Done is true and NextCell is the venue's cell count.
+//
+//cyclops:keep perfbench checks a run's Done and NextCell
 type Checkpoint struct {
-	// NextCell is the first unprocessed ceiling cell.
 	NextCell int
-	// Done marks a completed venue.
-	Done bool
-	// Agg carries the aggregate over everything processed so far.
-	Agg Aggregate
+	Done     bool
 }
 
-// Result is a (possibly partial) arena run outcome.
+// Result is an arena run's outcome.
 type Result struct {
 	Aggregate
 	Layout     Layout
 	Checkpoint Checkpoint
 }
 
-// Run executes (or continues) an arena simulation. Identical Options —
-// any Workers value included — return the identical Result bit for bit:
-// parallel.Fold merges cells in cell order regardless of completion order.
-// A Resume past the venue's last cell is an error.
+// Run executes an arena simulation. Identical Options — any Workers value
+// included — return the identical Result bit for bit: parallel.Fold
+// merges cells in cell order regardless of completion order. The only
+// error is a Validate rejection.
 func Run(opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	l := NewLayout(opts.Seed, opts.Users, opts.Density, opts.Pitch)
-	agg := opts.Resume.Agg
-	// agg's metric maps are the caller's (Resume.Agg) until the first fold
-	// copies them; merge then writes them in place.
-	owned := false
-	next, err := parallel.Fold(opts.Context, l.Cells(), opts.Resume.NextCell, opts.MaxCells, opts.Workers,
+	res := Result{Layout: l, Checkpoint: Checkpoint{NextCell: l.Cells(), Done: true}}
+	parallel.Fold(l.Cells(), opts.Workers,
 		func() *cellScratch { return new(cellScratch) },
 		func(sc *cellScratch, c int) Aggregate { return runCell(l, opts, c, sc) },
-		func(o Aggregate) {
-			if !owned {
-				agg.Metrics, owned = agg.Metrics.Merge(obs.Snapshot{}), true
-			}
-			agg.merge(o)
-		})
-	res := Result{Aggregate: agg, Layout: l}
-	res.Checkpoint = Checkpoint{NextCell: next, Done: next == l.Cells(), Agg: agg}
-	if err == nil && res.Checkpoint.Done {
-		opts.Registry.Merge(agg.Metrics)
-	}
-	return res, err
+		res.merge)
+	opts.Registry.Merge(res.Metrics)
+	return res, nil
 }
 
 // cellScratch is one Fold worker's storage, reused by every cell the
@@ -800,9 +769,6 @@ func runCell(l Layout, opts Options, c int, sc *cellScratch) Aggregate {
 	p := opts.Params
 	if p.TXCount == 0 {
 		p.TXCount = 1 + l.Standbys(c)
-	}
-	if p.TXCount > 1 && p.HandoverDark == 0 {
-		p.HandoverDark = 2 * time.Millisecond
 	}
 	if p.TXCount > 1 && p.StandbyBlockProb == 0 {
 		p.StandbyBlockProb = sim.StandbyBlockProbForSpacing(l.Pitch)

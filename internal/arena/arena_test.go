@@ -2,8 +2,6 @@ package arena
 
 import (
 	"cmp"
-	"context"
-	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -196,84 +194,6 @@ func TestRunWorkerDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunResume(t *testing.T) {
-	full, err := Run(testOpts(2))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	for _, window := range []int{1, 3, 7} {
-		ck := Checkpoint{}
-		var prev Result
-		var prevExp string
-		for !ck.Done {
-			opts := testOpts(2)
-			opts.Resume = ck
-			opts.MaxCells = window
-			part, err := Run(opts)
-			if err != nil {
-				t.Fatalf("window=%d: %v", window, err)
-			}
-			// The resumed run folds into a copy of its Resume.Agg metrics,
-			// never into the maps the previous result still holds.
-			if prev.Metrics.Exposition() != prevExp {
-				t.Fatalf("window=%d: resuming at cell %d wrote into the previous result's metrics", window, ck.NextCell)
-			}
-			prev, prevExp = part, part.Metrics.Exposition()
-			ck = part.Checkpoint
-		}
-		if !reflect.DeepEqual(ck, full.Checkpoint) {
-			t.Errorf("window=%d: stitched checkpoint differs from uninterrupted run", window)
-		}
-		if ck.Agg.Metrics.Exposition() != full.Metrics.Exposition() {
-			t.Errorf("window=%d: stitched metrics exposition differs", window)
-		}
-	}
-}
-
-func TestRunCancel(t *testing.T) {
-	full, err := Run(testOpts(2))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts := testOpts(2)
-	opts.Context = ctx
-	part, err := Run(opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled run returned %v", err)
-	}
-	if part.Checkpoint.Done {
-		t.Fatal("canceled run claims Done")
-	}
-	resume := testOpts(2)
-	resume.Resume = part.Checkpoint
-	rest, err := Run(resume)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !reflect.DeepEqual(rest.Checkpoint, full.Checkpoint) {
-		t.Error("resumed-after-cancel checkpoint differs from uninterrupted run")
-	}
-}
-
-// TestRunResumeOutOfRange: a checkpoint from the 16-cell test venue
-// resumed on a 4-cell venue is an error, never a Done run.
-func TestRunResumeOutOfRange(t *testing.T) {
-	full, err := Run(testOpts(2))
-	if err != nil || full.Checkpoint.NextCell != 16 {
-		t.Fatalf("full: next cell %d, err %v; want 16 cells done", full.Checkpoint.NextCell, err)
-	}
-	small := testOpts(2)
-	small.Users = 8
-	small.Resume = full.Checkpoint
-	res, err := Run(small)
-	if err == nil || res.Checkpoint.Done {
-		t.Fatalf("resume past the venue's %d cells: err %v, Done %v; want an error",
-			res.Layout.Cells(), err, res.Checkpoint.Done)
-	}
-}
-
 func TestUsersPerTXCap(t *testing.T) {
 	opts := testOpts(2)
 	opts.UsersPerTX = 1
@@ -311,8 +231,6 @@ func TestOptionsValidate(t *testing.T) {
 		{},
 		{Users: 10},
 		{Users: 10, Density: 0.5, UsersPerTX: -1},
-		{Users: 10, Density: 0.5, MaxCells: -1},
-		{Users: 10, Density: 0.5, Resume: Checkpoint{NextCell: -1}},
 		{Users: 10, Density: math.NaN()},
 		{Users: 10, Density: math.Inf(1)},
 		{Users: 10, Density: 0.5, Pitch: math.NaN()},
@@ -478,12 +396,11 @@ func runCellPerSlot(l Layout, opts Options, c int) Aggregate {
 // a second Validate leaves as it is.
 func FuzzArenaOptionsValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, users int, density, pitch, backhaul, goodput float64, usersPerTX int, traceLen int64,
-		maxCells, nextCell int, latTol, angTol, tpLat, tpAng float64, slot, realign int64,
+		latTol, angTol, tpLat, tpAng float64, slot, realign int64,
 		blockDB float64, relock, dark int64, standby float64, txCount int) {
 		o := Options{
 			Users: users, Density: density, Pitch: pitch, BackhaulGbps: backhaul, LinkGoodputGbps: goodput,
-			UsersPerTX: usersPerTX, TraceLen: time.Duration(traceLen), MaxCells: maxCells,
-			Resume: Checkpoint{NextCell: nextCell},
+			UsersPerTX: usersPerTX, TraceLen: time.Duration(traceLen),
 			Params: sim.ChaosParams{
 				AvailabilityParams: sim.AvailabilityParams{
 					Slot: time.Duration(slot), RealignLatency: time.Duration(realign),
@@ -513,7 +430,7 @@ func FuzzArenaOptionsValidate(f *testing.F) {
 				t.Fatalf("Validate accepted slot-model value %v: %+v", v, p)
 			}
 		}
-		if o.Users <= 0 || o.UsersPerTX <= 0 || o.TraceLen <= 0 || o.MaxCells < 0 || o.Resume.NextCell < 0 ||
+		if o.Users <= 0 || o.UsersPerTX <= 0 || o.TraceLen <= 0 ||
 			p.Slot < 0 || p.RealignLatency < 0 || p.Relock < 0 || p.HandoverDark < 0 || p.StandbyBlockProb > 1 ||
 			math.IsInf(p.BlockAttenDB, 0) {
 			t.Fatalf("Validate accepted %+v", o)

@@ -35,7 +35,7 @@ const (
 	MACRecovery = 30 * time.Millisecond
 	// BlockAttenDB is the injected physical-obstruction attenuation at or
 	// above which the mmWave path counts as body-blocked — the same
-	// 10 dB the FSO slot model blocks at. A fault schedule's haze
+	// depth as fault.FSOBlockAttenDB, the FSO blocking threshold. A fault schedule's haze
 	// component never counts: fog is transparent at 60 GHz.
 	BlockAttenDB = 10
 )

@@ -25,11 +25,6 @@ const (
 	// failbackAfter is how long the primary path must stay clear before a
 	// lit run switches back to it.
 	failbackAfter = 500 * time.Millisecond
-	// blockAttenDB is the injected physical-obstruction attenuation at or
-	// above which a handover candidate's path counts as blocked. 10 dB is
-	// the 25G budget's full margin, the same depth the sim chaos model
-	// uses.
-	blockAttenDB = 10
 )
 
 // hoState is the run-scoped make-before-break machinery behind
@@ -125,7 +120,7 @@ func (ho *hoState) candidate(at time.Duration) int {
 		if k == ho.active || !ho.preOK[k] {
 			continue
 		}
-		if ho.pathAtten(at, k) >= blockAttenDB {
+		if ho.pathAtten(at, k) >= fault.FSOBlockAttenDB {
 			continue
 		}
 		d := p.TXMountTruth().Trans.Dist(p.RXWorldPose().Trans)
@@ -163,7 +158,7 @@ func (l *runLoop) hoTick(at time.Duration, powerOK bool) {
 	// Failback bookkeeping: while a standby is active, clock how long the
 	// primary path has been continuously clear.
 	if ho.active != 0 {
-		if ho.pathAtten(at, 0) >= blockAttenDB {
+		if ho.pathAtten(at, 0) >= fault.FSOBlockAttenDB {
 			ho.clearSince0 = -1
 		} else if ho.clearSince0 < 0 {
 			ho.clearSince0 = at

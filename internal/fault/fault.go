@@ -73,6 +73,12 @@ const (
 	numKinds
 )
 
+// FSOBlockAttenDB is the injected physical-obstruction attenuation (dB) at
+// or above which an FSO path counts as blocked: the 25G budget's full
+// margin. The chaos slot model (sim.PaperChaos25G) and core.Run's
+// handover arm both block at this depth.
+const FSOBlockAttenDB = 10
+
 // String names the fault class.
 func (k Kind) String() string {
 	switch k {

@@ -415,6 +415,8 @@ func (r *Registry) Exposition() string { return r.Snapshot().Exposition() }
 // serially in a fixed order yields bit-identical results; histograms with
 // mismatched bounds panic (instrumentation bug). The result owns fresh
 // maps: neither s nor o is written.
+//
+//cyclops:keep perfbench folds its replayed aggregates' metrics with it
 func (s Snapshot) Merge(o Snapshot) Snapshot {
 	var out Snapshot
 	out.MergeInPlace(s)

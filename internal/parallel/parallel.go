@@ -30,7 +30,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -100,33 +99,16 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 // half-filled slice. A panic in fn is re-raised in the caller as a
 // *PanicError.
 func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
+	return mapWorkers(n, workers, func(_, i int) (T, error) {
 		return fn(i)
 	})
 }
 
-// MapCtx is MapErr with cooperative cancellation: no new index is claimed
-// once ctx is done (in-flight jobs drain), and fn receives ctx so
-// long-running jobs can stop early themselves. The determinism contract is
-// unchanged — with a ctx that never cancels, MapCtx returns exactly what
-// MapErr would for every worker count. On early stop the partial results
-// are discarded and the error precedence is: a job panic (re-raised),
-// then the lowest failing job index, then ctx.Err() verbatim (so callers
-// can match context.Canceled / DeadlineExceeded with errors.Is).
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return mapWorkers(ctx, n, workers, func(ctx context.Context, _, i int) (T, error) {
-		return fn(ctx, i)
-	})
-}
-
-// mapWorkers is MapCtx that also tells each job which worker runs it: w
+// mapWorkers is MapErr that also tells each job which worker runs it: w
 // lies in [0, min(workers, n)), and each w is one goroutine (the caller's,
 // on the serial path), so state indexed by w is never touched by two jobs
 // at once.
-func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int) (T, error)) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func mapWorkers[T any](n, workers int, fn func(w, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -141,10 +123,7 @@ func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 	if workers == 1 {
 		// Serial reference path: inline on the calling goroutine.
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(ctx, 0, i)
+			v, err := fn(0, i)
 			if err != nil {
 				return nil, fmt.Errorf("parallel: job %d: %w", i, err)
 			}
@@ -177,7 +156,7 @@ func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 				record(i, nil, &PanicError{Index: i, Value: r, Stack: buf})
 			}
 		}()
-		v, err := fn(ctx, w, i)
+		v, err := fn(w, i)
 		if err != nil {
 			record(i, err, nil)
 			return
@@ -185,25 +164,12 @@ func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 		out[i] = v
 	}
 
-	done := ctx.Done()
-	stopped := func() bool {
-		if failed.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !stopped() {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -221,20 +187,17 @@ func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 	if firstErr != nil {
 		return nil, fmt.Errorf("parallel: job %d: %w", firstIdx, firstErr)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
 // Fold is the sharded-fold engine behind every streamed run (the sim
-// corpus, the arena venue): it runs shards [start, end) of an n-shard job,
-// where end is n, or start+limit when limit > 0, and merges their outputs
-// serially in shard order. Shards fan out through the worker pool one
-// batch of batchWidth(workers) at a time, so at most that many outputs are
-// ever in flight, and the merge order never depends on scheduling, so the
-// fold is bit-identical for every worker count. shard must be pure in k;
-// merge runs on the calling goroutine.
+// corpus, the arena venue): it runs the n shards of a job and merges
+// their outputs serially in shard order. Shards fan out through the
+// worker pool one batch of batchWidth(workers) at a time, so at most that
+// many outputs are ever in flight, and the merge order never depends on
+// scheduling, so the fold is bit-identical for every worker count. shard
+// must be pure in k; merge runs on the calling goroutine. A panic in
+// shard is re-raised in the caller as a *PanicError.
 //
 // Each worker owns one scratch value for the whole call: newScratch runs
 // at most once per worker, the first time that worker takes a shard, and
@@ -245,17 +208,7 @@ func mapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 // therefore one batch of outputs plus one scratch per worker. The scratch
 // is not a sync.Pool: the collector empties a pool, so its reuse, and the
 // run's allocation, would vary with GC timing.
-//
-// next is the first shard not merged: end on success; on cancellation the
-// failed batch's start, alongside ctx's error, with exactly the shards
-// [start, next) merged — a resumable position. A start outside [0, n] (a
-// checkpoint from a different job) or a negative limit is an error, and
-// nothing runs.
-func Fold[S, T any](ctx context.Context, n, start, limit, workers int, newScratch func() S, shard func(s S, k int) T, merge func(T)) (next int, err error) {
-	end, err := Window(n, start, limit)
-	if err != nil {
-		return start, err
-	}
+func Fold[S, T any](n, workers int, newScratch func() S, shard func(s S, k int) T, merge func(T)) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -264,36 +217,18 @@ func Fold[S, T any](ctx context.Context, n, start, limit, workers int, newScratc
 	// batchWidth is never below workers.
 	scratch := make([]S, workers)
 	made := make([]bool, workers)
-	for lo := start; lo < end; lo += batch {
-		outs, err := mapWorkers(ctx, min(batch, end-lo), workers, func(_ context.Context, w, k int) (T, error) {
+	for lo := 0; lo < n; lo += batch {
+		//cyclops:discard-ok the job never returns an error and mapWorkers re-raises a panic, so the error is always nil
+		outs, _ := mapWorkers(min(batch, n-lo), workers, func(w, k int) (T, error) {
 			if !made[w] {
 				scratch[w], made[w] = newScratch(), true
 			}
 			return shard(scratch[w], lo+k), nil
 		})
-		if err != nil {
-			return lo, err
-		}
 		for _, o := range outs {
 			merge(o)
 		}
 	}
-	return end, nil
-}
-
-// Window returns the end of Fold's window: n, or start+limit when limit >
-// 0 caps it sooner. It rejects a start outside [0, n] and a negative limit.
-func Window(n, start, limit int) (end int, err error) {
-	if start < 0 || start > n {
-		return 0, fmt.Errorf("parallel: fold resumes at shard %d, outside [0, %d]", start, n)
-	}
-	if limit < 0 {
-		return 0, fmt.Errorf("parallel: negative fold limit %d", limit)
-	}
-	if limit > 0 && start+limit < n {
-		return start + limit, nil
-	}
-	return n, nil
 }
 
 // batchWidth is Fold's one batch rule: four shards per worker, at least

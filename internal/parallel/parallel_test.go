@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -199,214 +198,73 @@ func TestMapErrWorkersClampedToJobs(t *testing.T) {
 	}
 }
 
-func TestMapCtxMatchesMapErr(t *testing.T) {
-	job := func(_ context.Context, i int) (int, error) { return i * 3, nil }
-	want, err := MapErr(50, 4, func(i int) (int, error) { return i * 3, nil })
-	if err != nil {
-		t.Fatalf("MapErr: %v", err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := MapCtx(context.Background(), 50, workers, job)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: results differ from MapErr", workers)
-		}
-	}
-	// nil ctx is treated as Background.
-	if _, err := MapCtx(nil, 10, 2, job); err != nil {
-		t.Errorf("nil ctx: %v", err)
-	}
-}
-
-func TestMapCtxPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int64
-		got, err := MapCtx(ctx, 100, workers, func(_ context.Context, i int) (int, error) {
-			ran.Add(1)
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if got != nil {
-			t.Errorf("workers=%d: partial results returned", workers)
-		}
-		if ran.Load() != 0 {
-			t.Errorf("workers=%d: %d jobs ran under a pre-canceled ctx", workers, ran.Load())
-		}
-	}
-}
-
-func TestMapCtxCancelStopsClaiming(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := MapCtx(ctx, 10_000, 4, func(_ context.Context, i int) (int, error) {
-		if ran.Add(1) == 8 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// In-flight jobs drain, but nothing close to the full set runs.
-	if n := ran.Load(); n >= 10_000 {
-		t.Errorf("cancellation did not stop index claiming: %d jobs ran", n)
-	}
-}
-
-func TestMapCtxJobErrorBeatsCancellation(t *testing.T) {
-	sentinel := errors.New("boom")
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCtx(ctx, 100, 4, func(_ context.Context, i int) (int, error) {
-		if i == 3 {
-			cancel()
-			return 0, sentinel
-		}
-		return i, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want the job error to win over ctx.Err()", err)
-	}
-	if !strings.Contains(err.Error(), "parallel: job 3") {
-		t.Errorf("err = %v, want lowest-failing-index wrapping", err)
-	}
-}
-
 // TestFold pins the sharded-fold engine both streamed runs (sim.RunCorpus,
-// arena.Run) stand on: the merged output is identical at every worker
-// count, the window clamps to [start, min(start+limit, n)), a bad window
-// runs nothing, a cancel returns its batch's start with exactly the
-// shards before it merged, and no more than one batch of outputs is ever
-// in flight — the memory bound of a streamed run.
+// arena.Run) stand on, at every worker count and at shard counts around
+// the batch width: every shard is merged once, in shard order; no more
+// than one batch of outputs is ever in flight — the memory bound of a
+// streamed run; and each worker makes at most one scratch, reused by
+// every shard it runs.
 func TestFold(t *testing.T) {
-	const n = 100
-	type run struct {
-		merged []int
-		next   int
-		err    error
-	}
-	fold := func(ctx context.Context, start, limit, workers int, onShard func(k int)) run {
-		var (
-			r                     run
-			mu                    sync.Mutex
-			started, merged, peak int
-		)
-		r.next, r.err = Fold(ctx, n, start, limit, workers, func() struct{} { return struct{}{} }, func(_ struct{}, k int) int {
-			mu.Lock()
-			started++
-			peak = max(peak, started-merged)
-			mu.Unlock()
-			if onShard != nil {
-				onShard(k)
-			}
-			return k
-		}, func(k int) {
-			mu.Lock()
-			merged++
-			mu.Unlock()
-			r.merged = append(r.merged, k)
-		})
-		if bw := batchWidth(workers); peak > bw {
-			t.Errorf("workers=%d: %d shard outputs in flight, batch width is %d", workers, peak, bw)
-		}
-		return r
-	}
-	span := func(lo, hi int) []int {
-		var s []int
-		for k := lo; k < hi; k++ {
-			s = append(s, k)
-		}
-		return s
-	}
-
+	type scratch struct{ shards int }
 	for _, workers := range []int{1, 2, 8} {
-		for _, w := range []struct{ start, limit, next int }{
-			{0, 0, n},
-			{90, 0, n},
-			{10, 25, 35},
-			{75, 24, n - 1},
-			{95, 25, n},
-			{n, 0, n},
-		} {
-			r := fold(context.Background(), w.start, w.limit, workers, nil)
-			if r.err != nil || r.next != w.next || !reflect.DeepEqual(r.merged, span(w.start, w.next)) {
-				t.Errorf("workers=%d start=%d limit=%d: next=%d err=%v merged %v, want next=%d and shards [%d, %d) in order",
-					workers, w.start, w.limit, r.next, r.err, r.merged, w.next, w.start, w.next)
-			}
-		}
-		for _, bad := range []struct{ start, limit int }{{n + 1, 0}, {-1, 0}, {0, -1}} {
-			if r := fold(context.Background(), bad.start, bad.limit, workers, nil); r.err == nil || r.merged != nil {
-				t.Errorf("workers=%d start=%d limit=%d: err=%v merged %v, want an error and nothing run",
-					workers, bad.start, bad.limit, r.err, r.merged)
-			}
-		}
-
-		const cancelAt = 40
-		ctx, cancel := context.WithCancel(context.Background())
-		r := fold(ctx, 0, 0, workers, func(k int) {
-			if k == cancelAt {
-				cancel()
-			}
-		})
-		cancel()
 		bw := batchWidth(workers)
-		want := cancelAt / bw * bw
-		if !errors.Is(r.err, context.Canceled) || r.next != want || !reflect.DeepEqual(r.merged, span(0, want)) {
-			t.Errorf("workers=%d canceled in shard %d: next=%d err=%v merged %v, want next=%d (batch start) and shards [0, %d)",
-				workers, cancelAt, r.next, r.err, r.merged, want, want)
+		for _, n := range []int{0, 1, 15, 16, 17, 100} {
+			var (
+				mu                    sync.Mutex
+				started, merged, peak int
+				order                 []int
+				scratches             = map[*scratch]bool{}
+			)
+			Fold(n, workers, func() *scratch { return new(scratch) }, func(s *scratch, k int) int {
+				s.shards++
+				mu.Lock()
+				scratches[s] = true
+				started++
+				peak = max(peak, started-merged)
+				mu.Unlock()
+				return k
+			}, func(k int) {
+				mu.Lock()
+				merged++
+				mu.Unlock()
+				order = append(order, k)
+			})
+			if len(order) != n {
+				t.Errorf("workers=%d n=%d: merged %d shards", workers, n, len(order))
+			}
+			for i, k := range order {
+				if k != i {
+					t.Errorf("workers=%d n=%d: merge %d got shard %d, want shard order", workers, n, i, k)
+					break
+				}
+			}
+			if peak > bw {
+				t.Errorf("workers=%d n=%d: %d shard outputs in flight, batch width is %d", workers, n, peak, bw)
+			}
+			ran := 0
+			for s := range scratches {
+				ran += s.shards
+			}
+			if len(scratches) > min(workers, n) || ran != n {
+				t.Errorf("workers=%d n=%d: %d scratches ran %d shards, want at most %d covering all %d",
+					workers, n, len(scratches), ran, min(workers, n), n)
+			}
 		}
 	}
 }
 
-// TestFoldScratchPerWorker pins Fold's scratch contract: at most one
-// scratch per worker for the whole call, across batches, never held by
-// two shards at once, and none made when no shard runs.
+// TestFoldScratchPerWorker pins the other half of Fold's scratch
+// contract: no scratch is ever held by two shards at once.
 func TestFoldScratchPerWorker(t *testing.T) {
-	type scratch struct {
-		busy atomic.Bool
-		used int
-	}
-	const n = 100
+	type scratch struct{ busy atomic.Bool }
 	for _, workers := range []int{1, 2, 8} {
-		var made atomic.Int64
-		var mu sync.Mutex
-		all := map[*scratch]bool{}
-		next, err := Fold(context.Background(), n, 0, 0, workers, func() *scratch {
-			made.Add(1)
-			return new(scratch)
-		}, func(s *scratch, k int) int {
+		Fold(100, workers, func() *scratch { return new(scratch) }, func(s *scratch, k int) int {
 			if !s.busy.CompareAndSwap(false, true) {
 				t.Errorf("workers=%d shard %d: scratch held by another shard", workers, k)
 			}
-			s.used++
-			mu.Lock()
-			all[s] = true
-			mu.Unlock()
+			runtime.Gosched()
 			s.busy.Store(false)
 			return k
 		}, func(int) {})
-		if err != nil || next != n {
-			t.Fatalf("workers=%d: next=%d err=%v", workers, next, err)
-		}
-		used := 0
-		for s := range all {
-			used += s.used
-		}
-		if m := made.Load(); m < 1 || m > int64(workers) || int(m) != len(all) || used != n {
-			t.Errorf("workers=%d: %d scratches made, %d used for %d shards, want 1..%d covering all %d",
-				workers, m, len(all), used, workers, n)
-		}
-		made.Store(0)
-		if _, err := Fold(context.Background(), n, n, 0, workers, func() *scratch {
-			made.Add(1)
-			return new(scratch)
-		}, func(*scratch, int) int { return 0 }, func(int) {}); err != nil || made.Load() != 0 {
-			t.Errorf("workers=%d: empty window made %d scratches (err %v), want none", workers, made.Load(), err)
-		}
 	}
 }

@@ -29,8 +29,8 @@ type ChaosParams struct {
 	// one: the historical single-TX model, bit for bit.
 	TXCount int
 	// HandoverDark is the dark time a rescued occlusion episode costs —
-	// the ~2 ms realignment slew to the standby instead of the occlusion
-	// plus the Relock tail (default 2 ms when TXCount > 1).
+	// the realignment slew to the standby instead of the occlusion plus
+	// the Relock tail (≤ 0: defaultHandoverDark).
 	HandoverDark time.Duration
 	// StandbyBlockProb is the probability that a given standby path is
 	// also blocked by the same occlusion event (each standby draws
@@ -62,13 +62,13 @@ func StandbyBlockProbForSpacing(spacing float64) float64 {
 	return p
 }
 
-// PaperChaos25G returns Paper25G plus the chaos constants: a 10 dB
-// blocking threshold (the 25G budget's full margin) and the transceiver
-// config's 3 s re-lock.
+// PaperChaos25G returns Paper25G plus the chaos constants: the
+// fault.FSOBlockAttenDB blocking threshold (the 25G budget's full margin)
+// and the transceiver config's 3 s re-lock.
 func PaperChaos25G() ChaosParams {
 	return ChaosParams{
 		AvailabilityParams: Paper25G(),
-		BlockAttenDB:       10,
+		BlockAttenDB:       fault.FSOBlockAttenDB,
 		Relock:             3 * time.Second,
 	}
 }
@@ -179,7 +179,8 @@ func simulateChaos(tr trace.Trace, p ChaosParams, sched *fault.Schedule, reg *ob
 // full single-TX cost.
 type blockState struct {
 	// p carries the blocking threshold, re-lock, standby count and
-	// rescue probability; HandoverDark is defaulted to 2 ms.
+	// rescue probability; HandoverDark is defaulted to
+	// defaultHandoverDark.
 	p  ChaosParams
 	om *fault.OutageMetrics
 	hm *fault.HandoverMetrics
@@ -195,9 +196,13 @@ type blockState struct {
 	blockedSince, hoUntil      time.Duration
 }
 
+// defaultHandoverDark is the HandoverDark a rescued episode costs when
+// the caller leaves it unset: the ~2 ms realignment slew to the standby.
+const defaultHandoverDark = 2 * time.Millisecond
+
 func newBlockState(p ChaosParams, arms slotArms, faults bool, rng *xrand.Rand) blockState {
 	if p.HandoverDark <= 0 {
-		p.HandoverDark = 2 * time.Millisecond
+		p.HandoverDark = defaultHandoverDark
 	}
 	b := blockState{p: p, om: arms.om, hm: arms.hm, relockUntil: -1}
 	if p.TXCount > 1 && faults {

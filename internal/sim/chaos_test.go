@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -238,21 +236,6 @@ func TestSimulateChaosCorpusWorkerDeterminism(t *testing.T) {
 		if r.OffSlots > r.Slots || r.OffSlots < 0 {
 			t.Errorf("trace %s: OffSlots = %d of %d slots", r.ID, r.OffSlots, r.Slots)
 		}
-	}
-}
-
-// TestSimulateChaosCorpusCancellation: a chaos corpus run under a
-// canceled context returns the context's error.
-func TestSimulateChaosCorpusCancellation(t *testing.T) {
-	traces := []trace.Trace{trace.Generate(5, 1, 2*time.Second, geom.V(0.35, 0.25, 1.0))}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunCorpus(TraceSlice(traces), CorpusOptions{
-		Context: ctx, Chaos: &CorpusChaos{Config: fault.DefaultConfig(), Seed: 1},
-		Workers: 2, Registry: obs.NewRegistry(),
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

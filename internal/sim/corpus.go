@@ -11,15 +11,10 @@
 //     shard) results) plus, per worker, one trace sample buffer and one
 //     fault schedule's windows — Fold's per-worker scratch, reused by
 //     every shard that worker runs — independent of corpus length, unless
-//     KeepPerTrace asks for the full per-trace slice;
-//   - resumable: the returned Checkpoint restarts the run mid-corpus
-//     (Resume + MaxShards) and the stitched result is bit-identical to the
-//     uninterrupted one; a checkpoint past the source's shard count is
-//     rejected, never clamped.
+//     KeepPerTrace asks for the full per-trace slice.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -31,10 +26,9 @@ import (
 )
 
 // CorpusSource is an indexed stream of traces. At must be a pure function
-// of i — the engine calls it from worker goroutines and may call it again
-// for the same index on a resumed run. trace.Source generates the §5.4
-// synthetic corpus this way; TraceSlice adapts an already-materialized
-// slice.
+// of i — the engine calls it from worker goroutines. trace.Source
+// generates the §5.4 synthetic corpus this way; TraceSlice adapts an
+// already-materialized slice.
 type CorpusSource interface {
 	// Len is the corpus size.
 	Len() int
@@ -103,10 +97,6 @@ type CorpusChaos struct {
 // constants, no chaos, default workers, 64-trace shards, aggregate-only
 // results, metrics merged into obs.Default().
 type CorpusOptions struct {
-	// Context cancels the run between shard batches and inside the
-	// fan-out; nil means context.Background(). A canceled run returns the
-	// partial aggregate with a resumable Checkpoint alongside ctx's error.
-	Context context.Context
 	// Params are the §5.4 slot-model constants; the zero value means
 	// Paper25G().
 	Params AvailabilityParams
@@ -125,19 +115,12 @@ type CorpusOptions struct {
 	ShardSize int
 	// KeepPerTrace retains the per-trace results (for CDFs and per-trace
 	// renders). Off, the run holds only O(workers · ShardSize) results at
-	// a time — the memory-bounded mode. On a resumed run PerTrace covers
-	// only the shards this call executed.
+	// a time — the memory-bounded mode.
 	KeepPerTrace bool
 	// Registry receives the corpus's merged metrics once, when the run
-	// completes (Checkpoint.Done). nil means obs.Default(); pass a
-	// throwaway obs.NewRegistry() to keep a run out of the process
-	// registry.
+	// completes. nil means obs.Default(); pass a throwaway
+	// obs.NewRegistry() to keep a run out of the process registry.
 	Registry *obs.Registry
-	// Resume continues a previous run from its returned Checkpoint.
-	Resume Checkpoint
-	// MaxShards caps how many shards this call executes (0: no cap) —
-	// the checkpointing window for interruptible runs.
-	MaxShards int
 }
 
 // Validate fills defaults in place — through o.Chaos too — and rejects
@@ -153,15 +136,6 @@ func (o *CorpusOptions) Validate() error {
 	}
 	if o.ShardSize == 0 {
 		o.ShardSize = DefaultShardSize
-	}
-	if o.MaxShards < 0 {
-		return fmt.Errorf("sim: CorpusOptions.MaxShards %d is negative", o.MaxShards)
-	}
-	if o.Resume.NextShard < 0 {
-		return fmt.Errorf("sim: CorpusOptions.Resume.NextShard %d is negative", o.Resume.NextShard)
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
 	}
 	if o.Params == (AvailabilityParams{}) {
 		o.Params = Paper25G()
@@ -242,8 +216,7 @@ func (p ChaosParams) validate(name string) error {
 const DefaultShardSize = 64
 
 // CorpusAggregate is the running reduction of a corpus run — every field
-// folds associatively in shard order, so a resumed run accumulates into
-// the same values as an uninterrupted one.
+// folds associatively in shard order.
 type CorpusAggregate struct {
 	// Traces, Slots, OffSlots total the corpus so far.
 	Traces   int
@@ -297,8 +270,8 @@ func (a *CorpusAggregate) addTrace(r ChaosTraceResult, snap obs.Snapshot) {
 
 // merge folds a completed shard's aggregate in. Serial use only, shards in
 // index order. It folds o's metrics into a's maps in place
-// (obs.Snapshot.MergeInPlace), so a must own them: a zero aggregate does,
-// and RunCorpus copies a resumed one's before its first fold.
+// (obs.Snapshot.MergeInPlace), so a must own them, as a zero aggregate
+// does.
 func (a *CorpusAggregate) merge(o CorpusAggregate) {
 	if o.Traces == 0 {
 		return
@@ -337,35 +310,19 @@ func (a *CorpusAggregate) finalize() {
 	}
 }
 
-// Checkpoint marks how far a corpus run got. Feed it back through
-// CorpusOptions.Resume (same source, same options) to continue; the
-// stitched result is bit-identical to an uninterrupted run.
-type Checkpoint struct {
-	// NextShard is the first shard index not yet executed.
-	NextShard int
-	// Done reports that every shard has run.
-	Done bool
-	// Agg is the aggregate over shards [0, NextShard).
-	Agg CorpusAggregate
-}
-
-// CorpusRunResult is RunCorpus's outcome: the aggregate so far, the
-// resume checkpoint, and (with KeepPerTrace) the per-trace results of the
-// shards this call executed.
+// CorpusRunResult is RunCorpus's outcome: the aggregate and, with
+// KeepPerTrace, the per-trace results.
 type CorpusRunResult struct {
 	CorpusAggregate
-	Checkpoint Checkpoint
-	// PerTrace holds this call's per-trace results in trace order when
+	// PerTrace holds the per-trace results in trace order when
 	// KeepPerTrace is set (clean runs leave the chaos fields zero).
 	PerTrace []ChaosTraceResult
 }
 
 // RunCorpus streams a corpus through the sharded slot-model engine: clean
 // or chaos (Options.Chaos), any worker count with bit-identical results,
-// memory-bounded unless KeepPerTrace, and resumable via the returned
-// Checkpoint. On cancellation the partial result and its Checkpoint are
-// returned alongside the context's error; a Resume past the source's last
-// shard is an error.
+// memory-bounded unless KeepPerTrace. The only error is a Validate
+// rejection.
 func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 	if opts.Chaos != nil {
 		c := *opts.Chaos
@@ -375,36 +332,22 @@ func RunCorpus(src CorpusSource, opts CorpusOptions) (CorpusRunResult, error) {
 		return CorpusRunResult{}, err
 	}
 	n := src.Len()
-	nShards := (n + opts.ShardSize - 1) / opts.ShardSize
-	start := opts.Resume.NextShard
-	agg := opts.Resume.Agg
-	// agg's metric maps are the caller's (Resume.Agg) until the first fold
-	// copies them; merge then writes them in place.
-	owned := false
-	res := CorpusRunResult{}
-	// Fold rejects a bad window itself; Window here only sizes PerTrace.
-	if end, err := parallel.Window(nShards, start, opts.MaxShards); err == nil && opts.KeepPerTrace {
-		res.PerTrace = make([]ChaosTraceResult, 0, (end-start)*opts.ShardSize)
+	var res CorpusRunResult
+	if opts.KeepPerTrace {
+		res.PerTrace = make([]ChaosTraceResult, 0, n)
 	}
-	next, err := parallel.Fold(opts.Context, nShards, start, opts.MaxShards, opts.Workers,
+	parallel.Fold((n+opts.ShardSize-1)/opts.ShardSize, opts.Workers,
 		func() *shardScratch { return new(shardScratch) },
 		func(sc *shardScratch, k int) shardOut {
 			return runShard(src, &opts, k*opts.ShardSize, min((k+1)*opts.ShardSize, n), sc)
 		},
 		func(so shardOut) {
-			if !owned {
-				agg.Metrics, owned = agg.Metrics.Merge(obs.Snapshot{}), true
-			}
-			agg.merge(so.agg)
+			res.merge(so.agg)
 			res.PerTrace = append(res.PerTrace, so.perTrace...)
 		})
-	agg.finalize()
-	res.CorpusAggregate = agg
-	res.Checkpoint = Checkpoint{NextShard: next, Done: next == nShards, Agg: agg}
-	if err == nil && res.Checkpoint.Done {
-		opts.Registry.Merge(agg.Metrics)
-	}
-	return res, err
+	res.finalize()
+	opts.Registry.Merge(res.Metrics)
+	return res, nil
 }
 
 // shardOut is one shard's contribution, reduced serially by the caller.

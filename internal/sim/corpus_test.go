@@ -1,11 +1,10 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,108 +79,12 @@ func TestRunCorpusWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunCorpusResume proves a run interrupted at every possible shard
-// boundary and resumed stitches back to the uninterrupted result — the
-// aggregate, the checkpoint, and the concatenated per-trace slices alike.
-func TestRunCorpusResume(t *testing.T) {
-	src := testSource(30) // 4 shards of 8
-	full, err := RunCorpus(src, runOpts(2, testChaos()))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	if !full.Checkpoint.Done {
-		t.Fatal("full run not Done")
-	}
-	for _, window := range []int{1, 2, 3} {
-		var per []ChaosTraceResult
-		ck := Checkpoint{}
-		var prev CorpusRunResult
-		var prevExp string
-		for !ck.Done {
-			opts := runOpts(2, testChaos())
-			opts.Resume = ck
-			opts.MaxShards = window
-			part, err := RunCorpus(src, opts)
-			if err != nil {
-				t.Fatalf("window=%d: %v", window, err)
-			}
-			// The resumed run folds into a copy of its Resume.Agg metrics,
-			// never into the maps the previous result still holds.
-			if prev.Metrics.Exposition() != prevExp {
-				t.Fatalf("window=%d: resuming at shard %d wrote into the previous result's metrics", window, ck.NextShard)
-			}
-			prev, prevExp = part, part.Metrics.Exposition()
-			per = append(per, part.PerTrace...)
-			ck = part.Checkpoint
-		}
-		if !reflect.DeepEqual(ck, full.Checkpoint) {
-			t.Errorf("window=%d: stitched checkpoint differs from uninterrupted run", window)
-		}
-		if !reflect.DeepEqual(per, full.PerTrace) {
-			t.Errorf("window=%d: stitched per-trace results differ from uninterrupted run", window)
-		}
-		if ck.Agg.Metrics.Exposition() != full.Metrics.Exposition() {
-			t.Errorf("window=%d: stitched metrics exposition differs", window)
-		}
-	}
-}
-
-// TestRunCorpusCancel pins the cancellation contract: a canceled run
-// returns ctx's error with a usable checkpoint, and resuming from it
-// reproduces the uninterrupted result.
-func TestRunCorpusCancel(t *testing.T) {
-	src := testSource(30)
-	full, err := RunCorpus(src, runOpts(2, nil))
-	if err != nil {
-		t.Fatalf("full: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts := runOpts(2, nil)
-	opts.Context = ctx
-	part, err := RunCorpus(src, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled run returned %v, want context.Canceled", err)
-	}
-	if part.Checkpoint.Done {
-		t.Fatal("canceled run claims Done")
-	}
-	resume := runOpts(2, nil)
-	resume.Resume = part.Checkpoint
-	rest, err := RunCorpus(src, resume)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !reflect.DeepEqual(rest.Checkpoint, full.Checkpoint) {
-		t.Error("resumed-after-cancel checkpoint differs from uninterrupted run")
-	}
-}
-
-// TestRunCorpusResumeOutOfRange: a checkpoint from a 4-shard run resumed
-// on a 2-shard source is an error, never a Done run whose aggregate was
-// stitched from a different corpus.
-func TestRunCorpusResumeOutOfRange(t *testing.T) {
-	full, err := RunCorpus(testSource(30), runOpts(2, nil))
-	if err != nil || full.Checkpoint.NextShard != 4 {
-		t.Fatalf("full: next shard %d, err %v; want 4 shards done", full.Checkpoint.NextShard, err)
-	}
-	opts := runOpts(2, nil)
-	opts.Resume = full.Checkpoint
-	res, err := RunCorpus(testSource(16), opts)
-	if err == nil || res.Checkpoint.Done {
-		t.Fatalf("resume past the source's 2 shards: err %v, Done %v; want an error", err, res.Checkpoint.Done)
-	}
-	if got := opts.Registry.Snapshot(); len(got.Counters)+len(got.Histograms) != 0 {
-		t.Error("rejected resume merged metrics into the registry")
-	}
-}
-
 func TestCorpusOptionsValidate(t *testing.T) {
 	var o CorpusOptions
 	if err := o.Validate(); err != nil {
 		t.Fatalf("zero options: %v", err)
 	}
-	if o.Params != Paper25G() || o.ShardSize != DefaultShardSize || o.Context == nil || o.Registry != obs.Default() {
+	if o.Params != Paper25G() || o.ShardSize != DefaultShardSize || o.Registry != obs.Default() {
 		t.Errorf("zero-options defaults wrong: %+v", o)
 	}
 	chaos := CorpusOptions{Chaos: &CorpusChaos{}}
@@ -209,8 +112,6 @@ func TestCorpusOptionsValidate(t *testing.T) {
 	}
 	for _, bad := range []CorpusOptions{
 		{ShardSize: -1},
-		{MaxShards: -1},
-		{Resume: Checkpoint{NextShard: -1}},
 		{Params: nanTol},
 		{Params: negSlot},
 		{Chaos: chaosWith(func(p *ChaosParams) { p.AngularTolerance = math.Inf(1) })},
@@ -420,36 +321,28 @@ func TestSimulateTraceChaosRunsSink(t *testing.T) {
 // TestRunCorpusMemoryBounded is the streaming claim, measured: a 10×
 // longer corpus run in aggregate-only mode must stay within a fixed live
 // heap envelope of the small one (the engine holds O(workers·shard)
-// traces, never the corpus). The run steps through Resume/MaxShards
-// windows so retained state is sampled between batches, after a forced GC.
+// traces, never the corpus). heapProbe samples the live heap from inside
+// one run, after a forced GC, as each shard asks for its first trace —
+// at least once per shard batch.
 func TestRunCorpusMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streaming-heap measurement in -short mode")
 	}
+	const shard = 16
 	peak := func(n int) uint64 {
-		src := trace.Source{Seed: 11, N: n, Length: 2 * time.Second, Origin: geom.V(0.35, 0.25, 1.0)}
-		var peak uint64
-		ck := Checkpoint{}
-		for !ck.Done {
-			res, err := RunCorpus(src, CorpusOptions{
-				Workers:   2,
-				ShardSize: 16,
-				Registry:  obs.NewRegistry(),
-				Resume:    ck,
-				MaxShards: 4,
-			})
-			if err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-			ck = res.Checkpoint
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak {
-				peak = ms.HeapAlloc
-			}
+		probe := &heapProbe{Source: trace.Source{Seed: 11, N: n, Length: 2 * time.Second, Origin: geom.V(0.35, 0.25, 1.0)}, every: shard}
+		res, err := RunCorpus(probe, CorpusOptions{
+			Workers:   2,
+			ShardSize: shard,
+			Registry:  obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		return peak
+		if res.Traces != n || probe.samples != (n+shard-1)/shard {
+			t.Fatalf("n=%d: %d traces, %d heap samples", n, res.Traces, probe.samples)
+		}
+		return probe.peak
 	}
 	small := peak(160)
 	big := peak(1600)
@@ -461,4 +354,31 @@ func TestRunCorpusMemoryBounded(t *testing.T) {
 	if big > limit {
 		t.Errorf("10x corpus peaked at %d bytes live heap, want <= %d (2x small + 16MB)", big, limit)
 	}
+}
+
+// heapProbe is a trace.Source that records the peak live heap, read after
+// a forced GC, whenever a trace index that is a multiple of every is
+// requested.
+type heapProbe struct {
+	trace.Source
+	every int
+
+	mu      sync.Mutex
+	samples int
+	peak    uint64
+}
+
+func (p *heapProbe) At(i int) trace.Trace { return p.AtInto(i, nil) }
+
+func (p *heapProbe) AtInto(i int, buf []trace.Sample) trace.Trace {
+	if i%p.every == 0 {
+		p.mu.Lock()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		p.samples++
+		p.peak = max(p.peak, ms.HeapAlloc)
+		p.mu.Unlock()
+	}
+	return p.Source.AtInto(i, buf)
 }

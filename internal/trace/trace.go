@@ -385,8 +385,8 @@ const DatasetTraces = 500
 // Source is a streaming corpus: trace i is Generate(Seed, i, Length,
 // origin), produced on demand. It satisfies sim.CorpusSource, so a corpus
 // of any size runs through the sharded engine without ever being held in
-// memory. Len and At are pure functions of the fields — safe for
-// concurrent use and for re-generation on resumed runs.
+// memory. Len and At are pure functions of the fields, so they are safe
+// for concurrent use.
 type Source struct {
 	// Seed derives every trace's RNG (with the index).
 	Seed int64

@@ -202,8 +202,8 @@ func TestMapErrWorkersClampedToJobs(t *testing.T) {
 // arena.Run) stand on, at every worker count and at shard counts around
 // the batch width: every shard is merged once, in shard order; no more
 // than one batch of outputs is ever in flight — the memory bound of a
-// streamed run; and each worker makes at most one scratch, reused by
-// every shard it runs.
+// streamed run; and each worker makes at most one scratch, lazily, reused
+// by every shard it runs — so no scratch is made when no shard runs.
 func TestFold(t *testing.T) {
 	type scratch struct{ shards int }
 	for _, workers := range []int{1, 2, 8} {
@@ -214,8 +214,12 @@ func TestFold(t *testing.T) {
 				started, merged, peak int
 				order                 []int
 				scratches             = map[*scratch]bool{}
+				made                  atomic.Int64
 			)
-			Fold(n, workers, func() *scratch { return new(scratch) }, func(s *scratch, k int) int {
+			Fold(n, workers, func() *scratch {
+				made.Add(1)
+				return new(scratch)
+			}, func(s *scratch, k int) int {
 				s.shards++
 				mu.Lock()
 				scratches[s] = true
@@ -245,9 +249,9 @@ func TestFold(t *testing.T) {
 			for s := range scratches {
 				ran += s.shards
 			}
-			if len(scratches) > min(workers, n) || ran != n {
-				t.Errorf("workers=%d n=%d: %d scratches ran %d shards, want at most %d covering all %d",
-					workers, n, len(scratches), ran, min(workers, n), n)
+			if m := made.Load(); m != int64(len(scratches)) || m > int64(min(workers, n)) || ran != n {
+				t.Errorf("workers=%d n=%d: %d scratches made, %d used for %d shards, want each made one used and at most %d covering all %d",
+					workers, n, m, len(scratches), ran, min(workers, n), n)
 			}
 		}
 	}

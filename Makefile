@@ -84,8 +84,10 @@ verify:
 # Allocation-regression gate for the compiled hot path: the zero-alloc
 # contracts on Compiled.Beam, the batched kernel (BeamBatch), the G'/P
 # solvers (warm and cold/coarse-seed paths), the
-# radiometry read (CaptureFraction, LinkConfig/Plant.ReceivedPowerDBm),
-# the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
+# radiometry reads (CaptureFraction, the exact
+# LinkConfig/Plant.ReceivedPowerDBm, the certified bounds
+# LinkConfig.ReceivedPowerAtMost/AtLeast and the light verdict
+# LinkConfig.ReceivedPowerReaches/Plant.ReadLight), the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
 # kernels (xmath.AddN, xrand.Seed), the arena's occlusion pass and its
 # bulk netem tick (Stream.TickRun with its carry kernel, and a Reset
 # stream's rerun) are

@@ -83,7 +83,7 @@ func newHyState(reg *obs.Registry) *hyState {
 // delivered-traffic accounting to whichever medium the policy picked. It
 // owns the l.stream accounting entirely on hybrid runs (step's historical
 // freeze/tick branch runs only when l.hy == nil).
-func (l *runLoop) hyTick(at time.Duration, pose geom.Pose, fs fault.State, power float64, up, degraded bool) {
+func (l *runLoop) hyTick(at time.Duration, pose geom.Pose, fs fault.State, powerOK, up, degraded bool) {
 	hy := l.hy
 
 	// The mmWave path shares the FSO link's body-blockage exposure (§2.1)
@@ -96,7 +96,7 @@ func (l *runLoop) hyTick(at time.Duration, pose geom.Pose, fs fault.State, power
 	// SLO verdict: locked AND above receiver sensitivity. Using the
 	// monitor's up state makes the 3 s SFP re-lock tail count as
 	// breaching, so re-admission waits for re-lock plus the clear window.
-	healthy := up && power >= l.s.Plant.Config.Transceiver.SensitivityDBm
+	healthy := up && powerOK
 	st := hy.ctl.Observe(at, tick, healthy)
 
 	if st.OnSecondary() {

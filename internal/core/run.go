@@ -275,6 +275,16 @@ func (s *System) Run(opts RunOptions) (RunResult, error) {
 	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	if h := opts.Handover; h != nil {
+		// Every TX lights the one RX SFP, so each tick's light verdict is
+		// taken at one sensitivity, whichever TX is active.
+		want := s.Plant.Config.Transceiver.SensitivityDBm
+		for k, p := range h.Standbys {
+			if got := p.Config.Transceiver.SensitivityDBm; got != want {
+				return RunResult{}, fmt.Errorf("core: invalid RunOptions: standby %d receiver sensitivity %v dBm, the primary's is %v dBm", k, got, want)
+			}
+		}
+	}
 	dur := opts.Duration
 	if dur <= 0 {
 		dur = opts.Program.Duration()
@@ -680,9 +690,20 @@ func (l *runLoop) step(at time.Duration) {
 		l.pendingAt = at + lat
 	}
 
-	// Physics + monitors.
-	power := l.s.Plant.ReceivedPowerDBm()
-	up := l.mon.Observe(at, power)
+	// Physics + monitors. Every consumer but a recorded Sample only asks
+	// whether the light clears the SFP sensitivity, so a tick that records
+	// no sample reads that verdict and leaves the exact power unformed.
+	sensitivity := l.s.Plant.Config.Transceiver.SensitivityDBm
+	sample := at >= l.nextSample
+	var power float64
+	var powerOK bool
+	if sample {
+		power = l.s.Plant.ReceivedPowerDBm()
+		powerOK = power >= sensitivity
+	} else {
+		powerOK = l.s.Plant.ReadLight(sensitivity)
+	}
+	up := l.mon.ObserveLight(at, powerOK)
 	if l.wasUp && !up {
 		l.res.Disconnections++
 	}
@@ -691,7 +712,6 @@ func (l *runLoop) step(at time.Duration) {
 		l.upTicks++
 	}
 	l.totalTicks++
-	powerOK := power >= l.s.Plant.Config.Transceiver.SensitivityDBm
 	if l.ho != nil {
 		l.hoTick(at, powerOK)
 	}
@@ -706,7 +726,7 @@ func (l *runLoop) step(at time.Duration) {
 	if l.hy != nil {
 		// Hybrid policy owns delivered-traffic accounting: it routes
 		// l.stream to whichever medium carries this tick.
-		l.hyTick(at, pose, fs, power, up, degraded)
+		l.hyTick(at, pose, fs, powerOK, up, degraded)
 	} else if degraded {
 		// Graceful degradation: the stream's clock advances but
 		// accounting freezes — a long outage is marked, not billed
@@ -716,7 +736,7 @@ func (l *runLoop) step(at time.Duration) {
 		l.stream.Tick(at, tick, up, l.s.Plant.Config.Transceiver.OptimalGoodputGbps)
 	}
 
-	if at >= l.nextSample {
+	if sample {
 		var lin, ang float64
 		if l.recent.len() >= 2 {
 			lin, ang = vrh.Speeds(l.recent.front(), l.recent.back())

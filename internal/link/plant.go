@@ -36,9 +36,9 @@ type Plant struct {
 	// deployment.
 	rxMount geom.Pose
 
-	// Metrics, when non-nil, receives a received-power observation on
-	// every ReceivedPowerDBm read. core.Run attaches a per-run instrument
-	// set here and detaches it after.
+	// Metrics, when non-nil, counts every ReceivedPowerDBm and ReadLight
+	// read and observes the power of each ReceivedPowerDBm read. core.Run
+	// attaches a per-run instrument set here and detaches it after.
 	Metrics *PlantMetrics
 	// AlignMetrics, when non-nil, counts the alignment search's
 	// photodiode reads, which PlantMetrics does not see. core.Calibrate
@@ -212,10 +212,13 @@ func (p *Plant) Misalignment() (optics.Misalignment, error) {
 
 // PlantMetrics holds the plant's observability instruments.
 type PlantMetrics struct {
-	// Power is the received optical power distribution; geometric
-	// failures (-Inf power) are clamped to the lowest bucket so the
-	// histogram sum stays finite.
+	// Power is the received optical power distribution over exact reads:
+	// core.Run takes one on each sample tick and a verdict on every other
+	// tick, so its count is the run's sample count. Geometric failures
+	// (-Inf power) are clamped to the lowest bucket so the histogram sum
+	// stays finite.
 	Power *obs.Histogram
+	// Reads counts every read, exact or verdict: one per core.Run tick.
 	Reads *obs.Counter
 }
 
@@ -260,7 +263,7 @@ func (p *Plant) AttenuationDB() float64 { return p.attenDB }
 // Geometric failure (a beam steered outside its own assembly) reads as no
 // light.
 //
-//cyclops:hotpath read once per core.Run tick; zero-alloc contract (nil Metrics) pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
+//cyclops:hotpath the exact read of each core.Run sample tick; zero-alloc contract (nil Metrics) pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
 func (p *Plant) ReceivedPowerDBm() float64 {
 	m, err := p.Misalignment()
 	if err != nil {
@@ -272,13 +275,31 @@ func (p *Plant) ReceivedPowerDBm() float64 {
 	return power
 }
 
+// ReadLight reports whether the instantaneous optical power at the RX SFP
+// is at least floor: ReceivedPowerDBm() >= floor for every plant state,
+// with the same servo-noise draws and the same one read on Metrics.Reads,
+// but no Power observation. LinkConfig.ReceivedPowerReaches settles most
+// reads from certified power bounds without the capture integral.
+//
+//cyclops:hotpath read on every core.Run tick that records no sample; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs and make alloc-check
+func (p *Plant) ReadLight(floor float64) bool {
+	m, err := p.Misalignment()
+	if p.Metrics != nil {
+		p.Metrics.Reads.Inc()
+	}
+	if err != nil {
+		return math.Inf(-1) >= floor
+	}
+	return p.Config.ReceivedPowerReaches(m, p.attenDB, floor)
+}
+
 // Connected reports whether instantaneous power clears the SFP
 // sensitivity. (For time-aware link state including re-lock delays, use
 // Monitor.)
 //
 //cyclops:keep public API through cyclops.TXPlant
 func (p *Plant) Connected() bool {
-	return p.ReceivedPowerDBm() >= p.Config.Transceiver.SensitivityDBm
+	return p.ReadLight(p.Config.Transceiver.SensitivityDBm)
 }
 
 // OracleAlignedVoltages computes the four perfectly aligning voltages from

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/galvo"
 	"cyclops/internal/geom"
+	"cyclops/internal/obs"
 	"cyclops/internal/optics"
 	"cyclops/internal/pointing"
 )
@@ -474,6 +476,73 @@ func TestReceivedPowerDBmZeroAllocs(t *testing.T) {
 		p.ApplyVoltages(pointing.Voltages{})
 		if n := testing.AllocsPerRun(100, func() { p.ReceivedPowerDBm() }); n != 0 {
 			t.Errorf("%s: parked Plant.ReceivedPowerDBm allocates %v per call, want 0", cfg.Name, n)
+		}
+	}
+}
+
+// TestReadLightMatchesExact walks two plants built alike through headset
+// offsets, attenuations and parked mirrors and holds ReadLight on one to
+// ReceivedPowerDBm() >= floor on the other, at the sensitivity and at and
+// one ulp either side of the exact power: the verdict, each device's next
+// servo-noise draw and the read count agree, and ReadLight observes no
+// power.
+func TestReadLightMatchesExact(t *testing.T) {
+	for _, cfg := range []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G} {
+		light, exact := alignedPlant(t, cfg, 4), alignedPlant(t, cfg, 4)
+		reg := obs.NewRegistry()
+		light.Metrics = NewPlantMetrics(reg)
+		h := light.Headset()
+		reads := 0
+		for i := 0; i < 240; i++ {
+			off := geom.V(float64(i%40)*0.0008, -float64(i%40)*0.0004, 0)
+			atten := []float64{0, 6, 30}[i%3]
+			for _, p := range []*Plant{light, exact} {
+				p.SetHeadset(geom.NewPose(h.Rot, h.Trans.Add(off)))
+				p.SetAttenuationDB(atten)
+				if i == 200 {
+					p.ApplyVoltages(pointing.Voltages{})
+				}
+			}
+			power := exact.ReceivedPowerDBm()
+			floor := []float64{cfg.Transceiver.SensitivityDBm, power, math.Nextafter(power, math.Inf(1)), math.Nextafter(power, math.Inf(-1))}[i%4]
+			if got := light.ReadLight(floor); got != (power >= floor) {
+				t.Fatalf("%s step %d: ReadLight(%v) = %v, exact power %v", cfg.Name, i, floor, got, power)
+			}
+			reads++
+		}
+		for _, d := range [][2]*galvo.Device{{light.TXDev, exact.TXDev}, {light.RXDev, exact.RXDev}} {
+			a, errA := d[0].Beam()
+			b, errB := d[1].Beam()
+			if a != b || (errA == nil) != (errB == nil) {
+				t.Fatalf("%s: next servo draws differ: %v / %v", cfg.Name, a, b)
+			}
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["cyclops_link_power_reads_total"]; got != float64(reads) {
+			t.Errorf("%s: %v reads counted, want %d", cfg.Name, got, reads)
+		}
+		if got := snap.Histograms["cyclops_link_received_power_dbm"].Count; got != 0 {
+			t.Errorf("%s: ReadLight observed %v powers, want 0", cfg.Name, got)
+		}
+	}
+}
+
+// TestReadLightZeroAllocs pins the //cyclops:hotpath contract with nil
+// Metrics: aligned (settled light), parked at 0 V (no light), and at the
+// exact power (the capture integral).
+func TestReadLightZeroAllocs(t *testing.T) {
+	for _, cfg := range []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G} {
+		p := alignedPlant(t, cfg, 3)
+		sens := cfg.Transceiver.SensitivityDBm
+		if n := testing.AllocsPerRun(100, func() { p.ReadLight(sens) }); n != 0 {
+			t.Errorf("%s: aligned ReadLight allocates %v per call, want 0", cfg.Name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.ReadLight(p.ReceivedPowerDBm()) }); n != 0 {
+			t.Errorf("%s: ReadLight at the exact power allocates %v per call, want 0", cfg.Name, n)
+		}
+		p.ApplyVoltages(pointing.Voltages{})
+		if n := testing.AllocsPerRun(100, func() { p.ReadLight(sens) }); n != 0 {
+			t.Errorf("%s: parked ReadLight allocates %v per call, want 0", cfg.Name, n)
 		}
 	}
 }

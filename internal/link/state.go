@@ -65,8 +65,16 @@ func NewMonitorMetrics(reg *obs.Registry) *MonitorMetrics {
 
 // Observe feeds one (time, power) sample and returns whether the link is
 // up after it. Samples must be fed in non-decreasing time order.
+//
+//cyclops:keep perfbench replays the run's monitor through it
 func (m *Monitor) Observe(at time.Duration, powerDBm float64) bool {
-	light := powerDBm >= m.t.SensitivityDBm
+	return m.ObserveLight(at, powerDBm >= m.t.SensitivityDBm)
+}
+
+// ObserveLight is Observe given only whether the sample's power clears the
+// transceiver's sensitivity, the one thing the SFP's loss-of-signal
+// detector sees.
+func (m *Monitor) ObserveLight(at time.Duration, light bool) bool {
 	if m.up {
 		if light {
 			m.hasDark = false

@@ -102,14 +102,14 @@ func (c LinkConfig) DivergenceHalfAngle() float64 {
 
 // InsertionLossDB returns the total fixed loss for this design, including
 // the divergence-dependent fiber-coupling penalty.
-func (c LinkConfig) InsertionLossDB() float64 {
+func (c *LinkConfig) InsertionLossDB() float64 {
 	d := ToMrad(c.DivergenceHalfAngle())
 	return c.BaseInsertionDB + c.DivergenceLossDBPerMrad2*d*d
 }
 
 // AngularAcceptance returns the receiver's angular acceptance (1/e²
 // half-angle) in radians.
-func (c LinkConfig) AngularAcceptance() float64 {
+func (c *LinkConfig) AngularAcceptance() float64 {
 	d := ToMrad(c.DivergenceHalfAngle())
 	return Mrad(c.AcceptBaseMrad + c.AcceptPerMradDiv*d)
 }
@@ -134,10 +134,10 @@ type Misalignment struct {
 // given misalignment. Perfect alignment (zero offsets) yields the peak
 // received power of Table 1.
 //
-//cyclops:hotpath the radiometry behind every received-power read of core.Run and the alignment search; zero-alloc contract pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
-func (c LinkConfig) ReceivedPowerDBm(m Misalignment) float64 {
-	geo := CaptureFraction(c.beamRadius(m), c.ApertureRadius, m.LateralOffset)
-	return c.budgetDBm(FractionToDB(geo), m)
+//cyclops:hotpath the exact radiometry behind core.Run's sample ticks, the verdicts no bound settles and the alignment search; zero-alloc contract pinned by TestReceivedPowerDBmZeroAllocs and make alloc-check
+func (c *LinkConfig) ReceivedPowerDBm(m Misalignment) float64 {
+	r := c.read(m)
+	return r.exactDBm()
 }
 
 // ReceivedPowerAtMost reports whether ReceivedPowerDBm(m) - attenDB is
@@ -149,47 +149,120 @@ func (c LinkConfig) ReceivedPowerDBm(m Misalignment) float64 {
 // proves both never below the exact read after rounding.
 //
 //cyclops:hotpath one call per coarse probe of the §4.2 alignment search; zero-alloc contract pinned by TestReceivedPowerAtMostZeroAllocs and make alloc-check
-func (c LinkConfig) ReceivedPowerAtMost(m Misalignment, attenDB, floor float64) bool {
-	if c.budgetDBm(0, m)-attenDB <= floor {
+func (c *LinkConfig) ReceivedPowerAtMost(m Misalignment, attenDB, floor float64) bool {
+	r := c.read(m)
+	return r.atMost(attenDB, floor)
+}
+
+// ReceivedPowerAtLeast reports whether ReceivedPowerDBm(m) - attenDB is
+// certainly at least floor, judged from a lower bound on the capture
+// fraction without evaluating CaptureFraction. False means undecided, not
+// below floor. The bound exists only for an aperture over the beam axis:
+// captureDisk, the beam's share inside the disk of radius a − |d| around
+// its axis, plus captureLogMarginDB of Log10 rounding on the loss. DESIGN
+// §8 proves it never above the exact read after rounding.
+//
+//cyclops:hotpath the certified "light" half of every ReceivedPowerReaches verdict; zero-alloc contract pinned by TestReceivedPowerAtLeastZeroAllocs and make alloc-check
+//cyclops:keep public API through cyclops.LinkConfig; ReceivedPowerReaches applies the same bound to its shared read
+func (c *LinkConfig) ReceivedPowerAtLeast(m Misalignment, attenDB, floor float64) bool {
+	r := c.read(m)
+	return r.atLeast(attenDB, floor)
+}
+
+// ReceivedPowerReaches reports whether ReceivedPowerDBm(m) - attenDB >=
+// floor, with the same answer for every input, NaN and infinities
+// included. It evaluates the link budget once and settles the verdict from
+// ReceivedPowerAtLeast's lower bound or ReceivedPowerAtMost's upper bounds
+// when they decide it, so CaptureFraction runs only for a read near floor.
+//
+//cyclops:hotpath the verdict behind Plant.ReadLight on every core.Run tick that records no sample; zero-alloc contract pinned by TestReceivedPowerReachesZeroAllocs and make alloc-check
+func (c *LinkConfig) ReceivedPowerReaches(m Misalignment, attenDB, floor float64) bool {
+	r := c.read(m)
+	if r.atLeast(attenDB, floor) {
 		return true
 	}
-	if !(math.Abs(m.LateralOffset) > c.ApertureRadius) {
+	// Certainly at most the float below floor is certainly below floor;
+	// a -Inf floor has no float below it and only a NaN read misses it.
+	if floor > math.Inf(-1) && r.atMost(attenDB, math.Nextafter(floor, math.Inf(-1))) {
 		return false
 	}
-	env := captureEnvelope(c.beamRadius(m), c.ApertureRadius, m.LateralOffset)
-	return c.budgetDBm(FractionToDB(env)-captureLogMarginDB, m)-attenDB <= floor
+	return r.exactDBm()-attenDB >= floor
 }
 
-// captureLogMarginDB is subtracted from the envelope's geometric loss
-// before the budget: it covers Log10's rounding, whose error is below
-// 1e-11 dB of loss for any positive fraction, so the envelope's loss never
-// exceeds the exact one where the envelope is the larger fraction.
-const captureLogMarginDB = 1e-9
+// linkRead is one misalignment's link budget with the geometric capture
+// loss left open: the capture integral's inputs and every other term of
+// the budget, each computed once so the exact read and its bounds share
+// them.
+type linkRead struct {
+	// w is the beam's 1/e² radius at the receiver, a the aperture radius
+	// and d the lateral offset's magnitude.
+	w, a, d float64
+	// p0 is the launch power plus amplifier gain less the insertion
+	// loss, angDB the incidence-angle coupling loss and latDB the
+	// focal-plane walk-off loss (0 when LateralAcceptance is 0).
+	p0, angDB, latDB float64
+}
 
-// beamRadius is the beam's 1/e² radius at the receiver for m, the
-// nominal range standing in for a non-positive one.
-func (c *LinkConfig) beamRadius(m Misalignment) float64 {
-	r := m.Range
-	if r <= 0 {
-		r = c.NominalRange
+// read evaluates m's budget terms. A non-positive range stands for the
+// nominal one.
+func (c *LinkConfig) read(m Misalignment) linkRead {
+	rng := m.Range
+	if rng <= 0 {
+		rng = c.NominalRange
 	}
-	return c.Beam().RadiusAt(r)
-}
-
-// budgetDBm is the link budget for m given its geometric capture loss in
-// dB: the one expression behind both the exact read and its bounds. It is
-// non-increasing in geoLossDB after rounding, since it only adds and
-// subtracts it.
-func (c *LinkConfig) budgetDBm(geoLossDB float64, m Misalignment) float64 {
-	ang := AngleCouplingFraction(m.IncidenceMismatch, c.AngularAcceptance())
-	p := c.Transceiver.TxPowerDBm + c.Amp.GainDB - c.InsertionLossDB()
-	p -= geoLossDB + FractionToDB(ang)
+	r := linkRead{
+		w:     c.Beam().RadiusAt(rng),
+		a:     c.ApertureRadius,
+		d:     math.Abs(m.LateralOffset),
+		p0:    c.Transceiver.TxPowerDBm + c.Amp.GainDB - c.InsertionLossDB(),
+		angDB: FractionToDB(AngleCouplingFraction(m.IncidenceMismatch, c.AngularAcceptance())),
+	}
 	if c.LateralAcceptance > 0 {
 		lat := m.LateralOffset / c.LateralAcceptance
-		p -= FractionToDB(math.Exp(-2 * lat * lat))
+		r.latDB = FractionToDB(math.Exp(-2 * lat * lat))
 	}
-	return p
+	return r
 }
+
+// dBm is the link budget given the geometric capture loss in dB: the one
+// expression behind both the exact read and its bounds. It is
+// non-increasing in geoLossDB after rounding, since it only adds and
+// subtracts it (and subtracting a zero latDB leaves every value as it is).
+func (r *linkRead) dBm(geoLossDB float64) float64 {
+	return (r.p0 - (geoLossDB + r.angDB)) - r.latDB
+}
+
+// exactDBm is the budget at the capture integral's loss.
+func (r *linkRead) exactDBm() float64 {
+	return r.dBm(FractionToDB(CaptureFraction(r.w, r.a, r.d)))
+}
+
+// atMost is ReceivedPowerAtMost on the shared read.
+func (r *linkRead) atMost(attenDB, floor float64) bool {
+	if r.dBm(0)-attenDB <= floor {
+		return true
+	}
+	if !(r.d > r.a) {
+		return false
+	}
+	env := captureEnvelope(r.w, r.a, r.d)
+	return r.dBm(FractionToDB(env)-captureLogMarginDB)-attenDB <= floor
+}
+
+// atLeast is ReceivedPowerAtLeast on the shared read.
+func (r *linkRead) atLeast(attenDB, floor float64) bool {
+	disk := captureDisk(r.w, r.a, r.d)
+	if !(disk > 0) {
+		return false
+	}
+	return r.dBm(FractionToDB(disk)+captureLogMarginDB)-attenDB >= floor
+}
+
+// captureLogMarginDB is the allowance for Log10's rounding, whose error is
+// below 1e-11 dB of loss for any positive fraction: subtracted from the
+// envelope's geometric loss and added to the disk's, it keeps each bound's
+// loss on its side of the exact one wherever the bound's fraction is.
+const captureLogMarginDB = 1e-9
 
 // PeakReceivedPowerDBm is the aligned-link received power.
 func (c LinkConfig) PeakReceivedPowerDBm() float64 {
@@ -205,7 +278,7 @@ func (c LinkConfig) MarginDB() float64 {
 // Connected reports whether the received power for the given misalignment
 // clears the receiver sensitivity.
 func (c LinkConfig) Connected(m Misalignment) bool {
-	return c.ReceivedPowerDBm(m) >= c.Transceiver.SensitivityDBm
+	return c.ReceivedPowerReaches(m, 0, c.Transceiver.SensitivityDBm)
 }
 
 // WithRXDiameter returns a copy with the diverging beam retargeted to the

@@ -101,7 +101,7 @@ func gaussLegendre() (x, wt [captureGLN]float64) {
 // gives 0; every other input gives a result in [0, 1]. FuzzCaptureFraction
 // pins the contract.
 //
-//cyclops:hotpath one call per exact received-power read: every 1 ms tick of core.Run and every alignment-search probe no bound settles; zero-alloc contract pinned by TestCaptureFractionZeroAllocs and make alloc-check
+//cyclops:hotpath one call per exact received-power read: core.Run's sample ticks, the tick verdicts and alignment-search probes no bound settles; zero-alloc contract pinned by TestCaptureFractionZeroAllocs and make alloc-check
 func CaptureFraction(w, a, dist float64) float64 {
 	d := math.Abs(dist)
 	switch {
@@ -192,6 +192,30 @@ func captureEnvelope(w, a, dist float64) float64 {
 var captureAsymPeak = math.Sqrt(2/math.Pi) * asymptoticI0eSeries(20)
 
 const captureEnvSlack = 1 + 1e-9
+
+// captureDisk returns a lower bound on CaptureFraction(w, a, dist) for an
+// aperture over the beam axis, |dist| < a, with w and a positive; elsewhere
+// it returns 0. The disk of radius a − |dist| centred on the beam axis lies
+// inside the aperture and holds 1 − exp(−2((a−|dist|)/w)²) of the beam, one
+// Exp; captureDiskSlack covers the kernel's quadrature, window and rounding
+// error (DESIGN §8). FuzzReceivedPowerAtLeast pins disk ≤ kernel.
+func captureDisk(w, a, dist float64) float64 {
+	d := math.Abs(dist)
+	if !(w > 0 && a > 0 && d < a) {
+		return 0
+	}
+	r := (a - d) / w
+	if v := -math.Expm1(-2*r*r) - captureDiskSlack; v > 0 {
+		return v
+	}
+	return 0 // a disk too small to clear the slack, or w = a = +Inf
+}
+
+// captureDiskSlack is the absolute allowance captureDisk subtracts for the
+// computed kernel's error against the exact integral: ten times the 1e-9
+// TestCaptureFractionMatchesBessel pins and 2e4 times the worst error
+// measured (DESIGN §8).
+const captureDiskSlack = 1e-8
 
 // CaptureFractionCentered is the closed form of CaptureFraction for a
 // centered aperture: 1 - exp(-2a²/w²). CaptureFraction returns it for a

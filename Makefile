@@ -88,15 +88,17 @@ verify:
 # LinkConfig/Plant.ReceivedPowerDBm, the certified bounds
 # LinkConfig.ReceivedPowerAtMost/AtLeast and the light verdict
 # LinkConfig.ReceivedPowerReaches/Plant.ReadLight), the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
-# kernels (xmath.AddN, xrand.Seed), the arena's occlusion pass and its
+# kernels (xmath.AddN, xrand.Seed), the arena's occlusion pass, its
 # bulk netem tick (Stream.TickRun with its carry kernel, and a Reset
-# stream's rerun) are
+# stream's rerun) and a warm metrics registry's drain (Registry.DrainInto)
+# are
 # pinned by AllocsPerRun tests, as are the slot engine's per-trace
 # allocation count and the bytes of an arena cell and a corpus shard on a
-# warm per-worker scratch (all flat in trace length); run them without
-# -race (the race detector inserts allocations).
+# warm per-worker scratch (all flat in trace length, and a shard's nearly
+# flat in its trace count); run them without -race (the race detector
+# inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocsFlatInTraceLength' -count 1 ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/arena/ ./internal/xmath/ ./internal/xrand/ ./internal/netem/
+	$(GO) test -run 'ZeroAllocs|AllocsFlatInTraceLength|AllocsFlatInTraceCount' -count 1 ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/arena/ ./internal/xmath/ ./internal/xrand/ ./internal/netem/ ./internal/obs/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics

@@ -587,7 +587,7 @@ type Aggregate struct {
 	GoodputSumGbps float64
 	MinGoodputGbps float64
 
-	// Metrics folds every cell's registry snapshot in cell order.
+	// Metrics folds every cell's metrics in cell order.
 	Metrics obs.Snapshot
 }
 
@@ -694,9 +694,10 @@ func Run(opts Options) (Result, error) {
 // cellScratch is one Fold worker's storage, reused by every cell the
 // worker runs: the trace sample buffer, a served user's neighbours, their
 // bodies and the occlusion windows, the served users' verdict runs, the
-// contention segments and one netem stream. runCell truncates each before
-// use and never reads past what it wrote, so a cell's Aggregate does not
-// depend on the cells before it.
+// contention segments, one netem stream and the metrics registry.
+// runCell truncates each before use, never reads past what it wrote and
+// drains the registry at the end, so a cell's Aggregate does not depend on
+// the cells before it beyond the zeros of instruments they registered.
 type cellScratch struct {
 	buf    []trace.Sample
 	nbrs   []neighbor
@@ -705,6 +706,7 @@ type cellScratch struct {
 	runs   [][]verdictRun
 	segs   []segment
 	stream netem.Stream
+	reg    *obs.Registry
 }
 
 // occlusion is user i's occlusion pass on the worker's scratch: the
@@ -727,7 +729,10 @@ func (sc *cellScratch) occlusion(l Layout, tx geom.Vec3, i int, samples []trace.
 // bodies, run the chaos slot model, then share the cell's backhaul slice
 // among the momentarily-connected users.
 func runCell(l Layout, opts Options, c int, sc *cellScratch) Aggregate {
-	reg := obs.NewRegistry()
+	if sc.reg == nil {
+		sc.reg = obs.NewRegistry()
+	}
+	reg := sc.reg
 	m := NewMetrics(reg)
 	sm := netem.NewStreamMetrics(reg)
 	var agg Aggregate
@@ -839,7 +844,7 @@ func runCell(l Layout, opts Options, c int, sc *cellScratch) Aggregate {
 		agg.addServed(avail, goodput)
 	}
 
-	agg.Metrics = reg.Snapshot()
+	reg.DrainInto(&agg.Metrics)
 	return agg
 }
 

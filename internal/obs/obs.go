@@ -13,15 +13,20 @@
 // The parallel experiment engine (internal/parallel) promises bit-identical
 // results at any worker count, and metrics must not break that. The rules:
 //
-//   - every parallel shard records into its own Registry (sim.RunCorpus
-//     and arena.Run create one per trace or cell) — instruments are never
-//     shared across shards;
-//   - per-shard Snapshots are merged serially, in shard-index order, by
-//     parallel.Fold's merge step, never inside the fan-out. Counter increments are integer-valued in practice
-//     (exact in float64 far beyond any realistic count), and histogram
-//     sums merge in a fixed order, so the merged Snapshot — and its text
-//     exposition — is byte-identical for workers 1, 4, 8, or the default
-//     pool;
+//   - every parallel worker records into its own Registry — instruments
+//     are never shared across workers. sim.RunCorpus and arena.Run keep
+//     one per parallel.Fold worker and drain it (Registry.DrainInto) into
+//     the shard's or cell's aggregate after every trace or cell. A drain
+//     makes the adds a fresh registry's Snapshot would and zeroes the
+//     instruments; the zeros it folds for instruments an earlier trace
+//     registered add +0, which changes no value, so the result is the
+//     one a registry per trace gives;
+//   - per-shard aggregates are merged serially, in shard-index order, by
+//     parallel.Fold's merge step, never inside the fan-out. Counter
+//     increments are integer-valued in practice (exact in float64 far
+//     beyond any realistic count), and histogram sums merge in a fixed
+//     order, so the merged Snapshot — and its text exposition — is
+//     byte-identical for workers 1, 4, 8, or the default pool;
 //   - reductions never happen inside worker goroutines.
 //
 // All instruments and the Registry are safe for concurrent use (the
@@ -433,62 +438,140 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 func (s *Snapshot) MergeInPlace(o Snapshot) {
 	//cyclops:deterministic-ok each name's add reads and writes only that name, so visiting order cannot reach the result
 	for name, v := range o.Counters {
-		if s.Counters == nil {
-			s.Counters = make(map[string]float64, len(o.Counters))
-		}
-		s.Counters[name] += v
+		addFloat(&s.Counters, name, v, len(o.Counters))
 	}
 	//cyclops:deterministic-ok each name's add reads and writes only that name, so visiting order cannot reach the result
 	for name, v := range o.Gauges {
-		if s.Gauges == nil {
-			s.Gauges = make(map[string]float64, len(o.Gauges))
-		}
-		s.Gauges[name] += v
+		addFloat(&s.Gauges, name, v, len(o.Gauges))
 	}
 	//cyclops:deterministic-ok each name's fold reads and writes only that name, and a bounds clash names the lowest clashing histogram, so visiting order cannot reach the result
 	for name, hs := range o.Histograms {
-		if s.Histograms == nil {
-			s.Histograms = make(map[string]HistogramSnapshot, len(o.Histograms))
-		}
-		have, ok := s.Histograms[name]
-		if !ok {
-			s.Histograms[name] = HistogramSnapshot{
-				Bounds: append([]float64(nil), hs.Bounds...),
-				Counts: append([]uint64(nil), hs.Counts...),
-				Sum:    hs.Sum,
-				Count:  hs.Count,
-			}
-			continue
-		}
-		if !sameBounds(have.Bounds, hs.Bounds) {
+		if !s.foldHist(name, hs, len(o.Histograms)) {
 			//cyclops:panic-ok bounds mismatch across merged snapshots is an instrumentation bug, not a runtime condition
-			panic(fmt.Sprintf("obs: merge of histogram %q with different bounds", boundsClash(s.Histograms, o.Histograms)))
+			panic(fmt.Sprintf("obs: merge of histogram %q with different bounds", boundsClash(s.Histograms, o.Histograms, snapshotBounds)))
 		}
-		for i, c := range hs.Counts {
-			have.Counts[i] += c
-		}
-		have.Sum += hs.Sum
-		have.Count += hs.Count
-		s.Histograms[name] = have
 	}
 	//cyclops:deterministic-ok each name's help is decided by that name alone (s's wins), so visiting order cannot reach the result
 	for name, help := range o.Help {
-		if help == "" || s.Help[name] != "" {
-			continue
-		}
-		if s.Help == nil {
-			s.Help = make(map[string]string, len(o.Help))
-		}
-		s.Help[name] = help
+		s.foldHelp(name, help, len(o.Help))
 	}
 }
 
+// DrainInto folds the registry's live values into s with the adds
+// s.MergeInPlace(r.Snapshot()) makes, name by name, then zeroes every
+// counter, gauge and histogram. Registrations and help strings stay, so
+// one registry can record trace after trace, drained after each, where a
+// fresh registry per trace would be built, snapshotted and dropped. s
+// must own its maps, as for MergeInPlace.
+//
+// A drained registry still holds instruments that earlier traces
+// registered; a trace that does not register them again folds their
+// zeros. That adds +0 to values that are never −0 (every fold starts from
+// +0), which leaves them bit-identical, so after the in-order merge the
+// names and values equal those of a fresh registry per trace
+// (FuzzRegistryDrain). A warm drain, every name already in s, allocates
+// nothing (TestRegistryDrainZeroAllocs).
+func (r *Registry) DrainInto(s *Snapshot) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	//cyclops:deterministic-ok each name's add reads and writes only that name, so visiting order cannot reach the result
+	for name, c := range r.counters {
+		c.mu.Lock()
+		addFloat(&s.Counters, name, c.v, len(r.counters))
+		c.v = 0
+		c.mu.Unlock()
+	}
+	//cyclops:deterministic-ok each name's add reads and writes only that name, so visiting order cannot reach the result
+	for name, g := range r.gauges {
+		g.mu.Lock()
+		addFloat(&s.Gauges, name, g.v, len(r.gauges))
+		g.v = 0
+		g.mu.Unlock()
+	}
+	//cyclops:deterministic-ok each name's fold reads and writes only that name, and a bounds clash names the lowest clashing histogram, so visiting order cannot reach the result
+	for name, h := range r.hists {
+		h.mu.Lock()
+		ok := s.foldHist(name, HistogramSnapshot{Bounds: h.bounds, Counts: h.counts, Sum: h.sum, Count: h.count}, len(r.hists))
+		if ok {
+			clear(h.counts)
+			h.sum, h.count = 0, 0
+		}
+		h.mu.Unlock()
+		if !ok {
+			//cyclops:panic-ok bounds mismatch between a registry and the snapshot it drains into is an instrumentation bug, not a runtime condition
+			panic(fmt.Sprintf("obs: drain of histogram %q with different bounds", boundsClash(s.Histograms, r.hists, registryBounds)))
+		}
+	}
+	//cyclops:deterministic-ok each name's help is decided by that name alone (s's wins), so visiting order cannot reach the result
+	for name, help := range r.help {
+		s.foldHelp(name, help, len(r.help))
+	}
+}
+
+// addFloat adds v to (*m)[name], making the map with room for n names
+// when it is nil.
+func addFloat(m *map[string]float64, name string, v float64, n int) {
+	if *m == nil {
+		*m = make(map[string]float64, n)
+	}
+	(*m)[name] += v
+}
+
+// foldHist folds one histogram's state into s.Histograms[name]: a copy
+// when s has none of that name (the map made with room for n), bucket by
+// bucket adds when it has one with the same bounds. On a bounds clash it
+// folds nothing and reports false. hs is only read.
+func (s *Snapshot) foldHist(name string, hs HistogramSnapshot, n int) bool {
+	if s.Histograms == nil {
+		s.Histograms = make(map[string]HistogramSnapshot, n)
+	}
+	have, ok := s.Histograms[name]
+	if !ok {
+		s.Histograms[name] = HistogramSnapshot{
+			Bounds: append([]float64(nil), hs.Bounds...),
+			Counts: append([]uint64(nil), hs.Counts...),
+			Sum:    hs.Sum,
+			Count:  hs.Count,
+		}
+		return true
+	}
+	if !sameBounds(have.Bounds, hs.Bounds) {
+		return false
+	}
+	for i, c := range hs.Counts {
+		have.Counts[i] += c
+	}
+	have.Sum += hs.Sum
+	have.Count += hs.Count
+	s.Histograms[name] = have
+	return true
+}
+
+// foldHelp records help for name unless it is empty or s already has
+// one: s's wins.
+func (s *Snapshot) foldHelp(name, help string, n int) {
+	if help == "" || s.Help[name] != "" {
+		return
+	}
+	if s.Help == nil {
+		s.Help = make(map[string]string, n)
+	}
+	s.Help[name] = help
+}
+
+func snapshotBounds(h HistogramSnapshot) []float64 { return h.Bounds }
+
+func registryBounds(h *Histogram) []float64 { return h.bounds }
+
 // boundsClash returns the lowest name whose histogram has different
-// bounds in a and b, so a failed merge panics with the same message
-// whatever order it visited the names in.
-func boundsClash(a, b map[string]HistogramSnapshot) string {
+// bounds in a and b, so a failed merge or drain panics with the same
+// message whatever order it visited the names in.
+func boundsClash[V any](a map[string]HistogramSnapshot, b map[string]V, bounds func(V) []float64) string {
 	for _, name := range sortedKeys(b) {
-		if h, ok := a[name]; ok && !sameBounds(h.Bounds, b[name].Bounds) {
+		if h, ok := a[name]; ok && !sameBounds(h.Bounds, bounds(b[name])) {
 			return name
 		}
 	}
@@ -608,8 +691,8 @@ func fmtFloat(v float64) string {
 // sortedKeys is the sanctioned map iteration in this package: every walk
 // over a metrics map whose order could reach a merge, diff, or exposition
 // goes through it, so iteration order is erased first. MergeInPlace's
-// per-name folds, which no visiting order can change, are the annotated
-// exception.
+// and DrainInto's per-name folds, which no visiting order can change, are
+// the annotated exception.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	//cyclops:deterministic-ok iteration order is erased by the sort below

@@ -318,11 +318,12 @@ func mergeReference(s, o Snapshot) Snapshot {
 	return out
 }
 
-// TestMergeBoundsClashNamesLowest: merging snapshots whose histograms
-// clash on bounds panics, and names the lowest clashing histogram however
-// the fold happens to visit the names.
+// TestMergeBoundsClashNamesLowest: merging snapshots, or draining a
+// registry into a snapshot, whose histograms clash on bounds panics, and
+// names the lowest clashing histogram however the fold happens to visit
+// the names.
 func TestMergeBoundsClashNamesLowest(t *testing.T) {
-	build := func(bound float64) Snapshot {
+	build := func(bound float64) *Registry {
 		r := NewRegistry()
 		for _, name := range []string{"d_h", "c_h", "b_h", "a_ok", "e_h"} {
 			bounds := []float64{1, bound}
@@ -331,17 +332,25 @@ func TestMergeBoundsClashNamesLowest(t *testing.T) {
 			}
 			r.Histogram(name, "", bounds).Observe(1)
 		}
-		return r.Snapshot()
+		return r
 	}
-	a, b := build(2), build(3)
+	a, b := build(2).Snapshot(), build(3)
 	for k := 0; k < 20; k++ {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); msg != `obs: merge of histogram "b_h" with different bounds` {
-					t.Fatalf("panic %q, want the lowest clashing histogram b_h", msg)
-				}
+		for _, fold := range []struct {
+			verb string
+			run  func()
+		}{
+			{"merge", func() { a.Merge(b.Snapshot()) }},
+			{"drain", func() { s := a.Merge(Snapshot{}); b.DrainInto(&s) }},
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); msg != `obs: `+fold.verb+` of histogram "b_h" with different bounds` {
+						t.Fatalf("%s: panic %q, want the lowest clashing histogram b_h", fold.verb, msg)
+					}
+				}()
+				fold.run()
 			}()
-			a.Merge(b)
-		}()
+		}
 	}
 }

@@ -476,9 +476,10 @@ type CorpusResult struct {
 	// MinOnFraction / MaxOnFraction bound the per-trace spread (95 % to
 	// 99.98 % in the paper).
 	MinOnFraction, MaxOnFraction float64
-	// Metrics is the corpus's observability snapshot: every trace
-	// simulation records into its own per-job registry, and the
-	// snapshots reduce serially in trace order — byte-identical for any
+	// Metrics is the corpus's observability snapshot: each worker's
+	// traces record into the worker's one registry, drained into the
+	// shard's aggregate after every trace (obs.Registry.DrainInto), and
+	// the shards reduce serially in index order — byte-identical for any
 	// worker count, like every other field here.
 	Metrics obs.Snapshot
 }

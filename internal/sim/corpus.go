@@ -241,15 +241,16 @@ type CorpusAggregate struct {
 	SecondarySlots    int
 	MinSecondaryDwell time.Duration
 	GoodputSlotSum    float64
-	// Metrics folds the per-trace observability snapshots — per trace
-	// within a shard, then shard by shard, always in index order.
+	// Metrics folds every trace's metrics — drained from the worker's
+	// registry trace by trace within a shard, then shard by shard, always
+	// in index order.
 	Metrics obs.Snapshot
 }
 
-// addTrace folds one trace's result and metrics snapshot into the
-// aggregate, as a one-trace aggregate. Serial use only; a's metric maps
-// must be its own (see merge).
-func (a *CorpusAggregate) addTrace(r ChaosTraceResult, snap obs.Snapshot) {
+// addTrace folds one trace's result into the aggregate, as a one-trace
+// aggregate; the trace's metrics are drained in separately. Serial use
+// only.
+func (a *CorpusAggregate) addTrace(r ChaosTraceResult) {
 	a.merge(CorpusAggregate{
 		Traces:            1,
 		Slots:             r.Slots,
@@ -264,7 +265,6 @@ func (a *CorpusAggregate) addTrace(r ChaosTraceResult, snap obs.Snapshot) {
 		SecondarySlots:    r.SecondarySlots,
 		MinSecondaryDwell: r.MinSecondaryDwell,
 		GoodputSlotSum:    r.MeanGoodputGbps * float64(r.Slots),
-		Metrics:           snap,
 	})
 }
 
@@ -357,22 +357,29 @@ type shardOut struct {
 }
 
 // shardScratch is one Fold worker's storage, reused by every shard the
-// worker runs: the trace sample buffer and the fault schedule's window
-// storage. Each trace is fully consumed by its simulate call before the
-// next one overwrites both.
+// worker runs: the trace sample buffer, the fault schedule's window
+// storage and the metrics registry every trace records into. Each trace
+// is fully consumed by its simulate call, and its metrics drained, before
+// the next one overwrites all three.
 type shardScratch struct {
 	buf  []trace.Sample
 	wins []fault.Window
+	reg  *obs.Registry
 }
 
 // runShard simulates traces [lo, hi) serially and folds them — results and
-// per-trace metric snapshots alike — in trace order, on the Fold worker's
-// scratch sc.
+// per-trace metrics alike — in trace order, on the Fold worker's scratch
+// sc. Each trace's metrics are drained from the worker's registry into the
+// shard aggregate (obs.Registry.DrainInto).
 func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int, sc *shardScratch) shardOut {
 	var out shardOut
 	if opts.KeepPerTrace {
 		out.perTrace = make([]ChaosTraceResult, 0, hi-lo)
 	}
+	if sc.reg == nil {
+		sc.reg = obs.NewRegistry()
+	}
+	reg := sc.reg
 	reuse, _ := src.(ReusableSource)
 	for i := lo; i < hi; i++ {
 		var tr trace.Trace
@@ -381,7 +388,6 @@ func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int, sc *shardScratc
 		} else {
 			tr = src.At(i)
 		}
-		reg := obs.NewRegistry()
 		var r ChaosTraceResult
 		if c := opts.Chaos; c != nil {
 			sched := fault.PlanInto(c.Config, c.Seed+7919*int64(i), tr.Duration(), sc.wins)
@@ -399,7 +405,8 @@ func runShard(src CorpusSource, opts *CorpusOptions, lo, hi int, sc *shardScratc
 			// end only where the misalignment verdict flips.
 			r = ChaosTraceResult{TraceResult: SimulateTraceObs(tr, opts.Params, reg)}
 		}
-		out.agg.addTrace(r, reg.Snapshot())
+		out.agg.addTrace(r)
+		reg.DrainInto(&out.agg.Metrics)
 		if opts.KeepPerTrace {
 			out.perTrace = append(out.perTrace, r)
 		}

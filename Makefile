@@ -86,8 +86,9 @@ verify:
 # solvers (warm and cold/coarse-seed paths), the
 # radiometry reads (CaptureFraction, the exact
 # LinkConfig/Plant.ReceivedPowerDBm, the certified bounds
-# LinkConfig.ReceivedPowerAtMost/AtLeast and the light verdict
-# LinkConfig.ReceivedPowerReaches/Plant.ReadLight), the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
+# LinkConfig.ReceivedPowerAtMost/AtLeast/AtLeastWithin and the light verdict
+# LinkConfig.ReceivedPowerReaches/Plant.ReadLight, certified and exact, with
+# its servo-noise draw, beam-motion and rotation bounds), the fault cursor (Cursor.At/UntilVerdict), the slot engine's bulk
 # kernels (xmath.AddN, xrand.Seed), the arena's occlusion pass, its
 # bulk netem tick (Stream.TickRun with its carry kernel, and a Reset
 # stream's rerun) and a warm metrics registry's drain (Registry.DrainInto)
@@ -98,7 +99,7 @@ verify:
 # flat in its trace count); run them without -race (the race detector
 # inserts allocations).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocsFlatInTraceLength|AllocsFlatInTraceCount' -count 1 ./internal/gma/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/arena/ ./internal/xmath/ ./internal/xrand/ ./internal/netem/ ./internal/obs/
+	$(GO) test -run 'ZeroAllocs|AllocsFlatInTraceLength|AllocsFlatInTraceCount' -count 1 ./internal/gma/ ./internal/galvo/ ./internal/geom/ ./internal/pointing/ ./internal/optics/ ./internal/link/ ./internal/fault/ ./internal/sim/ ./internal/arena/ ./internal/xmath/ ./internal/xrand/ ./internal/netem/ ./internal/obs/
 	@echo "alloc-check: ok"
 
 # End-to-end observability check: a real cyclops-bench run with -metrics
@@ -245,7 +246,7 @@ bench:
 # the median. There is no typed-in baseline: compare two recordings made
 # on one host (`git stash` or a second checkout for the other side).
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig16(TraceAvailability|ChaosCorpus|Arena)Serial|Calibrate)$$' -benchtime 5x -count 3 -benchmem . | tee .bench_hotpath.txt
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig16(TraceAvailability|ChaosCorpus|Arena)Serial|Calibrate|ClosedLoopRun)$$' -benchtime 5x -count 3 -benchmem . | tee .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/gma/ ./internal/pointing/ ./internal/optics/ | tee -a .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(AddN|Seed)$$' -benchtime 1s -benchmem ./internal/xmath/ ./internal/xrand/ | tee -a .bench_hotpath.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkArenaOcclusion$$' -benchtime 1s -benchmem ./internal/arena/ | tee -a .bench_hotpath.txt
@@ -266,6 +267,7 @@ bench-hotpath:
 	name == "BenchmarkFig16ChaosCorpusSerial"       { xv[++xn] = $$3; if ((v = bytes()) != "") xb[++xbn] = v + 0 } \
 	name == "BenchmarkFig16ArenaSerial"             { av[++an] = $$3; if ((v = bytes()) != "") ab[++abn] = v + 0 } \
 	name == "BenchmarkCalibrate"                    { kv[++kn] = $$3; if ((v = allocs()) != "") ka[++kan] = v + 0 } \
+	name == "BenchmarkClosedLoopRun"                { lv[++ln] = $$3 } \
 	name == "BenchmarkParamsBeam"           { pbeam = $$3 } \
 	name == "BenchmarkCompiledBeam"         { cbeam = $$3; a["gma_compiled_beam"] = allocs() } \
 	name == "BenchmarkCompile"              { comp = $$3 } \
@@ -287,12 +289,13 @@ bench-hotpath:
 		if (cbn != cn || xbn != xn || abn != an) { print "bench-hotpath: missing -benchmem B/op for a corpus benchmark run" > "/dev/stderr"; exit 1 } \
 		if (kn == 0) { print "bench-hotpath: missing BenchmarkCalibrate output" > "/dev/stderr"; exit 1 } \
 		if (kan != kn) { print "bench-hotpath: missing -benchmem allocs/op for a BenchmarkCalibrate run" > "/dev/stderr"; exit 1 } \
+		if (ln == 0) { print "bench-hotpath: missing BenchmarkClosedLoopRun output" > "/dev/stderr"; exit 1 } \
 		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power xmath_add_n xrand_seed arena_occlusion", keys, " "); \
 		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
 		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "" || addn == "" || seed == "" || aocc == "") { \
 			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
-		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus and calibrate rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"calibrate_ns_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s,\n    \"arena_occlusion_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s,\n    \"arena_occlusion\": %s,\n    \"calibrate\": %.0f\n  }\n}\n", \
-			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), spread(cb, cbn), spread(xb, xbn), spread(ab, abn), spread(kv, kn), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, aocc, \
+		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus, calibrate and closed-loop rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"calibrate_ns_per_op\": %s,\n  \"closed_loop_run_ns_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s,\n    \"arena_occlusion_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s,\n    \"arena_occlusion\": %s,\n    \"calibrate\": %.0f\n  }\n}\n", \
+			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), spread(cb, cbn), spread(xb, xbn), spread(ab, abn), spread(kv, kn), spread(lv, ln), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, aocc, \
 			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"], a["arena_occlusion"], median(ka, kan); \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt

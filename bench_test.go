@@ -76,6 +76,26 @@ func BenchmarkCalibrate(b *testing.B) {
 	}
 }
 
+// BenchmarkClosedLoopRun is closed-loop's timed pass: one 60 s hand-held
+// program (0.6 m/s, 0.7 rad/s) through System.Run on the chosen 10G design
+// calibrated at seed 1, sampled every 5 ms. The calibration runs once,
+// outside the timer. make bench-hotpath records it as
+// closed_loop_run_ns_per_op.
+func BenchmarkClosedLoopRun(b *testing.B) {
+	sys := NewSystem(Link10G, 1)
+	sys.Obs = obs.NewRegistry()
+	if _, err := sys.Calibrate(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run(RunOptions{Program: HandHeld(0.6, 0.7, time.Minute, 1), SampleEvery: 5 * time.Millisecond}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTPLatency runs the §5.2 TP evaluation (cadence, stationary
 // noise, latency, lock tests).
 func BenchmarkTPLatency(b *testing.B) {

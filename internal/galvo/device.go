@@ -13,7 +13,6 @@ package galvo
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"cyclops/internal/geom"
@@ -25,17 +24,22 @@ import (
 // Device is one simulated two-axis galvo assembly (mirrors + servo + DAQ
 // channel pair), including the fixed collimator/SFP launch optics that
 // complete a GMA.
+//
+// A Device is not safe for concurrent use. Each belongs to one plant or
+// rig, and those stay on one goroutine; parallel sweeps build their own.
 type Device struct {
-	mu sync.Mutex
-
 	truth gma.Params
-	// truthC is the compiled truth model: Beam/BeamAt run on every
-	// plant power read (once per 1 ms tick), and the compilation hoists
-	// the voltage-independent geometry once at construction.
+	// truthC is the compiled truth model: Beam/BeamAt run on every exact
+	// plant geometry read and every alignment probe, and the compilation
+	// hoists the voltage-independent geometry once at construction.
 	truthC gma.Compiled
 	spec   optics.GalvoSpec
 	daq    optics.DAQSpec
 	rng    *xrand.Rand
+	// sigmaV is the servo noise as an equivalent voltage perturbation on
+	// each mirror: angular accuracy is optical, mechanical is half, and
+	// one mechanical radian is 1/θ₁ volts.
+	sigmaV float64
 
 	v1, v2 float64 // commanded voltages after clamping+quantization
 
@@ -63,6 +67,7 @@ func New(truth gma.Params, spec optics.GalvoSpec, daq optics.DAQSpec, seed int64
 		spec:     spec,
 		daq:      daq,
 		rng:      xrand.New(seed),
+		sigmaV:   spec.AngularAccuracy / 2 / truth.Theta1,
 		slewRate: 300,
 	}
 	return d
@@ -81,10 +86,9 @@ func NewUnit(seed int64) *Device {
 // the pointing change takes to complete: DAQ conversion plus servo settle
 // plus slew for large steps. (The simulator has no hidden clock; callers —
 // the pointing loop, the simulation engine — account the returned latency.)
+//
+//cyclops:keep the settle-latency model of one command, pinned by its tests; the plant commands through Command and core accounts the latency
 func (d *Device) SetVoltages(v1, v2 float64) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
 	q1 := d.quantize(clamp(v1, d.effectiveRange()))
 	q2 := d.quantize(clamp(v2, d.effectiveRange()))
 
@@ -92,13 +96,23 @@ func (d *Device) SetVoltages(v1, v2 float64) time.Duration {
 	delta := math.Max(math.Abs(q1-d.v1), math.Abs(q2-d.v2)) * d.truth.Theta1
 	lat := d.daq.WriteLatency + d.spec.StepLatency +
 		time.Duration(delta/d.slewRate*float64(time.Second))
+	d.move(q1, q2)
+	return lat
+}
 
-	// A held servo accepts the command (the DAQ write happens, latency
-	// and all) but the mirrors never move.
+// Command commands the two mirror channels as SetVoltages does, for a
+// caller that accounts the pointing latency elsewhere.
+func (d *Device) Command(v1, v2 float64) {
+	d.move(d.quantize(clamp(v1, d.effectiveRange())), d.quantize(clamp(v2, d.effectiveRange())))
+}
+
+// move sets the mirrors to the clamped, quantized command. A held servo
+// accepts the command (the DAQ write happens, latency and all) but the
+// mirrors never move.
+func (d *Device) move(q1, q2 float64) {
 	if !d.held {
 		d.v1, d.v2 = q1, q2
 	}
-	return lat
 }
 
 // SetHold freezes or releases the mirror servos. While held, voltage
@@ -107,8 +121,6 @@ func (d *Device) SetVoltages(v1, v2 float64) time.Duration {
 // the stuck-actuator injection surface — the device does not know a fault
 // schedule exists.
 func (d *Device) SetHold(h bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.held = h
 }
 
@@ -117,8 +129,6 @@ func (d *Device) SetHold(h bool) {
 // non-positive limit restores the full range. Already-commanded voltages
 // are unaffected until the next command.
 func (d *Device) SetRangeLimit(limit float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if limit < 0 {
 		limit = 0
 	}
@@ -126,7 +136,7 @@ func (d *Device) SetRangeLimit(limit float64) {
 }
 
 // effectiveRange is the active |voltage| clamp: the DAQ output range,
-// tightened by any injected saturation limit. Callers hold d.mu.
+// tightened by any injected saturation limit.
 func (d *Device) effectiveRange() float64 {
 	if d.rangeLimit > 0 && d.rangeLimit < d.daq.OutputRange {
 		return d.rangeLimit
@@ -136,8 +146,6 @@ func (d *Device) effectiveRange() float64 {
 
 // Voltages returns the currently commanded (clamped, quantized) voltages.
 func (d *Device) Voltages() (v1, v2 float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.v1, d.v2
 }
 
@@ -146,26 +154,36 @@ func (d *Device) Voltages() (v1, v2 float64) {
 // 10 µrad-class jitter). Each call samples fresh noise, exactly like
 // reading a jittering physical beam.
 func (d *Device) Beam() (geom.Ray, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Servo noise enters as an equivalent voltage perturbation on each
-	// mirror: angular accuracy is optical; mechanical is half; one
-	// mechanical radian is 1/θ₁ volts.
-	sigmaV := d.spec.AngularAccuracy / 2 / d.truth.Theta1
-	n1 := d.v1 + d.rng.NormFloat64()*sigmaV
-	n2 := d.v2 + d.rng.NormFloat64()*sigmaV
+	n1, n2 := d.Draw()
 	return d.truthC.Beam(n1, n2)
+}
+
+// Draw samples the servo noise of one beam read: the voltages the mirrors
+// sit at, the commanded pair each plus a fresh normal times σ_V. It is
+// exactly the draw Beam makes, so a caller that reads the beam through
+// TracedBeam(Draw()) consumes the noise stream as Beam would.
+//
+//cyclops:hotpath the servo-noise draw of every Plant.ReadLight, certified or exact; zero-alloc contract pinned by TestDrawZeroAllocs and make alloc-check
+func (d *Device) Draw() (n1, n2 float64) {
+	n1 = d.v1 + d.rng.NormFloat64()*d.sigmaV
+	n2 = d.v2 + d.rng.NormFloat64()*d.sigmaV
+	return n1, n2
+}
+
+// TracedBeam evaluates the true beam at mirror voltages n1, n2 that Draw
+// returned, with no further noise, and the trace a Lipschitz bound on
+// the beam needs (gma.BeamTrace). The ray and error are Beam's for that
+// draw, bit for bit.
+func (d *Device) TracedBeam(n1, n2 float64) (geom.Ray, gma.BeamTrace, error) {
+	return d.truthC.TracedBeam(n1, n2)
 }
 
 // BeamAt evaluates the emitted beam for explicit voltages without changing
 // the device state — the hardware equivalent is briefly commanding the
 // mirrors and reading where the spot lands. Noise is applied as in Beam.
 func (d *Device) BeamAt(v1, v2 float64) (geom.Ray, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sigmaV := d.spec.AngularAccuracy / 2 / d.truth.Theta1
-	q1 := d.quantize(clamp(v1, d.effectiveRange())) + d.rng.NormFloat64()*sigmaV
-	q2 := d.quantize(clamp(v2, d.effectiveRange())) + d.rng.NormFloat64()*sigmaV
+	q1 := d.quantize(clamp(v1, d.effectiveRange())) + d.rng.NormFloat64()*d.sigmaV
+	q2 := d.quantize(clamp(v2, d.effectiveRange())) + d.rng.NormFloat64()*d.sigmaV
 	return d.truthC.Beam(q1, q2)
 }
 

@@ -212,3 +212,34 @@ func TestSetVoltagesRangeLimit(t *testing.T) {
 		t.Errorf("cleared limit: got %v %v, want ≈±3", v1, v2)
 	}
 }
+
+// TestTracedBeamMatchesBeam holds the certificate's two halves of a beam
+// read, Draw and TracedBeam, to Beam bit for bit on a twin device:
+// commanded, held and range-limited mirrors, and voltages past the
+// mirrors' edge.
+func TestTracedBeamMatchesBeam(t *testing.T) {
+	a, b := newTestDevice(), newTestDevice()
+	for i := 0; i < 400; i++ {
+		v1, v2 := float64(i%23)*0.5-5, float64(i%17)*0.7-5
+		for _, d := range []*Device{a, b} {
+			d.SetHold(i%50 >= 40)
+			d.SetRangeLimit(float64(i%3) * 2)
+			d.Command(v1, v2)
+		}
+		want, wantErr := a.Beam()
+		got, _, gotErr := b.TracedBeam(b.Draw())
+		if got != want || wantErr != gotErr {
+			t.Fatalf("step %d: TracedBeam(Draw()) = %v, %v; Beam = %v, %v", i, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestDrawZeroAllocs pins the //cyclops:hotpath contract of the servo-noise
+// draw every Plant.ReadLight takes.
+func TestDrawZeroAllocs(t *testing.T) {
+	d := newTestDevice()
+	d.SetVoltages(1, -2)
+	if n := testing.AllocsPerRun(100, func() { d.Draw() }); n != 0 {
+		t.Fatalf("Draw allocates %v per call, want 0", n)
+	}
+}

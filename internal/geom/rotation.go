@@ -164,6 +164,19 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 	return v.Add(t.Scale(q.W)).Add(qv.Cross(t))
 }
 
+// RotationGap bounds how far the rotations of unit quaternions p and q can
+// move any one vector apart: |R(q)v − R(p)v| ≤ RotationGap(p, q)·|v|. With
+// θ the angle between the two orientations, the operator norm
+// ‖R(q) − R(p)‖ is 2 sin(θ/2) ≤ 4 sin(θ/4), and 2 sin(θ/4) is the smaller
+// of |q − p| and |q + p| (q and −q are one rotation).
+//
+//cyclops:hotpath the rigid-motion term of every certified Plant.ReadLight; zero-alloc contract pinned by TestRotationGapZeroAllocs and make alloc-check
+func RotationGap(p, q Quat) float64 {
+	dw, dx, dy, dz := q.W-p.W, q.X-p.X, q.Y-p.Y, q.Z-p.Z
+	sw, sx, sy, sz := q.W+p.W, q.X+p.X, q.Y+p.Y, q.Z+p.Z
+	return 2 * math.Sqrt(min(dw*dw+dx*dx+dy*dy+dz*dz, sw*sw+sx*sx+sy*sy+sz*sz))
+}
+
 // Mat returns the equivalent rotation matrix.
 func (q Quat) Mat() Mat3 {
 	n := q.Normalize()

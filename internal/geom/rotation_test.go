@@ -261,3 +261,37 @@ func (m Mat3) IsRotation(tol float64) bool {
 	}
 	return math.Abs(m.Det()-1) <= tol
 }
+
+// TestRotationGapBoundsRotation holds |R(q)v − R(p)v| ≤ RotationGap(p, q)·|v|
+// over random orientations, nearby and far apart, with q's sign flipped
+// half the time (q and −q are one rotation).
+func TestRotationGapBoundsRotation(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	randQuat := func() Quat {
+		return Quat{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Normalize()
+	}
+	for i := 0; i < 20000; i++ {
+		p := randQuat()
+		q := randQuat()
+		if i%2 == 0 {
+			small := QuatFromAxisAngle(V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()), rng.NormFloat64()*1e-3)
+			q = small.Mul(p).Normalize()
+		}
+		if i%4 < 2 {
+			q = Quat{-q.W, -q.X, -q.Y, -q.Z}
+		}
+		v := V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(rng.Float64() * 3)
+		moved := q.Rotate(v).Dist(p.Rotate(v))
+		if bound := RotationGap(p, q) * v.Norm(); moved > bound+1e-15*(1+v.Norm()) {
+			t.Fatalf("p %v q %v v %v: moved %v, RotationGap bound %v", p, q, v, moved, bound)
+		}
+	}
+}
+
+// TestRotationGapZeroAllocs pins the //cyclops:hotpath contract.
+func TestRotationGapZeroAllocs(t *testing.T) {
+	p, q := QuatIdentity(), QuatFromAxisAngle(V(0, 1, 0), 0.01)
+	if n := testing.AllocsPerRun(100, func() { RotationGap(p, q) }); n != 0 {
+		t.Fatalf("RotationGap allocates %v per call, want 0", n)
+	}
+}

@@ -112,6 +112,24 @@ func (p Params) Compile() Compiled {
 //
 //cyclops:hotpath zero-alloc contract pinned by TestCompiledBeamZeroAllocs and make alloc-check
 func (c *Compiled) Beam(v1, v2 float64) (geom.Ray, error) {
+	return c.beam(v1, v2, nil)
+}
+
+// TracedBeam is Beam that also fills the evaluation's BeamTrace, which
+// BeamTrace.Moved needs. The ray and error are Beam's bit for bit: both
+// run one sequence, and the trace only reads its intermediate values. The
+// trace is meaningful only when the error is nil.
+//
+//cyclops:hotpath the exact geometry read of every Plant.ReadLight the light certificate does not settle; zero-alloc contract pinned by TestCompiledBeamZeroAllocs and make alloc-check
+func (c *Compiled) TracedBeam(v1, v2 float64) (geom.Ray, BeamTrace, error) {
+	tr := BeamTrace{v1: v1, v2: v2, theta1: c.theta1}
+	r, err := c.beam(v1, v2, &tr)
+	return r, tr, err
+}
+
+// beam is Beam's §4.1 sequence. A non-nil tr receives the hit parameters,
+// pivot distances and denominators of a beam that hits both mirrors.
+func (c *Compiled) beam(v1, v2 float64, tr *BeamTrace) (geom.Ray, error) {
 	pn1 := c.m1.rotated(c.theta1 * v1).Unit()
 	pn2 := c.m2.rotated(c.theta1 * v2).Unit()
 
@@ -139,6 +157,10 @@ func (c *Compiled) Beam(v1, v2 float64) (geom.Ray, error) {
 	}
 	hit2 := hit.Add(dir1.Scale(t2))
 	dir2 := dir1.Sub(pn2.Scale(2 * denom2)).Unit()
+	if tr != nil {
+		tr.t1, tr.h1, tr.den1 = t, hit.Dist(c.Src.Q1), math.Abs(denom)
+		tr.t2, tr.h2, tr.den2 = t2, hit2.Dist(c.q2), math.Abs(denom2)
+	}
 	return geom.Ray{Origin: hit2, Dir: dir2}, nil
 }
 
@@ -156,3 +178,68 @@ func (c *Compiled) BoardHit(v1, v2 float64, board geom.Plane) (geom.Vec3, error)
 	}
 	return hit, nil
 }
+
+// BeamTrace is what a Lipschitz bound on G needs from one evaluation at
+// voltages (v1, v2): for each mirror, the ray parameter of its hit, the
+// hit's distance from the mirror's pivot point (q₁ or q₂, which lie on the
+// rotation axes) and the magnitude of the incidence denominator d·n. The
+// hit parameters and denominators are the very values Beam tests for a
+// miss.
+type BeamTrace struct {
+	v1, v2 float64
+
+	theta1       float64
+	t1, h1, den1 float64
+	t2, h2, den2 float64
+}
+
+// Moved bounds how far the beam traced at (tr.v1, tr.v2) moves when the
+// voltages change to (v1, v2): its origin by at most dOrigin and its
+// direction by at most dDir, as an angle and so also as a chord. ok is
+// false when the bound cannot rule out a miss at (v1, v2), and for
+// non-finite input. DESIGN §8 derives each term; FuzzBeamMoved holds them
+// above the computed motion.
+//
+// Mirror i's normal turns by at most εᵢ = |θ₁|·|Δvᵢ|. A reflection's output
+// then turns by at most 2εᵢ, so the direction moves by at most 2(ε₁+ε₂);
+// dDir takes twice that. A hit on a plane through pivot q with unit normal
+// n moves, when n turns by a chord δ, by |hit − q|·δ/|d·n'| along the
+// line; when the line's start moves by α, by α(1 + 1/|d·n|); and when its
+// direction turns by a chord η, by t·η(1 + 1/|d'·n|).
+//
+//cyclops:hotpath evaluated for both devices on every certified Plant.ReadLight; zero-alloc contract pinned by TestBeamMovedZeroAllocs and make alloc-check
+func (tr *BeamTrace) Moved(v1, v2 float64) (dOrigin, dDir float64, ok bool) {
+	th := math.Abs(tr.theta1)
+	e1 := th * math.Abs(v1-tr.v1)
+	e2 := th * math.Abs(v2-tr.v2)
+	// First mirror: the input ray is fixed, so only the plane turns.
+	lo1 := tr.den1 - e1
+	if !(lo1 > beamMovedMinDen) {
+		return 0, 0, false
+	}
+	a1 := tr.h1 * e1 / lo1
+	// Second mirror: the incoming direction turns by the chord eta ≤ 2ε₁,
+	// its start moves by a1 and the plane turns by ε₂; lo2 bounds every
+	// intermediate denominator.
+	eta := 2 * e1
+	lo2 := tr.den2 - eta - e2
+	if !(lo2 > beamMovedMinDen) {
+		return 0, 0, false
+	}
+	k := 1 + 1/lo2
+	shift := tr.t2*eta*k + a1*k
+	a2 := shift + (tr.h2+shift)*e2/lo2
+	if !(tr.t1 > a1+beamMovedMinHit && tr.t2 > a1+a2+tr.t2*eta+beamMovedMinHit) {
+		return 0, 0, false
+	}
+	return a2, 4 * (e1 + e2), true
+}
+
+// beamMovedMinDen and beamMovedMinHit keep a certified beam far from
+// Beam's miss tests: every denominator stays above 1e-6, far above the
+// 1e-15 test, and every hit parameter 1e-9 m above 0, far above the
+// ≈1e-16 m rounding of the computed parameter.
+const (
+	beamMovedMinDen = 1e-6
+	beamMovedMinHit = 1e-9
+)

@@ -60,6 +60,11 @@ type Plant struct {
 	FlexCoeff float64
 
 	headset geom.Pose
+
+	// anchor is the light certificate's last exact geometry read, and
+	// certified counts the ReadLight verdicts it settled.
+	anchor    lightAnchor
+	certified int
 }
 
 // DefaultHeadsetPose is where the headset rig starts: roughly under the
@@ -175,15 +180,33 @@ func (p *Plant) RXReverseBeam() (geom.Ray, error) {
 }
 
 // Misalignment reduces the current geometry to the radiometric scalars.
+// Both devices draw their servo noise, the RX one only when the TX beam
+// leaves its assembly, as TXBeam and RXReverseBeam would. The read becomes
+// the light certificate's anchor.
 func (p *Plant) Misalignment() (optics.Misalignment, error) {
-	tx, err := p.TXBeam()
+	t1, t2 := p.TXDev.Draw()
+	return p.geometry(t1, t2, false, 0, 0)
+}
+
+// geometry is Misalignment for the TX servo-noise draw (t1, t2). With
+// rxDrawn set, (r1, r2) is the RX draw, already taken; otherwise geometry
+// takes it once the TX beam has cleared both mirrors. A read that clears
+// both assemblies becomes the anchor.
+func (p *Plant) geometry(t1, t2 float64, rxDrawn bool, r1, r2 float64) (optics.Misalignment, error) {
+	p.anchor.ok = false
+	tb, txTrace, err := p.TXDev.TracedBeam(t1, t2)
 	if err != nil {
 		return optics.Misalignment{}, err
 	}
-	rx, err := p.RXReverseBeam()
+	if !rxDrawn {
+		r1, r2 = p.RXDev.Draw()
+	}
+	rb, rxTrace, err := p.RXDev.TracedBeam(r1, r2)
 	if err != nil {
 		return optics.Misalignment{}, err
 	}
+	tx := p.txMount.ApplyRay(tb)
+	rx := p.RXWorldPose().ApplyRay(rb)
 
 	capture := rx.Origin
 	rng := capture.Dist(tx.Origin)
@@ -203,11 +226,13 @@ func (p *Plant) Misalignment() (optics.Misalignment, error) {
 	}
 	mismatch := incoming.AngleTo(rx.Dir.Neg())
 
-	return optics.Misalignment{
+	m := optics.Misalignment{
 		Range:             rng,
 		LateralOffset:     lateral,
 		IncidenceMismatch: mismatch,
-	}, nil
+	}
+	p.anchor.set(p, txTrace, rxTrace, m, tx.Origin, capture)
+	return m, nil
 }
 
 // PlantMetrics holds the plant's observability instruments.
@@ -278,20 +303,50 @@ func (p *Plant) ReceivedPowerDBm() float64 {
 // ReadLight reports whether the instantaneous optical power at the RX SFP
 // is at least floor: ReceivedPowerDBm() >= floor for every plant state,
 // with the same servo-noise draws and the same one read on Metrics.Reads,
-// but no Power observation. LinkConfig.ReceivedPowerReaches settles most
-// reads from certified power bounds without the capture integral.
+// but no Power observation. The light certificate settles most reads from
+// the last exact geometry read without forming the geometry (DESIGN §8);
+// LinkConfig.ReceivedPowerReaches settles most of the rest from certified
+// power bounds without the capture integral.
 //
 //cyclops:hotpath read on every core.Run tick that records no sample; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs and make alloc-check
 func (p *Plant) ReadLight(floor float64) bool {
-	m, err := p.Misalignment()
 	if p.Metrics != nil {
 		p.Metrics.Reads.Inc()
 	}
+	t1, t2 := p.TXDev.Draw()
+	a := &p.anchor
+	if !a.holds(p) {
+		return p.exactLight(floor, t1, t2, false, 0, 0)
+	}
+	dOt, dDt, ok := a.tx.Moved(t1, t2)
+	if !ok {
+		return p.exactLight(floor, t1, t2, false, 0, 0)
+	}
+	// The TX beam certainly clears its mirrors, so an exact read would
+	// draw the RX noise too.
+	r1, r2 := p.RXDev.Draw()
+	if dOr, dDr, ok := a.rx.Moved(r1, r2); ok && a.certifies(p, floor, dOt, dDt, dOr, dDr) {
+		p.certified++
+		return true
+	}
+	return p.exactLight(floor, t1, t2, true, r1, r2)
+}
+
+// exactLight is ReadLight's exact verdict for the servo-noise draws
+// geometry takes.
+func (p *Plant) exactLight(floor, t1, t2 float64, rxDrawn bool, r1, r2 float64) bool {
+	m, err := p.geometry(t1, t2, rxDrawn, r1, r2)
 	if err != nil {
 		return math.Inf(-1) >= floor
 	}
 	return p.Config.ReceivedPowerReaches(m, p.attenDB, floor)
 }
+
+// CertifiedReads returns how many ReadLight verdicts the light certificate
+// settled without the exact geometry.
+//
+//cyclops:keep test-only instrument: the certified share the core tests log is not an exposition line
+func (p *Plant) CertifiedReads() int { return p.certified }
 
 // Connected reports whether instantaneous power clears the SFP
 // sensitivity. (For time-aware link state including re-lock delays, use
@@ -316,10 +371,12 @@ func (p *Plant) OracleAlignedVoltages() (pointing.Voltages, error) {
 	return res.V, nil
 }
 
-// ApplyVoltages commands both devices.
+// ApplyVoltages commands both devices. Callers account the pointing
+// latency themselves (core's hardwareLatency), so the devices' settle
+// latency is not formed.
 func (p *Plant) ApplyVoltages(v pointing.Voltages) {
-	p.TXDev.SetVoltages(v.TX1, v.TX2)
-	p.RXDev.SetVoltages(v.RX1, v.RX2)
+	p.TXDev.Command(v.TX1, v.TX2)
+	p.RXDev.Command(v.RX1, v.RX2)
 }
 
 // CurrentVoltages reads both devices.

@@ -480,35 +480,70 @@ func TestReceivedPowerDBmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReadLightMatchesExact walks two plants built alike through headset
-// offsets, attenuations and parked mirrors and holds ReadLight on one to
-// ReceivedPowerDBm() >= floor on the other, at the sensitivity and at and
-// one ulp either side of the exact power: the verdict, each device's next
-// servo-noise draw and the read count agree, and ReadLight observes no
-// power.
+// TestReadLightMatchesExact walks two plants built alike along a hand-held
+// path and holds ReadLight on one to ReceivedPowerDBm() >= floor on the
+// other, whose reads are all exact. The path turns and translates the
+// headset a little each step, jumps it now and then, re-points the
+// mirrors, holds and range-limits them, and changes the attenuation; the
+// floor is the sensitivity or the exact power, at it and one ulp either
+// side. The verdicts, each device's next servo-noise draw and the read
+// count agree, ReadLight observes no power, and the light certificate
+// settles a share of the reads.
 func TestReadLightMatchesExact(t *testing.T) {
 	for _, cfg := range []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G} {
 		light, exact := alignedPlant(t, cfg, 4), alignedPlant(t, cfg, 4)
 		reg := obs.NewRegistry()
 		light.Metrics = NewPlantMetrics(reg)
 		h := light.Headset()
-		reads := 0
-		for i := 0; i < 240; i++ {
-			off := geom.V(float64(i%40)*0.0008, -float64(i%40)*0.0004, 0)
-			atten := []float64{0, 6, 30}[i%3]
+		v := light.CurrentVoltages()
+		reads, verdicts := 0, 0
+		for i := 0; i < 1200; i++ {
+			// A slow wobble: ≈0.2 mm and ≈0.2 mrad per step.
+			s := float64(i)
+			off := geom.V(0.003*math.Sin(s/15), -0.002*math.Cos(s/21), 0.001*math.Sin(s/9))
+			rot := geom.QuatFromAxisAngle(geom.V(math.Sin(s/40), 1, 0.3), 0.005*math.Sin(s/25)).Mul(h.Rot).Normalize()
+			if i%97 == 50 {
+				off = off.Add(geom.V(0.05, 0, 0)) // a jump
+			}
+			atten := 0.0
+			if i%300 >= 250 {
+				atten = []float64{6, 30}[i/300%2]
+			}
 			for _, p := range []*Plant{light, exact} {
-				p.SetHeadset(geom.NewPose(h.Rot, h.Trans.Add(off)))
+				p.SetHeadset(geom.NewPose(rot, h.Trans.Add(off)))
 				p.SetAttenuationDB(atten)
-				if i == 200 {
+				for _, d := range []*galvo.Device{p.TXDev, p.RXDev} {
+					d.SetHold(i >= 400 && i < 500)
+					if i >= 600 && i < 700 {
+						d.SetRangeLimit(0.5)
+					} else {
+						d.SetRangeLimit(0)
+					}
+				}
+				if i%13 == 0 {
+					w := v
+					w.TX1 += 0.002 * math.Sin(s)
+					w.RX2 += 0.002 * math.Cos(s)
+					p.ApplyVoltages(w)
+				}
+				if i == 1100 {
 					p.ApplyVoltages(pointing.Voltages{})
 				}
 			}
+			reads++
+			if i%5 == 0 {
+				// A sample tick: both exact, so the light plant re-anchors.
+				if a, b := light.ReceivedPowerDBm(), exact.ReceivedPowerDBm(); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%s step %d: ReceivedPowerDBm %v, exact plant %v", cfg.Name, i, a, b)
+				}
+				continue
+			}
+			verdicts++
 			power := exact.ReceivedPowerDBm()
-			floor := []float64{cfg.Transceiver.SensitivityDBm, power, math.Nextafter(power, math.Inf(1)), math.Nextafter(power, math.Inf(-1))}[i%4]
+			floor := []float64{cfg.Transceiver.SensitivityDBm, power, math.Nextafter(power, math.Inf(1)), math.Nextafter(power, math.Inf(-1))}[i%8/2]
 			if got := light.ReadLight(floor); got != (power >= floor) {
 				t.Fatalf("%s step %d: ReadLight(%v) = %v, exact power %v", cfg.Name, i, floor, got, power)
 			}
-			reads++
 		}
 		for _, d := range [][2]*galvo.Device{{light.TXDev, exact.TXDev}, {light.RXDev, exact.RXDev}} {
 			a, errA := d[0].Beam()
@@ -521,22 +556,107 @@ func TestReadLightMatchesExact(t *testing.T) {
 		if got := snap.Counters["cyclops_link_power_reads_total"]; got != float64(reads) {
 			t.Errorf("%s: %v reads counted, want %d", cfg.Name, got, reads)
 		}
-		if got := snap.Histograms["cyclops_link_received_power_dbm"].Count; got != 0 {
-			t.Errorf("%s: ReadLight observed %v powers, want 0", cfg.Name, got)
+		if got, want := snap.Histograms["cyclops_link_received_power_dbm"].Count, uint64(reads-verdicts); got != want {
+			t.Errorf("%s: %v powers observed, want the %d exact reads", cfg.Name, got, want)
+		}
+		certified := light.CertifiedReads()
+		t.Logf("%s: %d of %d verdicts certified", cfg.Name, certified, verdicts)
+		if certified == 0 {
+			t.Errorf("%s: the light certificate settled %d of %d verdicts", cfg.Name, certified, verdicts)
 		}
 	}
 }
 
+// FuzzLightDrift holds the light certificate's drift bound at or above the
+// misalignment's true motion: from an exact read of a plant (the anchor) at
+// a perturbed headset pose, the fuzzer moves and turns the headset and
+// shifts both devices' noisy voltages, and wherever the bound answers, the
+// exact geometry at the new state, with those voltages, moved its range,
+// lateral offset and incidence mismatch by no more. The committed seeds
+// cover each design, a still headset, noise-sized and re-point-sized
+// voltage steps, tick-sized and larger motions and a jump.
+func FuzzLightDrift(f *testing.F) {
+	designs := []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G}
+	f.Fuzz(func(t *testing.T, design uint8, seed int64, dx, dy, dz, turn, dv float64) {
+		cfg := designs[int(design)%len(designs)]
+		p := alignedPlant(t, cfg, seed%50)
+		rng := rand.New(rand.NewSource(seed))
+		h := DefaultHeadsetPose()
+		axis := geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		p.SetHeadset(geom.NewPose(geom.QuatFromAxisAngle(axis, 0.02*rng.NormFloat64()).Mul(h.Rot), h.Trans.Add(geom.V(0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0))))
+		t1, t2 := p.TXDev.Draw()
+		r1, r2 := p.RXDev.Draw()
+		if _, err := p.geometry(t1, t2, true, r1, r2); err != nil || !p.anchor.ok {
+			return
+		}
+		a := p.anchor
+		h0 := p.Headset()
+		axis = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		p.SetHeadset(geom.NewPose(geom.QuatFromAxisAngle(axis, turn).Mul(h0.Rot), h0.Trans.Add(geom.V(dx, dy, dz))))
+		step := func() float64 { return dv * rng.NormFloat64() }
+		t1, t2, r1, r2 = t1+step(), t2+step(), r1+step(), r2+step()
+		dOt, dDt, okT := a.tx.Moved(t1, t2)
+		dOr, dDr, okR := a.rx.Moved(r1, r2)
+		if !okT || !okR {
+			return
+		}
+		d, ok := a.drift(p.Headset(), dOt, dDt, dOr, dDr)
+		if !ok {
+			return
+		}
+		m, err := p.geometry(t1, t2, true, r1, r2)
+		if err != nil {
+			t.Fatalf("the drift bound answers but the beams miss: %v", err)
+		}
+		if got := math.Abs(m.Range - a.m.Range); got > d.rng {
+			t.Fatalf("range moved %v, bound %v", got, d.rng)
+		}
+		if got := m.LateralOffset - a.m.LateralOffset; got > d.lat {
+			t.Fatalf("lateral offset grew %v, bound %v", got, d.lat)
+		}
+		if got := m.IncidenceMismatch - a.m.IncidenceMismatch; got > d.mis {
+			t.Fatalf("incidence mismatch grew %v, bound %v", got, d.mis)
+		}
+	})
+}
+
 // TestReadLightZeroAllocs pins the //cyclops:hotpath contract with nil
-// Metrics: aligned (settled light), parked at 0 V (no light), and at the
-// exact power (the capture integral).
+// Metrics: a read the light certificate settles (a still headset after an
+// exact read), an anchor refresh (the headset jumping between two poses,
+// so every read is exact and re-anchors), aligned reads the power bounds
+// settle, a read at the exact power (the capture integral), and parked
+// mirrors (no light).
 func TestReadLightZeroAllocs(t *testing.T) {
 	for _, cfg := range []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G} {
 		p := alignedPlant(t, cfg, 3)
 		sens := cfg.Transceiver.SensitivityDBm
+		p.ReceivedPowerDBm()
+		before := p.CertifiedReads()
 		if n := testing.AllocsPerRun(100, func() { p.ReadLight(sens) }); n != 0 {
-			t.Errorf("%s: aligned ReadLight allocates %v per call, want 0", cfg.Name, n)
+			t.Errorf("%s: certified ReadLight allocates %v per call, want 0", cfg.Name, n)
 		}
+		if got := p.CertifiedReads() - before; got < 100 {
+			t.Errorf("%s: %d of the still headset's reads certified, want all", cfg.Name, got)
+		}
+		h := p.Headset()
+		far := geom.NewPose(h.Rot, h.Trans.Add(geom.V(0.02, 0, 0)))
+		jump := 0
+		before = p.CertifiedReads()
+		if n := testing.AllocsPerRun(100, func() {
+			jump++
+			if jump%2 == 0 {
+				p.SetHeadset(h)
+			} else {
+				p.SetHeadset(far)
+			}
+			p.ReadLight(sens)
+		}); n != 0 {
+			t.Errorf("%s: re-anchoring ReadLight allocates %v per call, want 0", cfg.Name, n)
+		}
+		if got := p.CertifiedReads() - before; got != 0 {
+			t.Errorf("%s: %d reads certified across 2 cm jumps, want 0", cfg.Name, got)
+		}
+		p.SetHeadset(h)
 		if n := testing.AllocsPerRun(100, func() { p.ReadLight(p.ReceivedPowerDBm()) }); n != 0 {
 			t.Errorf("%s: ReadLight at the exact power allocates %v per call, want 0", cfg.Name, n)
 		}

@@ -2,6 +2,7 @@ package optics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -251,5 +252,78 @@ func TestReceivedPowerReachesZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { c.ReceivedPowerReaches(m, 0, floor) }); n != 0 {
 			t.Fatalf("ReceivedPowerReaches at floor %v allocates %v per call, want 0", floor, n)
 		}
+	}
+}
+
+// TestReceivedPowerAtLeastWithinSound holds the dominance bound to its
+// contract on every shipped design: over a grid of misalignments and
+// attenuations it finds, by bisection on the floor, the highest floor
+// ReceivedPowerAtLeastWithin settles, and requires every misalignment
+// within, the bound's own included, to read at least that floor exactly.
+// The misalignments within are the bound's, each magnitude one ulp
+// smaller, each at random fractions, and a few with a zero magnitude.
+func TestReceivedPowerAtLeastWithinSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, c := range shippedDesigns {
+		settled := 0
+		for _, atten := range []float64{0, 12.5, -3} {
+			for _, r := range []float64{0.5, 1.75, 2.6} {
+				for lat := 0.0; lat <= MM(20); lat += MM(0.5) {
+					for _, ang := range []float64{0, Mrad(0.5), Mrad(2), Mrad(6)} {
+						m := Misalignment{Range: r, LateralOffset: lat, IncidenceMismatch: ang}
+						lo, hi := -200.0, 100.0
+						if !c.ReceivedPowerAtLeastWithin(m, atten, lo) {
+							continue
+						}
+						for i := 0; i < 80; i++ {
+							if mid := (lo + hi) / 2; c.ReceivedPowerAtLeastWithin(m, atten, mid) {
+								lo = mid
+							} else {
+								hi = mid
+							}
+						}
+						settled++
+						within := []Misalignment{m,
+							{Range: math.Nextafter(r, 0), LateralOffset: lat, IncidenceMismatch: ang},
+							{Range: r, LateralOffset: math.Nextafter(lat, -1), IncidenceMismatch: ang},
+							{Range: r, LateralOffset: -lat, IncidenceMismatch: math.Nextafter(ang, -1)},
+							{Range: r * 1e-3, LateralOffset: 0, IncidenceMismatch: 0},
+						}
+						for k := 0; k < 8; k++ {
+							within = append(within, Misalignment{Range: r * rng.Float64(), LateralOffset: lat * rng.Float64(), IncidenceMismatch: ang * rng.Float64()})
+						}
+						for _, w := range within {
+							if !(w.Range > 0) {
+								continue
+							}
+							if exact := c.ReceivedPowerDBm(w) - atten; !(exact >= lo) {
+								t.Fatalf("%s: ReceivedPowerAtLeastWithin(%+v, %v) settles %v, but %+v reads %v", c.Name, m, atten, lo, w, exact)
+							}
+						}
+					}
+				}
+			}
+		}
+		if settled == 0 {
+			t.Errorf("%s: no misalignment settled", c.Name)
+		}
+	}
+	c := Diverging10G16mm
+	if c.ReceivedPowerAtLeastWithin(Misalignment{Range: 0, LateralOffset: MM(1)}, 0, -100) {
+		t.Error("a zero range, read as the nominal one, settles")
+	}
+	m := Misalignment{Range: c.NominalRange, LateralOffset: MM(1), IncidenceMismatch: Mrad(1)}
+	if exact := c.ReceivedPowerDBm(m); !c.ReceivedPowerAtLeastWithin(m, 0, exact-0.1) {
+		t.Errorf("%s: a well-aligned read at %v dBm does not settle 0.1 dB below it", c.Name, exact)
+	}
+}
+
+// TestReceivedPowerAtLeastWithinZeroAllocs pins the //cyclops:hotpath
+// contract.
+func TestReceivedPowerAtLeastWithinZeroAllocs(t *testing.T) {
+	c := Diverging25G
+	m := Misalignment{Range: 1.8, LateralOffset: MM(3), IncidenceMismatch: Mrad(2)}
+	if n := testing.AllocsPerRun(100, func() { c.ReceivedPowerAtLeastWithin(m, 0, -20) }); n != 0 {
+		t.Fatalf("ReceivedPowerAtLeastWithin allocates %v per call, want 0", n)
 	}
 }

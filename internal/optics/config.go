@@ -102,16 +102,27 @@ func (c LinkConfig) DivergenceHalfAngle() float64 {
 
 // InsertionLossDB returns the total fixed loss for this design, including
 // the divergence-dependent fiber-coupling penalty.
+//
+//cyclops:keep public API through cyclops.LinkConfig; the reads take it from fixedTerms
 func (c *LinkConfig) InsertionLossDB() float64 {
-	d := ToMrad(c.DivergenceHalfAngle())
+	return c.insertionLossDB(c.DivergenceHalfAngle())
+}
+
+func (c *LinkConfig) insertionLossDB(div float64) float64 {
+	d := ToMrad(div)
 	return c.BaseInsertionDB + c.DivergenceLossDBPerMrad2*d*d
 }
 
 // AngularAcceptance returns the receiver's angular acceptance (1/e²
 // half-angle) in radians.
+//
+//cyclops:keep public API through cyclops.LinkConfig; the reads take it from fixedTerms
 func (c *LinkConfig) AngularAcceptance() float64 {
-	d := ToMrad(c.DivergenceHalfAngle())
-	return Mrad(c.AcceptBaseMrad + c.AcceptPerMradDiv*d)
+	return c.angularAcceptance(c.DivergenceHalfAngle())
+}
+
+func (c *LinkConfig) angularAcceptance(div float64) float64 {
+	return Mrad(c.AcceptBaseMrad + c.AcceptPerMradDiv*ToMrad(div))
 }
 
 // Misalignment describes the geometric state of the link reduced to the
@@ -166,8 +177,61 @@ func (c *LinkConfig) ReceivedPowerAtMost(m Misalignment, attenDB, floor float64)
 //cyclops:keep public API through cyclops.LinkConfig; ReceivedPowerReaches applies the same bound to its shared read
 func (c *LinkConfig) ReceivedPowerAtLeast(m Misalignment, attenDB, floor float64) bool {
 	r := c.read(m)
-	return r.atLeast(attenDB, floor)
+	return r.atLeast(attenDB, floor, captureLogMarginDB)
 }
+
+// ReceivedPowerAtLeastWithin reports whether ReceivedPowerDBm(m') - attenDB
+// is certainly at least floor for every misalignment m' within m: 0 <
+// m'.Range ≤ m.Range, |m'.LateralOffset| ≤ |m.LateralOffset| and
+// |m'.IncidenceMismatch| ≤ |m.IncidenceMismatch|. False means undecided.
+// It is ReceivedPowerAtLeast at m with two changes (DESIGN §8). The angle
+// and walk-off losses take their closed form, FractionToDB(exp(−2x²)) =
+// 20x²/ln 10, in place of Exp and Log10. And withinMarginDB more loss
+// covers the rounding by which the computed bound can fail to be
+// non-increasing in the three magnitudes, as every term is in exact
+// arithmetic. A non-positive range, which reads as the nominal one, a
+// non-positive angular acceptance, and an angle or walk-off loss of
+// withinLossCapDB or more settle nothing.
+//
+//cyclops:hotpath the light certificate of every Plant.ReadLight it settles; zero-alloc contract pinned by TestReceivedPowerAtLeastWithinZeroAllocs and make alloc-check
+func (c *LinkConfig) ReceivedPowerAtLeastWithin(m Misalignment, attenDB, floor float64) bool {
+	div, p0, acc := c.fixedTerms()
+	if !(m.Range > 0 && acc > 0) {
+		return false
+	}
+	r := linkRead{
+		w:     c.LaunchRadius + div*m.Range,
+		a:     c.ApertureRadius,
+		d:     math.Abs(m.LateralOffset),
+		p0:    p0,
+		angDB: gaussLossDB(m.IncidenceMismatch / acc),
+	}
+	if c.LateralAcceptance > 0 {
+		r.latDB = gaussLossDB(m.LateralOffset / c.LateralAcceptance)
+	}
+	if !(r.angDB < withinLossCapDB && r.latDB < withinLossCapDB) {
+		return false
+	}
+	return r.atLeast(attenDB, floor, captureLogMarginDB+withinMarginDB)
+}
+
+// gaussLossDB is the loss of a Gaussian coupling fraction exp(−2x²) in
+// closed form: FractionToDB(exp(−2x²)) = 20x²/ln 10.
+func gaussLossDB(x float64) float64 {
+	return x * x * (20 / math.Ln10)
+}
+
+// withinMarginDB is the loss ReceivedPowerAtLeastWithin adds to its
+// geometric loss. The exact read's Exp and Log10, and the bound's Expm1
+// and Log10, are within a few ulps of exact, which moves each of the three
+// losses by under 2e-11 dB; the closed forms are off by 3 ulps, 1e-12 dB;
+// and each of the budget's four roundings costs an ulp of a value below
+// 1e4 dB. withinLossCapDB keeps the angle and walk-off fractions above
+// 1e-300, normal floats, where that relative accuracy holds.
+const (
+	withinMarginDB  = 1e-9
+	withinLossCapDB = 3000
+)
 
 // ReceivedPowerReaches reports whether ReceivedPowerDBm(m) - attenDB >=
 // floor, with the same answer for every input, NaN and infinities
@@ -178,7 +242,7 @@ func (c *LinkConfig) ReceivedPowerAtLeast(m Misalignment, attenDB, floor float64
 //cyclops:hotpath the verdict behind Plant.ReadLight on every core.Run tick that records no sample; zero-alloc contract pinned by TestReceivedPowerReachesZeroAllocs and make alloc-check
 func (c *LinkConfig) ReceivedPowerReaches(m Misalignment, attenDB, floor float64) bool {
 	r := c.read(m)
-	if r.atLeast(attenDB, floor) {
+	if r.atLeast(attenDB, floor, captureLogMarginDB) {
 		return true
 	}
 	// Certainly at most the float below floor is certainly below floor;
@@ -210,18 +274,30 @@ func (c *LinkConfig) read(m Misalignment) linkRead {
 	if rng <= 0 {
 		rng = c.NominalRange
 	}
+	div, p0, acc := c.fixedTerms()
 	r := linkRead{
-		w:     c.Beam().RadiusAt(rng),
+		w:     c.LaunchRadius + div*math.Abs(rng),
 		a:     c.ApertureRadius,
 		d:     math.Abs(m.LateralOffset),
-		p0:    c.Transceiver.TxPowerDBm + c.Amp.GainDB - c.InsertionLossDB(),
-		angDB: FractionToDB(AngleCouplingFraction(m.IncidenceMismatch, c.AngularAcceptance())),
+		p0:    p0,
+		angDB: FractionToDB(AngleCouplingFraction(m.IncidenceMismatch, acc)),
 	}
 	if c.LateralAcceptance > 0 {
 		lat := m.LateralOffset / c.LateralAcceptance
 		r.latDB = FractionToDB(math.Exp(-2 * lat * lat))
 	}
 	return r
+}
+
+// fixedTerms returns what every read of c shares: the divergence
+// half-angle, the launch power plus amplifier gain less the insertion
+// loss, and the angular acceptance, with the divergence formed once. The
+// beam radius at range z is then LaunchRadius + div·|z|,
+// GaussianBeam.RadiusAt's expression.
+func (c *LinkConfig) fixedTerms() (div, p0, acc float64) {
+	div = c.DivergenceHalfAngle()
+	p0 = c.Transceiver.TxPowerDBm + c.Amp.GainDB - c.insertionLossDB(div)
+	return div, p0, c.angularAcceptance(div)
 }
 
 // dBm is the link budget given the geometric capture loss in dB: the one
@@ -249,13 +325,14 @@ func (r *linkRead) atMost(attenDB, floor float64) bool {
 	return r.dBm(FractionToDB(env)-captureLogMarginDB)-attenDB <= floor
 }
 
-// atLeast is ReceivedPowerAtLeast on the shared read.
-func (r *linkRead) atLeast(attenDB, floor float64) bool {
+// atLeast is ReceivedPowerAtLeast on the shared read, with marginDB added
+// to the disk's geometric loss.
+func (r *linkRead) atLeast(attenDB, floor, marginDB float64) bool {
 	disk := captureDisk(r.w, r.a, r.d)
 	if !(disk > 0) {
 		return false
 	}
-	return r.dBm(FractionToDB(disk)+captureLogMarginDB)-attenDB >= floor
+	return r.dBm(FractionToDB(disk)+marginDB)-attenDB >= floor
 }
 
 // captureLogMarginDB is the allowance for Log10's rounding, whose error is

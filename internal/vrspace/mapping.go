@@ -82,21 +82,36 @@ func FitMapping(kTX, kRX gma.Params, tuples []Tuple, init Mapping) (Mapping, opt
 		return Mapping{}, optimize.Result{}, fmt.Errorf("%w: have %d, want ≥10", ErrNotEnoughTuples, len(tuples))
 	}
 
+	// The TX beams depend on the first six parameters only and the RX
+	// beams on the last six, and each Jacobian column perturbs one half:
+	// each half's beams are cached per tuple, keyed on that half's exact
+	// bits. Column 6, the first RX column, follows an evaluation with the
+	// TX half perturbed, so it recomputes the TX beams once.
+	tx, rx := newHalfBeams(len(tuples)), newHalfBeams(len(tuples))
 	residuals := func(x []float64, out []float64) {
 		m, err := MappingFromVector(x)
 		if err != nil {
 			//cyclops:panic-ok impossible: the optimizer preserves the 12-parameter vector length
 			panic(err)
 		}
-		// One TX compilation per candidate mapping covers every tuple;
-		// the RX model moves with each tuple's report and is compiled
-		// per tuple (still amortized over its two beam evaluations).
-		gt := m.TXModel(kTX).Compile()
-		for i, tp := range tuples {
-			gr := m.RXModel(kRX, tp.Psi).Compile()
-			bt, err1 := gt.Beam(tp.V.TX1, tp.V.TX2)
-			br, err2 := gr.Beam(tp.V.RX1, tp.V.RX2)
-			if err1 != nil || err2 != nil {
+		if tx.stale(x[:6]) {
+			// One TX compilation per candidate mapping covers every tuple.
+			gt := m.TXModel(kTX).Compile()
+			for i, tp := range tuples {
+				tx.ray[i], tx.err[i] = gt.Beam(tp.V.TX1, tp.V.TX2)
+			}
+		}
+		if rx.stale(x[6:]) {
+			// The RX model moves with each tuple's report and is compiled
+			// per tuple.
+			for i, tp := range tuples {
+				gr := m.RXModel(kRX, tp.Psi).Compile()
+				rx.ray[i], rx.err[i] = gr.Beam(tp.V.RX1, tp.V.RX2)
+			}
+		}
+		for i := range tuples {
+			bt, br := tx.ray[i], rx.ray[i]
+			if tx.err[i] != nil || rx.err[i] != nil {
 				out[2*i], out[2*i+1] = 1, 1
 				continue
 			}
@@ -113,6 +128,33 @@ func FitMapping(kTX, kRX gma.Params, tuples []Tuple, init Mapping) (Mapping, opt
 	}
 	m, err := MappingFromVector(res.X)
 	return m, res, err
+}
+
+// halfBeams is one mapping half's beams for every tuple, with the exact
+// bits of the six parameters they were computed for.
+type halfBeams struct {
+	key   [6]uint64
+	valid bool
+	ray   []geom.Ray
+	err   []error
+}
+
+func newHalfBeams(n int) *halfBeams {
+	return &halfBeams{ray: make([]geom.Ray, n), err: make([]error, n)}
+}
+
+// stale reports whether the beams were computed for other parameters than
+// x, and keys them on x: a caller that sees true recomputes them.
+func (h *halfBeams) stale(x []float64) bool {
+	var key [6]uint64
+	for i, v := range x {
+		key[i] = math.Float64bits(v)
+	}
+	if h.valid && key == h.key {
+		return false
+	}
+	h.key, h.valid = key, true
+	return true
 }
 
 // CalibrationPoses returns n headset poses spread through the play volume

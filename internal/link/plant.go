@@ -180,8 +180,8 @@ func (p *Plant) RXReverseBeam() (geom.Ray, error) {
 }
 
 // Misalignment reduces the current geometry to the radiometric scalars.
-// Both devices draw their servo noise, the RX one only when the TX beam
-// leaves its assembly, as TXBeam and RXReverseBeam would. The read becomes
+// Both devices draw their servo noise as TXBeam and RXReverseBeam would,
+// the RX one only when the TX beam clears both of its mirrors. The read becomes
 // the light certificate's anchor.
 func (p *Plant) Misalignment() (optics.Misalignment, error) {
 	t1, t2 := p.TXDev.Draw()

@@ -86,8 +86,6 @@ func NewUnit(seed int64) *Device {
 // the pointing change takes to complete: DAQ conversion plus servo settle
 // plus slew for large steps. (The simulator has no hidden clock; callers —
 // the pointing loop, the simulation engine — account the returned latency.)
-//
-//cyclops:keep the settle-latency model of one command, pinned by its tests; the plant commands through Command and core accounts the latency
 func (d *Device) SetVoltages(v1, v2 float64) time.Duration {
 	q1 := d.quantize(clamp(v1, d.effectiveRange()))
 	q2 := d.quantize(clamp(v2, d.effectiveRange()))
@@ -96,23 +94,13 @@ func (d *Device) SetVoltages(v1, v2 float64) time.Duration {
 	delta := math.Max(math.Abs(q1-d.v1), math.Abs(q2-d.v2)) * d.truth.Theta1
 	lat := d.daq.WriteLatency + d.spec.StepLatency +
 		time.Duration(delta/d.slewRate*float64(time.Second))
-	d.move(q1, q2)
-	return lat
-}
 
-// Command commands the two mirror channels as SetVoltages does, for a
-// caller that accounts the pointing latency elsewhere.
-func (d *Device) Command(v1, v2 float64) {
-	d.move(d.quantize(clamp(v1, d.effectiveRange())), d.quantize(clamp(v2, d.effectiveRange())))
-}
-
-// move sets the mirrors to the clamped, quantized command. A held servo
-// accepts the command (the DAQ write happens, latency and all) but the
-// mirrors never move.
-func (d *Device) move(q1, q2 float64) {
+	// A held servo accepts the command (the DAQ write happens, latency
+	// and all) but the mirrors never move.
 	if !d.held {
 		d.v1, d.v2 = q1, q2
 	}
+	return lat
 }
 
 // SetHold freezes or releases the mirror servos. While held, voltage

@@ -224,7 +224,7 @@ func TestTracedBeamMatchesBeam(t *testing.T) {
 		for _, d := range []*Device{a, b} {
 			d.SetHold(i%50 >= 40)
 			d.SetRangeLimit(float64(i%3) * 2)
-			d.Command(v1, v2)
+			d.SetVoltages(v1, v2)
 		}
 		want, wantErr := a.Beam()
 		got, _, gotErr := b.TracedBeam(b.Draw())

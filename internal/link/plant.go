@@ -371,12 +371,10 @@ func (p *Plant) OracleAlignedVoltages() (pointing.Voltages, error) {
 	return res.V, nil
 }
 
-// ApplyVoltages commands both devices. Callers account the pointing
-// latency themselves (core's hardwareLatency), so the devices' settle
-// latency is not formed.
+// ApplyVoltages commands both devices.
 func (p *Plant) ApplyVoltages(v pointing.Voltages) {
-	p.TXDev.Command(v.TX1, v.TX2)
-	p.RXDev.Command(v.RX1, v.RX2)
+	p.TXDev.SetVoltages(v.TX1, v.TX2)
+	p.RXDev.SetVoltages(v.RX1, v.RX2)
 }
 
 // CurrentVoltages reads both devices.

@@ -80,20 +80,27 @@ func BenchmarkCalibrate(b *testing.B) {
 // program (0.6 m/s, 0.7 rad/s) through System.Run on the chosen 10G design
 // calibrated at seed 1, sampled every 5 ms. The calibration runs once,
 // outside the timer. make bench-hotpath records it as
-// closed_loop_run_ns_per_op.
+// closed_loop_run_ns_per_op. certified_% is the share of the verdict
+// ticks (those without a sample) that the plant's light certificate
+// settled without forming the geometry.
 func BenchmarkClosedLoopRun(b *testing.B) {
 	sys := NewSystem(Link10G, 1)
 	sys.Obs = obs.NewRegistry()
 	if _, err := sys.Calibrate(); err != nil {
 		b.Fatal(err)
 	}
+	before, verdicts := sys.Plant.CertifiedReads(), 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run(RunOptions{Program: HandHeld(0.6, 0.7, time.Minute, 1), SampleEvery: 5 * time.Millisecond}); err != nil {
+		res, err := sys.Run(RunOptions{Program: HandHeld(0.6, 0.7, time.Minute, 1), SampleEvery: 5 * time.Millisecond})
+		if err != nil {
 			b.Fatal(err)
 		}
+		verdicts += int(res.Metrics.Counters["cyclops_run_ticks_total"]) - len(res.Samples)
 	}
+	certified := sys.Plant.CertifiedReads() - before
+	b.ReportMetric(100*float64(certified)/float64(verdicts), "certified_%")
 }
 
 // BenchmarkTPLatency runs the §5.2 TP evaluation (cadence, stationary

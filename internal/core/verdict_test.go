@@ -166,33 +166,3 @@ func TestRunRejectsStandbyOfOtherSensitivity(t *testing.T) {
 		t.Fatal("Run accepted a standby whose receiver sensitivity differs from the primary's")
 	}
 }
-
-// TestLightCertificateShare logs how many of the verdict ticks of the
-// closed-loop benchmark's run the plant's light certificate settles: the
-// chosen 10G design calibrated at seed 1 and at the held-out seed 20221,
-// then a 60 s hand-held program sampled every 5 ms.
-func TestLightCertificateShare(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two calibrations and two 60 s runs")
-	}
-	for _, seed := range []int64{1, 20221} {
-		s := NewSystem(optics.Diverging10G16mm, seed)
-		if _, err := s.Calibrate(); err != nil {
-			t.Fatal(err)
-		}
-		before := s.Plant.CertifiedReads()
-		res, err := s.Run(RunOptions{
-			Program:     &motion.HandHeld{Base: link.DefaultHeadsetPose(), MaxLinear: 0.6, MaxAngular: 0.7, Len: time.Minute, Seed: seed},
-			SampleEvery: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		verdicts := int(res.Metrics.Counters["cyclops_run_ticks_total"]) - len(res.Samples)
-		certified := s.Plant.CertifiedReads() - before
-		t.Logf("seed %d: %d of %d verdict ticks certified (%.1f %%)", seed, certified, verdicts, 100*float64(certified)/float64(verdicts))
-		if certified == 0 {
-			t.Errorf("seed %d: the light certificate settled no verdict", seed)
-		}
-	}
-}

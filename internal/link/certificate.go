@@ -32,13 +32,6 @@ type lightAnchor struct {
 	tx, rx gma.BeamTrace
 	m      optics.Misalignment
 	lever  float64
-
-	// budget is a drift the anchor certifies light for at budgetFloor
-	// and budgetAtten, judged once per anchor; a zero budget certifies
-	// nothing.
-	budgetSet                bool
-	budgetFloor, budgetAtten float64
-	budget                   drift
 }
 
 // drift bounds how far the range, the lateral offset and the incidence
@@ -61,9 +54,6 @@ const (
 	anchorMinRange = 1e-6
 	anchorMaxLever = 10
 	anchorMaxCoord = 1e3
-	// budgetGrowth scales the first certified drift after an anchor into
-	// its budget, enough for the ticks until a 5 ms sample re-anchors.
-	budgetGrowth = 4
 	// piOver3 turns a chord c ≤ 1 between unit vectors into a bound on
 	// their angle, 2·asin(c/2) ≤ (π/3)·c, and a displacement r ≤ 1/2 of
 	// a unit vector into one on its turn, asin(r) ≤ (π/3)·r.
@@ -108,20 +98,7 @@ func (a *lightAnchor) holds(p *Plant) bool {
 //cyclops:hotpath evaluated on every ReadLight with a standing anchor; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs and make alloc-check
 func (a *lightAnchor) certifies(p *Plant, floor, dOt, dDt, dOr, dDr float64) bool {
 	d, ok := a.drift(p.headset, dOt, dDt, dOr, dDr)
-	if !ok {
-		return false
-	}
-	if !a.budgetSet || floor != a.budgetFloor || p.attenDB != a.budgetAtten {
-		a.budgetSet, a.budgetFloor, a.budgetAtten = true, floor, p.attenDB
-		a.budget = drift{d.rng * budgetGrowth, d.lat * budgetGrowth, d.mis * budgetGrowth}
-		if !p.Config.ReceivedPowerAtLeastWithin(a.worst(a.budget), p.attenDB, floor) {
-			a.budget = drift{}
-		}
-	}
-	if d.rng <= a.budget.rng && d.lat <= a.budget.lat && d.mis <= a.budget.mis {
-		return true
-	}
-	return p.Config.ReceivedPowerAtLeastWithin(a.worst(d), p.attenDB, floor)
+	return ok && p.Config.ReceivedPowerAtLeastWithin(a.worst(d), p.attenDB, floor)
 }
 
 // drift bounds the misalignment's motion from the anchor to headset pose

@@ -345,7 +345,7 @@ func (p *Plant) exactLight(floor, t1, t2 float64, rxDrawn bool, r1, r2 float64) 
 // CertifiedReads returns how many ReadLight verdicts the light certificate
 // settled without the exact geometry.
 //
-//cyclops:keep test-only instrument: the certified share the core tests log is not an exposition line
+//cyclops:keep test-only instrument: BenchmarkClosedLoopRun reports the certified share, which is not an exposition line
 func (p *Plant) CertifiedReads() int { return p.certified }
 
 // Connected reports whether instantaneous power clears the SFP

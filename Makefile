@@ -237,7 +237,12 @@ bench:
 # arena_bytes_per_op, the field before "B/op"), and the micro-benchmarks'
 # and the calibration's allocs_per_op is parsed from the field before
 # "allocs/op" (the batch kernel reports its worst batch size, the
-# calibration its median). A missing row fails the target.
+# calibration its median). Under "work" it records counts that are the
+# same on every host: BenchmarkCalibrate's certified_% (alignment probes
+# the power certificate settled without the geometry) and exact_reads/op,
+# and BenchmarkClosedLoopRun's certified_% (verdict ticks). A missing row
+# or work count fails the target, and so does a work count that differs
+# between runs.
 # Benchmark names are matched with the -GOMAXPROCS suffix stripped. The
 # seven corpus and calibration rows are the median of 3 runs at
 # -benchtime 5x with their min and max: co-tenant noise on a shared host
@@ -254,6 +259,10 @@ bench-hotpath:
 	    -v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)" ' \
 	function allocs(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "allocs/op") return $$i; return "" } \
 	function bytes(   i) { for (i = 4; i < NF; i++) if ($$(i+1) == "B/op") return $$i; return "" } \
+	function metric(u,   i) { for (i = 4; i < NF; i++) if ($$(i+1) == u) return $$i; return "" } \
+	function work(k, v) { if (v == "") { print "bench-hotpath: missing work count " k > "/dev/stderr"; bad = 1 } \
+		else if ((k in w) && w[k] != v) { print "bench-hotpath: work count " k " moved between runs: " w[k] " vs " v > "/dev/stderr"; bad = 1 } \
+		else w[k] = v } \
 	function median(v, n,   i, j, t) { \
 		for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j-1] > v[j]; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t } \
 		return (n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2) \
@@ -266,8 +275,9 @@ bench-hotpath:
 	name == "BenchmarkFig16TraceAvailabilitySerial" { cv[++cn] = $$3; if ((v = bytes()) != "") cb[++cbn] = v + 0 } \
 	name == "BenchmarkFig16ChaosCorpusSerial"       { xv[++xn] = $$3; if ((v = bytes()) != "") xb[++xbn] = v + 0 } \
 	name == "BenchmarkFig16ArenaSerial"             { av[++an] = $$3; if ((v = bytes()) != "") ab[++abn] = v + 0 } \
-	name == "BenchmarkCalibrate"                    { kv[++kn] = $$3; if ((v = allocs()) != "") ka[++kan] = v + 0 } \
-	name == "BenchmarkClosedLoopRun"                { lv[++ln] = $$3 } \
+	name == "BenchmarkCalibrate"                    { kv[++kn] = $$3; if ((v = allocs()) != "") ka[++kan] = v + 0; \
+		work("calibrate_certified_pct", metric("certified_%")); work("calibrate_exact_reads_per_op", metric("exact_reads/op")) } \
+	name == "BenchmarkClosedLoopRun"                { lv[++ln] = $$3; work("closed_loop_certified_pct", metric("certified_%")) } \
 	name == "BenchmarkParamsBeam"           { pbeam = $$3 } \
 	name == "BenchmarkCompiledBeam"         { cbeam = $$3; a["gma_compiled_beam"] = allocs() } \
 	name == "BenchmarkCompile"              { comp = $$3 } \
@@ -290,13 +300,14 @@ bench-hotpath:
 		if (kn == 0) { print "bench-hotpath: missing BenchmarkCalibrate output" > "/dev/stderr"; exit 1 } \
 		if (kan != kn) { print "bench-hotpath: missing -benchmem allocs/op for a BenchmarkCalibrate run" > "/dev/stderr"; exit 1 } \
 		if (ln == 0) { print "bench-hotpath: missing BenchmarkClosedLoopRun output" > "/dev/stderr"; exit 1 } \
+		if (bad) exit 1; \
 		split("gma_compiled_beam gma_beam_batch pointing_gprime_compiled pointing_point_compiled optics_capture_fraction optics_link_received_power xmath_add_n xrand_seed arena_occlusion", keys, " "); \
 		for (k = 1; k in keys; k++) if (a[keys[k]] == "") { print "bench-hotpath: no -benchmem allocs for " keys[k] > "/dev/stderr"; exit 1 } \
 		if (pbeam == "" || cbeam == "" || comp == "" || bb1 == "" || bb8 == "" || bb64 == "" || gw == "" || gwu == "" || pw == "" || pc == "" || cf == "" || rp == "" || addn == "" || seed == "" || aocc == "") { \
 			print "bench-hotpath: missing micro-benchmark output" > "/dev/stderr"; exit 1 } \
-		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus, calibrate and closed-loop rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"calibrate_ns_per_op\": %s,\n  \"closed_loop_run_ns_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s,\n    \"arena_occlusion_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s,\n    \"arena_occlusion\": %s,\n    \"calibrate\": %.0f\n  }\n}\n", \
+		printf "{\n  \"benchmark\": \"hotpath\",\n  \"recorded_at\": \"%s\",\n  \"commit\": \"%s\",\n  \"note\": \"corpus, calibrate and closed-loop rows: median of %d serial runs at -benchtime 5x with min/max; no typed-in baseline, compare recordings made on one host\",\n  \"corpus_ns_per_op\": %s,\n  \"chaos_corpus_ns_per_op\": %s,\n  \"arena_ns_per_op\": %s,\n  \"corpus_bytes_per_op\": %s,\n  \"chaos_corpus_bytes_per_op\": %s,\n  \"arena_bytes_per_op\": %s,\n  \"calibrate_ns_per_op\": %s,\n  \"closed_loop_run_ns_per_op\": %s,\n  \"micro\": {\n    \"gma_params_beam_ns_per_op\": %s,\n    \"gma_compiled_beam_ns_per_op\": %s,\n    \"gma_compile_ns_per_op\": %s,\n    \"gma_beam_batch1_ns_per_op\": %s,\n    \"gma_beam_batch8_ns_per_op\": %s,\n    \"gma_beam_batch64_ns_per_op\": %s,\n    \"pointing_gprime_warm_ns_per_op\": %s,\n    \"pointing_gprime_warm_uncompiled_ns_per_op\": %s,\n    \"pointing_point_warm_ns_per_op\": %s,\n    \"pointing_point_cold_ns_per_op\": %s,\n    \"optics_capture_fraction_ns_per_op\": %s,\n    \"optics_link_received_power_ns_per_op\": %s,\n    \"xmath_add_n_ns_per_op\": %s,\n    \"xrand_seed_ns_per_op\": %s,\n    \"arena_occlusion_ns_per_op\": %s\n  },\n  \"allocs_per_op\": {\n    \"gma_compiled_beam\": %s,\n    \"gma_beam_batch\": %s,\n    \"pointing_gprime_compiled\": %s,\n    \"pointing_point_compiled\": %s,\n    \"optics_capture_fraction\": %s,\n    \"optics_link_received_power\": %s,\n    \"xmath_add_n\": %s,\n    \"xrand_seed\": %s,\n    \"arena_occlusion\": %s,\n    \"calibrate\": %.0f\n  },\n  \"work\": {\n    \"calibrate_certified_pct\": %s,\n    \"calibrate_exact_reads_per_op\": %s,\n    \"closed_loop_certified_pct\": %s\n  }\n}\n", \
 			ts, commit, cn, spread(cv, cn), spread(xv, xn), spread(av, an), spread(cb, cbn), spread(xb, xbn), spread(ab, abn), spread(kv, kn), spread(lv, ln), pbeam, cbeam, comp, bb1, bb8, bb64, gw, gwu, pw, pc, cf, rp, addn, seed, aocc, \
-			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"], a["arena_occlusion"], median(ka, kan); \
+			a["gma_compiled_beam"], a["gma_beam_batch"], a["pointing_gprime_compiled"], a["pointing_point_compiled"], a["optics_capture_fraction"], a["optics_link_received_power"], a["xmath_add_n"], a["xrand_seed"], a["arena_occlusion"], median(ka, kan), w["calibrate_certified_pct"], w["calibrate_exact_reads_per_op"], w["closed_loop_certified_pct"]; \
 	}' .bench_hotpath.txt > BENCH_hotpath.json
 	rm -f .bench_hotpath.txt
 	cat BENCH_hotpath.json

@@ -64,16 +64,29 @@ func BenchmarkTable2CalibrationError(b *testing.B) {
 // BenchmarkCalibrate is one full two-stage calibration of the chosen 10G
 // design at seed 1: both K-space grids, the ≈30 aligned tuples' alignment
 // searches, the mapping fit and its evaluation. It is closed-loop's
-// setup, and make bench-hotpath records it as calibrate_ns_per_op.
+// setup, and make bench-hotpath records it as calibrate_ns_per_op. Two
+// work counts, the same on every host, ride along: certified_% is the
+// share of the alignment probes that the plant's power certificate
+// settled without forming the geometry, and exact_reads/op the probes
+// whose power was computed in full.
 func BenchmarkCalibrate(b *testing.B) {
 	b.ReportAllocs()
+	var probes, exact, certified float64
 	for i := 0; i < b.N; i++ {
 		sys := NewSystem(Link10G, 1)
 		sys.Obs = obs.NewRegistry()
 		if _, err := sys.Calibrate(); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		c := sys.Obs.Snapshot().Counters
+		probes += c["cyclops_calibration_align_probes_total"]
+		exact += c["cyclops_calibration_align_probes_exact_total"]
+		certified += float64(sys.Plant.CertifiedReads())
+		b.StartTimer()
 	}
+	b.ReportMetric(100*certified/probes, "certified_%")
+	b.ReportMetric(exact/float64(b.N), "exact_reads/op")
 }
 
 // BenchmarkClosedLoopRun is closed-loop's timed pass: one 60 s hand-held

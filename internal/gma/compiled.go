@@ -200,12 +200,13 @@ type BeamTrace struct {
 // non-finite input. DESIGN §8 derives each term; FuzzBeamMoved holds them
 // above the computed motion.
 //
-// Mirror i's normal turns by at most εᵢ = |θ₁|·|Δvᵢ|. A reflection's output
-// then turns by at most 2εᵢ, so the direction moves by at most 2(ε₁+ε₂);
-// dDir takes twice that. A hit on a plane through pivot q with unit normal
-// n moves, when n turns by a chord δ, by |hit − q|·δ/|d·n'| along the
-// line; when the line's start moves by α, by α(1 + 1/|d·n|); and when its
-// direction turns by a chord η, by t·η(1 + 1/|d'·n|).
+// Mirror i's normal turns by at most εᵢ = |θ₁|·|Δvᵢ|. Reflections are
+// isometries, and swapping one mirror plane for one turned by εᵢ turns
+// every reflected direction by at most 2εᵢ, so the direction moves by at
+// most dDir = 2(ε₁+ε₂), an angle. A hit on a plane through pivot q with
+// unit normal n moves, when n turns by a chord δ, by |hit − q|·δ/|d·n'|
+// along the line; when the line's start moves by α, by α(1 + 1/|d·n|);
+// and when its direction turns by a chord η, by t·η(1 + 1/|d'·n|).
 //
 //cyclops:hotpath evaluated for both devices on every certified Plant.ReadLight; zero-alloc contract pinned by TestBeamMovedZeroAllocs and make alloc-check
 func (tr *BeamTrace) Moved(v1, v2 float64) (dOrigin, dDir float64, ok bool) {
@@ -232,7 +233,7 @@ func (tr *BeamTrace) Moved(v1, v2 float64) (dOrigin, dDir float64, ok bool) {
 	if !(tr.t1 > a1+beamMovedMinHit && tr.t2 > a1+a2+tr.t2*eta+beamMovedMinHit) {
 		return 0, 0, false
 	}
-	return a2, 4 * (e1 + e2), true
+	return a2, 2 * (e1 + e2), true
 }
 
 // beamMovedMinDen and beamMovedMinHit keep a certified beam far from

@@ -64,15 +64,22 @@ func (n alignReads) record(m *AlignMetrics) {
 }
 
 // alignRead is one photodiode read of the search at v. Both devices draw
-// their servo noise in Misalignment on every read, so a settled read
+// their servo noise on every read as Misalignment would, so a settled read
 // leaves their streams where an exact one would. With settle set, a power
-// certainly at most floor returns floor without the capture integral: a
-// scan keeps a probe only above its best power, so that probe could not
-// change the search.
+// certainly at most floor returns floor: a scan keeps a probe only above
+// its best power, so that probe could not change the search. The power
+// certificate settles it first without the geometry; otherwise the read
+// forms the geometry, which becomes the anchor, and the power bounds
+// settle it without the capture integral.
 func (p *Plant) alignRead(v pointing.Voltages, settle bool, floor float64, n *alignReads) float64 {
 	p.ApplyVoltages(v)
-	m, err := p.Misalignment()
 	n.probes++
+	q := p.draw()
+	if settle && q.ok && p.anchor.dark(p, floor, &q) {
+		p.certified++
+		return floor
+	}
+	m, err := p.geometry(&q)
 	if err != nil {
 		n.exact++
 		return math.Inf(-1)
@@ -89,8 +96,8 @@ func (p *Plant) alignRead(v pointing.Voltages, settle bool, floor float64, n *al
 // walk), followed by a Nelder–Mead polish of all four voltages on the
 // received-power objective. It leaves the devices at — and returns — the
 // best voltages with the power achieved there. The scans settle a probe
-// that cannot beat the best power so far from a bound (DESIGN §8); the
-// start point, the polish and its final read are exact.
+// that cannot beat the best power so far from a certificate or a bound
+// (DESIGN §8); the start point, the polish and its final read are exact.
 func (p *Plant) AlignSearch(start pointing.Voltages) (pointing.Voltages, float64, error) {
 	var n alignReads
 	defer func() { n.record(p.AlignMetrics) }()

@@ -116,8 +116,10 @@ func outcome(t *testing.T, p *Plant, v pointing.Voltages, pw float64, err error)
 // TestAlignSearchMatchesReference holds AlignSearch to the all-exact
 // reference bit for bit on every shipped design: hand-aimed starts, starts
 // near and beyond the scan window's edge, an attenuated path and a moved
-// headset. Equal next beams show that settled probes still drew their
-// servo noise.
+// headset, and searches that start with a stale or foreign anchor: after a
+// run of tracking reads, after the headset moved or the attenuation
+// changed since the last exact read, and with held mirrors. Equal next
+// beams show that settled probes still drew their servo noise.
 func TestAlignSearchMatchesReference(t *testing.T) {
 	designs := []optics.LinkConfig{optics.Collimated10G, optics.Diverging10G, optics.Diverging10G16mm, optics.Diverging25G}
 	type setup struct {
@@ -125,6 +127,9 @@ func TestAlignSearchMatchesReference(t *testing.T) {
 		attenDB float64
 		pose    func(geom.Pose) geom.Pose
 		start   func(p *Plant, rng *rand.Rand) pointing.Voltages
+		// prep, when set, runs on the plant after start is chosen and
+		// before the search.
+		prep func(p *Plant)
 	}
 	handAim := func(p *Plant, rng *rand.Rand) pointing.Voltages {
 		v, err := p.HandAim(rng)
@@ -148,15 +153,53 @@ func TestAlignSearchMatchesReference(t *testing.T) {
 		}
 	}
 	same := func(h geom.Pose) geom.Pose { return h }
+	// exactThen takes an exact read, which anchors the certificate, and
+	// then changes the plant with change.
+	exactThen := func(change func(p *Plant)) func(*Plant) {
+		return func(p *Plant) {
+			p.ReceivedPowerDBm()
+			change(p)
+		}
+	}
 	setups := []setup{
-		{"hand-aim", 0, same, handAim},
-		{"window-edge", 0, same, offset(0.27)},
-		{"beyond-window", 0, same, offset(0.6)},
-		{"attenuated", 25, same, handAim},
+		{"hand-aim", 0, same, handAim, nil},
+		{"window-edge", 0, same, offset(0.27), nil},
+		{"beyond-window", 0, same, offset(0.6), nil},
+		{"attenuated", 25, same, handAim, nil},
 		{"moved-headset", 0, func(h geom.Pose) geom.Pose {
 			rot := geom.QuatFromAxisAngle(geom.V(0.3, 1, 0.1), 0.2)
 			return geom.NewPose(rot.Mul(h.Rot), h.Trans.Add(geom.V(-0.25, 0.15, 0.2)))
-		}, handAim},
+		}, handAim, nil},
+		{"after-run", 0, same, handAim, func(p *Plant) {
+			// The reads core.Run makes: oracle-pointed, a tick's exact
+			// sample or light verdict along a slow wobble, ending away
+			// from the search's headset pose and voltages.
+			h := p.Headset()
+			v, err := p.OracleAlignedVoltages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.ApplyVoltages(v)
+			for i := 0; i < 60; i++ {
+				s := float64(i)
+				p.SetHeadset(geom.NewPose(geom.QuatFromAxisAngle(geom.V(0.2, 1, 0.4), 0.003*s).Mul(h.Rot), h.Trans.Add(geom.V(0.001*s, -0.0005*s, 0))))
+				if i%5 == 0 {
+					p.ReceivedPowerDBm()
+				} else {
+					p.ReadLight(p.Config.Transceiver.SensitivityDBm)
+				}
+			}
+			p.SetHeadset(h)
+		}},
+		{"after-SetHeadset", 0, same, handAim, exactThen(func(p *Plant) {
+			h := p.Headset()
+			p.SetHeadset(geom.NewPose(h.Rot, h.Trans.Add(geom.V(0.002, 0, -0.001))))
+		})},
+		{"after-SetAttenuationDB", 0, same, handAim, exactThen(func(p *Plant) { p.SetAttenuationDB(18) })},
+		{"held-mirrors", 0, same, handAim, exactThen(func(p *Plant) {
+			p.TXDev.SetHold(true)
+			p.RXDev.SetHold(true)
+		})},
 	}
 	for _, cfg := range designs {
 		for _, s := range setups {
@@ -170,6 +213,9 @@ func TestAlignSearchMatchesReference(t *testing.T) {
 						p.SetHeadset(s.pose(p.Headset()))
 						p.SetAttenuationDB(s.attenDB)
 						start := s.start(p, rand.New(rand.NewSource(seed)))
+						if s.prep != nil {
+							s.prep(p)
+						}
 						v, pw, err := search(p, start)
 						out[i] = outcome(t, p, v, pw, err)
 					}
@@ -183,7 +229,8 @@ func TestAlignSearchMatchesReference(t *testing.T) {
 }
 
 // TestAlignSearchCountsProbes checks AlignMetrics: every read is a
-// probe, the polish reads are exact, and most coarse probes settle.
+// probe, the polish reads are exact, and most coarse probes settle, a
+// share of them by the power certificate without the geometry.
 func TestAlignSearchCountsProbes(t *testing.T) {
 	p := NewPlant(optics.Diverging10G16mm, 7)
 	reg := obs.NewRegistry()
@@ -199,5 +246,33 @@ func TestAlignSearchCountsProbes(t *testing.T) {
 	}
 	if settled := probes - exact; settled < coarse/2 {
 		t.Errorf("only %v of %d coarse probes settled by the bound", settled, coarse)
+	}
+	if certified := p.CertifiedReads(); certified < coarse/4 {
+		t.Errorf("only %d of %d coarse probes settled by the power certificate", certified, coarse)
+	}
+}
+
+// TestAlignReadZeroAllocs pins the //cyclops:hotpath contract of the
+// search's probe: one the power certificate settles dark (a step away
+// from an exact read, at a floor far above its power), one it cannot
+// settle at a floor at its power, and the search's exact reads.
+func TestAlignReadZeroAllocs(t *testing.T) {
+	for _, cfg := range []optics.LinkConfig{optics.Diverging10G16mm, optics.Diverging25G, optics.Collimated10G} {
+		p := alignedPlant(t, cfg, 3)
+		v := p.CurrentVoltages()
+		var n alignReads
+		pw := p.alignRead(v, false, 0, &n)
+		step := v
+		step.TX1 += alignStep
+		before := p.CertifiedReads()
+		if allocs := testing.AllocsPerRun(100, func() { p.alignRead(step, true, pw+40, &n) }); allocs != 0 {
+			t.Errorf("%s: a certified alignment probe allocates %v per call, want 0", cfg.Name, allocs)
+		}
+		if got := p.CertifiedReads() - before; got < 100 {
+			t.Errorf("%s: %d of the probes a step from the anchor settled dark, want all", cfg.Name, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.alignRead(v, true, pw-1, &n) }); allocs != 0 {
+			t.Errorf("%s: an exact alignment probe allocates %v per call, want 0", cfg.Name, allocs)
+		}
 	}
 }

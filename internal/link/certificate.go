@@ -9,13 +9,16 @@ import (
 	"cyclops/internal/optics"
 )
 
-// lightAnchor is the light certificate's anchor: the last exact geometry
+// certAnchor is the power certificate's anchor: the last exact geometry
 // read and what it depends on. Between exact reads the headset moves a
-// little and the servo noise jitters both beams, so a later ReadLight
-// bounds how far the misalignment can have drifted since the anchor and
-// settles "light" when the power bound holds at the worst misalignment
-// within that drift (DESIGN §8). The certificate never settles "dark".
-type lightAnchor struct {
+// little, the servo noise jitters both beams and the alignment search
+// steps the voltages, so a later read bounds how far the misalignment can
+// have drifted since the anchor (DESIGN §8). ReadLight settles "light"
+// when the lower power bound holds at the worst misalignment within that
+// drift; an alignment probe settles "dark", at most the scan's best, when
+// the upper bound holds at the best misalignment within it and every beam
+// radius the range can take.
+type certAnchor struct {
 	ok bool
 
 	// What the anchored geometry depends on besides the headset pose and
@@ -34,8 +37,9 @@ type lightAnchor struct {
 	lever  float64
 }
 
-// drift bounds how far the range, the lateral offset and the incidence
-// mismatch can have moved since the anchor, certMargin included.
+// drift bounds how far, in either direction, the range, the lateral
+// offset and the incidence mismatch can have moved since the anchor,
+// certMargin included.
 type drift struct{ rng, lat, mis float64 }
 
 const (
@@ -63,9 +67,9 @@ const (
 // set makes the read of p's current state, with beam traces tx and rx,
 // misalignment m, TX beam origin txOrigin and capture point capture, the
 // anchor.
-func (a *lightAnchor) set(p *Plant, tx, rx gma.BeamTrace, m optics.Misalignment, txOrigin, capture geom.Vec3) {
+func (a *certAnchor) set(p *Plant, tx, rx gma.BeamTrace, m optics.Misalignment, txOrigin, capture geom.Vec3) {
 	lever := capture.Dist(p.headset.Trans)
-	*a = lightAnchor{
+	*a = certAnchor{
 		ok: m.Range > anchorMinRange &&
 			lever+math.Abs(p.FlexCoeff) <= anchorMaxLever &&
 			txOrigin.Norm() <= anchorMaxCoord &&
@@ -86,28 +90,45 @@ func (a *lightAnchor) set(p *Plant, tx, rx gma.BeamTrace, m optics.Misalignment,
 
 // holds reports whether the anchor describes p's devices, design and
 // assembly.
-func (a *lightAnchor) holds(p *Plant) bool {
+func (a *certAnchor) holds(p *Plant) bool {
 	return a.ok && a.txDev == p.TXDev && a.rxDev == p.RXDev && a.flex == p.FlexCoeff && a.cfg == p.Config
 }
 
-// certifies reports whether p's power is certainly at least floor, given
-// the beams' motion since the anchor: the TX origin by at most dOt and
-// direction by at most dDt, the RX K-space origin by dOr and direction by
-// dDr (gma.BeamTrace.Moved).
+// light reports whether p's power is certainly at least floor, given the
+// beams' motion since the anchor in q.
 //
 //cyclops:hotpath evaluated on every ReadLight with a standing anchor; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs and make alloc-check
-func (a *lightAnchor) certifies(p *Plant, floor, dOt, dDt, dOr, dDr float64) bool {
-	d, ok := a.drift(p.headset, dOt, dDt, dOr, dDr)
+func (a *certAnchor) light(p *Plant, floor float64, q *draws) bool {
+	d, ok := a.drift(p.headset, q)
 	return ok && p.Config.ReceivedPowerAtLeastWithin(a.worst(d), p.attenDB, floor)
 }
 
-// drift bounds the misalignment's motion from the anchor to headset pose
-// h and beams moved as certifies takes them. ok is false when a premise
-// of the bound fails. DESIGN §8 derives each term; FuzzLightDrift holds
-// them above the exact reads.
+// dark reports whether p's power is certainly at most floor, given the
+// beams' motion since the anchor in q: ReceivedPowerAtMostWithin at the
+// smallest misalignment within the drift, over the range interval the
+// drift leaves.
 //
-//cyclops:hotpath the rigid-motion and noise bound of every certified ReadLight; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs and make alloc-check
-func (a *lightAnchor) drift(h geom.Pose, dOt, dDt, dOr, dDr float64) (drift, bool) {
+//cyclops:hotpath evaluated on every settling alignment probe with a standing anchor; zero-alloc contract pinned by TestAlignReadZeroAllocs and make alloc-check
+func (a *certAnchor) dark(p *Plant, floor float64, q *draws) bool {
+	d, ok := a.drift(p.headset, q)
+	if !ok {
+		return false
+	}
+	near := optics.Misalignment{
+		Range:             a.m.Range - d.rng,
+		LateralOffset:     max(a.m.LateralOffset-d.lat, 0),
+		IncidenceMismatch: max(a.m.IncidenceMismatch-d.mis, 0),
+	}
+	return p.Config.ReceivedPowerAtMostWithin(near, a.m.Range+d.rng, p.attenDB, floor)
+}
+
+// drift bounds the misalignment's motion from the anchor to headset pose
+// h and beams moved as q records. ok is false when a premise of the bound
+// fails. DESIGN §8 derives each term; FuzzLightDrift holds them above the
+// exact reads.
+//
+//cyclops:hotpath the rigid-motion and noise bound of every certified read; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs, TestAlignReadZeroAllocs and make alloc-check
+func (a *certAnchor) drift(h geom.Pose, q *draws) (drift, bool) {
 	if !unitQuat(h.Rot) {
 		return drift{}, false
 	}
@@ -115,25 +136,27 @@ func (a *lightAnchor) drift(h geom.Pose, dOt, dDt, dOr, dDr float64) (drift, boo
 	// (|ℓ| = lever) with the gravity sag inside it: the rotation moves it
 	// by g·lever and the sag by g·|FlexCoeff|, the RX noise by dOr.
 	g := geom.RotationGap(a.head.Rot, h.Rot)
-	dC := g*(a.lever+math.Abs(a.flex)) + dOr + h.Trans.Dist(a.head.Trans)
+	dC := g*(a.lever+math.Abs(a.flex)) + q.dOr + h.Trans.Dist(a.head.Trans)
 	// dX bounds the motion of capture − TX origin, so of the range.
-	dX := dC + dOt
+	dX := dC + q.dOt
 	if !(dX <= a.m.Range/2 && g <= 1) {
 		return drift{}, false
 	}
-	dIn := dDt // a collimated beam arrives along the TX direction
+	dIn := q.dDt // a collimated beam arrives along the TX direction
 	if a.cfg.Kind == optics.Diverging {
 		dIn = piOver3 * dX / a.m.Range
 	}
+	// The nearest point on either TX ray lies within its range of the
+	// origin, and the larger range is at most Range + dX.
 	return drift{
 		rng: dX + certMargin,
-		lat: dX + a.m.Range*dDt + certMargin,
-		mis: dIn + piOver3*g + dDr + certMargin,
+		lat: dX + (a.m.Range+dX)*q.dDt + certMargin,
+		mis: dIn + piOver3*g + q.dDr + certMargin,
 	}, true
 }
 
 // worst is the worst misalignment within drift d of the anchor's.
-func (a *lightAnchor) worst(d drift) optics.Misalignment {
+func (a *certAnchor) worst(d drift) optics.Misalignment {
 	return optics.Misalignment{
 		Range:             a.m.Range + d.rng,
 		LateralOffset:     a.m.LateralOffset + d.lat,

@@ -61,9 +61,10 @@ type Plant struct {
 
 	headset geom.Pose
 
-	// anchor is the light certificate's last exact geometry read, and
-	// certified counts the ReadLight verdicts it settled.
-	anchor    lightAnchor
+	// anchor is the power certificate's last exact geometry read, and
+	// certified counts the reads it settled: ReadLight verdicts and
+	// alignment probes.
+	anchor    certAnchor
 	certified int
 }
 
@@ -182,26 +183,27 @@ func (p *Plant) RXReverseBeam() (geom.Ray, error) {
 // Misalignment reduces the current geometry to the radiometric scalars.
 // Both devices draw their servo noise as TXBeam and RXReverseBeam would,
 // the RX one only when the TX beam clears both of its mirrors. The read becomes
-// the light certificate's anchor.
+// the power certificate's anchor.
 func (p *Plant) Misalignment() (optics.Misalignment, error) {
-	t1, t2 := p.TXDev.Draw()
-	return p.geometry(t1, t2, false, 0, 0)
+	var q draws
+	q.t1, q.t2 = p.TXDev.Draw()
+	return p.geometry(&q)
 }
 
-// geometry is Misalignment for the TX servo-noise draw (t1, t2). With
-// rxDrawn set, (r1, r2) is the RX draw, already taken; otherwise geometry
-// takes it once the TX beam has cleared both mirrors. A read that clears
-// both assemblies becomes the anchor.
-func (p *Plant) geometry(t1, t2 float64, rxDrawn bool, r1, r2 float64) (optics.Misalignment, error) {
+// geometry is Misalignment for q's draws. Without q.rxDrawn, geometry
+// takes the RX draw once the TX beam has cleared both mirrors. A read that
+// clears both assemblies becomes the anchor.
+func (p *Plant) geometry(q *draws) (optics.Misalignment, error) {
 	p.anchor.ok = false
-	tb, txTrace, err := p.TXDev.TracedBeam(t1, t2)
+	tb, txTrace, err := p.TXDev.TracedBeam(q.t1, q.t2)
 	if err != nil {
 		return optics.Misalignment{}, err
 	}
-	if !rxDrawn {
-		r1, r2 = p.RXDev.Draw()
+	if !q.rxDrawn {
+		q.r1, q.r2 = p.RXDev.Draw()
+		q.rxDrawn = true
 	}
-	rb, rxTrace, err := p.RXDev.TracedBeam(r1, r2)
+	rb, rxTrace, err := p.RXDev.TracedBeam(q.r1, q.r2)
 	if err != nil {
 		return optics.Misalignment{}, err
 	}
@@ -313,39 +315,56 @@ func (p *Plant) ReadLight(floor float64) bool {
 	if p.Metrics != nil {
 		p.Metrics.Reads.Inc()
 	}
-	t1, t2 := p.TXDev.Draw()
-	a := &p.anchor
-	if !a.holds(p) {
-		return p.exactLight(floor, t1, t2, false, 0, 0)
-	}
-	dOt, dDt, ok := a.tx.Moved(t1, t2)
-	if !ok {
-		return p.exactLight(floor, t1, t2, false, 0, 0)
-	}
-	// The TX beam certainly clears its mirrors, so an exact read would
-	// draw the RX noise too.
-	r1, r2 := p.RXDev.Draw()
-	if dOr, dDr, ok := a.rx.Moved(r1, r2); ok && a.certifies(p, floor, dOt, dDt, dOr, dDr) {
+	q := p.draw()
+	if q.ok && p.anchor.light(p, floor, &q) {
 		p.certified++
 		return true
 	}
-	return p.exactLight(floor, t1, t2, true, r1, r2)
-}
-
-// exactLight is ReadLight's exact verdict for the servo-noise draws
-// geometry takes.
-func (p *Plant) exactLight(floor, t1, t2 float64, rxDrawn bool, r1, r2 float64) bool {
-	m, err := p.geometry(t1, t2, rxDrawn, r1, r2)
+	m, err := p.geometry(&q)
 	if err != nil {
 		return math.Inf(-1) >= floor
 	}
 	return p.Config.ReceivedPowerReaches(m, p.attenDB, floor)
 }
 
-// CertifiedReads returns how many ReadLight verdicts the light certificate
-// settled without the exact geometry.
+// draws is one read's servo-noise draws, taken as Misalignment takes them,
+// and, when ok, the beams' motion since the certificate's anchor
+// (gma.BeamTrace.Moved): the TX origin by at most dOt and its direction by
+// dDt, the RX K-space origin by dOr and its direction by dDr. The RX draw
+// (r1, r2) is taken when rxDrawn is set, as it always is when ok is.
+type draws struct {
+	t1, t2, r1, r2     float64
+	rxDrawn, ok        bool
+	dOt, dDt, dOr, dDr float64
+}
+
+// draw takes one read's servo-noise draws, TX first. The RX draw comes
+// only once the anchor shows that the TX beam certainly clears both of
+// its mirrors, since an exact read takes it only then; otherwise geometry
+// takes it when the beam does.
 //
-//cyclops:keep test-only instrument: BenchmarkClosedLoopRun reports the certified share, which is not an exposition line
+//cyclops:hotpath the servo-noise draws of every ReadLight and alignment probe; zero-alloc contract (nil Metrics) pinned by TestReadLightZeroAllocs, TestAlignReadZeroAllocs and make alloc-check
+func (p *Plant) draw() draws {
+	var q draws
+	q.t1, q.t2 = p.TXDev.Draw()
+	a := &p.anchor
+	if !a.holds(p) {
+		return q
+	}
+	var ok bool
+	if q.dOt, q.dDt, ok = a.tx.Moved(q.t1, q.t2); !ok {
+		return q
+	}
+	q.r1, q.r2 = p.RXDev.Draw()
+	q.rxDrawn = true
+	q.dOr, q.dDr, q.ok = a.rx.Moved(q.r1, q.r2)
+	return q
+}
+
+// CertifiedReads returns how many reads the power certificate settled
+// without the exact geometry: ReadLight verdicts and alignment probes.
+//
+//cyclops:keep test-only instrument: BenchmarkCalibrate and BenchmarkClosedLoopRun report the certified share, which is not an exposition line
 func (p *Plant) CertifiedReads() int { return p.certified }
 
 // Connected reports whether instantaneous power clears the SFP

@@ -567,8 +567,8 @@ func TestReadLightMatchesExact(t *testing.T) {
 	}
 }
 
-// FuzzLightDrift holds the light certificate's drift bound at or above the
-// misalignment's true motion: from an exact read of a plant (the anchor) at
+// FuzzLightDrift holds the power certificate's drift bound at or above the
+// misalignment's true motion, in either direction: from an exact read of a plant (the anchor) at
 // a perturbed headset pose, the fuzzer moves and turns the headset and
 // shifts both devices' noisy voltages, and wherever the bound answers, the
 // exact geometry at the new state, with those voltages, moved its range,
@@ -586,7 +586,7 @@ func FuzzLightDrift(f *testing.F) {
 		p.SetHeadset(geom.NewPose(geom.QuatFromAxisAngle(axis, 0.02*rng.NormFloat64()).Mul(h.Rot), h.Trans.Add(geom.V(0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0))))
 		t1, t2 := p.TXDev.Draw()
 		r1, r2 := p.RXDev.Draw()
-		if _, err := p.geometry(t1, t2, true, r1, r2); err != nil || !p.anchor.ok {
+		if _, err := p.geometry(&draws{t1: t1, t2: t2, r1: r1, r2: r2, rxDrawn: true}); err != nil || !p.anchor.ok {
 			return
 		}
 		a := p.anchor
@@ -600,22 +600,22 @@ func FuzzLightDrift(f *testing.F) {
 		if !okT || !okR {
 			return
 		}
-		d, ok := a.drift(p.Headset(), dOt, dDt, dOr, dDr)
+		d, ok := a.drift(p.Headset(), &draws{dOt: dOt, dDt: dDt, dOr: dOr, dDr: dDr})
 		if !ok {
 			return
 		}
-		m, err := p.geometry(t1, t2, true, r1, r2)
+		m, err := p.geometry(&draws{t1: t1, t2: t2, r1: r1, r2: r2, rxDrawn: true})
 		if err != nil {
 			t.Fatalf("the drift bound answers but the beams miss: %v", err)
 		}
 		if got := math.Abs(m.Range - a.m.Range); got > d.rng {
 			t.Fatalf("range moved %v, bound %v", got, d.rng)
 		}
-		if got := m.LateralOffset - a.m.LateralOffset; got > d.lat {
-			t.Fatalf("lateral offset grew %v, bound %v", got, d.lat)
+		if got := math.Abs(m.LateralOffset - a.m.LateralOffset); got > d.lat {
+			t.Fatalf("lateral offset moved %v, bound %v", got, d.lat)
 		}
-		if got := m.IncidenceMismatch - a.m.IncidenceMismatch; got > d.mis {
-			t.Fatalf("incidence mismatch grew %v, bound %v", got, d.mis)
+		if got := math.Abs(m.IncidenceMismatch - a.m.IncidenceMismatch); got > d.mis {
+			t.Fatalf("incidence mismatch moved %v, bound %v", got, d.mis)
 		}
 	})
 }

@@ -255,7 +255,11 @@ func (h *HandHeld) synthesize() {
 }
 
 // TracePlayback replays a recorded (or synthesized) viewing trace,
-// re-homed so the trace's first pose lands on Base.
+// re-homed so the trace's first pose lands on Base. Trace orientations are
+// Y-up, their yaw turning about +Y as trace.WriteCSV's header says, while
+// the rig is Z-up; so each trace rotation is first conjugated by yUpToZUp,
+// the fixed rotation taking +Y to +Z, and a viewer turning their head turns
+// the headset about the vertical. Trace positions are already Z-up.
 type TracePlayback struct {
 	Base geom.Pose
 	T    trace.Trace
@@ -277,10 +281,20 @@ func (p *TracePlayback) Pose(t time.Duration) geom.Pose {
 		p.once.done = true
 		if len(p.T.Samples) > 0 {
 			// tf maps trace coordinates onto the rig: Base ∘ first⁻¹.
-			p.once.tf = p.Base.Compose(p.T.Samples[0].Pose.Inverse())
+			p.once.tf = p.Base.Compose(rigPose(p.T.Samples[0].Pose).Inverse())
 		} else {
 			p.once.tf = geom.PoseIdentity()
 		}
 	}
-	return p.once.tf.Compose(p.T.PoseAt(t))
+	return p.once.tf.Compose(rigPose(p.T.PoseAt(t)))
+}
+
+// yUpToZUp is the fixed rotation taking +Y to +Z: a quarter turn about +X.
+var yUpToZUp = geom.QuatFromAxisAngle(geom.V(1, 0, 0), math.Pi/2)
+
+// rigPose maps a trace pose into the rig's frame: its rotation conjugated
+// by yUpToZUp, so a turn about +Y becomes the same turn about +Z, and its
+// position as it is.
+func rigPose(q geom.Pose) geom.Pose {
+	return geom.NewPose(yUpToZUp.Mul(q.Rot).Mul(yUpToZUp.Conj()), q.Trans)
 }

@@ -172,6 +172,48 @@ func TestTracePlaybackRehomed(t *testing.T) {
 	}
 }
 
+// TestTracePlaybackYawIsVertical pins the trace convention: a trace's yaw
+// turns about +Y, the rig's vertical is +Z, and playback turns the headset
+// about the vertical. On three generated 3-minute traces whose yaw sweeps
+// more than half a turn, the headset's up axis stays within the trace's own
+// pitch and roll wander of vertical: the tilt of the trace's up axis at
+// each sample plus its tilt at the first sample, which the re-homing takes
+// out.
+func TestTracePlaybackYawIsVertical(t *testing.T) {
+	yUp, zUp, fwd := geom.V(0, 1, 0), geom.V(0, 0, 1), geom.V(0, 0, 1)
+	base := geom.NewPose(geom.QuatIdentity(), geom.V(0.35, 0.25, 1.0))
+	for _, idx := range []int{12, 33, 36} {
+		tr := trace.Generate(1, idx, 3*time.Minute, base.Trans)
+		// The heading of the trace's forward axis about +Y, unwrapped.
+		var heading, lo, hi, prev float64
+		for k, s := range tr.Samples {
+			f := s.Pose.Rot.Rotate(fwd)
+			h := math.Atan2(f.X, f.Z)
+			if k > 0 {
+				heading += math.Remainder(h-prev, 2*math.Pi)
+			}
+			prev = h
+			lo, hi = math.Min(lo, heading), math.Max(hi, heading)
+		}
+		if hi-lo < math.Pi {
+			t.Fatalf("trace %d: yaw sweeps %.2f rad, less than the half turn the pin needs", idx, hi-lo)
+		}
+		p := &TracePlayback{Base: base, T: tr}
+		tilt0 := tr.Samples[0].Pose.Rot.Rotate(yUp).AngleTo(yUp)
+		worst := 0.0
+		for _, s := range tr.Samples {
+			wander := s.Pose.Rot.Rotate(yUp).AngleTo(yUp) + tilt0
+			tilt := p.Pose(s.At).Rot.Rotate(zUp).AngleTo(zUp)
+			if tilt > wander+1e-9 {
+				t.Fatalf("trace %d at %v: up axis tilted %.3f rad, beyond the trace's pitch and roll wander %.3f rad (yaw sweeps %.2f rad)",
+					idx, s.At, tilt, wander, hi-lo)
+			}
+			worst = math.Max(worst, tilt)
+		}
+		t.Logf("trace %d: yaw sweeps %.2f rad, up axis tilts at most %.3f rad", idx, hi-lo, worst)
+	}
+}
+
 func TestTracePlaybackEmpty(t *testing.T) {
 	p := &TracePlayback{Base: basePose()}
 	if got := p.Pose(0); got != basePose().Compose(geom.PoseIdentity()) {

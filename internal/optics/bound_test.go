@@ -10,14 +10,18 @@ import (
 var shippedDesigns = []LinkConfig{Collimated10G, Diverging10G, Diverging10G16mm, Diverging25G}
 
 // FuzzCaptureFractionEnvelope pins captureEnvelope ≥ CaptureFraction for
-// every input: the bound the alignment search settles probes with must
-// hold for the computed kernel, rounding included. The committed seeds
-// cover the tightest point found on a grid (kernel ≈ 0.44 of the
-// envelope), both integrand branches, tiny and huge apertures, the empty
-// window and the non-finite inputs.
+// every input at a single beam radius: the bound the alignment search
+// settles probes with must hold for the computed kernel, rounding
+// included. The committed seeds cover the tightest point of the old
+// envelope and an asymptotic-branch tail where the kernel reaches 0.91 of
+// this one, both integrand branches, windows whose upper end sits 0.25, 1,
+// 3 and 4 beam radii past the aperture edge, a window clipped at lo = −4,
+// tiny and huge apertures, the empty window and the non-finite inputs.
+// FuzzReceivedPowerAtMostWithin covers the envelope over a range of beam
+// radii.
 func FuzzCaptureFractionEnvelope(f *testing.F) {
 	f.Fuzz(func(t *testing.T, w, a, dist float64) {
-		cf, env := CaptureFraction(w, a, dist), captureEnvelope(w, a, dist)
+		cf, env := CaptureFraction(w, a, dist), captureEnvelope(w, w, a, dist)
 		if cf > env {
 			t.Fatalf("CaptureFraction(%v, %v, %v) = %v above captureEnvelope %v", w, a, dist, cf, env)
 		}
@@ -29,7 +33,9 @@ func FuzzCaptureFractionEnvelope(f *testing.F) {
 
 // TestCaptureEnvelopeBoundsKernel sweeps beam radii, apertures and
 // offsets past the aperture edge in units of the beam radius, through
-// both of the kernel's integrand branches and up to its empty window.
+// both of the kernel's integrand branches and up to its empty window. On
+// a huge aperture the kernel reaches 0.97 of the envelope, so an envelope
+// half as large fails here.
 func TestCaptureEnvelopeBoundsKernel(t *testing.T) {
 	worst := 0.0
 	for _, w := range []float64{MM(0.5), MM(2), MM(8), MM(20)} {
@@ -40,7 +46,7 @@ func TestCaptureEnvelopeBoundsKernel(t *testing.T) {
 				if k == 0 {
 					d = math.Nextafter(a, math.Inf(1))
 				}
-				cf, env := CaptureFraction(w, a, d), captureEnvelope(w, a, d)
+				cf, env := CaptureFraction(w, a, d), captureEnvelope(w, w, a, d)
 				if !(cf <= env) {
 					t.Fatalf("CaptureFraction(%v, %v, %v) = %v above captureEnvelope %v", w, a, d, cf, env)
 				}
@@ -50,19 +56,33 @@ func TestCaptureEnvelopeBoundsKernel(t *testing.T) {
 			}
 		}
 	}
-	if worst < 0.4 {
+	if worst < 0.9 {
 		t.Errorf("kernel reaches at most %.3f of the envelope; the grid lost its tight points", worst)
 	}
-	if captureEnvelope(MM(8), MM(12), MM(12)) != 1 || captureEnvelope(MM(8), MM(12), MM(3)) != 1 {
+	if captureEnvelope(MM(8), MM(8), MM(12), MM(12)) != 1 || captureEnvelope(MM(8), MM(8), MM(12), MM(3)) != 1 {
 		t.Error("captureEnvelope bounds an aperture over the beam axis by less than 1")
 	}
 }
 
 // TestCaptureEnvelopePremises pins what the envelope's proof (DESIGN §8)
 // reads off the kernel: positive weights summing to 2 within 1e-14,
-// nodes inside ±0.99877102, and no asymptotic series above its x = 20
-// value.
+// nodes inside ±0.99877102, no asymptotic series above its x = 20 value,
+// and the computed rule's sum of exp(−β(1 − t)) at most its integral
+// (1 − exp(−2β))/β, up to 1e-12 relative, for every β the kernel can form.
 func TestCaptureEnvelopePremises(t *testing.T) {
+	for beta := 0.0; beta <= 4*captureWindow*captureWindow; beta += 1.0 / 64 {
+		var sum float64
+		for i, w := range &captureWeights {
+			sum += w * math.Exp(-beta*(1-captureNodes[i]))
+		}
+		integral := 2.0
+		if beta > 0 {
+			integral = -math.Expm1(-2*beta) / beta
+		}
+		if sum > integral*(1+1e-12) {
+			t.Fatalf("β = %v: the rule sums exp(−β(1 − t)) to %v, above its integral %v", beta, sum, integral)
+		}
+	}
 	var sum float64
 	for i, w := range &captureWeights {
 		if !(w > 0) || math.Abs(captureNodes[i]) > 0.99877102 {
@@ -138,6 +158,66 @@ func TestReceivedPowerAtMostZeroAllocs(t *testing.T) {
 	m := Misalignment{Range: 1.8, LateralOffset: MM(30), IncidenceMismatch: Mrad(2)}
 	if n := testing.AllocsPerRun(100, func() { c.ReceivedPowerAtMost(m, 0, -20) }); n != 0 {
 		t.Fatalf("ReceivedPowerAtMost allocates %v per call, want 0", n)
+	}
+}
+
+// FuzzReceivedPowerAtMostWithin holds the dark bound to its contract on
+// every shipped design: it finds, by bisection on the floor, the lowest
+// floor ReceivedPowerAtMostWithin settles for the near misalignment and the
+// range interval [near.Range, near.Range + |dr|], and requires every
+// misalignment within to read at most that floor exactly: near itself, the
+// far end of the range, each magnitude one ulp larger, and random ones.
+// The committed seeds cover each design on the beam axis, just past and
+// 0.25–4 beam radii past the aperture edge, a tick-sized and a
+// scan-sized range interval, an angle loss above the cap and an
+// attenuated path.
+func FuzzReceivedPowerAtMostWithin(f *testing.F) {
+	f.Fuzz(func(t *testing.T, design uint8, rng, lat, ang, dr, atten float64, seed int64) {
+		c := shippedDesigns[int(design)%len(shippedDesigns)]
+		near := Misalignment{Range: rng, LateralOffset: lat, IncidenceMismatch: ang}
+		far := rng + math.Abs(dr)
+		lo, hi := -500.0, 100.0
+		if !c.ReceivedPowerAtMostWithin(near, far, atten, hi) {
+			return
+		}
+		for i := 0; i < 80; i++ {
+			if mid := (lo + hi) / 2; c.ReceivedPowerAtMostWithin(near, far, atten, mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		up := func(x float64) float64 { return math.Nextafter(x, math.Copysign(math.Inf(1), x)) }
+		within := []Misalignment{near,
+			{Range: far, LateralOffset: lat, IncidenceMismatch: ang},
+			{Range: math.Nextafter(rng, math.Inf(1)), LateralOffset: up(lat), IncidenceMismatch: up(ang)},
+			{Range: math.Nextafter(far, 0), LateralOffset: -lat, IncidenceMismatch: -ang},
+		}
+		r := rand.New(rand.NewSource(seed))
+		for k := 0; k < 8; k++ {
+			grow := func(x float64) float64 { return x * (1 + 0.05*r.ExpFloat64()) }
+			within = append(within, Misalignment{Range: rng + (far-rng)*r.Float64(), LateralOffset: grow(lat), IncidenceMismatch: grow(ang)})
+		}
+		for _, m := range within {
+			if !(m.Range >= rng && m.Range <= far) {
+				continue
+			}
+			if exact := c.ReceivedPowerDBm(m) - atten; exact > hi {
+				t.Fatalf("%s: ReceivedPowerAtMostWithin(%+v, %v, %v) settles %v, but %+v reads %v", c.Name, near, far, atten, hi, m, exact)
+			}
+		}
+	})
+}
+
+// TestReceivedPowerAtMostWithinZeroAllocs pins the //cyclops:hotpath
+// contract on both tiers.
+func TestReceivedPowerAtMostWithinZeroAllocs(t *testing.T) {
+	c := Diverging25G
+	for _, lat := range []float64{MM(3), MM(30)} {
+		m := Misalignment{Range: 1.8, LateralOffset: lat, IncidenceMismatch: Mrad(2)}
+		if n := testing.AllocsPerRun(100, func() { c.ReceivedPowerAtMostWithin(m, 1.81, 0, -20) }); n != 0 {
+			t.Fatalf("ReceivedPowerAtMostWithin allocates %v per call, want 0", n)
+		}
 	}
 }
 

@@ -162,7 +162,38 @@ func (c *LinkConfig) ReceivedPowerDBm(m Misalignment) float64 {
 //cyclops:hotpath one call per coarse probe of the §4.2 alignment search; zero-alloc contract pinned by TestReceivedPowerAtMostZeroAllocs and make alloc-check
 func (c *LinkConfig) ReceivedPowerAtMost(m Misalignment, attenDB, floor float64) bool {
 	r := c.read(m)
-	return r.atMost(attenDB, floor)
+	return r.atMost(r.w, attenDB, floor, 0)
+}
+
+// ReceivedPowerAtMostWithin reports whether ReceivedPowerDBm(m') - attenDB
+// is certainly at most floor for every misalignment m' with near.Range ≤
+// m'.Range ≤ farRange, |m'.LateralOffset| ≥ |near.LateralOffset| and
+// |m'.IncidenceMismatch| ≥ |near.IncidenceMismatch|. False means
+// undecided. It is ReceivedPowerAtMost with ReceivedPowerAtLeastWithin's
+// changes mirrored (DESIGN §8): the angle and walk-off losses take their
+// closed form at near's magnitudes, each capped at withinLossCapDB; the
+// envelope takes every beam radius the range interval reaches; and
+// withinMarginDB less loss covers the rounding by which the computed bound
+// can fail to be non-decreasing as the three magnitudes shrink. A
+// non-positive near range or an empty range interval settles nothing.
+//
+//cyclops:hotpath the dark verdict of every alignment probe the power certificate settles; zero-alloc contract pinned by TestReceivedPowerAtMostWithinZeroAllocs and make alloc-check
+func (c *LinkConfig) ReceivedPowerAtMostWithin(near Misalignment, farRange, attenDB, floor float64) bool {
+	div, p0, acc := c.fixedTerms()
+	if !(near.Range > 0 && near.Range <= farRange && acc > 0) {
+		return false
+	}
+	r := linkRead{
+		w:     c.LaunchRadius + div*farRange,
+		a:     c.ApertureRadius,
+		d:     math.Abs(near.LateralOffset),
+		p0:    p0,
+		angDB: min(gaussLossDB(near.IncidenceMismatch/acc), withinLossCapDB),
+	}
+	if c.LateralAcceptance > 0 {
+		r.latDB = min(gaussLossDB(near.LateralOffset/c.LateralAcceptance), withinLossCapDB)
+	}
+	return r.atMost(c.LaunchRadius+div*near.Range, attenDB, floor, withinMarginDB)
 }
 
 // ReceivedPowerAtLeast reports whether ReceivedPowerDBm(m) - attenDB is
@@ -247,7 +278,7 @@ func (c *LinkConfig) ReceivedPowerReaches(m Misalignment, attenDB, floor float64
 	}
 	// Certainly at most the float below floor is certainly below floor;
 	// a -Inf floor has no float below it and only a NaN read misses it.
-	if floor > math.Inf(-1) && r.atMost(attenDB, math.Nextafter(floor, math.Inf(-1))) {
+	if floor > math.Inf(-1) && r.atMost(r.w, attenDB, math.Nextafter(floor, math.Inf(-1)), 0) {
 		return false
 	}
 	return r.exactDBm()-attenDB >= floor
@@ -313,16 +344,17 @@ func (r *linkRead) exactDBm() float64 {
 	return r.dBm(FractionToDB(CaptureFraction(r.w, r.a, r.d)))
 }
 
-// atMost is ReceivedPowerAtMost on the shared read.
-func (r *linkRead) atMost(attenDB, floor float64) bool {
-	if r.dBm(0)-attenDB <= floor {
+// atMost is ReceivedPowerAtMost on the shared read, for every beam radius
+// from wLo up to r.w and with marginDB taken off the geometric loss.
+func (r *linkRead) atMost(wLo, attenDB, floor, marginDB float64) bool {
+	if r.dBm(-marginDB)-attenDB <= floor {
 		return true
 	}
 	if !(r.d > r.a) {
 		return false
 	}
-	env := captureEnvelope(r.w, r.a, r.d)
-	return r.dBm(FractionToDB(env)-captureLogMarginDB)-attenDB <= floor
+	env := captureEnvelope(wLo, r.w, r.a, r.d)
+	return r.dBm(FractionToDB(env)-captureLogMarginDB-marginDB)-attenDB <= floor
 }
 
 // atLeast is ReceivedPowerAtLeast on the shared read, with marginDB added

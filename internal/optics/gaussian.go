@@ -33,13 +33,15 @@ func DivergenceFor(w0, d, z float64) float64 {
 	return div
 }
 
-// captureGLN is the order of CaptureFraction's Gauss–Legendre rule, and
+// captureGLN is the order of CaptureFraction's Gauss–Legendre rule,
 // captureWindow the half-width of its radial window in units of the beam
-// radius w: the Gaussian factor exp(-2u²) of the radial integrand is below
-// exp(-32) ≈ 1.3e-14 outside |u| ≤ 4.
+// radius w (the Gaussian factor exp(-2u²) of the radial integrand is below
+// exp(-32) ≈ 1.3e-14 outside |u| ≤ 4), and captureAsymFrom the Bessel
+// argument from which the kernel takes I₀e's asymptotic series.
 const (
-	captureGLN    = 48
-	captureWindow = 4
+	captureGLN      = 48
+	captureWindow   = 4
+	captureAsymFrom = 20
 )
 
 // captureNodes and captureWeights are the 48-point Gauss–Legendre nodes
@@ -128,7 +130,7 @@ func CaptureFraction(w, a, dist float64) float64 {
 		s := delta + u
 		x := 4 * delta * s
 		var f float64
-		if x < 20 {
+		if x < captureAsymFrom {
 			// 4s·exp(-2(s²+δ²))·I₀(x) = 4s·exp(-2u²)·I₀e(x).
 			q := x * x / 4
 			term, series := 1.0, 1.0
@@ -160,38 +162,50 @@ func asymptoticI0eSeries(x float64) float64 {
 	return series
 }
 
-// captureEnvelope returns an upper bound on CaptureFraction(w, a, dist)
-// for an aperture that does not contain the beam axis, |dist| > a, with
-// w and a finite and positive; elsewhere it returns 1. The computed
-// kernel's window is [lo, hi] with hi = (a-|dist|)/w < 0, so every node
-// has exp(-2u²) ≤ exp(-2hi²), and its radial factor 4s·I₀e(4δs) is at most
-// 4a/w below x = 20 and sqrt(2/π)·Σ(20) above. The window length times
-// the larger factor times exp(-2hi²) bounds the rule's sum; captureEnvSlack
-// absorbs the kernel's rounding (DESIGN §8). FuzzCaptureFractionEnvelope
-// pins envelope ≥ kernel.
-func captureEnvelope(w, a, dist float64) float64 {
+// captureEnvelope returns an upper bound on CaptureFraction(w, a, d) for
+// every beam radius w in [wLo, wHi] and every offset |d| ≥ |dist| > a, an
+// aperture clear of the beam axis, with 0 < wLo ≤ wHi and wHi, a and dist
+// finite; elsewhere it returns 1. At wLo = wHi it bounds the one read.
+// Every such kernel forms its window [lo, hi] at or below hi(wHi, |dist|)
+// < 0, so each node has exp(−2u²) ≤ exp(−2hi²)·exp(−4|hi|(hi − u)); its
+// radial factor 4s·I₀e(4δs) is at most 4a/wLo and 20/δ below x = 20 and
+// sqrt(2/π)·Σ(20) above. The rule's sum is then at most that factor times
+// exp(−2hi²) times the smaller of the window length and 1/(4|hi|), the
+// Gauss–Legendre sum of exp(−4|hi|(hi − u)) being at most its integral.
+// captureEnvSlack absorbs the kernel's rounding (DESIGN §8).
+// FuzzCaptureFractionEnvelope and FuzzReceivedPowerAtMostWithin pin
+// envelope ≥ kernel.
+func captureEnvelope(wLo, wHi, a, dist float64) float64 {
 	d := math.Abs(dist)
-	if !(w > 0 && a > 0 && d > a) || math.IsInf(w, 1) || math.IsInf(d, 1) {
+	if !(wLo > 0 && wLo <= wHi && a > 0 && d > a) || math.IsInf(wHi, 1) || math.IsInf(d, 1) {
 		return 1
 	}
-	// lo and hi exactly as CaptureFraction forms them; hi < 0 here.
-	delta := d / w
-	lo := math.Max(-delta, -captureWindow)
-	hi := (a - d) / w
-	if !(hi > lo) {
-		return 0 // CaptureFraction's empty window
+	// hi is formed as CaptureFraction forms it, at the box corner that
+	// makes it largest; hi < 0 here.
+	hi := (a - d) / wHi
+	if !(hi > -captureWindow) {
+		return 0 // every kernel in the box has an empty window
 	}
-	peak := max(4*a/w+1e-12, captureAsymPeak)
-	return (hi - lo) * peak * math.Exp(-2*hi*hi) * captureEnvSlack
+	// span bounds every kernel's window length hi − lo: a/w up to its
+	// rounding, and hi + captureWindow since lo ≥ −captureWindow.
+	span := min(a/wLo+captureSpanSlack, hi+captureWindow)
+	// Below x = 4δs = 20, 4s is below both 4a/w and 20/δ.
+	peak := max(min(4*a/wLo, captureAsymFrom/(d/wHi))+1e-12, captureAsymPeak)
+	return peak * math.Exp(-2*hi*hi) * min(span, 1/(-4*hi)) * captureEnvSlack
 }
 
 // captureAsymPeak bounds the kernel's x ≥ 20 integrand factor
-// sqrt(2/π·(1+u/δ))·Σ, with u ≤ 0, and captureEnvSlack is the relative
-// allowance for the kernel's rounding, orders of magnitude above the
-// ≈1e-12 the proof in DESIGN §8 needs.
-var captureAsymPeak = math.Sqrt(2/math.Pi) * asymptoticI0eSeries(20)
+// sqrt(2/π·(1+u/δ))·Σ, with u ≤ 0; captureSpanSlack is the absolute
+// allowance for the rounding of the kernel's window length against a/w,
+// below 1e-14; and captureEnvSlack is the relative allowance for the
+// kernel's rounding, orders of magnitude above the ≈1e-12 the proof in
+// DESIGN §8 needs.
+var captureAsymPeak = math.Sqrt(2/math.Pi) * asymptoticI0eSeries(captureAsymFrom)
 
-const captureEnvSlack = 1 + 1e-9
+const (
+	captureSpanSlack = 1e-13
+	captureEnvSlack  = 1 + 1e-9
+)
 
 // captureDisk returns a lower bound on CaptureFraction(w, a, dist) for an
 // aperture over the beam axis, |dist| < a, with w and a positive; elsewhere
